@@ -1,8 +1,9 @@
 """Command-line front end: load configs, dispatch checks, emit canonical JSON.
 
 Exit codes: 0 success (verified or inconclusive verdicts only), 1 at least
-one falsified verdict, 2 usage error, 3 malformed configuration, 4 resource
-cap exceeded.
+one falsified verdict, 2 usage error (such as a negative radius), 3 malformed
+configuration (such as an unparseable element or a bad ball cap), 4 resource
+cap exceeded.  Exit code 1 is never used for a crash.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .geometry import (
     verify_h_isolation,
 )
 from .group_algebra import coset_decomposition_check, isolation_projection, verify_ph_in_ideal
-from .groups import BallCapExceeded, MalformedWord
+from .groups import BallCapExceeded, BallCapInvalid, MalformedWord, ball_cap
 from .operators import (
     adjoint,
     generator_operator,
@@ -125,6 +126,7 @@ def _cmd_check(args) -> SuiteReport:
         ctx = _group(args)
         b = _subset(ctx, args)
         x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
+        _require(args, "element")
         h = _stabiliser_subgroup(b)
         g = ctx.parse(args.element)
         suite.add(almost_invariant_check(b, x, h, g, args.R))
@@ -351,6 +353,13 @@ def _cmd_universal(args) -> SuiteReport | list[SuiteReport]:
     return suite
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="translation-lab",
@@ -365,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--element", "-g", help="group element (context notation)")
         p.add_argument("--lhs", help="operator expression")
         p.add_argument("--rhs", help="operator expression")
-        p.add_argument("--R", type=int, default=8, help="window / search radius")
-        p.add_argument("--r", type=int, default=3, help="inner radius")
-        p.add_argument("--L", type=int, default=3, help="word length bound")
-        p.add_argument("--n", type=int, default=2, help="rank parameter")
-        p.add_argument("--max-size", dest="max_size", type=int, default=3)
+        p.add_argument("--R", type=nonnegative_int, default=8, help="window / search radius")
+        p.add_argument("--r", type=nonnegative_int, default=3, help="inner radius")
+        p.add_argument("--L", type=nonnegative_int, default=3, help="word length bound")
+        p.add_argument("--n", type=nonnegative_int, default=2, help="rank parameter")
+        p.add_argument("--max-size", dest="max_size", type=nonnegative_int, default=3)
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--timings", action="store_true", help="include timings (breaks byte reproducibility)")
 
@@ -417,9 +426,12 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "check" and args.what == "deep" and args.r > args.R:
+            parser.error("check deep needs --r <= --R")
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
+        ball_cap()  # a malformed cap is a config error whether or not a ball is grown
         if args.command == "check":
             result = _cmd_check(args)
         elif args.command == "op":
@@ -432,10 +444,7 @@ def dispatch(argv) -> int:
             result = _cmd_universal(args)
         else:  # pragma: no cover
             return EXIT_USAGE
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MalformedWord as err:
+    except (ConfigError, MalformedWord, BallCapInvalid) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BallCapExceeded as err:

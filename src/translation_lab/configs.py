@@ -115,6 +115,8 @@ def load_subset(ctx: GroupContext, source) -> SubsetSpec:
 def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
     kind = data["kind"]
     if kind == "interval":
+        if "hi" in data:
+            raise ConfigError("interval subsets are the half-lines coord >= lo; 'hi' is not supported")
         return coordinate_halfspace(ctx, int(data.get("coord", 0)), int(data.get("lo", 0)))
     if kind == "congruence":
         return congruence_class(

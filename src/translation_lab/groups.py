@@ -34,14 +34,21 @@ class MalformedWord(ValueError):
     """A raw word used a letter outside the context's alphabet."""
 
 
+class BallCapInvalid(ValueError):
+    """The ball-cap environment variable is not a positive integer."""
+
+
 def ball_cap() -> int:
     raw = os.environ.get(BALL_CAP_ENV)
     if raw is None:
         return DEFAULT_BALL_CAP
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_BALL_CAP
+        cap = 0
+    if cap < 1:
+        raise BallCapInvalid(f"{BALL_CAP_ENV}={raw!r} is not a positive integer")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -346,11 +353,18 @@ class FreeAbelianContext(GroupContext):
                 rest = text[len(self.names[0]):]
                 if not rest:
                     return self._make((1,))
-                return self._make((int(rest.lstrip("^")),))
-            return self._make((int(text),))
+                return self._make((_parse_int(rest.lstrip("^")),))
+            return self._make((_parse_int(text),))
         body = text.strip("()")
-        coords = [int(part) for part in body.split(",")]
+        coords = [_parse_int(part) for part in body.split(",")]
         return self.vector(*coords)
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedWord(f"{text!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +514,15 @@ class AmalgamContext(GroupContext):
     Canonical form: a tuple of syllables, each a nontrivial left-coset
     transversal representative in its factor, factors strictly alternating,
     followed by a trailing subgroup part.  Transversal representatives are the
-    shortlex-least members of their cosets; absorption during multiplication
-    runs right-to-left one letter at a time.
+    shortlex-least members of their cosets.
+
+    ``multiply`` reduces only at the seam: it appends the syllables of the
+    right operand one at a time only while a subgroup part is being carried or
+    the next syllable lies in the same factor as the last one of the product
+    so far.  Once neither holds, the remaining syllables are already canonical
+    and are joined on unchanged.  Coset splits come from a table built at
+    construction for finite factors, are the identity split when the gluing
+    subgroup is trivial, and otherwise come from a search over the subgroup.
     """
 
     kind = "amalgam"
@@ -535,6 +556,12 @@ class AmalgamContext(GroupContext):
             min(left.word_length(a), right.word_length(b)) for a, b in self.pairs
         )
         self._trivial_h = len(self.pairs) == 1
+        self._split_tables = tuple(
+            {x.word: self._split_search(side, x) for x in f.all_elements()}
+            if isinstance(f, FiniteGroupContext) and not self._trivial_h
+            else None
+            for side, f in enumerate(self.factors)
+        )
         self._syllable_counts_metric = self._all_factor_elements_generate()
 
     def _validate_gluing(self):
@@ -583,15 +610,24 @@ class AmalgamContext(GroupContext):
 
     def _split(self, side: int, x: GroupElement) -> tuple[GroupElement, int]:
         """Factor ``x = rep * h`` with rep shortlex-least in the coset x*H."""
+        if self._trivial_h:
+            return x, 0
+        table = self._split_tables[side]
+        if table is not None:
+            return table[x.word]
+        return self._split_search(side, x)
+
+    def _split_search(self, side: int, x: GroupElement) -> tuple[GroupElement, int]:
+        """The candidate loop defining the transversal: least ``x * h`` over H."""
         f = self.factors[side]
         best = None
-        best_h = None
+        best_key = None
         for h in range(len(self.pairs)):
             cand = f.multiply(x, self.embed_h(side, h))
             key = f.sort_key(cand)
-            if best is None or key < f.sort_key(best):
+            if best is None or key < best_key:
                 best = cand
-                best_h = h
+                best_key = key
         leftover = f.multiply(f.invert(best), x)
         h = self._h_lookup(side, leftover)
         if h is None:  # pragma: no cover - guarded by gluing validation
@@ -606,7 +642,7 @@ class AmalgamContext(GroupContext):
     def _append_letter(self, state: tuple, side: int, x: GroupElement) -> tuple:
         syllables, h = state
         f = self.factors[side]
-        y = f.multiply(self.embed_h(side, h), x)
+        y = f.multiply(self.embed_h(side, h), x) if h else x
         hy = self._h_lookup(side, y)
         if hy is not None:
             return syllables, hy
@@ -639,10 +675,17 @@ class AmalgamContext(GroupContext):
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         self._check(x)
         self._check(y)
-        state = x.word
-        for side, w in y.word[0]:
-            state = self._append_letter(state, side, GroupElement(self.factors[side], w))
-        h = y.word[1]
+        syllables, carry = x.word
+        tail, h = y.word
+        i = 0
+        # Reduce only at the seam: once nothing is carried and the next
+        # syllable switches factor, the rest of y's syllables are canonical.
+        while i < len(tail) and (carry or (syllables and syllables[-1][0] == tail[i][0])):
+            side, w = tail[i]
+            letter = GroupElement(self.factors[side], w)
+            syllables, carry = self._append_letter((syllables, carry), side, letter)
+            i += 1
+        state = (syllables + tail[i:], carry)
         if h:
             state = self._append_letter(state, 0, self.embed_h(0, h))
         return self._make(state)

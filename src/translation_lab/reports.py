@@ -9,6 +9,7 @@ parameter that influenced the run, so that reruns are byte-reproducible.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,6 +82,7 @@ class SuiteReport:
     name: str
     params: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
+    _last_add: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
@@ -96,6 +98,10 @@ class SuiteReport:
         return self.verdict != FALSIFIED
 
     def add(self, check: CheckReport) -> CheckReport:
+        """Append ``check``, timed from the suite's start or the previous add."""
+        now = time.perf_counter()
+        check.elapsed = now - self._last_add
+        self._last_add = now
         self.checks.append(check)
         return check
 

@@ -35,6 +35,26 @@ def amalgam():
 
 
 @pytest.fixture(scope="session")
+def s3_z4():
+    """S3 glued to Z/4 over Z/2: a transposition of S3 is identified with 2 in Z/4."""
+    from translation_lab.configs import load_group
+
+    perms = sorted(itertools.permutations(range(3)))
+    s3_table = [
+        [perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms
+    ]
+    return load_group(
+        {
+            "kind": "amalgam",
+            "left": {"kind": "finite", "table": s3_table, "names": [f"p{i}" for i in range(6)]},
+            "right": {"kind": "finite", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+                      "names": ["0", "1", "2", "3"]},
+            "pairs": [["p1", "2"]],
+        }
+    )
+
+
+@pytest.fixture(scope="session")
 def zz():
     return free_product_of_two_integers()
 

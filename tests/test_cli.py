@@ -2,6 +2,7 @@ import json
 
 from translation_lab import cli
 from translation_lab.groups import BALL_CAP_ENV
+from translation_lab.reports import dumps
 
 
 def run(capsys, *argv):
@@ -53,6 +54,53 @@ def test_op_kept_relation(tmp_path, capsys):
         "--lhs", "track:(0,{0,-1})", "--rhs", "id", "--R", "8",
     )
     assert code == 0
+
+
+def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
+    subset = str(tmp_path / "nat.json")
+    (tmp_path / "nat.json").write_text('{"kind": "interval", "lo": 0}')
+    common = ["--group", "z", "--subset", subset]
+    invocations = [
+        ["op", "eq", *common, "--lhs", "track:(0,{0,1})", "--rhs", "id", "--R", "8"],
+        ["op", "eq", *common, "--lhs", "track:(0,{0,-1})", "--rhs", "id", "--R", "8"],
+        ["op", "eq", *common, "--lhs", "gen:zz", "--rhs", "id"],
+        ["op", "eq", *common, "--lhs", "track:(x,{0})", "--rhs", "id"],
+        ["op", "build", *common, "--element", "q"],
+        ["check", "deep", *common, "--r", "3", "--R", "-1"],
+        ["check", "deep", *common, "--r", "5", "--R", "3"],
+        ["check", "deep", *common, "--R", "abc"],
+        ["check", "almost-invariant", *common],
+        ["gallery", "pv", "--n", "-1"],
+        ["universal", "independence", "--r", "-1"],
+    ]
+    codes = []
+    for argv in invocations:
+        code, out = run(capsys, *argv)
+        codes.append(code)
+        if code == cli.EXIT_FALSIFIED:
+            verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
+            assert "falsified" in verdicts, argv
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2]
+
+
+def test_bad_ball_cap_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv(BALL_CAP_ENV, "abc")
+    assert cli.dispatch(["gallery", "toeplitz"]) == cli.EXIT_CONFIG
+
+
+def test_timings_report_elapsed_time(tmp_path, capsys):
+    subset = tmp_path / "nat.json"
+    subset.write_text('{"kind": "interval", "lo": 0}')
+    argv = ["check", "deep", "--group", "z", "--subset", str(subset), "--r", "3", "--R", "10"]
+    _, plain = run(capsys, *argv)
+    _, timed = run(capsys, *argv, "--timings")
+    timed_doc = json.loads(timed)
+    for suite in timed_doc["suites"]:
+        for check in suite["checks"]:
+            assert check.pop("elapsed_seconds") > 0
+    # without the flag the bytes carry no timing, and are otherwise the same
+    assert "elapsed" not in plain
+    assert plain.rstrip("\n") == dumps(timed_doc)
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -87,3 +87,9 @@ def test_bad_subset_kind():
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_group("/nonexistent/path.json")
+
+
+def test_interval_rejects_upper_bound():
+    ctx = load_group("z")
+    with pytest.raises(ConfigError):
+        load_subset(ctx, {"kind": "interval", "lo": 0, "hi": 3})

@@ -92,20 +92,26 @@ def test_amalgam_shared_letter_cancellation(amalgam):
     assert amalgam.multiply(g2, s3).word == amalgam.identity().word
 
 
-def test_amalgam_transversal_splits_exactly(amalgam):
+def test_amalgam_transversal_splits_exactly(amalgam, s3_z4):
     # every factor element factors as representative times subgroup part
-    for side in (0, 1):
-        factor = amalgam.factors[side]
-        for x in factor.all_elements():
-            rep, h = amalgam._split(side, x)
-            recombined = factor.multiply(rep, amalgam.embed_h(side, h))
-            assert recombined.word == x.word
-            # the representative is the least member of its coset
-            coset = [
-                factor.multiply(x, amalgam.embed_h(side, i))
-                for i in range(amalgam.subgroup_size())
-            ]
-            assert rep.word == min(coset, key=factor.sort_key).word
+    for ctx in (amalgam, s3_z4):
+        for side in (0, 1):
+            factor = ctx.factors[side]
+            table = ctx._split_tables[side]
+            assert len(table) == factor.order
+            for x in factor.all_elements():
+                rep, h = ctx._split(side, x)
+                recombined = factor.multiply(rep, ctx.embed_h(side, h))
+                assert recombined.word == x.word
+                # the representative is the least member of its coset
+                coset = [
+                    factor.multiply(x, ctx.embed_h(side, i))
+                    for i in range(ctx.subgroup_size())
+                ]
+                assert rep.word == min(coset, key=factor.sort_key).word
+                # the precomputed table agrees with the candidate loop
+                loop_rep, loop_h = ctx._split_search(side, x)
+                assert (table[x.word][0].word, table[x.word][1]) == (loop_rep.word, loop_h)
 
 
 def test_amalgam_cross_factor_absorption(amalgam):
@@ -304,6 +310,16 @@ def test_ball_cap(monkeypatch):
         ctx.ball(3)
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_bad_ball_cap_is_an_error(monkeypatch, raw):
+    from translation_lab import free_group
+    from translation_lab.groups import BallCapInvalid
+
+    monkeypatch.setenv(BALL_CAP_ENV, raw)
+    with pytest.raises(BallCapInvalid):
+        free_group(2).ball(1)
+
+
 def test_malformed_letters(f2, z):
     with pytest.raises(MalformedWord):
         f2.from_letters([5])
@@ -311,3 +327,5 @@ def test_malformed_letters(f2, z):
         f2.parse("ax")
     with pytest.raises(MalformedWord):
         z.multiply(z.integer(1), f2.identity())
+    with pytest.raises(MalformedWord):
+        z.parse("zz")
