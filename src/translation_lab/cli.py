@@ -36,7 +36,7 @@ from .geometry import (
     verify_h_isolation,
 )
 from .group_algebra import coset_decomposition_check, isolation_projection, verify_ph_in_ideal
-from .groups import BallCapExceeded, BallCapInvalid, MalformedWord, ball_cap
+from .groups import BallCapExceeded, BallCapInvalid, FreeAbelianContext, MalformedWord, ball_cap
 from .operators import (
     adjoint,
     generator_operator,
@@ -61,6 +61,17 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
+
+# Least sizes each gallery suite can run at; smaller explicit values are usage
+# errors.  Toeplitz searches for a deepness witness at radius 3, the free-group
+# suites need at least one generator, and the Lance window must contain the
+# (e, e) block it compares.
+GALLERY_MINIMUMS = {
+    "toeplitz": {"R": 3},
+    "pv": {"n": 1},
+    "cuntz": {"n": 1},
+    "lance": {"R": 1},
+}
 
 
 def _require(args, *names):
@@ -160,6 +171,8 @@ def _cmd_check(args) -> SuiteReport:
     elif args.what == "convexity":
         ctx = _group(args)
         b = _subset(ctx, args)
+        if not b.contains(ctx.identity()):
+            raise ConfigError("convexity needs the identity inside the subset")
         pres = presentation_for(ctx)
         suite.add(convexity_bounded_check(b, pres, args.L))
     elif args.what == "stabilisers":
@@ -290,30 +303,35 @@ def _cmd_module(args) -> SuiteReport:
     return suite
 
 
+def _given(value, default):
+    """The flag's value, or the suite's default when the flag was not given."""
+    return default if value is None else value
+
+
 def _cmd_gallery(args) -> list[SuiteReport]:
     what = args.what
     if what == "toeplitz":
-        return [run_toeplitz_check(args.R or 20)]
+        return [run_toeplitz_check(_given(args.R, 20))]
     if what == "pv":
-        return [run_pv_check(args.n or 2, args.R or 4)]
+        return [run_pv_check(_given(args.n, 2), _given(args.R, 4))]
     if what == "cuntz":
-        return [run_cuntz_check(args.n or 2, args.L or 4)]
+        return [run_cuntz_check(_given(args.n, 2), _given(args.L, 4))]
     if what == "relations":
-        return [run_relation_classification(args.R or 5)]
+        return [run_relation_classification(_given(args.R, 5))]
     if what == "lance":
-        return [run_lance_difference_check(args.R or 4)]
+        return [run_lance_difference_check(_given(args.R, 4))]
     if what == "hnn":
         return [
-            run_hnn_partition_check("bs12", args.R or 4),
-            run_hnn_partition_check("f2", args.R or 4),
+            run_hnn_partition_check("bs12", _given(args.R, 4)),
+            run_hnn_partition_check("f2", _given(args.R, 4)),
         ]
     if what == "quotient":
         return [
-            run_quotient_consistency_check("toeplitz", args.R or 8),
+            run_quotient_consistency_check("toeplitz", _given(args.R, 8)),
             run_quotient_consistency_check("amalgam", 4),
         ]
     if what == "generation":
-        return [run_mu_nu_generation_check(args.L or 3, args.R or 5)]
+        return [run_mu_nu_generation_check(_given(args.L, 3), _given(args.R, 5))]
     if what == "all":
         return run_all()
     raise ConfigError(f"unknown gallery suite {what!r}")
@@ -324,16 +342,22 @@ def _cmd_universal(args) -> SuiteReport | list[SuiteReport]:
         return appendix_contrast_demo()
     suite = SuiteReport(name=f"universal-{args.what}")
     ctx = load_group(args.group or "z")
-    spec = _subset(ctx, args) if args.subset else universal_z_spec(ctx)
+    if args.subset:
+        spec = _subset(ctx, args)
+    elif isinstance(ctx, FreeAbelianContext) and ctx.rank == 1:
+        spec = universal_z_spec(ctx)
+    else:
+        raise ConfigError("the integer universal subset needs Z; pass --subset for other groups")
     if args.what == "build":
-        window = spec.elements_in_ball(args.R or 12)
+        radius = _given(args.R, 12)
+        window = spec.elements_in_ball(radius)
         details = {}
         if hasattr(spec, "placed"):
             details["placements"] = spec.placed.report_form()
         suite.add(
             CheckReport(
                 name="universal-window",
-                params={"R": args.R or 12},
+                params={"R": radius},
                 verdict="verified-at-scale",
                 witnesses=[ctx.format(x) for x in window],
                 compared_count=len(window),
@@ -341,13 +365,13 @@ def _cmd_universal(args) -> SuiteReport | list[SuiteReport]:
             )
         )
     elif args.what == "verify":
-        suite.add(universality_check(spec, args.r, args.R or 5000))
+        suite.add(universality_check(spec, args.r, _given(args.R, 5000)))
     elif args.what == "independence":
         tracks = []
         bound = args.r
         for g in ctx.ball(bound):
             tracks.append(track_of_sequence(ctx, [g]))
-        suite.add(track_independence_check(spec, tracks, args.R or 5000))
+        suite.add(track_independence_check(spec, tracks, _given(args.R, 5000)))
     else:
         raise ConfigError(f"unknown universal command {args.what!r}")
     return suite
@@ -428,6 +452,11 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         if args.command == "check" and args.what == "deep" and args.r > args.R:
             parser.error("check deep needs --r <= --R")
+        if args.command == "gallery":
+            for flag, least in GALLERY_MINIMUMS.get(args.what, {}).items():
+                value = getattr(args, flag)
+                if value is not None and value < least:
+                    parser.error(f"gallery {args.what} needs --{flag} >= {least}")
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:

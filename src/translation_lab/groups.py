@@ -190,7 +190,13 @@ class GroupContext:
 
 
 class FreeGroupContext(GroupContext):
-    """Free group of finite rank; words are tuples of nonzero signed letters."""
+    """Free group of finite rank; words are tuples of nonzero signed letters.
+
+    Canonical words are freely reduced.  ``multiply`` cancels only at the
+    seam: the product of two reduced words is the first without its last
+    ``k`` letters followed by the second without its first ``k``, where ``k``
+    counts the letters at the seam that are inverse to each other.
+    """
 
     kind = "free"
 
@@ -204,6 +210,10 @@ class FreeGroupContext(GroupContext):
             raise ValueError("need one name per generator")
         if any(len(n) != 1 or not n.islower() for n in self.names):
             raise ValueError("generator names must be single lowercase letters")
+        # shortlex tie-break: a, A, b, B, ... (letter i ranks 2i-2, its inverse 2i-1)
+        self._letter_ranks = {
+            l: 2 * (abs(l) - 1) + (l < 0) for i in range(1, rank + 1) for l in (i, -i)
+        }
 
     def identity(self) -> GroupElement:
         return self._make(())
@@ -227,7 +237,12 @@ class FreeGroupContext(GroupContext):
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         self._check(x)
         self._check(y)
-        return self.from_letters(x.word + y.word)
+        a, b = x.word, y.word
+        k = 0
+        most = min(len(a), len(b))
+        while k < most and a[-1 - k] == -b[k]:
+            k += 1
+        return self._make(a[: len(a) - k] + b[k:])
 
     def invert(self, x: GroupElement) -> GroupElement:
         self._check(x)
@@ -244,11 +259,8 @@ class FreeGroupContext(GroupContext):
             out.append(self._make((-i,)))
         return tuple(out)
 
-    def _letter_rank(self, l: int) -> int:
-        return 2 * (l - 1) if l > 0 else 2 * (-l - 1) + 1
-
     def structural_key(self, x: GroupElement):
-        return tuple(self._letter_rank(l) for l in x.word)
+        return tuple(map(self._letter_ranks.__getitem__, x.word))
 
     def format(self, x: GroupElement) -> str:
         if not x.word:
@@ -929,6 +941,14 @@ class HnnContext(GroupContext):
     (subgroup coset after ``t``, twisted-image coset after ``t^-1``) and no
     pinch ``t g t^-1``/``t^-1 g t`` with trivial representative remains; the
     leading ``g0`` absorbs the leftover subgroup parts.
+
+    ``multiply`` removes pinches only at the seam: it merges the last block
+    of the left operand with the head of the right one and removes pinches
+    there while they last, pushing each pinch image into the right operand's
+    next element.  The right operand's remaining blocks are already
+    transversal reps and are joined on unchanged; the right-to-left
+    transversal pass, shared with ``from_letters``, runs only over the left
+    operand's surviving blocks.
     """
 
     kind = "hnn"
@@ -968,25 +988,34 @@ class HnnContext(GroupContext):
                 sign = int(val)  # type: ignore[arg-type]
                 if sign not in (1, -1):
                     raise MalformedWord("stable-letter power must be +1 or -1")
-                if blocks:
-                    prev_sign, g = blocks[-1]
-                    if prev_sign == -sign:
-                        pinch = None
-                        if prev_sign == 1 and self.data.in_h(g):
-                            pinch = self.data.twist(g)
-                        elif prev_sign == -1 and self.data.in_k(g):
-                            pinch = self.data.untwist(g)
-                        if pinch is not None:
-                            blocks.pop()
-                            if blocks:
-                                blocks[-1][1] = base.multiply(blocks[-1][1], pinch)
-                            else:
-                                head = base.multiply(head, pinch)
-                            continue
+                if blocks and blocks[-1][0] == -sign:
+                    pinch = self._pinch(*blocks[-1])
+                    if pinch is not None:
+                        blocks.pop()
+                        if blocks:
+                            blocks[-1][1] = base.multiply(blocks[-1][1], pinch)
+                        else:
+                            head = base.multiply(head, pinch)
+                        continue
                 blocks.append([sign, base.identity()])
             else:
                 raise MalformedWord(f"unknown letter tag {tag!r}")
-        # transversal normalization, pushing subgroup parts left
+        head = self._transversal_pass(head, blocks)
+        return self._make((head.word, tuple((s, g.word) for s, g in blocks)))
+
+    def _pinch(self, sign: int, g: GroupElement) -> GroupElement | None:
+        """The base element ``t^sign g t^-sign`` when it is one, else None."""
+        if sign == 1:
+            return self.data.twist(g) if self.data.in_h(g) else None
+        return self.data.untwist(g) if self.data.in_k(g) else None
+
+    def _transversal_pass(self, head: GroupElement, blocks: list[list]) -> GroupElement:
+        """Replace each block's element by its transversal rep, right to left.
+
+        Each subgroup part is pushed through its stable letter into the block
+        on its left, or into ``head``, which is returned.
+        """
+        base = self.base
         for i in range(len(blocks) - 1, -1, -1):
             sign, g = blocks[i]
             if sign == 1:
@@ -1000,7 +1029,7 @@ class HnnContext(GroupContext):
                 blocks[i - 1][1] = base.multiply(blocks[i - 1][1], carry)
             else:
                 head = base.multiply(head, carry)
-        return self._make((head.word, tuple((s, g.word) for s, g in blocks)))
+        return head
 
     def letters_of(self, x: GroupElement) -> list[tuple[str, object]]:
         base = self.base
@@ -1013,7 +1042,31 @@ class HnnContext(GroupContext):
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         self._check(x)
         self._check(y)
-        return self.from_letters(self.letters_of(x) + self.letters_of(y))
+        base = self.base
+        head, left = x.word
+        y_head, right = y.word
+        # Remove pinches only at the seam.  ``g`` is what y contributes to the
+        # element of x's last surviving block (or to x's head once x has no
+        # blocks left); each pinch image is pushed into y's next element.
+        i, j = len(left), 0
+        g = GroupElement(base, y_head)
+        while True:
+            merged = base.multiply(GroupElement(base, left[i - 1][1] if i else head), g)
+            if not i or j == len(right) or left[i - 1][0] != -right[j][0]:
+                break
+            pinch = self._pinch(left[i - 1][0], merged)
+            if pinch is None:
+                break
+            g = base.multiply(pinch, GroupElement(base, right[j][1]))
+            i, j = i - 1, j + 1
+        # y's remaining blocks are transversal reps and carry nothing, so only
+        # x's surviving blocks need the transversal pass.
+        if not i:
+            return self._make((merged.word, right[j:]))
+        blocks = [[sign, GroupElement(base, w)] for sign, w in left[: i - 1]]
+        blocks.append([left[i - 1][0], merged])
+        head = self._transversal_pass(GroupElement(base, head), blocks)
+        return self._make((head.word, tuple((s, b.word) for s, b in blocks) + right[j:]))
 
     def invert(self, x: GroupElement) -> GroupElement:
         self._check(x)

@@ -53,7 +53,7 @@ def characteristic_prefix(n: int) -> str:
 
 def universal_z_spec(ctx: FreeAbelianContext) -> SubsetSpec:
     """The universal subset of the integers, supported on the nonnegatives."""
-    if ctx.rank != 1:
+    if not isinstance(ctx, FreeAbelianContext) or ctx.rank != 1:
         raise ValueError("the integer universal subset needs Z")
     return from_predicate(
         ctx,
@@ -432,7 +432,8 @@ def appendix_contrast_demo(
             else:
                 break
             pos += 1
-        return run, ctx.from_letters(x.word[pos:])
+        # a suffix of a freely reduced word is freely reduced
+        return run, GroupElement(ctx, x.word[pos:])
 
     def in_b(x: GroupElement) -> bool:
         run, rest = strip_run(x)

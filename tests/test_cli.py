@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from translation_lab import cli
 from translation_lab.groups import BALL_CAP_ENV
 from translation_lab.reports import dumps
@@ -59,6 +61,8 @@ def test_op_kept_relation(tmp_path, capsys):
 def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
     subset = str(tmp_path / "nat.json")
     (tmp_path / "nat.json").write_text('{"kind": "interval", "lo": 0}')
+    lo_one = str(tmp_path / "lo1.json")
+    (tmp_path / "lo1.json").write_text('{"kind": "interval", "lo": 1}')
     common = ["--group", "z", "--subset", subset]
     invocations = [
         ["op", "eq", *common, "--lhs", "track:(0,{0,1})", "--rhs", "id", "--R", "8"],
@@ -72,6 +76,8 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["check", "almost-invariant", *common],
         ["gallery", "pv", "--n", "-1"],
         ["universal", "independence", "--r", "-1"],
+        ["check", "convexity", "--group", "z", "--subset", lo_one],
+        ["universal", "verify", "--group", "f2"],
     ]
     codes = []
     for argv in invocations:
@@ -80,7 +86,32 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3]
+
+
+def test_gallery_honours_explicit_sizes(capsys):
+    code, out = run(capsys, "gallery", "pv", "--n", "1", "--R", "0")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["params"] == {"n": 1, "R": 0}
+    code, out = run(capsys, "gallery", "toeplitz", "--R", "3")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["params"] == {"R": 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery", "toeplitz", "--R", "0"],
+        ["gallery", "toeplitz", "--R", "2"],
+        ["gallery", "pv", "--n", "0"],
+        ["gallery", "cuntz", "--n", "0"],
+        ["gallery", "lance", "--R", "0"],
+    ],
+    ids=lambda argv: "-".join(argv[1:]),
+)
+def test_gallery_refuses_sizes_below_the_suite_minimum(capsys, argv):
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    assert "needs --" in capsys.readouterr().err
 
 
 def test_bad_ball_cap_is_config_error(capsys, monkeypatch):

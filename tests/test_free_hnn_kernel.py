@@ -1,0 +1,92 @@
+"""Property tests for the free-group and HNN word-arithmetic kernels.
+
+``multiply`` works only at the seam between its operands: the free group
+cancels inverse letters there, and the HNN extension removes pinches there
+and runs the transversal pass over the left operand's surviving blocks.  The
+reference is the letter-by-letter construction: ``from_letters`` applied to
+the letters of both canonical forms.  The HNN contexts cover an integer base
+with an injective twist (BS(1,2)), trivial associated subgroups (F2 as an
+HNN extension), subgroups 3Z -> 5Z of Z, and a finite base (the Klein
+four-group, with g1 sent to g2).
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from translation_lab import FiniteGroupContext, FreeGroupContext
+from translation_lab.configs import load_group
+
+KERNEL_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def hnn_3z_5z():
+    return load_group(
+        {
+            "kind": "hnn",
+            "base": {"kind": "free-abelian", "rank": 1},
+            "theta": {"h_step": 3, "k_step": 5},
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def hnn_klein():
+    klein = [[i ^ j for j in range(4)] for i in range(4)]
+    return load_group(
+        {"kind": "hnn", "base": {"kind": "finite", "table": klein}, "theta": [["g1", "g2"]]}
+    )
+
+
+@pytest.fixture(scope="module", params=["f2", "bs12", "f2_hnn", "hnn_3z_5z", "hnn_klein"])
+def ctx(request):
+    return request.getfixturevalue(request.param)
+
+
+def _base_elements(base):
+    if isinstance(base, FiniteGroupContext):
+        return st.integers(0, base.order - 1).map(base.element)
+    return st.integers(-4, 4).map(base.integer)
+
+
+def _elements(ctx):
+    """Canonical elements built from random raw letter words (identities included)."""
+    if isinstance(ctx, FreeGroupContext):
+        letter = st.sampled_from([s * i for i in range(1, ctx.rank + 1) for s in (1, -1)])
+    else:
+        letter = st.one_of(
+            st.tuples(st.just("t"), st.sampled_from([1, -1])),
+            st.tuples(st.just("g"), _base_elements(ctx.base)),
+        )
+    return st.lists(letter, max_size=10).map(ctx.from_letters)
+
+
+def _reference_product(ctx, x, y):
+    if isinstance(ctx, FreeGroupContext):
+        return ctx.from_letters(x.word + y.word)
+    return ctx.from_letters(ctx.letters_of(x) + ctx.letters_of(y))
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_multiply_matches_letter_by_letter(ctx, data):
+    x = data.draw(_elements(ctx))
+    y = data.draw(_elements(ctx))
+    assert ctx.multiply(x, y).word == _reference_product(ctx, x, y).word
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_multiply_is_associative(ctx, data):
+    x, y, z = (data.draw(_elements(ctx)) for _ in range(3))
+    assert ctx.multiply(ctx.multiply(x, y), z).word == ctx.multiply(x, ctx.multiply(y, z)).word
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_multiply_by_inverse_is_identity(ctx, data):
+    x = data.draw(_elements(ctx))
+    e = ctx.identity().word
+    assert ctx.multiply(x, ctx.invert(x)).word == e
+    assert ctx.multiply(ctx.invert(x), x).word == e
