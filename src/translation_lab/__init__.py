@@ -36,6 +36,7 @@ from .operators import (
     compose,
     compose_chain,
     coset_projection,
+    diagonal,
     domain_projection,
     generator_operator,
     guarded_equal,

@@ -48,6 +48,38 @@ BUILTIN_GROUPS = {
 }
 
 
+# Keys each kind accepts besides "kind"; any other key is a config error.
+GROUP_KEYS = {
+    "free": {"rank", "generators"},
+    "free-abelian": {"rank", "generators"},
+    "finite": {"table", "names", "generators"},
+    "amalgam": {"left", "right", "pairs", "tags"},
+    "hnn": {"base", "theta", "stable_letter"},
+}
+SUBSET_KEYS = {
+    "interval": {"coord", "lo"},
+    "congruence": {"modulus", "residue", "coord"},
+    "positive-cone": set(),
+    "custom-first-letter": {"exclude"},
+    "halfspace": {"side"},
+    "coset-union": {"base", "translator"},
+    "universal": {"variant", "max_radius", "start", "min_step"},
+    "universal-all": set(),
+}
+THETA_KEYS = ({"multiplier"}, {"h_step", "k_step"})
+
+
+def _kind(what: str, data: dict, allowed: dict) -> str:
+    """The definition's kind, after checking that it has no keys the kind ignores."""
+    kind = data["kind"]
+    if kind not in allowed:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unknown = set(data) - allowed[kind] - {"kind"}
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {what} kind {kind!r}")
+    return kind
+
+
 def _as_dict(source) -> dict:
     if isinstance(source, dict):
         return source
@@ -74,7 +106,7 @@ def load_group(source) -> GroupContext:
 
 
 def _group_from_dict(data: dict) -> GroupContext:
-    kind = data["kind"]
+    kind = _kind("group", data, GROUP_KEYS)
     if kind == "free":
         return FreeGroupContext(int(data["rank"]), data.get("generators"))
     if kind == "free-abelian":
@@ -88,18 +120,19 @@ def _group_from_dict(data: dict) -> GroupContext:
             (left.parse(str(a)), right.parse(str(b))) for a, b in data.get("pairs", [])
         ]
         return AmalgamContext(left, right, pairs, tuple(data.get("tags", ("G:", "S:"))))
-    if kind == "hnn":
-        base = _group_from_dict(data["base"])
-        theta = data["theta"]
-        if isinstance(theta, dict) and "multiplier" in theta:
-            sub = IntegerScaledSubgroup(base, 1, int(theta["multiplier"]))
-        elif isinstance(theta, dict) and "h_step" in theta:
-            sub = IntegerScaledSubgroup(base, int(theta["h_step"]), int(theta["k_step"]))
-        else:
-            pairs = [(base.parse(str(a)), base.parse(str(b))) for a, b in theta]
-            sub = FiniteHnnSubgroup(base, pairs)
-        return HnnContext(base, sub, data.get("stable_letter", "t"))
-    raise ConfigError(f"unknown group kind {kind!r}")
+    # the remaining kind is "hnn"
+    base = _group_from_dict(data["base"])
+    theta = data["theta"]
+    if isinstance(theta, dict) and set(theta) not in THETA_KEYS:
+        raise ConfigError(f"hnn theta keys must be one of {[sorted(k) for k in THETA_KEYS]}")
+    if isinstance(theta, dict) and "multiplier" in theta:
+        sub = IntegerScaledSubgroup(base, 1, int(theta["multiplier"]))
+    elif isinstance(theta, dict):
+        sub = IntegerScaledSubgroup(base, int(theta["h_step"]), int(theta["k_step"]))
+    else:
+        pairs = [(base.parse(str(a)), base.parse(str(b))) for a, b in theta]
+        sub = FiniteHnnSubgroup(base, pairs)
+    return HnnContext(base, sub, data.get("stable_letter", "t"))
 
 
 def load_subset(ctx: GroupContext, source) -> SubsetSpec:
@@ -113,10 +146,8 @@ def load_subset(ctx: GroupContext, source) -> SubsetSpec:
 
 
 def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
-    kind = data["kind"]
+    kind = _kind("subset", data, SUBSET_KEYS)
     if kind == "interval":
-        if "hi" in data:
-            raise ConfigError("interval subsets are the half-lines coord >= lo; 'hi' is not supported")
         return coordinate_halfspace(ctx, int(data.get("coord", 0)), int(data.get("lo", 0)))
     if kind == "congruence":
         return congruence_class(
@@ -134,6 +165,8 @@ def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
     if kind == "universal":
         variant = data.get("variant", "z")
         if variant == "z":
+            if set(data) - {"kind", "variant"}:
+                raise ConfigError("the universal variant 'z' takes no parameters")
             return universal_z_spec(ctx)
         if variant == "b-words":
             return universal_b_words_spec(
@@ -143,6 +176,5 @@ def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
                 int(data.get("min_step", 4)),
             )
         raise ConfigError(f"unknown universal variant {variant!r}")
-    if kind == "universal-all":
-        return whole_group(ctx)
-    raise ConfigError(f"unknown subset kind {kind!r}")
+    # the remaining kind is "universal-all"
+    return whole_group(ctx)

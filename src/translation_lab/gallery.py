@@ -25,11 +25,13 @@ from .groups import (
 )
 from .operators import (
     TranslationOperator,
+    Window,
     adjoint,
     combine,
     compose,
     compose_chain,
     coset_projection,
+    diagonal,
     generator_operator,
     guarded_equal,
     identity_operator,
@@ -277,25 +279,6 @@ def run_relation_classification(radius: int = 5) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-class _GridOperator:
-    """Sparse operator on the product basis (second-factor window) x (subset window)."""
-
-    def __init__(self, size: int, entries: dict, clipped_rows: frozenset):
-        self.size = size
-        self.entries = {k: v for k, v in entries.items() if v != 0}
-        self.clipped_rows = clipped_rows
-
-    def sub(self, other: "_GridOperator") -> "_GridOperator":
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            acc = entries.get(k, Fraction(0)) - v
-            if acc == 0:
-                entries.pop(k, None)
-            else:
-                entries[k] = acc
-        return _GridOperator(self.size, entries, self.clipped_rows | other.clipped_rows)
-
-
 def _decompose_prefix(ctx: AmalgamContext, gamma: GroupElement):
     """Split gamma = s * x with s the leading second-factor syllable (maybe trivial)."""
     syllables, _h = gamma.word
@@ -320,113 +303,76 @@ def run_lance_difference_check(radius: int = 4) -> SuiteReport:
     ctx = free_product_of_two_integers()
     s_factor = ctx.factors[1]
     b_spec = make_tree_halfspace(ctx, "G")
+    # the nonunital second-factor representation lives on B minus the gluing subgroup
+    star = difference(b_spec, amalgam_subgroup(ctx))
     suite = SuiteReport(name="lance", params={"R": radius})
 
     s_points = s_factor.ball(radius)
     s_index = {x.word: i for i, x in enumerate(s_points)}
     w_b = make_window(b_spec, radius)
-    grid_index = {}
-    grid_points = []
-    for i, s in enumerate(s_points):
-        for j, x in enumerate(w_b.points):
-            grid_index[(s.word, x.word)] = len(grid_points)
-            grid_points.append((s, x))
+    nb = len(w_b)
+    e_col = w_b.position(ctx.identity())
+
+    # the grid S x B as a window of the group, s-major: (s_i, x_j) sits at
+    # i * nb + j, so generator_operator(grid, g) is right multiplication by g
+    # read through the grid
+    products = [
+        ctx.multiply(s_el, x)
+        for s_el in (ctx.from_letters([(1, s)]) for s in s_points)
+        for x in w_b.points
+    ]
+    grid = Window(
+        whole_group(ctx), radius, tuple(products), {p.word: idx for idx, p in enumerate(products)}
+    )
 
     # the (s, x) -> s x product map must be a bijection onto its window image
-    seen = {}
-    bijective = True
-    for s, x in grid_points:
-        gamma = ctx.multiply(ctx.from_letters([(1, s)]), x)
-        if gamma.word in seen:
-            bijective = False
-            break
-        seen[gamma.word] = (s, x)
+    bijective = len(grid.index) == len(grid)
     roundtrip = True
-    for gamma_word in seen:
-        gamma = GroupElement(ctx, gamma_word)
+    for idx, gamma in enumerate(grid.points):
         s, x = _decompose_prefix(ctx, gamma)
-        if (s.word, x.word) not in grid_index:
-            roundtrip = False
-        elif seen[gamma_word][0].word != s.word or seen[gamma_word][1].word != x.word:
+        i, j = s_index.get(s.word), w_b.position(x)
+        if i is None or j is None or i * nb + j != idx:
             roundtrip = False
     suite.add(
         CheckReport(
             name="product-map-bijective-on-grid",
             verdict=VERIFIED if bijective and roundtrip else FALSIFIED,
-            compared_count=len(grid_points),
+            compared_count=len(grid),
         )
     )
 
-    def conjugated_action(g: GroupElement) -> _GridOperator:
-        """Right multiplication by g on the group, read through the grid."""
-        g_inv = ctx.invert(g)
+    def tensor_action(op: TranslationOperator) -> TranslationOperator:
+        """The identity on S tensored with op on B."""
         entries = {}
-        clipped = set()
-        for idx, (s, x) in enumerate(grid_points):
-            gamma = ctx.multiply(ctx.from_letters([(1, s)]), x)
-            moved = ctx.multiply(gamma, g_inv)
-            s2, x2 = _decompose_prefix(ctx, moved)
-            target = grid_index.get((s2.word, x2.word))
-            if target is None:
-                clipped.add(idx)
-            else:
-                entries[(idx, target)] = ONE
-        return _GridOperator(len(grid_points), entries, frozenset(clipped))
-
-    def tensor_action(op: TranslationOperator) -> _GridOperator:
-        entries = {}
-        clipped = set()
         rows = op.rows()
-        for idx, (s, x) in enumerate(grid_points):
-            j = w_b.position(x)
-            if j in op.clipped_rows:
-                clipped.add(idx)
-                continue
-            for k, v in rows.get(j, {}).items():
-                target = grid_index[(s.word, w_b.points[k].word)]
-                entries[(idx, target)] = v
-        return _GridOperator(len(grid_points), entries, frozenset(clipped))
+        for i in range(len(s_points)):
+            for j, row in rows.items():
+                if j not in op.clipped_rows:
+                    for k, v in row.items():
+                        entries[(i * nb + j, i * nb + k)] = v
+        return TranslationOperator(
+            grid,
+            entries,
+            (i * nb + j for i in range(len(s_points)) for j in op.clipped_rows),
+            (i * nb + k for i in range(len(s_points)) for k in op.clipped_cols),
+        )
 
-    def first_factor_rep(g: GroupElement) -> TranslationOperator:
-        return generator_operator(w_b, ctx.from_letters([(0, g)]))
-
-    def second_factor_rep(s: GroupElement) -> TranslationOperator:
-        """Nonunital: acts on the subset minus the gluing subgroup, zero at the base point."""
-        star = difference(b_spec, _subgroup_points_spec(ctx, b_spec))
-        element = ctx.from_letters([(1, s)])
-        g_inv = ctx.invert(element)
-        entries = {}
-        clipped = set()
-        for i, x in enumerate(w_b.points):
-            if not star.contains(x):
-                continue
-            y = ctx.multiply(x, g_inv)
-            if star.contains(y):
-                j = w_b.position(y)
-                if j is None:
-                    clipped.add(i)
-                else:
-                    entries[(i, j)] = ONE
-        return TranslationOperator(w_b, entries, clipped)
-
-    def support_and_block(delta: _GridOperator):
+    def support_and_block(delta: TranslationOperator):
         """Entries must live on (S x {e}) rows and columns; return the block."""
-        e_word = ctx.identity().word
         block = {}
         for (r, c), v in delta.entries.items():
             if r in delta.clipped_rows:
                 continue
-            sr, xr = grid_points[r]
-            sc, xc = grid_points[c]
-            if xr.word != e_word or xc.word != e_word:
+            if r % nb != e_col or c % nb != e_col:
                 return None, None
-            block[(s_index[sr.word], s_index[sc.word])] = v
+            block[(r // nb, c // nb)] = v
         return block, delta.clipped_rows
 
     # second-factor generator: difference is the right-translation block at (e, e)
     s_gen = s_factor.integer(1)
-    nu_b = second_factor_rep(s_gen)
-    delta_nu = conjugated_action(ctx.from_letters([(1, s_gen)])).sub(tensor_action(nu_b))
+    s_gen_el = ctx.from_letters([(1, s_gen)])
+    nu_b = generator_operator(w_b, s_gen_el, star)
+    delta_nu = subtract(generator_operator(grid, s_gen_el), tensor_action(nu_b))
     block, clipped = support_and_block(delta_nu)
     if block is None:
         suite.add(CheckReport(name="second-factor-difference-support", verdict=FALSIFIED))
@@ -435,12 +381,12 @@ def run_lance_difference_check(radius: int = 4) -> SuiteReport:
             CheckReport(
                 name="second-factor-difference-support",
                 verdict=VERIFIED,
-                compared_count=len(grid_points) - len(clipped),
+                compared_count=len(grid) - len(clipped),
             )
         )
         expected = {}
         for i, s in enumerate(s_points):
-            if grid_index[(s.word, ctx.identity().word)] in clipped:
+            if i * nb + e_col in clipped:
                 continue
             target = s_factor.multiply(s, s_factor.invert(s_gen))
             j = s_index.get(target.word)
@@ -462,22 +408,21 @@ def run_lance_difference_check(radius: int = 4) -> SuiteReport:
         )
 
     # first-factor generator: the two actions agree
-    g_gen = ctx.factors[0].integer(1)
-    mu_a = first_factor_rep(g_gen)
-    delta_mu = conjugated_action(ctx.from_letters([(0, g_gen)])).sub(tensor_action(mu_a))
+    g_el = ctx.from_letters([(0, ctx.factors[0].integer(1))])
+    delta_mu = subtract(generator_operator(grid, g_el), tensor_action(generator_operator(w_b, g_el)))
     live = {k: v for k, v in delta_mu.entries.items() if k[0] not in delta_mu.clipped_rows}
     suite.add(
         CheckReport(
             name="first-factor-difference-vanishes",
             verdict=VERIFIED if not live else FALSIFIED,
-            compared_count=len(grid_points) - len(delta_mu.clipped_rows),
+            compared_count=len(grid) - len(delta_mu.clipped_rows),
             witnesses=[] if not live else [str(sorted(live)[0])],
         )
     )
 
     # nonunital unit: difference is the identity block at (e, e)
-    nu_unit = _projection_off_subgroup(ctx, w_b)
-    delta_unit = conjugated_action(ctx.identity()).sub(tensor_action(nu_unit))
+    nu_unit = diagonal(w_b, star.contains)
+    delta_unit = subtract(generator_operator(grid, ctx.identity()), tensor_action(nu_unit))
     block_u, clipped_u = support_and_block(delta_unit)
     ok = block_u is not None and all(r == c and v == ONE for (r, c), v in block_u.items()) and block_u
     suite.add(
@@ -488,19 +433,6 @@ def run_lance_difference_check(radius: int = 4) -> SuiteReport:
         )
     )
     return suite
-
-
-def _subgroup_points_spec(ctx: AmalgamContext, b_spec: SubsetSpec) -> SubsetSpec:
-    h_words = {ctx.h_element(i).word for i in range(ctx.subgroup_size())}
-    return from_predicate(ctx, "glued-subgroup", lambda x: x.word in h_words)
-
-
-def _projection_off_subgroup(ctx: AmalgamContext, w) -> TranslationOperator:
-    h_words = {ctx.h_element(i).word for i in range(ctx.subgroup_size())}
-    entries = {
-        (i, i): ONE for i, x in enumerate(w.points) if x.word not in h_words
-    }
-    return TranslationOperator(w, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +583,13 @@ def run_quotient_consistency_check(which: str = "toeplitz", radius: int = 8) -> 
         raise ValueError(f"unknown quotient example {which!r}")
 
     w = make_window(x_spec, radius)
-    keep = TranslationOperator(
-        w, {(i, i): ONE for i, x in enumerate(w.points) if b_spec.contains(x)}
-    )
-    drop = TranslationOperator(
-        w, {(i, i): ONE for i, x in enumerate(w.points) if not b_spec.contains(x)}
-    )
+    keep = diagonal(w, b_spec.contains)
+    drop = diagonal(w, lambda x: not b_spec.contains(x))
     suite = SuiteReport(name="quotient-consistency", params={"example": which, "R": radius})
     for g in sample:
         t_x = generator_operator(w, g)
         compressed = compose(keep, compose(t_x, keep))
-        t_b = _restricted_generator(w, b_spec, g)
+        t_b = generator_operator(w, g, b_spec)
         suite.add(
             _identity_check(
                 f"compression-{ctx.format(g)}", guarded_equal(compressed, t_b)
@@ -682,28 +610,10 @@ def run_quotient_consistency_check(which: str = "toeplitz", radius: int = 8) -> 
                 compared_count=len(diff.entries),
             )
         )
-    p_match = guarded_equal(subtract(generator_operator(w, ctx.identity()), _restricted_generator(w, b_spec, ctx.identity())), drop)
+    e = ctx.identity()
+    p_match = guarded_equal(subtract(generator_operator(w, e), generator_operator(w, e, b_spec)), drop)
     suite.add(_identity_check("identity-difference-is-complement-projection", p_match))
     return suite
-
-
-def _restricted_generator(w, b_spec: SubsetSpec, g: GroupElement) -> TranslationOperator:
-    """The subset's translation operator embedded on an ambient window."""
-    ctx = b_spec.ctx
-    g_inv = ctx.invert(g)
-    entries = {}
-    clipped = set()
-    for i, x in enumerate(w.points):
-        if not b_spec.contains(x):
-            continue
-        y = ctx.multiply(x, g_inv)
-        if b_spec.contains(y):
-            j = w.position(y)
-            if j is None:
-                clipped.add(i)
-            else:
-                entries[(i, j)] = ONE
-    return TranslationOperator(w, entries, clipped)
 
 
 def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> SuiteReport:
@@ -791,33 +701,17 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
     )
 
     # second representation of subgroup elements: cut down by the unit
+    off_subgroup = difference(b_spec, h_sub)
     for i in range(1, ctx.subgroup_size()):
         h_el = ctx.h_element(i)
         mu_h = generator_operator(w, h_el)
-        nu_h = _nu_of_subgroup_element(ctx, w, b_spec, h_sub, h_el)
+        nu_h = generator_operator(w, h_el, off_subgroup)
         match = guarded_equal(nu_h, compose(mu_h, subtract(ident, p_h)))
         suite.add(_identity_check(f"nu-mu-mesh-{ctx.format(h_el)}", match))
 
     suite.add(_identity_check("unit-is-identity", guarded_equal(generator_operator(w, ctx.identity()), ident)))
     suite.add(boundary_check(b_spec, h_sub, radius))
     return suite
-
-
-def _nu_of_subgroup_element(ctx, w, b_spec, h_sub, h_el) -> TranslationOperator:
-    g_inv = ctx.invert(h_el)
-    entries = {}
-    clipped = set()
-    for i, x in enumerate(w.points):
-        if h_sub.contains(x):
-            continue
-        y = ctx.multiply(x, g_inv)
-        if b_spec.contains(y) and not h_sub.contains(y):
-            j = w.position(y)
-            if j is None:
-                clipped.add(i)
-            else:
-                entries[(i, j)] = ONE
-    return TranslationOperator(w, entries, clipped)
 
 
 # ---------------------------------------------------------------------------

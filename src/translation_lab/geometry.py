@@ -85,10 +85,7 @@ def relatively_deep_check(
                 return False
         return True
 
-    coset_reps: list[GroupElement] = []
-    for x in x_spec.elements_in_ball(max(0, search_radius - r)):
-        if not any(k_sub.contains(ctx.multiply(x, ctx.invert(rep))) for rep in coset_reps):
-            coset_reps.append(x)
+    coset_reps = k_sub.coset_cover(x_spec.elements_in_ball(max(0, search_radius - r)))
 
     found: list[dict] = []
     for rep in coset_reps:
@@ -118,15 +115,15 @@ def relatively_deep_check(
     )
 
 
-def _coset_cover(
-    ctx: GroupContext, points: Sequence[GroupElement], h_sub: Subgroup
-) -> list[GroupElement]:
-    """Greedy cover by right cosets H f, taking shortlex-least uncovered reps."""
-    reps: list[GroupElement] = []
-    for x in points:
-        if not any(h_sub.contains(ctx.multiply(x, ctx.invert(rep))) for rep in reps):
-            reps.append(x)
-    return reps
+def _displaced(b_spec: SubsetSpec, x_spec: SubsetSpec, g: GroupElement, r: int) -> list[GroupElement]:
+    """The points of (Bg \\ B) n X within radius r, in ball order."""
+    ctx = b_spec.ctx
+    g_inv = ctx.invert(g)
+    return [
+        x
+        for x in ctx.ball(r)
+        if not b_spec.contains(x) and x_spec.contains(x) and b_spec.contains(ctx.multiply(x, g_inv))
+    ]
 
 
 def almost_invariant_check(
@@ -145,21 +142,10 @@ def almost_invariant_check(
     relative setting they are genuinely different sets.
     """
     ctx = b_spec.ctx
-    g_inv = ctx.invert(g)
-
-    def displaced(r: int) -> list[GroupElement]:
-        out = []
-        for x in ctx.ball(r):
-            if b_spec.contains(x) or not x_spec.contains(x):
-                continue
-            if b_spec.contains(ctx.multiply(x, g_inv)):
-                out.append(x)
-        return out
-
-    small = displaced(radius)
-    large = displaced(radius + growth)
-    reps_small = _coset_cover(ctx, small, h_sub)
-    reps_large = _coset_cover(ctx, large, h_sub)
+    small = _displaced(b_spec, x_spec, g, radius)
+    large = _displaced(b_spec, x_spec, g, radius + growth)
+    reps_small = h_sub.coset_cover(small)
+    reps_large = h_sub.coset_cover(large)
     stable = len(reps_small) == len(reps_large)
     return CheckReport(
         name="almost-invariant",
@@ -189,19 +175,7 @@ def coset_count_profile(
     radii: Sequence[int],
 ) -> list[int]:
     """Number of covering cosets of (Bg \\ B) n X at each window radius."""
-    ctx = b_spec.ctx
-    g_inv = ctx.invert(g)
-    counts = []
-    for r in radii:
-        pts = [
-            x
-            for x in ctx.ball(r)
-            if not b_spec.contains(x)
-            and x_spec.contains(x)
-            and b_spec.contains(ctx.multiply(x, g_inv))
-        ]
-        counts.append(len(_coset_cover(ctx, pts, h_sub)))
-    return counts
+    return [len(h_sub.coset_cover(_displaced(b_spec, x_spec, g, r))) for r in radii]
 
 
 def coseparability_search(

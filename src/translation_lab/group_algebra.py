@@ -18,7 +18,6 @@ extension picture are checked on windows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,14 +26,15 @@ from .operators import (
     TranslationOperator,
     Window,
     adjoint,
-    combine,
     compose,
     coset_projection,
+    diagonal,
     domain_projection,
     generator_operator,
     guarded_equal,
     identity_operator,
     make_window,
+    subtract,
 )
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
 from .subsets import SubsetSpec, Subgroup
@@ -239,12 +239,12 @@ def isolation_projection(w: Window, f1: Sequence[GroupElement], f2: Sequence[Gro
     """
     if not f1 or not f2:
         raise ValueError("both isolation families must be nonempty")
-    acc = identity_operator(w)
     one = identity_operator(w)
+    acc = one
     for g in f1:
         acc = compose(acc, domain_projection(w, g))
     for g in f2:
-        acc = compose(acc, combine([1, -1], [one, domain_projection(w, g)]))
+        acc = compose(acc, subtract(one, domain_projection(w, g)))
     return acc
 
 
@@ -273,14 +273,7 @@ def verify_ph_in_ideal(
         raise ValueError("g^-1 must lie in the ambient set but outside the subset")
     w = make_window(x_spec, radius)
     t_g = generator_operator(w, g)
-    p = TranslationOperator(
-        w,
-        {
-            (i, i): Fraction(1)
-            for i, x in enumerate(w.points)
-            if not b_spec.contains(x)
-        },
-    )
+    p = diagonal(w, lambda x: not b_spec.contains(x))
     p_g = compose(adjoint(t_g), compose(p, t_g))
     p_h = coset_projection(w, h_sub, ctx.identity())
     match = guarded_equal(compose(p_h, p_g), p_h)
@@ -322,17 +315,11 @@ def coset_decomposition_check(
                 out.append(x)
         return out
 
-    def coset_count(points: list[GroupElement]) -> tuple[int, list[GroupElement]]:
-        reps: list[GroupElement] = []
-        for x in points:
-            if not any(h_sub.contains(ctx.multiply(x, ctx.invert(rep))) for rep in reps):
-                reps.append(x)
-        return len(reps), reps
-
     small = support(radius)
     large = support(radius + growth)
-    n_small, reps_small = coset_count(small)
-    n_large, _ = coset_count(large)
+    reps_small = h_sub.coset_cover(small)
+    n_small = len(reps_small)
+    n_large = len(h_sub.coset_cover(large))
     stable = n_small == n_large
     return CheckReport(
         name="coset-decomposition",

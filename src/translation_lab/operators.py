@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .groups import GroupElement, MalformedWord
 from .subsets import SubsetSpec, Subgroup
@@ -70,9 +70,6 @@ class TranslationOperator:
         self.clipped_rows = frozenset(clipped_rows)
         self.clipped_cols = frozenset(clipped_cols)
 
-    def row(self, i: int) -> dict:
-        return {c: v for (r, c), v in self.entries.items() if r == i}
-
     def rows(self) -> dict:
         out: dict[int, dict[int, Fraction]] = {}
         for (r, c), v in self.entries.items():
@@ -107,30 +104,39 @@ def identity_operator(w: Window) -> TranslationOperator:
     return TranslationOperator(w, {(i, i): ONE for i in range(len(w))})
 
 
-def generator_operator(w: Window, g: GroupElement) -> TranslationOperator:
-    """The partial translation by g: source x maps to x * g^-1.
+def generator_operator(w: Window, g: GroupElement, domain: SubsetSpec | None = None) -> TranslationOperator:
+    """The partial translation by g on a domain: source x maps to x * g^-1.
 
-    A row is present when both x and x * g^-1 lie in the subset; it is clipped
-    when the image is in the subset but beyond the window.  Columns receiving
-    from beyond the window are recorded symmetrically.
+    The domain defaults to the window's own subset.  A row is present when
+    both x and x * g^-1 lie in the domain; it is clipped when the image is in
+    the domain but beyond the window.  Columns receiving from beyond the
+    window are recorded symmetrically.
     """
     spec = w.spec
     ctx = spec.ctx
+    if domain is None:
+        domain = spec
+    # window points lie in the window's subset by construction
+    test_source = domain is not spec
     g_inv = ctx.invert(g)
     entries = {}
     clipped_rows = set()
     clipped_cols = set()
     for i, x in enumerate(w.points):
+        if test_source and not domain.contains(x):
+            continue
         y = ctx.multiply(x, g_inv)
-        if spec.contains(y):
+        if domain.contains(y):
             j = w.position(y)
             if j is None:
                 clipped_rows.add(i)
             else:
                 entries[(i, j)] = ONE
     for j, y in enumerate(w.points):
+        if test_source and not domain.contains(y):
+            continue
         x = ctx.multiply(y, g)
-        if spec.contains(x) and w.position(x) is None:
+        if domain.contains(x) and w.position(x) is None:
             clipped_cols.add(j)
     return TranslationOperator(w, entries, clipped_rows, clipped_cols)
 
@@ -235,7 +241,23 @@ def combine(coeffs: Sequence[Fraction | int], ops: Sequence[TranslationOperator]
 
 
 def subtract(a: TranslationOperator, b: TranslationOperator) -> TranslationOperator:
-    return combine([1, -1], [a, b])
+    """``a - b``; equal to ``combine([1, -1], [a, b])`` without the scalings."""
+    _same_window(a, b)
+    entries = dict(a.entries)
+    for key, v in b.entries.items():
+        acc = entries.get(key, ZERO) - v
+        if acc == 0:
+            entries.pop(key, None)
+        else:
+            entries[key] = acc
+    return TranslationOperator(
+        a.window, entries, a.clipped_rows | b.clipped_rows, a.clipped_cols | b.clipped_cols
+    )
+
+
+def diagonal(w: Window, keep: Callable[[GroupElement], bool]) -> TranslationOperator:
+    """Diagonal 0/1 projection onto the window points x with keep(x); never clipped."""
+    return TranslationOperator(w, {(i, i): ONE for i, x in enumerate(w.points) if keep(x)})
 
 
 def coset_projection(w: Window, subgroup: Subgroup | Sequence[GroupElement], b: GroupElement) -> TranslationOperator:
@@ -247,11 +269,7 @@ def coset_projection(w: Window, subgroup: Subgroup | Sequence[GroupElement], b: 
         words = {h.word for h in subgroup}
         member = lambda x: x.word in words
     b_inv = ctx.invert(b)
-    entries = {}
-    for i, x in enumerate(w.points):
-        if member(ctx.multiply(x, b_inv)):
-            entries[(i, i)] = ONE
-    return TranslationOperator(w, entries)
+    return diagonal(w, lambda x: member(ctx.multiply(x, b_inv)))
 
 
 def domain_projection(w: Window, g: GroupElement) -> TranslationOperator:
@@ -263,11 +281,7 @@ def domain_projection(w: Window, g: GroupElement) -> TranslationOperator:
     spec = w.spec
     ctx = spec.ctx
     g_inv = ctx.invert(g)
-    entries = {}
-    for i, x in enumerate(w.points):
-        if spec.contains(ctx.multiply(x, g_inv)):
-            entries[(i, i)] = ONE
-    return TranslationOperator(w, entries)
+    return diagonal(w, lambda x: spec.contains(ctx.multiply(x, g_inv)))
 
 
 @dataclass

@@ -50,6 +50,17 @@ class Subgroup:
             return [h for h in self.elements if self.ctx.word_length(h) <= r]
         return [h for h in self.ctx.ball(r) if self.contains(h)]
 
+    def coset_cover(self, points: Iterable[GroupElement]) -> list[GroupElement]:
+        """Greedy cover by right cosets H x: the first point of each coset, in order."""
+        ctx = self.ctx
+        reps: list[GroupElement] = []
+        rep_inverses: list[GroupElement] = []
+        for x in points:
+            if not any(self.contains(ctx.multiply(x, r_inv)) for r_inv in rep_inverses):
+                reps.append(x)
+                rep_inverses.append(ctx.invert(x))
+        return reps
+
     @classmethod
     def from_elements(cls, ctx: GroupContext, elements: Iterable[GroupElement], name: str) -> "Subgroup":
         elems = list(elements)
@@ -138,7 +149,7 @@ def complement(spec: SubsetSpec, name: str | None = None) -> SubsetSpec:
     )
 
 
-def difference(outer: SubsetSpec, inner: SubsetSpec, name: str | None = None) -> SubsetSpec:
+def difference(outer: SubsetSpec, inner: SubsetSpec | Subgroup, name: str | None = None) -> SubsetSpec:
     return from_predicate(
         outer.ctx,
         name or f"{outer.name}-minus-{inner.name}",
@@ -247,11 +258,22 @@ def words_starting_with(ctx: FreeGroupContext, letter: GroupElement) -> SubsetSp
 def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None) -> SubsetSpec:
     """Union of the translates g^k * base over all integers k.
 
-    Membership of x is decided by scanning |k| <= word_length(x) + 1, which is
-    exhaustive for every built-in base (the translate must cancel against a
-    geodesic prefix of x).
+    Membership of x is decided by scanning |k| <= word_length(x) + 1.  That
+    scan is proven only for a positive-cone base P with a one-letter
+    translator a^±1: x lies in the union iff x with its leading run of a^±1
+    letters stripped is positive, and the run is at most |x| long.  Every
+    other base or translator raises ValueError.
     """
     ctx = base.ctx
+    if not (
+        base.params.get("kind") == "positive-cone"
+        and isinstance(ctx, FreeGroupContext)
+        and len(g.word) == 1
+    ):
+        raise ValueError(
+            "coset-union membership is decidable here only for a positive-cone base"
+            " with a one-letter translator"
+        )
     g_inv = ctx.invert(g)
 
     def member(x: GroupElement) -> bool:
@@ -267,20 +289,11 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
                 return True
         return False
 
-    def in_cyclic(x: GroupElement) -> bool:
-        bound = ctx.word_length(x) + 1
-        fwd = ctx.identity()
-        back = ctx.identity()
-        if x.word == fwd.word:
-            return True
-        for _ in range(bound):
-            fwd = ctx.multiply(fwd, g)
-            back = ctx.multiply(back, g_inv)
-            if x.word == fwd.word or x.word == back.word:
-                return True
-        return False
-
-    stab = Subgroup.from_predicate(ctx, f"<{ctx.format(g)}>", in_cyclic)
+    # a reduced word lies in <a> iff every letter is a or a^-1
+    letter = abs(g.word[0])
+    stab = Subgroup.from_predicate(
+        ctx, f"<{ctx.format(g)}>", lambda x: all(abs(l) == letter for l in x.word)
+    )
     return from_predicate(
         ctx,
         name or f"translates[{ctx.format(g)}]({base.name})",

@@ -63,6 +63,12 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
     (tmp_path / "nat.json").write_text('{"kind": "interval", "lo": 0}')
     lo_one = str(tmp_path / "lo1.json")
     (tmp_path / "lo1.json").write_text('{"kind": "interval", "lo": 1}')
+    union = str(tmp_path / "union.json")
+    (tmp_path / "union.json").write_text(
+        '{"kind": "coset-union", "base": {"kind": "interval", "lo": 5}, "translator": "1"}'
+    )
+    unknown_key = str(tmp_path / "unknown.json")
+    (tmp_path / "unknown.json").write_text('{"kind": "interval", "lo": 0, "step": 2}')
     common = ["--group", "z", "--subset", subset]
     invocations = [
         ["op", "eq", *common, "--lhs", "track:(0,{0,1})", "--rhs", "id", "--R", "8"],
@@ -78,6 +84,8 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["universal", "independence", "--r", "-1"],
         ["check", "convexity", "--group", "z", "--subset", lo_one],
         ["universal", "verify", "--group", "f2"],
+        ["check", "deep", "--group", "z", "--subset", union, "--r", "2", "--R", "6"],
+        ["check", "deep", "--group", "z", "--subset", unknown_key],
     ]
     codes = []
     for argv in invocations:
@@ -86,7 +94,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3]
 
 
 def test_gallery_honours_explicit_sizes(capsys):

@@ -93,3 +93,44 @@ def test_interval_rejects_upper_bound():
     ctx = load_group("z")
     with pytest.raises(ConfigError):
         load_subset(ctx, {"kind": "interval", "lo": 0, "hi": 3})
+
+
+@pytest.mark.parametrize(
+    "group,subset",
+    [
+        ({"kind": "free", "rank": 2, "colour": "red"}, None),
+        ({"kind": "free-abelian", "rank": 1, "hi": 3}, None),
+        ({"kind": "finite", "table": [[0, 1], [1, 0]], "order": 2}, None),
+        ({"kind": "amalgam", "left": {"kind": "free-abelian", "rank": 1},
+          "right": {"kind": "free-abelian", "rank": 1}, "gluing": []}, None),
+        ({"kind": "amalgam", "left": {"kind": "free-abelian", "rank": 1, "x": 0},
+          "right": {"kind": "free-abelian", "rank": 1}}, None),
+        ({"kind": "amalgam", "left": {"kind": "free-abelian", "rank": 1},
+          "right": {"kind": "free", "rank": 1, "x": 0}}, None),
+        ({"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"multiplier": 2},
+          "stable": "s"}, None),
+        ({"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1, "x": 0},
+          "theta": {"multiplier": 2}}, None),
+        ({"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1},
+          "theta": {"multiplier": 2, "k_step": 3}}, None),
+        ("z", {"kind": "interval", "lo": 0, "step": 2}),
+        ("z", {"kind": "congruence", "modulus": 2, "offset": 1}),
+        ("f2", {"kind": "positive-cone", "letters": "ab"}),
+        ("f2", {"kind": "custom-first-letter", "exclude": "A", "require": "b"}),
+        ("z4*z6", {"kind": "halfspace", "side": "G", "depth": 2}),
+        ("f2", {"kind": "coset-union", "base": {"kind": "positive-cone"}, "translator": "A", "k": 3}),
+        ("f2", {"kind": "coset-union", "base": {"kind": "positive-cone", "x": 0}, "translator": "A"}),
+        ("z", {"kind": "universal", "variant": "z", "start": 3}),
+        ("f2", {"kind": "universal", "variant": "b-words", "stop": 3}),
+        ("z", {"kind": "universal-all", "name": "all"}),
+    ],
+)
+def test_unknown_keys_are_rejected(group, subset):
+    message = "unknown keys|theta keys|takes no parameters"
+    if subset is None:
+        with pytest.raises(ConfigError, match=message):
+            load_group(group)
+    else:
+        ctx = load_group(group)
+        with pytest.raises(ConfigError, match=message):
+            load_subset(ctx, subset)

@@ -6,13 +6,17 @@ import pytest
 from conftest import generator_sequences, rng
 
 from translation_lab import (
+    Subgroup,
     adjoint,
     amalgam_subgroup,
     combine,
     compose,
     compose_chain,
+    congruence_class,
     coordinate_halfspace,
     coset_projection,
+    diagonal,
+    difference,
     domain_projection,
     generator_operator,
     guarded_equal,
@@ -25,6 +29,7 @@ from translation_lab import (
     subtract,
     track_of_sequence,
     track_operator,
+    whole_group,
     words_not_starting_with,
     zero_operator,
 )
@@ -232,3 +237,110 @@ def test_window_mismatch_rejected(z):
     w2 = make_window(natural_numbers(z), 5)
     with pytest.raises(Exception):
         compose(generator_operator(w1, z.integer(1)), generator_operator(w2, z.integer(1)))
+
+
+# (fixture, subset B, subgroup H glued into B, window radius)
+DOMAIN_CASES = {
+    "nat": ("z", natural_numbers, Subgroup.trivial, 6),
+    "f2-cone": ("f2", positive_cone, Subgroup.trivial, 3),
+    "z4*z6-half": ("amalgam", lambda c: make_tree_halfspace(c, "G"), amalgam_subgroup, 3),
+}
+
+
+def brute_force_translation(w, g, domain):
+    """Entries and clip sets of the partial translation by g on domain.
+
+    Built from the pairs (y * g, y) with both ends in the domain and y in a
+    ball large enough to reach every window point, independently of how
+    generator_operator walks rows and columns.
+    """
+    ctx = w.spec.ctx
+    entries, rows, cols = {}, set(), set()
+    for y in ctx.ball(w.radius + ctx.word_length(g)):
+        x = ctx.multiply(y, g)
+        if not (domain.contains(x) and domain.contains(y)):
+            continue
+        i, j = w.position(x), w.position(y)
+        if i is not None and j is not None:
+            entries[(i, j)] = Fraction(1)
+        elif i is not None:
+            rows.add(i)
+        elif j is not None:
+            cols.add(j)
+    return entries, rows, cols
+
+
+@pytest.mark.parametrize("domain_kind", ["window-subset", "subset-in-whole-group", "subset-minus-subgroup"])
+@pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
+def test_generator_operator_matches_brute_force_on_domains(case, domain_kind, request):
+    fixture, build_subset, build_subgroup, radius = DOMAIN_CASES[case]
+    ctx = request.getfixturevalue(fixture)
+    b_spec = build_subset(ctx)
+    if domain_kind == "window-subset":
+        w, domain, expected_domain = make_window(b_spec, radius), None, b_spec
+    elif domain_kind == "subset-in-whole-group":
+        w = make_window(whole_group(ctx), radius)
+        domain = expected_domain = b_spec
+    else:
+        w = make_window(b_spec, radius)
+        domain = expected_domain = difference(b_spec, build_subgroup(ctx))
+    gens = ctx.generator_elements()
+    elements = ctx.ball(1) + [ctx.multiply(a, b) for a in gens[:2] for b in gens[-2:]]
+    for g in elements:
+        op = generator_operator(w, g, domain)
+        entries, rows, cols = brute_force_translation(w, g, expected_domain)
+        assert op.entries == entries, ctx.format(g)
+        assert op.clipped_rows == rows, ctx.format(g)
+        assert op.clipped_cols == cols, ctx.format(g)
+
+
+def test_subtract_equals_combine(z, f2, amalgam):
+    cases = [
+        (make_window(natural_numbers(z), 6), [z.integer(1), z.integer(-1), z.integer(2)]),
+        (make_window(positive_cone(f2), 3), list(f2.generator_elements())),
+        (make_window(make_tree_halfspace(amalgam, "G"), 3), list(amalgam.generator_elements())),
+    ]
+    for w, gens in cases:
+        ops = [identity_operator(w), zero_operator(w)]
+        for g in gens:
+            t = generator_operator(w, g)
+            ops += [t, adjoint(t), compose(adjoint(t), t), combine([2, Fraction(-1, 3)], [t, adjoint(t)])]
+        for a in ops:
+            for b in ops:
+                got = subtract(a, b)
+                want = combine([1, -1], [a, b])
+                assert got.entries == want.entries
+                assert got.clipped_rows == want.clipped_rows
+                assert got.clipped_cols == want.clipped_cols
+        assert not subtract(ops[2], ops[2]).entries
+
+
+def test_diagonal_keeps_exactly_the_chosen_points(z):
+    w = make_window(whole_group(z), 4)
+    evens = diagonal(w, lambda x: x.word[0] % 2 == 0)
+    assert sorted(z.format(w.points[i]) for i, _ in evens.entries) == ["-2", "-4", "0", "2", "4"]
+    assert all(r == c and v == 1 for (r, c), v in evens.entries.items())
+    assert not evens.clipped_rows and not evens.clipped_cols
+    assert guarded_equal(diagonal(w, lambda x: True), identity_operator(w)).equal
+
+
+@pytest.mark.parametrize("case", ["z-2Z", "z4*z6-H", "f2-powers-of-a"])
+def test_coset_cover_is_a_set_of_distinct_cosets_covering_every_point(case, z, f2, amalgam):
+    # right cosets H x; <a> is not normal in F2, so left cosets would differ
+    if case == "z-2Z":
+        ctx, sub = z, congruence_class(z, 2).left_stabiliser
+    elif case == "z4*z6-H":
+        ctx, sub = amalgam, amalgam_subgroup(amalgam)
+    else:
+        ctx, sub = f2, Subgroup.from_predicate(f2, "<a>", lambda x: all(l in (1, -1) for l in x.word))
+    points = ctx.ball(3)
+    reps = sub.coset_cover(points)
+    same_coset = lambda x, y: sub.contains(ctx.multiply(x, ctx.invert(y)))
+    for i, r in enumerate(reps):
+        assert not any(same_coset(r, q) for q in reps[:i])
+    for x in points:
+        assert any(same_coset(x, r) for r in reps)
+    # each representative is the first point of its coset, in the given order
+    positions = [next(k for k, x in enumerate(points) if x.word == r.word) for r in reps]
+    assert positions == sorted(positions)
+    assert all(not any(same_coset(x, r) for x in points[:k]) for k, r in zip(positions, reps))

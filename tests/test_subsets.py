@@ -6,6 +6,7 @@ from translation_lab import (
     congruence_class,
     coordinate_halfspace,
     cyclic_translates,
+    free_group,
     make_tree_halfspace,
     natural_numbers,
     positive_cone,
@@ -102,6 +103,38 @@ def test_coset_union_membership(f2):
     assert not union.contains(f2.parse("B"))
     assert union.left_stabiliser.contains(f2.generator(1))
     assert not union.left_stabiliser.contains(f2.generator(2))
+
+
+def _strip_leading_run(word, letter):
+    """The word without its leading run of letter^±1."""
+    k = 0
+    while k < len(word) and abs(word[k]) == letter:
+        k += 1
+    return word[k:]
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 5), (3, 4)])
+def test_coset_union_matches_closed_form(rank, radius):
+    # x lies in the union of a^k P over all k iff x with its leading a^±1
+    # run stripped is a positive word
+    ctx = free_group(rank)
+    cone = positive_cone(ctx)
+    for translator in ctx.generator_elements():
+        union = cyclic_translates(cone, translator)
+        letter = abs(translator.word[0])
+        for x in ctx.ball(radius):
+            expected = all(l > 0 for l in _strip_leading_run(x.word, letter))
+            assert union.contains(x) == expected, (ctx.format(translator), ctx.format(x))
+
+
+def test_coset_union_refuses_unproven_bases_and_translators(z, f2):
+    with pytest.raises(ValueError):
+        cyclic_translates(coordinate_halfspace(z, 0, 5), z.integer(1))
+    with pytest.raises(ValueError):
+        cyclic_translates(words_not_starting_with(f2, f2.parse("A")), f2.generator(1))
+    for word in ("ab", "aa", "aB"):
+        with pytest.raises(ValueError):
+            cyclic_translates(positive_cone(f2), f2.parse(word))
 
 
 def test_congruence_class(z):
