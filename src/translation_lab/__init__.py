@@ -52,7 +52,6 @@ from .subsets import (
     SubsetSpec,
     Subgroup,
     amalgam_subgroup,
-    complement,
     congruence_class,
     coordinate_halfspace,
     cyclic_translates,

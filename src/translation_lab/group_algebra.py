@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .geometry import coset_count_check
 from .groups import GroupElement
 from .operators import (
     TranslationOperator,
@@ -36,7 +37,7 @@ from .operators import (
     make_window,
     subtract,
 )
-from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
+from .reports import FALSIFIED, VERIFIED, CheckReport
 from .subsets import SubsetSpec, Subgroup
 
 ZERO = Fraction(0)
@@ -317,27 +318,6 @@ def coset_decomposition_check(
 
     small = support(radius)
     large = support(radius + growth)
-    reps_small = h_sub.coset_cover(small)
-    n_small = len(reps_small)
-    n_large = len(h_sub.coset_cover(large))
-    stable = n_small == n_large
-    return CheckReport(
-        name="coset-decomposition",
-        params={
-            "B": b_spec.name,
-            "X": x_spec.name,
-            "H": h_sub.name,
-            "g": ctx.format(g),
-            "R": radius,
-            "growth": growth,
-        },
-        verdict=VERIFIED if stable else INCONCLUSIVE,
-        witnesses=[ctx.format(rep) for rep in reps_small],
-        compared_count=len(small),
-        details={
-            "coset_count_at_R": n_small,
-            "coset_count_at_R_plus": n_large,
-            "support_size_at_R": len(small),
-            "support_size_at_R_plus": len(large),
-        },
-    )
+    report = coset_count_check("coset-decomposition", b_spec, x_spec, h_sub, g, radius, growth, small, large)
+    report.details.update(support_size_at_R=len(small), support_size_at_R_plus=len(large))
+    return report

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .groups import GroupElement, MalformedWord
 from .subsets import SubsetSpec, Subgroup
-from .tracks import Track
+from .tracks import Track, support
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -143,15 +143,14 @@ def generator_operator(w: Window, g: GroupElement, domain: SubsetSpec | None = N
 
 def track_operator(w: Window, track: Track) -> TranslationOperator:
     """Operator of a whole track: nonzero exactly where every visited point stays inside."""
-    spec = w.spec
-    ctx = spec.ctx
+    ctx = w.spec.ctx
+    fires = support(track, w.spec)
     g_inv = ctx.invert(track.total)
-    inverses = [ctx.invert(h) for h in track.visited]
     entries = {}
     clipped_rows = set()
     clipped_cols = set()
     for i, x in enumerate(w.points):
-        if all(spec.contains(ctx.multiply(x, hinv)) for hinv in inverses):
+        if fires(x):
             y = ctx.multiply(x, g_inv)
             j = w.position(y)
             if j is None:
@@ -160,9 +159,7 @@ def track_operator(w: Window, track: Track) -> TranslationOperator:
                 entries[(i, j)] = ONE
     for j, y in enumerate(w.points):
         x = ctx.multiply(y, track.total)
-        if w.position(x) is None and all(
-            spec.contains(ctx.multiply(x, hinv)) for hinv in inverses
-        ):
+        if w.position(x) is None and fires(x):
             clipped_cols.add(j)
     return TranslationOperator(w, entries, clipped_rows, clipped_cols)
 

@@ -103,7 +103,6 @@ class SubsetSpec:
     predicate: Callable[[GroupElement], bool] = lambda x: True
     left_stabiliser: Subgroup | None = None
     right_stabiliser: Subgroup | None = None
-    ambient: "SubsetSpec | None" = None
 
     def __post_init__(self):
         self._cache: dict[tuple, bool] = {}
@@ -130,23 +129,13 @@ def from_predicate(
     predicate: Callable[[GroupElement], bool],
     left_stabiliser: Subgroup | None = None,
     right_stabiliser: Subgroup | None = None,
-    ambient: SubsetSpec | None = None,
     params: dict | None = None,
 ) -> SubsetSpec:
-    return SubsetSpec(ctx, name, params or {}, predicate, left_stabiliser, right_stabiliser, ambient)
+    return SubsetSpec(ctx, name, params or {}, predicate, left_stabiliser, right_stabiliser)
 
 
 def whole_group(ctx: GroupContext) -> SubsetSpec:
     return from_predicate(ctx, "all", lambda x: True, params={"kind": "universal-all"})
-
-
-def complement(spec: SubsetSpec, name: str | None = None) -> SubsetSpec:
-    return from_predicate(
-        spec.ctx,
-        name or f"complement({spec.name})",
-        lambda x: not spec.contains(x),
-        params={"kind": "complement", "of": spec.name},
-    )
 
 
 def difference(outer: SubsetSpec, inner: SubsetSpec | Subgroup, name: str | None = None) -> SubsetSpec:
@@ -195,6 +184,10 @@ def natural_numbers(ctx: FreeAbelianContext) -> SubsetSpec:
 
 def congruence_class(ctx: FreeAbelianContext, modulus: int, residue: int = 0, coord: int = 0) -> SubsetSpec:
     """{v : v[coord] = residue mod modulus}; the evens for (2, 0)."""
+    if not isinstance(ctx, FreeAbelianContext):
+        raise ValueError("congruence classes need a free-abelian context")
+    if not 0 <= coord < ctx.rank:
+        raise ValueError("coordinate out of range")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     stab = Subgroup.from_predicate(
@@ -299,7 +292,6 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
         name or f"translates[{ctx.format(g)}]({base.name})",
         member,
         left_stabiliser=stab,
-        ambient=None,
         params={"kind": "coset-union", "base": base.name, "translator": ctx.format(g)},
     )
 

@@ -15,7 +15,7 @@ are canonical, hashable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .groups import GroupContext, GroupElement
 from .subsets import SubsetSpec
@@ -80,9 +80,12 @@ def nonzero_witness(track: Track, spec: SubsetSpec, radius: int) -> GroupElement
     exactly when x h^-1 lies in the subset for every visited h; absence of a
     witness is only meaningful within the scanned window.
     """
+    fires = support(track, spec)
+    return next((x for x in spec.elements_in_ball(radius) if fires(x)), None)
+
+
+def support(track: Track, spec: SubsetSpec) -> Callable[[GroupElement], bool]:
+    """The test "the track's operator is nonzero at x": x h^-1 in the subset for every visited h."""
     ctx = spec.ctx
     inverses = [ctx.invert(h) for h in track.visited]
-    for x in spec.elements_in_ball(radius):
-        if all(spec.contains(ctx.multiply(x, hinv)) for hinv in inverses):
-            return x
-    return None
+    return lambda x: all(spec.contains(ctx.multiply(x, h_inv)) for h_inv in inverses)

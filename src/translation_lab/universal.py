@@ -13,18 +13,18 @@ finite set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     almost_invariant_check,
     coseparability_search,
     relatively_deep_check,
 )
-from .groups import FreeAbelianContext, FreeGroupContext, GroupContext, GroupElement
+from .groups import FreeAbelianContext, FreeGroupContext, GroupElement
 from .operators import rank_of_vectors
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, SuiteReport
 from .subsets import SubsetSpec, Subgroup, from_predicate
-from .tracks import Track
+from .tracks import Track, support
 
 
 def bit_at(n: int) -> int:
@@ -94,8 +94,10 @@ class PlacedUniversalWords:
         start: int = 2,
         min_step: int = 4,
     ):
-        if ctx.rank != 2:
+        if not isinstance(ctx, FreeGroupContext) or ctx.rank != 2:
             raise ValueError("the placed model lives in the free group of rank 2")
+        if max_radius < 0:
+            raise ValueError("max_radius must be nonnegative")
         self.ctx = ctx
         self.max_radius = max_radius
         self.start = start
@@ -150,15 +152,6 @@ class PlacedUniversalWords:
             return any(offset.word == f.word for f in placement.pattern)
         return False
 
-    def witness_centers(self, radius: int) -> list[tuple[GroupElement, frozenset]]:
-        out = []
-        for placement in self.placements:
-            if placement.radius != radius:
-                continue
-            pattern_words = frozenset(f.word for f in placement.pattern)
-            out.append((placement.center, pattern_words))
-        return out
-
     def report_form(self):
         ctx = self.ctx
         return [
@@ -197,68 +190,75 @@ def universal_b_words_spec(
 # ---------------------------------------------------------------------------
 
 
-def universality_check(
+def _centres(spec: SubsetSpec, scan_bound: int, radius: int | None = None) -> Iterable[GroupElement]:
+    """Candidate pattern centres in scan order.
+
+    A placed model offers its placement centres (only those of the given
+    radius, when one is given); Z offers 0..scan_bound; any other group its
+    ball of radius scan_bound.
+    """
+    ctx = spec.ctx
+    if hasattr(spec, "placed"):
+        return [p.center for p in spec.placed.placements if radius is None or p.radius == radius]
+    if isinstance(ctx, FreeAbelianContext) and ctx.rank == 1:
+        return (ctx.integer(n) for n in range(scan_bound + 1))
+    return ctx.ball(scan_bound)
+
+
+def _first_centres(
     spec: SubsetSpec,
-    r: int,
-    scan_bound: int = 5000,
-    centers: Sequence[tuple[GroupElement, frozenset]] | None = None,
-) -> CheckReport:
+    ball: Sequence[GroupElement],
+    goals: Iterable[frozenset],
+    centres: Iterable[GroupElement],
+) -> dict[frozenset, GroupElement | None]:
+    """Map each goal pattern to the first centre c with {u in ball : c u in spec} equal to it.
+
+    Patterns are sets of ball words.  The local pattern at each centre is
+    read through the predicate, so a centre offered by a construction is
+    never trusted; a goal no centre realizes maps to None.  The scan stops
+    once every goal is found.
+    """
+    ctx = spec.ctx
+    first: dict[frozenset, GroupElement | None] = dict.fromkeys(goals)
+    unfound = len(first)
+    for c in centres:
+        local = frozenset(u.word for u in ball if spec.contains(ctx.multiply(c, u)))
+        if local in first and first[local] is None:
+            first[local] = c
+            unfound -= 1
+            if not unfound:
+                break
+    return first
+
+
+def universality_check(spec: SubsetSpec, r: int, scan_bound: int = 5000) -> CheckReport:
     """Find, for every pattern within radius r, a center realizing it exactly.
 
-    On the integers the centers 0..scan_bound are scanned directly.  For
-    placed models the construction's own centers are offered and then
-    *verified through the predicate*, so the report never trusts the table.
+    A placed model offers only its placements of radius r, the ones built to
+    realize the patterns of that radius; other subsets scan as ``_centres``
+    says.
     """
     ctx = spec.ctx
     ball = ctx.ball(r)
-    patterns = {}
-    for mask in range(1 << len(ball)):
-        pattern = frozenset(ball[i].word for i in range(len(ball)) if mask >> i & 1)
-        patterns[pattern] = None
+    goals = (
+        frozenset(ball[i].word for i in range(len(ball)) if mask >> i & 1)
+        for mask in range(1 << len(ball))
+    )
+    patterns = _first_centres(spec, ball, goals, _centres(spec, scan_bound, r))
 
-    def realizes(center: GroupElement, pattern: frozenset) -> bool:
-        for u in ball:
-            inside = spec.contains(ctx.multiply(center, u))
-            if inside != (u.word in pattern):
-                return False
-        return True
-
-    if centers is None and hasattr(spec, "placed"):
-        centers = spec.placed.witness_centers(r)
-
-    if centers is not None:
-        for center, pattern_words in centers:
-            key = frozenset(pattern_words)
-            if key in patterns and patterns[key] is None and realizes(center, key):
-                patterns[key] = center
-    elif isinstance(ctx, FreeAbelianContext) and ctx.rank == 1:
-        for n in range(scan_bound + 1):
-            center = ctx.integer(n)
-            local = frozenset(u.word for u in ball if spec.contains(ctx.multiply(center, u)))
-            if patterns.get(local) is None:
-                patterns[local] = center
-            if all(v is not None for v in patterns.values()):
-                break
-    else:
-        for center in ctx.ball(scan_bound):
-            local = frozenset(u.word for u in ball if spec.contains(ctx.multiply(center, u)))
-            if patterns.get(local) is None:
-                patterns[local] = center
-
-    missing = [sorted(str(w) for w in key) for key, v in patterns.items() if v is None]
+    missing_count = sum(v is None for v in patterns.values())
     found = {
         "|".join(sorted(ctx.format(GroupElement(ctx, w)) for w in key)) or "(empty)": ctx.format(v)
         for key, v in patterns.items()
         if v is not None
     }
-    verdict = VERIFIED if not missing else INCONCLUSIVE
     return CheckReport(
         name="universality",
         params={"subset": spec.name, "r": r, "scan_bound": scan_bound},
-        verdict=verdict,
+        verdict=INCONCLUSIVE if missing_count else VERIFIED,
         witnesses=[],
         compared_count=len(patterns),
-        details={"found": found, "missing_count": len(missing)},
+        details={"found": found, "missing_count": missing_count},
     )
 
 
@@ -276,9 +276,10 @@ def track_independence_check(
 
     For each track a witness center realizes exactly the inverse visited set
     as the local pattern, making the evaluation table against all same-total
-    tracks the inclusion pattern of visited sets, which is triangular.  An
-    exact rank computation over the witness evaluations cross-checks the
-    argument.
+    tracks the inclusion pattern of visited sets, which is triangular.  The
+    witnesses of one class of same-total tracks come from one scan of the
+    candidate centres.  An exact rank computation over the witness
+    evaluations cross-checks the argument.
     """
     ctx = spec.ctx
     seen = set()
@@ -293,35 +294,32 @@ def track_independence_check(
         by_total.setdefault(t.total.word, []).append(i)
 
     witnesses: dict[int, GroupElement] = {}
-    for total_word, members in by_total.items():
+    for members in by_total.values():
         class_radius = max(
             ctx.word_length(h) for i in members for h in tracks[i].visited
         )
         ball = ctx.ball(class_radius)
-        for i in members:
-            goal = frozenset(ctx.invert(h).word for h in tracks[i].visited)
-            witness = _find_pattern_center(spec, ball, goal, scan_bound)
-            if witness is None:
+        goals = [frozenset(ctx.invert(h).word for h in tracks[i].visited) for i in members]
+        first = _first_centres(spec, ball, goals, _centres(spec, scan_bound))
+        for i, goal in zip(members, goals):
+            if first[goal] is None:
                 return CheckReport(
                     name="track-independence",
                     params={"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound},
                     verdict=INCONCLUSIVE,
                     details={"missing_pattern_for_track": tracks[i].report_form()},
                 )
-            witnesses[i] = witness
+            witnesses[i] = first[goal]
 
+    fires = [support(t, spec) for t in tracks]
     # triangularity: at witness i, track j is nonzero iff visited(j) <= visited(i)
-    for total_word, members in by_total.items():
+    for members in by_total.values():
         for i in members:
             x = witnesses[i]
             vis_i = {h.word for h in tracks[i].visited}
             for j in members:
-                fires = all(
-                    spec.contains(ctx.multiply(x, ctx.invert(h)))
-                    for h in tracks[j].visited
-                )
                 included = {h.word for h in tracks[j].visited} <= vis_i
-                if fires != included:
+                if fires[j](x) != included:
                     return CheckReport(
                         name="track-independence",
                         params={"subset": spec.name, "tracks": len(tracks)},
@@ -332,12 +330,10 @@ def track_independence_check(
 
     vectors = []
     for j, t in enumerate(tracks):
-        vec = {}
-        for i, x in witnesses.items():
-            if all(spec.contains(ctx.multiply(x, ctx.invert(h))) for h in t.visited):
-                target = ctx.multiply(x, ctx.invert(t.total))
-                vec[(i, target.word)] = 1
-        vectors.append(vec)
+        total_inv = ctx.invert(t.total)
+        vectors.append(
+            {(i, ctx.multiply(x, total_inv).word): 1 for i, x in witnesses.items() if fires[j](x)}
+        )
     rank = rank_of_vectors(vectors)
     independent = rank == len(tracks)
     return CheckReport(
@@ -353,36 +349,15 @@ def track_independence_check(
     )
 
 
-def _find_pattern_center(spec, ball, goal_words: frozenset, scan_bound: int):
-    ctx = spec.ctx
-    if hasattr(spec, "placed"):
-        candidates = [p.center for p in spec.placed.placements]
-    elif isinstance(ctx, FreeAbelianContext) and ctx.rank == 1:
-        candidates = (ctx.integer(n) for n in range(scan_bound + 1))
-    else:
-        candidates = ctx.ball(scan_bound)
-    for center in candidates:
-        ok = True
-        for u in ball:
-            if spec.contains(ctx.multiply(center, u)) != (u.word in goal_words):
-                ok = False
-                break
-        if ok:
-            return center
-    return None
-
-
 def dependent_tracks_demo(ctx: FreeAbelianContext, tracks: Sequence[Track], radius: int) -> CheckReport:
     """On the whole group every relation holds: same-total tracks give equal operators."""
     whole = from_predicate(ctx, "all", lambda x: True)
     vectors = []
     points = ctx.ball(radius)
     for t in tracks:
-        vec = {}
-        for x in points:
-            if all(whole.contains(ctx.multiply(x, ctx.invert(h))) for h in t.visited):
-                vec[ctx.multiply(x, ctx.invert(t.total)).word, x.word] = 1
-        vectors.append(vec)
+        fires = support(t, whole)
+        total_inv = ctx.invert(t.total)
+        vectors.append({(ctx.multiply(x, total_inv).word, x.word): 1 for x in points if fires(x)})
     rank = rank_of_vectors(vectors)
     return CheckReport(
         name="dependence-on-whole-group",

@@ -69,6 +69,15 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
     )
     unknown_key = str(tmp_path / "unknown.json")
     (tmp_path / "unknown.json").write_text('{"kind": "interval", "lo": 0, "step": 2}')
+    bad_subsets = {
+        "coord5": '{"kind": "congruence", "modulus": 2, "coord": 5}',
+        "evens": '{"kind": "congruence", "modulus": 2}',
+        "bneg": '{"kind": "universal", "variant": "b-words", "max_radius": -1}',
+        "b1": '{"kind": "universal", "variant": "b-words", "max_radius": 1}',
+    }
+    for stem, text in bad_subsets.items():
+        (tmp_path / f"{stem}.json").write_text(text)
+    bad = {stem: str(tmp_path / f"{stem}.json") for stem in bad_subsets}
     common = ["--group", "z", "--subset", subset]
     invocations = [
         ["op", "eq", *common, "--lhs", "track:(0,{0,1})", "--rhs", "id", "--R", "8"],
@@ -86,6 +95,11 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["universal", "verify", "--group", "f2"],
         ["check", "deep", "--group", "z", "--subset", union, "--r", "2", "--R", "6"],
         ["check", "deep", "--group", "z", "--subset", unknown_key],
+        ["check", "deep", "--group", "z", "--subset", bad["coord5"]],
+        ["check", "deep", "--group", "f2", "--subset", bad["evens"]],
+        ["check", "deep", "--group", "z4*z6", "--subset", bad["evens"]],
+        ["check", "deep", "--group", "f2", "--subset", bad["bneg"]],
+        ["check", "deep", "--group", "z2", "--subset", bad["b1"]],
     ]
     codes = []
     for argv in invocations:
@@ -94,7 +108,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3]
 
 
 def test_gallery_honours_explicit_sizes(capsys):

@@ -134,3 +134,20 @@ def test_unknown_keys_are_rejected(group, subset):
         ctx = load_group(group)
         with pytest.raises(ConfigError, match=message):
             load_subset(ctx, subset)
+
+
+@pytest.mark.parametrize(
+    "group,subset,message",
+    [
+        ("z", {"kind": "congruence", "modulus": 2, "coord": 5}, "coordinate out of range"),
+        ("f2", {"kind": "congruence", "modulus": 2}, "free-abelian"),
+        ("z4*z6", {"kind": "congruence", "modulus": 2}, "free-abelian"),
+        ("f2", {"kind": "universal", "variant": "b-words", "max_radius": -1}, "nonnegative"),
+        ("z2", {"kind": "universal", "variant": "b-words", "max_radius": 1}, "free group of rank 2"),
+    ],
+    ids=["congruence-coord", "congruence-f2", "congruence-amalgam", "b-words-negative", "b-words-z2"],
+)
+def test_subsets_the_group_cannot_carry_are_rejected(group, subset, message):
+    ctx = load_group(group)
+    with pytest.raises(ConfigError, match=message):
+        load_subset(ctx, subset)

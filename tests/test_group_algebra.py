@@ -25,6 +25,7 @@ from translation_lab.group_algebra import (
     module_inner_product,
     verify_ph_in_ideal,
 )
+from translation_lab.geometry import almost_invariant_check
 from translation_lab.reports import INCONCLUSIVE, VERIFIED
 
 
@@ -198,3 +199,16 @@ def test_coset_decomposition_examples(z, z2, f2):
     )
     assert report.verdict == INCONCLUSIVE
     assert report.details["coset_count_at_R_plus"] > report.details["coset_count_at_R"]
+
+
+def test_coset_count_checks_differ_only_in_their_support_details(f2):
+    cone = positive_cone(f2)
+    args = (cone, whole_group(f2), Subgroup.trivial(f2), f2.generator(1), 3)
+    decomp = coset_decomposition_check(*args)
+    # over the trivial subgroup every support point is its own coset
+    assert decomp.details["support_size_at_R"] == decomp.compared_count == decomp.details["coset_count_at_R"]
+    assert decomp.details["support_size_at_R_plus"] == decomp.details["coset_count_at_R_plus"]
+    assert decomp.details["support_size_at_R_plus"] > decomp.compared_count
+    almost = almost_invariant_check(*args)
+    assert set(almost.details) == {"coset_count_at_R", "coset_count_at_R_plus"}
+    assert almost.params == decomp.params

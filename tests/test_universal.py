@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from translation_lab import congruence_class, make_track, track_of_sequence
+from translation_lab import congruence_class, make_track, positive_cone, track_of_sequence
 from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED
 from translation_lab.universal import (
     PlacedUniversalWords,
+    _centres,
+    _first_centres,
     appendix_contrast_demo,
     characteristic_prefix,
     dependent_tracks_demo,
@@ -107,6 +110,65 @@ def test_duplicate_tracks_rejected(z):
         track_independence_check(u, [t, t], 500)
 
 
+def _per_goal_first_centre(spec, ball, goal, centres):
+    """Reference: the first centre whose local pattern is exactly the goal, one goal at a time."""
+    ctx = spec.ctx
+    for c in centres:
+        if all(spec.contains(ctx.multiply(c, u)) == (u.word in goal) for u in ball):
+            return c
+    return None
+
+
+def _all_patterns(ball):
+    return [
+        frozenset(ball[i].word for i in range(len(ball)) if mask >> i & 1)
+        for mask in range(1 << len(ball))
+    ]
+
+
+@pytest.mark.parametrize("case", ["universal-z", "evens", "b-words", "f2-cone"])
+def test_first_centres_match_a_per_goal_scan(z, f2, case):
+    spec, scan_bound = {
+        "universal-z": (universal_z_spec(z), 300),
+        "evens": (congruence_class(z, 2), 40),
+        "b-words": (universal_b_words_spec(f2, max_radius=1), 0),
+        "f2-cone": (positive_cone(f2), 2),
+    }[case]
+    ball = spec.ctx.ball(1)
+    patterns = _all_patterns(ball)
+    for radius in (None, 1):
+        centres = list(_centres(spec, scan_bound, radius))
+        for goals in (patterns, patterns[1::3]):
+            first = _first_centres(spec, ball, goals, centres)
+            assert list(first) == goals
+            for goal in goals:
+                expected = _per_goal_first_centre(spec, ball, goal, centres)
+                assert (first[goal] is None) == (expected is None)
+                if expected is not None:
+                    assert first[goal].word == expected.word
+    if case == "evens":
+        assert None in _first_centres(spec, ball, patterns, _centres(spec, scan_bound)).values()
+
+
+def test_independence_witnesses_match_a_per_track_scan(z):
+    u = universal_z_spec(z)
+    tracks = _small_tracks(z)[:24]
+    random.Random(3).shuffle(tracks)
+    report = track_independence_check(u, tracks, 5000)
+    assert report.verdict == VERIFIED
+    centres = list(_centres(u, 5000))
+    by_total = {}
+    for t in tracks:
+        by_total.setdefault(t.total.word, []).append(t)
+    expected = []
+    for t in tracks:
+        radius = max(z.word_length(h) for s in by_total[t.total.word] for h in s.visited)
+        goal = frozenset(z.invert(h).word for h in t.visited)
+        expected.append(z.format(_per_goal_first_centre(u, z.ball(radius), goal, centres)))
+    assert [w["center"] for w in report.witnesses] == expected
+    assert [w["track"] for w in report.witnesses] == [t.report_form() for t in tracks]
+
+
 def test_whole_group_tracks_dependent(z):
     t1 = make_track(z, z.integer(0), [])
     t2 = make_track(z, z.integer(0), [z.integer(-1)])
@@ -146,6 +208,17 @@ def test_placed_universality(f2):
     report = universality_check(spec, 1)
     assert report.verdict == VERIFIED
     assert report.compared_count == 32
+
+
+def test_placed_patterns_are_found_at_their_own_placements(f2):
+    spec = universal_b_words_spec(f2, max_radius=1)
+    found = universality_check(spec, 1).details["found"]
+    own = {
+        "|".join(sorted(f2.format(f) for f in p.pattern)) or "(empty)": f2.format(p.center)
+        for p in spec.placed.placements
+        if p.radius == 1
+    }
+    assert found == own
 
 
 def test_placed_membership_is_local(f2):
