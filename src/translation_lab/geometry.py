@@ -67,7 +67,8 @@ def relatively_deep_check(
         "r": r,
         "R": search_radius,
     }
-    for x in b_spec.elements_in_ball(search_radius):
+    b_points = b_spec.elements_in_ball(search_radius)
+    for x in b_points:
         if not x_spec.contains(x):
             return CheckReport(
                 name="relatively-deep",
@@ -90,8 +91,9 @@ def relatively_deep_check(
     found: list[dict] = []
     for rep in coset_reps:
         witness = None
-        for p in b_spec.elements_in_ball(search_radius):
-            if not k_sub.contains(ctx.multiply(p, ctx.invert(rep))):
+        rep_inv = ctx.invert(rep)
+        for p in b_points:
+            if not k_sub.contains(ctx.multiply(p, rep_inv)):
                 continue
             if far_inside(p):
                 witness = p

@@ -12,14 +12,14 @@ form:
   (pinch-free forms with coset-transversal letters after each ``t``-power).
 
 All contexts share the same metric machinery: the word metric of the stated
-generating set, enumerated by breadth-first search and ordered shortlex.
-Contexts are immutable after construction and all operations are pure.
+generating set, enumerated by breadth-first search and ordered shortlex (free
+groups list each layer by prefix extension, in the same order).  Contexts are
+immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 BALL_CAP_ENV = "TRANSLATION_LAB_MAX_BALL"
@@ -51,12 +51,26 @@ def ball_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """A canonical word in its context.  Equality of words is group equality."""
+    """A canonical word in its context.  Equality of words is group equality.
 
-    ctx: "GroupContext"
-    word: tuple
+    Elements are values: equal exactly when they share the context object and
+    the word, and never reassigned after construction.
+    """
+
+    __slots__ = ("ctx", "word")
+
+    def __init__(self, ctx: "GroupContext", word: tuple):
+        self.ctx = ctx
+        self.word = word
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self.ctx is other.ctx and self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.word))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.ctx.multiply(self, other)
@@ -135,19 +149,23 @@ class GroupContext:
 
     def ball(self, r: int) -> list[GroupElement]:
         """All elements of word length <= r, shortlex ordered, no duplicates."""
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        while len(self._layers) <= r:
-            if not self._grow_layer():
-                break
+        self._grow_to(r)
         out: list[GroupElement] = []
         for layer in self._layers[: r + 1]:
             out.extend(layer)
         return out
 
     def sphere(self, r: int) -> list[GroupElement]:
-        self.ball(r)
+        """The elements of word length exactly r, in ball order."""
+        self._grow_to(r)
         return list(self._layers[r]) if r < len(self._layers) else []
+
+    def _grow_to(self, r: int) -> None:
+        if r < 0:
+            raise ValueError("radius must be nonnegative")
+        while len(self._layers) <= r:
+            if not self._grow_layer():
+                break
 
     def _grow_layer(self) -> bool:
         cap = ball_cap()
@@ -156,24 +174,28 @@ class GroupContext:
             self._dist[e.word] = 0
             self._layers.append([e])
             return True
-        gens = self.generator_elements()
         depth = len(self._layers)
+        layer = self._next_layer()
+        if len(self._dist) + len(layer) > cap:
+            raise BallCapExceeded(
+                f"ball of radius {depth} needs more than {cap} elements "
+                f"(set {BALL_CAP_ENV} to raise the cap)"
+            )
+        for x in layer:
+            self._dist[x.word] = depth
+        self._layers.append(layer)
+        return bool(layer)
+
+    def _next_layer(self) -> list[GroupElement]:
+        """The unseen neighbours of the last layer, sorted by ``structural_key``."""
+        gens = self.generator_elements()
         fresh: dict[tuple, GroupElement] = {}
         for x in self._layers[-1]:
             for g in gens:
                 y = self.multiply(x, g)
                 if y.word not in self._dist and y.word not in fresh:
                     fresh[y.word] = y
-        if len(self._dist) + len(fresh) > cap:
-            raise BallCapExceeded(
-                f"ball of radius {depth} needs more than {cap} elements "
-                f"(set {BALL_CAP_ENV} to raise the cap)"
-            )
-        for word in fresh:
-            self._dist[word] = depth
-        layer = sorted(fresh.values(), key=self.structural_key)
-        self._layers.append(layer)
-        return bool(layer)
+        return sorted(fresh.values(), key=self.structural_key)
 
     def _check(self, x: GroupElement) -> GroupElement:
         if x.ctx is not self:
@@ -211,9 +233,8 @@ class FreeGroupContext(GroupContext):
         if any(len(n) != 1 or not n.islower() for n in self.names):
             raise ValueError("generator names must be single lowercase letters")
         # shortlex tie-break: a, A, b, B, ... (letter i ranks 2i-2, its inverse 2i-1)
-        self._letter_ranks = {
-            l: 2 * (abs(l) - 1) + (l < 0) for i in range(1, rank + 1) for l in (i, -i)
-        }
+        self._letters = tuple(l for i in range(1, rank + 1) for l in (i, -i))
+        self._letter_ranks = {l: k for k, l in enumerate(self._letters)}
 
     def identity(self) -> GroupElement:
         return self._make(())
@@ -253,14 +274,24 @@ class FreeGroupContext(GroupContext):
         return len(x.word)
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
-        out = []
-        for i in range(1, self.rank + 1):
-            out.append(self._make((i,)))
-            out.append(self._make((-i,)))
-        return tuple(out)
+        return tuple(self._make((l,)) for l in self._letters)
 
     def structural_key(self, x: GroupElement):
         return tuple(map(self._letter_ranks.__getitem__, x.word))
+
+    def _next_layer(self) -> list[GroupElement]:
+        """Each word of the last layer followed by each letter in rank order.
+
+        The letter that would cancel is skipped, so every word is reduced and
+        new, and the result is shortlex sorted because the last layer is:
+        no multiply, dedupe or sort is needed.
+        """
+        out: list[GroupElement] = []
+        for x in self._layers[-1]:
+            w = x.word
+            cancel = -w[-1] if w else 0
+            out.extend([GroupElement(self, w + (l,)) for l in self._letters if l != cancel])
+        return out
 
     def format(self, x: GroupElement) -> str:
         if not x.word:

@@ -357,7 +357,7 @@ def rank_of_vectors(vectors: Sequence[dict]) -> int:
                         work[k] = acc
         work = {k: v for k, v in work.items() if v != 0}
         if work:
-            pivot = min(work, key=repr)
+            pivot = next(iter(work))  # any nonzero entry will do; the rank is the same
             pivots.append(pivot)
             basis.append(work)
     return len(basis)

@@ -4,6 +4,9 @@ A subset is described by a predicate that is total over canonical elements,
 never by a finite enumeration: this is what makes finite-window truncations of
 translation operators exact rather than approximate.  Claimed stabilisers ride
 along as data and are only ever *verified at bounded radius*.
+
+Every predicate here does O(|x|) work on the canonical word of x, with no
+group multiply: membership is read off the normal form.
 """
 
 from __future__ import annotations
@@ -251,11 +254,10 @@ def words_starting_with(ctx: FreeGroupContext, letter: GroupElement) -> SubsetSp
 def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None) -> SubsetSpec:
     """Union of the translates g^k * base over all integers k.
 
-    Membership of x is decided by scanning |k| <= word_length(x) + 1.  That
-    scan is proven only for a positive-cone base P with a one-letter
-    translator a^±1: x lies in the union iff x with its leading run of a^±1
-    letters stripped is positive, and the run is at most |x| long.  Every
-    other base or translator raises ValueError.
+    Membership is decided in closed form only for a positive-cone base P with
+    a one-letter translator a^±1: x lies in the union iff x with its leading
+    run of a^±1 letters stripped is positive.  Every other base or translator
+    raises ValueError.
     """
     ctx = base.ctx
     if not (
@@ -267,23 +269,16 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
             "coset-union membership is decidable here only for a positive-cone base"
             " with a one-letter translator"
         )
-    g_inv = ctx.invert(g)
+    letter = abs(g.word[0])
 
     def member(x: GroupElement) -> bool:
-        bound = ctx.word_length(x) + 1
-        fwd = x
-        back = x
-        if base.contains(x):
-            return True
-        for _ in range(bound):
-            fwd = ctx.multiply(g_inv, fwd)
-            back = ctx.multiply(g, back)
-            if base.contains(fwd) or base.contains(back):
-                return True
-        return False
+        word = x.word
+        k = 0
+        while k < len(word) and abs(word[k]) == letter:
+            k += 1
+        return all(l > 0 for l in word[k:])
 
     # a reduced word lies in <a> iff every letter is a or a^-1
-    letter = abs(g.word[0])
     stab = Subgroup.from_predicate(
         ctx, f"<{ctx.format(g)}>", lambda x: all(abs(l) == letter for l in x.word)
     )

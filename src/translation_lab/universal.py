@@ -12,6 +12,7 @@ finite set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -106,6 +107,9 @@ class PlacedUniversalWords:
         self.b = ctx.generator(2)
         self.placements: list[Placement] = []
         self._point_words: set[tuple] = set()
+        # leading a-run of a b-word -> (inverted centre, pattern words) of the
+        # first placement whose window |exponent - run| <= radius holds the run
+        self._by_run: dict[int, tuple[GroupElement, frozenset]] = {}
         self._build()
 
     def _build(self):
@@ -132,9 +136,12 @@ class PlacedUniversalWords:
                     self._point_words.add(word)
                 self.placements.append(placement)
                 prev_radius = radius
+        for p in self.placements:
+            entry = (ctx.invert(p.center), frozenset(f.word for f in p.pattern))
+            for run in range(p.exponent - p.radius, p.exponent + p.radius + 1):
+                self._by_run.setdefault(run, entry)
 
     def contains(self, x: GroupElement) -> bool:
-        ctx = self.ctx
         if not x.word or x.word[0] != 2:  # must start with the letter b
             return False
         run = 0
@@ -145,12 +152,11 @@ class PlacedUniversalWords:
                 run -= 1
             else:
                 break
-        for placement in self.placements:
-            if abs(placement.exponent - run) > placement.radius:
-                continue
-            offset = ctx.multiply(ctx.invert(placement.center), x)
-            return any(offset.word == f.word for f in placement.pattern)
-        return False
+        hit = self._by_run.get(run)
+        if hit is None:
+            return False
+        centre_inv, pattern_words = hit
+        return self.ctx.multiply(centre_inv, x).word in pattern_words
 
     def report_form(self):
         ctx = self.ctx
@@ -195,14 +201,16 @@ def _centres(spec: SubsetSpec, scan_bound: int, radius: int | None = None) -> It
 
     A placed model offers its placement centres (only those of the given
     radius, when one is given); Z offers 0..scan_bound; any other group its
-    ball of radius scan_bound.
+    ball of radius scan_bound, one sphere at a time, so that a scan which
+    stops early grows no further layers.
     """
     ctx = spec.ctx
     if hasattr(spec, "placed"):
         return [p.center for p in spec.placed.placements if radius is None or p.radius == radius]
     if isinstance(ctx, FreeAbelianContext) and ctx.rank == 1:
         return (ctx.integer(n) for n in range(scan_bound + 1))
-    return ctx.ball(scan_bound)
+    spheres = map(ctx.sphere, range(scan_bound + 1))
+    return itertools.chain.from_iterable(itertools.takewhile(bool, spheres))
 
 
 def _first_centres(

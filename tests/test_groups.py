@@ -5,6 +5,8 @@ from conftest import bfs_distances, rng
 from translation_lab import (
     BallCapExceeded,
     FiniteGroupContext,
+    FreeGroupContext,
+    GroupContext,
     MalformedWord,
     cyclic_group,
 )
@@ -38,6 +40,31 @@ def test_free_sphere_sizes(f2):
 
 def test_free_ball_radius_one_order(f2):
     assert [f2.format(x) for x in f2.ball(1)] == ["e", "a", "A", "b", "B"]
+
+
+class _BfsFreeGroup(FreeGroupContext):
+    """A free group that grows its balls by the generic breadth-first search."""
+
+    _next_layer = GroupContext._next_layer
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_ball_by_prefix_extension_matches_generic_bfs(rank):
+    fast = FreeGroupContext(rank)
+    slow = _BfsFreeGroup(rank)
+    for r in range(6):
+        assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
+    assert fast._dist == slow._dist
+
+
+def test_group_element_equality_and_hashing():
+    f, g = FreeGroupContext(2), FreeGroupContext(2)
+    x, y = f.parse("aB"), f.multiply(f.generator(1), f.generator(2, -1))
+    assert x is not y and x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != f.parse("Ba")
+    assert x != g.parse("aB")
+    assert x != (f, x.word) and (f, x.word) != x
+    assert not hasattr(x, "__dict__")
 
 
 # -- free abelian ------------------------------------------------------------
@@ -306,8 +333,9 @@ def test_ball_cap(monkeypatch):
 
     monkeypatch.setenv(BALL_CAP_ENV, "10")
     ctx = free_group(2)
-    with pytest.raises(BallCapExceeded):
+    with pytest.raises(BallCapExceeded, match="ball of radius 2 needs more than 10 elements"):
         ctx.ball(3)
+    assert len(ctx.ball(1)) == 5
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])

@@ -113,17 +113,33 @@ def _strip_leading_run(word, letter):
     return word[k:]
 
 
+def _in_some_translate(base, g, x):
+    """Reference: g^k x lies in the base for some |k| <= |x| + 1."""
+    ctx = base.ctx
+    g_inv = ctx.invert(g)
+    fwd = back = x
+    if base.contains(x):
+        return True
+    for _ in range(ctx.word_length(x) + 1):
+        fwd = ctx.multiply(g_inv, fwd)
+        back = ctx.multiply(g, back)
+        if base.contains(fwd) or base.contains(back):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("rank,radius", [(2, 5), (3, 4)])
 def test_coset_union_matches_closed_form(rank, radius):
     # x lies in the union of a^k P over all k iff x with its leading a^±1
-    # run stripped is a positive word
+    # run stripped is a positive word; the translate scan is the oracle
     ctx = free_group(rank)
     cone = positive_cone(ctx)
     for translator in ctx.generator_elements():
         union = cyclic_translates(cone, translator)
         letter = abs(translator.word[0])
         for x in ctx.ball(radius):
-            expected = all(l > 0 for l in _strip_leading_run(x.word, letter))
+            expected = _in_some_translate(cone, translator, x)
+            assert expected == all(l > 0 for l in _strip_leading_run(x.word, letter))
             assert union.contains(x) == expected, (ctx.format(translator), ctx.format(x))
 
 

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from translation_lab import congruence_class, make_track, positive_cone, track_of_sequence
+from translation_lab import (
+    BallCapExceeded,
+    congruence_class,
+    free_group,
+    make_track,
+    positive_cone,
+    track_of_sequence,
+)
+from translation_lab.groups import BALL_CAP_ENV
 from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED
 from translation_lab.universal import (
     PlacedUniversalWords,
@@ -169,6 +177,19 @@ def test_independence_witnesses_match_a_per_track_scan(z):
     assert [w["track"] for w in report.witnesses] == [t.report_form() for t in tracks]
 
 
+def test_centres_stop_growing_layers_once_every_goal_is_found(monkeypatch):
+    monkeypatch.setenv(BALL_CAP_ENV, "20")  # ball(2) of F2 has 17 elements, ball(3) 53
+    f2 = free_group(2)
+    cone = positive_cone(f2)
+    ball = f2.ball(1)
+    goals = [frozenset(f2.parse(w).word for w in pattern) for pattern in ((), ("a",), ("e", "a", "b"))]
+    first = _first_centres(cone, ball, goals, _centres(cone, 5000))
+    assert [f2.format(first[g]) for g in goals] == ["AA", "A", "e"]
+    assert len(f2._layers) == 3
+    with pytest.raises(BallCapExceeded):  # the cone never realizes every pattern
+        _first_centres(cone, ball, _all_patterns(ball), _centres(cone, 10))
+
+
 def test_whole_group_tracks_dependent(z):
     t1 = make_track(z, z.integer(0), [])
     t2 = make_track(z, z.integer(0), [z.integer(-1)])
@@ -219,6 +240,30 @@ def test_placed_patterns_are_found_at_their_own_placements(f2):
         if p.radius == 1
     }
     assert found == own
+
+
+@pytest.mark.parametrize("max_radius,start,min_step", [(0, 2, 4), (1, 2, 4), (1, 3, 9)])
+def test_placed_contains_matches_a_loop_over_placements(f2, max_radius, start, min_step):
+    placed = PlacedUniversalWords(f2, max_radius, start, min_step)
+
+    def naive(x):
+        if not x.word or x.word[0] != 2:
+            return False
+        run = 0
+        for letter in x.word[1:]:
+            if abs(letter) != 1:
+                break
+            run += letter
+        for p in placed.placements:
+            if abs(p.exponent - run) <= p.radius:
+                offset = f2.multiply(f2.invert(p.center), x)
+                return any(offset.word == f.word for f in p.pattern)
+        return False
+
+    near = [f2.multiply(p.center, u) for p in placed.placements for u in f2.ball(p.radius + 1)]
+    points = f2.ball(8) + near
+    assert sum(map(placed.contains, near)) == sum(len(p.pattern) for p in placed.placements)
+    assert [placed.contains(x) for x in points] == [naive(x) for x in points]
 
 
 def test_placed_membership_is_local(f2):
