@@ -175,8 +175,8 @@ class GroupContext:
             self._layers.append([e])
             return True
         depth = len(self._layers)
-        layer = self._next_layer()
-        if len(self._dist) + len(layer) > cap:
+        layer = self._next_layer(cap - len(self._dist))
+        if layer is None:
             raise BallCapExceeded(
                 f"ball of radius {depth} needs more than {cap} elements "
                 f"(set {BALL_CAP_ENV} to raise the cap)"
@@ -186,8 +186,11 @@ class GroupContext:
         self._layers.append(layer)
         return bool(layer)
 
-    def _next_layer(self) -> list[GroupElement]:
-        """The unseen neighbours of the last layer, sorted by ``structural_key``."""
+    def _next_layer(self, room: int) -> list[GroupElement] | None:
+        """The unseen neighbours of the last layer, sorted by ``structural_key``.
+
+        None once more than ``room`` of them are found: the search stops there.
+        """
         gens = self.generator_elements()
         fresh: dict[tuple, GroupElement] = {}
         for x in self._layers[-1]:
@@ -195,6 +198,8 @@ class GroupContext:
                 y = self.multiply(x, g)
                 if y.word not in self._dist and y.word not in fresh:
                     fresh[y.word] = y
+            if len(fresh) > room:
+                return None
         return sorted(fresh.values(), key=self.structural_key)
 
     def _check(self, x: GroupElement) -> GroupElement:
@@ -279,15 +284,20 @@ class FreeGroupContext(GroupContext):
     def structural_key(self, x: GroupElement):
         return tuple(map(self._letter_ranks.__getitem__, x.word))
 
-    def _next_layer(self) -> list[GroupElement]:
+    def _next_layer(self, room: int) -> list[GroupElement] | None:
         """Each word of the last layer followed by each letter in rank order.
 
         The letter that would cancel is skipped, so every word is reduced and
         new, and the result is shortlex sorted because the last layer is:
-        no multiply, dedupe or sort is needed.
+        no multiply, dedupe or sort is needed.  The layer's size is known in
+        closed form, so one larger than ``room`` is refused (None) unbuilt.
         """
+        last = self._layers[-1]
+        size = 2 * self.rank if len(self._layers) == 1 else len(last) * (2 * self.rank - 1)
+        if size > room:
+            return None
         out: list[GroupElement] = []
-        for x in self._layers[-1]:
+        for x in last:
             w = x.word
             cancel = -w[-1] if w else 0
             out.extend([GroupElement(self, w + (l,)) for l in self._letters if l != cancel])

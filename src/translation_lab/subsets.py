@@ -6,7 +6,9 @@ translation operators exact rather than approximate.  Claimed stabilisers ride
 along as data and are only ever *verified at bounded radius*.
 
 Every predicate here does O(|x|) work on the canonical word of x, with no
-group multiply: membership is read off the normal form.
+group multiply: membership is read off the normal form.  So ``contains``
+keeps no memo and asks the predicate on every call; the one reuse kept is
+``elements_in_ball``, which lists the members of each ball layer once.
 """
 
 from __future__ import annotations
@@ -108,19 +110,24 @@ class SubsetSpec:
     right_stabiliser: Subgroup | None = None
 
     def __post_init__(self):
-        self._cache: dict[tuple, bool] = {}
+        # _layers[k]: the members of ctx.sphere(k), in ball order
+        self._layers: list[list[GroupElement]] = []
 
     def contains(self, x: GroupElement) -> bool:
         if x.ctx is not self.ctx:
             raise MalformedWord("element belongs to a different group context")
-        hit = self._cache.get(x.word)
-        if hit is None:
-            hit = bool(self.predicate(x))
-            self._cache[x.word] = hit
-        return hit
+        return bool(self.predicate(x))
 
     def elements_in_ball(self, r: int) -> list[GroupElement]:
-        return [x for x in self.ctx.ball(r) if self.contains(x)]
+        if r < 0:
+            raise ValueError("radius must be nonnegative")
+        layers = self._layers
+        while len(layers) <= r:
+            layers.append([x for x in self.ctx.sphere(len(layers)) if self.contains(x)])
+        out: list[GroupElement] = []
+        for layer in layers[: r + 1]:
+            out.extend(layer)
+        return out
 
     def report_form(self):
         return {"name": self.name, "params": self.params}
@@ -218,7 +225,7 @@ def positive_cone(ctx: FreeGroupContext) -> SubsetSpec:
     return from_predicate(
         ctx,
         "positive-cone",
-        lambda x: all(l > 0 for l in x.word),
+        lambda x: min(x.word, default=1) > 0,
         left_stabiliser=Subgroup.trivial(ctx),
         right_stabiliser=Subgroup.trivial(ctx),
         params={"kind": "positive-cone"},

@@ -12,6 +12,8 @@ finite set.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,6 +30,10 @@ from .subsets import SubsetSpec, Subgroup, from_predicate
 from .tracks import Track, support
 
 
+# _BLOCK_STARTS[L - 1]: the first digit of the length-L block, grown on demand
+_BLOCK_STARTS = [0]
+
+
 def bit_at(n: int) -> int:
     """Digit n of the infinite concatenation 0 1 00 01 10 11 000 ...
 
@@ -36,15 +42,12 @@ def bit_at(n: int) -> int:
     """
     if n < 0:
         return 0
-    length = 1
-    start = 0
-    while True:
-        block = length * (1 << length)
-        if n < start + block:
-            break
-        start += block
-        length += 1
-    index, position = divmod(n - start, length)
+    starts = _BLOCK_STARTS
+    while starts[-1] <= n:
+        length = len(starts)
+        starts.append(starts[-1] + length * (1 << length))
+    length = bisect.bisect_right(starts, n)
+    index, position = divmod(n - starts[length - 1], length)
     return (index >> (length - 1 - position)) & 1
 
 
@@ -99,6 +102,9 @@ class PlacedUniversalWords:
             raise ValueError("the placed model lives in the free group of rank 2")
         if max_radius < 0:
             raise ValueError("max_radius must be nonnegative")
+        if max_radius > 1:
+            # radius 2 alone places 2^17 patterns, with centre words of millions of letters
+            raise ValueError("max_radius must be 0 or 1: radius 2 needs 2^17 placements")
         self.ctx = ctx
         self.max_radius = max_radius
         self.start = start
@@ -213,29 +219,41 @@ def _centres(spec: SubsetSpec, scan_bound: int, radius: int | None = None) -> It
     return itertools.chain.from_iterable(itertools.takewhile(bool, spheres))
 
 
+Goal = tuple[int, frozenset]
+
+
 def _first_centres(
     spec: SubsetSpec,
     ball: Sequence[GroupElement],
-    goals: Iterable[frozenset],
+    goals: Iterable[Goal],
     centres: Iterable[GroupElement],
-) -> dict[frozenset, GroupElement | None]:
-    """Map each goal pattern to the first centre c with {u in ball : c u in spec} equal to it.
+) -> dict[Goal, GroupElement | None]:
+    """Map each goal (n, pattern) to the first centre c with {u in ball[:n] : c u in spec} = pattern.
 
-    Patterns are sets of ball words.  The local pattern at each centre is
-    read through the predicate, so a centre offered by a construction is
-    never trusted; a goal no centre realizes maps to None.  The scan stops
-    once every goal is found.
+    Patterns are sets of ball words.  A ball lists a smaller ball as its
+    prefix, so goals of every radius up to the ball's share one scan, and
+    each gets the centre a scan of its own radius would give.  The local
+    pattern at each centre is read through the predicate, so a centre offered
+    by a construction is never trusted; a goal no centre realizes maps to
+    None.  The scan stops once every goal is found.
     """
     ctx = spec.ctx
-    first: dict[frozenset, GroupElement | None] = dict.fromkeys(goals)
-    unfound = len(first)
+    first: dict[Goal, GroupElement | None] = dict.fromkeys(goals)
+    unfound = collections.Counter(n for n, _ in first)
+    sizes = sorted(unfound)
     for c in centres:
-        local = frozenset(u.word for u in ball if spec.contains(ctx.multiply(c, u)))
-        if local in first and first[local] is None:
-            first[local] = c
-            unfound -= 1
-            if not unfound:
-                break
+        local: list[tuple] = []
+        done = 0
+        for n in sizes:
+            local.extend(u.word for u in ball[done:n] if spec.contains(ctx.multiply(c, u)))
+            done = n
+            goal = (n, frozenset(local))
+            if goal in first and first[goal] is None:
+                first[goal] = c
+                unfound[n] -= 1
+        sizes = [n for n in sizes if unfound[n]]
+        if not sizes:
+            break
     return first
 
 
@@ -249,7 +267,7 @@ def universality_check(spec: SubsetSpec, r: int, scan_bound: int = 5000) -> Chec
     ctx = spec.ctx
     ball = ctx.ball(r)
     goals = (
-        frozenset(ball[i].word for i in range(len(ball)) if mask >> i & 1)
+        (len(ball), frozenset(ball[i].word for i in range(len(ball)) if mask >> i & 1))
         for mask in range(1 << len(ball))
     )
     patterns = _first_centres(spec, ball, goals, _centres(spec, scan_bound, r))
@@ -257,7 +275,7 @@ def universality_check(spec: SubsetSpec, r: int, scan_bound: int = 5000) -> Chec
     missing_count = sum(v is None for v in patterns.values())
     found = {
         "|".join(sorted(ctx.format(GroupElement(ctx, w)) for w in key)) or "(empty)": ctx.format(v)
-        for key, v in patterns.items()
+        for (_n, key), v in patterns.items()
         if v is not None
     }
     return CheckReport(
@@ -283,10 +301,11 @@ def track_independence_check(
     """Prove the given tracks' operators linearly independent on the subset.
 
     For each track a witness center realizes exactly the inverse visited set
-    as the local pattern, making the evaluation table against all same-total
-    tracks the inclusion pattern of visited sets, which is triangular.  The
-    witnesses of one class of same-total tracks come from one scan of the
-    candidate centres.  An exact rank computation over the witness
+    as the local pattern, on the ball of its class radius (the largest
+    visited length among same-total tracks), making the evaluation table
+    against all same-total tracks the inclusion pattern of visited sets,
+    which is triangular.  One scan of the candidate centres finds the
+    witnesses of every class.  An exact rank computation over the witness
     evaluations cross-checks the argument.
     """
     ctx = spec.ctx
@@ -301,23 +320,27 @@ def track_independence_check(
     for i, t in enumerate(tracks):
         by_total.setdefault(t.total.word, []).append(i)
 
-    witnesses: dict[int, GroupElement] = {}
+    goals: dict[int, Goal] = {}
+    radius = 0
     for members in by_total.values():
-        class_radius = max(
-            ctx.word_length(h) for i in members for h in tracks[i].visited
-        )
-        ball = ctx.ball(class_radius)
-        goals = [frozenset(ctx.invert(h).word for h in tracks[i].visited) for i in members]
-        first = _first_centres(spec, ball, goals, _centres(spec, scan_bound))
-        for i, goal in zip(members, goals):
-            if first[goal] is None:
-                return CheckReport(
-                    name="track-independence",
-                    params={"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound},
-                    verdict=INCONCLUSIVE,
-                    details={"missing_pattern_for_track": tracks[i].report_form()},
-                )
-            witnesses[i] = first[goal]
+        class_radius = max(ctx.word_length(h) for i in members for h in tracks[i].visited)
+        radius = max(radius, class_radius)
+        n = len(ctx.ball(class_radius))
+        for i in members:
+            goals[i] = (n, frozenset(ctx.invert(h).word for h in tracks[i].visited))
+    ball = ctx.ball(radius)
+    first = _first_centres(spec, ball, goals.values(), _centres(spec, scan_bound))
+
+    witnesses: dict[int, GroupElement] = {}
+    for i, goal in goals.items():
+        if first[goal] is None:
+            return CheckReport(
+                name="track-independence",
+                params={"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound},
+                verdict=INCONCLUSIVE,
+                details={"missing_pattern_for_track": tracks[i].report_form()},
+            )
+        witnesses[i] = first[goal]
 
     fires = [support(t, spec) for t in tracks]
     # triangularity: at witness i, track j is nonzero iff visited(j) <= visited(i)
@@ -420,11 +443,11 @@ def appendix_contrast_demo(
 
     def in_b(x: GroupElement) -> bool:
         run, rest = strip_run(x)
-        return run >= 0 and u_spec.contains(rest)
+        return run >= 0 and placed.contains(rest)
 
     def in_x(x: GroupElement) -> bool:
         _run, rest = strip_run(x)
-        return u_spec.contains(rest)
+        return placed.contains(rest)
 
     trivial = Subgroup.trivial(ctx)
     b_spec = from_predicate(

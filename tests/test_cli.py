@@ -73,6 +73,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         "coord5": '{"kind": "congruence", "modulus": 2, "coord": 5}',
         "evens": '{"kind": "congruence", "modulus": 2}',
         "bneg": '{"kind": "universal", "variant": "b-words", "max_radius": -1}',
+        "b2": '{"kind": "universal", "variant": "b-words", "max_radius": 2}',
         "b1": '{"kind": "universal", "variant": "b-words", "max_radius": 1}',
     }
     for stem, text in bad_subsets.items():
@@ -99,6 +100,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["check", "deep", "--group", "f2", "--subset", bad["evens"]],
         ["check", "deep", "--group", "z4*z6", "--subset", bad["evens"]],
         ["check", "deep", "--group", "f2", "--subset", bad["bneg"]],
+        ["check", "deep", "--group", "f2", "--subset", bad["b2"], "--r", "1", "--R", "3"],
         ["check", "deep", "--group", "z2", "--subset", bad["b1"]],
     ]
     codes = []
@@ -108,7 +110,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
 
 
 def test_gallery_honours_explicit_sizes(capsys):

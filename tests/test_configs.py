@@ -143,9 +143,17 @@ def test_unknown_keys_are_rejected(group, subset):
         ("f2", {"kind": "congruence", "modulus": 2}, "free-abelian"),
         ("z4*z6", {"kind": "congruence", "modulus": 2}, "free-abelian"),
         ("f2", {"kind": "universal", "variant": "b-words", "max_radius": -1}, "nonnegative"),
+        ("f2", {"kind": "universal", "variant": "b-words", "max_radius": 2}, "must be 0 or 1"),
         ("z2", {"kind": "universal", "variant": "b-words", "max_radius": 1}, "free group of rank 2"),
     ],
-    ids=["congruence-coord", "congruence-f2", "congruence-amalgam", "b-words-negative", "b-words-z2"],
+    ids=[
+        "congruence-coord",
+        "congruence-f2",
+        "congruence-amalgam",
+        "b-words-negative",
+        "b-words-radius-2",
+        "b-words-z2",
+    ],
 )
 def test_subsets_the_group_cannot_carry_are_rejected(group, subset, message):
     ctx = load_group(group)

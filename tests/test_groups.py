@@ -338,6 +338,32 @@ def test_ball_cap(monkeypatch):
     assert len(ctx.ball(1)) == 5
 
 
+def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
+    from translation_lab import groups
+
+    monkeypatch.setenv(BALL_CAP_ENV, "10")
+    fast, slow = FreeGroupContext(2), _BfsFreeGroup(2)
+    for ctx in (fast, slow):
+        ctx.ball(1)
+    multiplies = []
+    slow_multiply = slow.multiply
+    slow.multiply = lambda x, y: multiplies.append(1) or slow_multiply(x, y)
+
+    def refuse(*args):
+        raise AssertionError("the free group built an element of a refused layer")
+
+    message = "ball of radius 2 needs more than 10 elements"
+    with monkeypatch.context() as m:
+        m.setattr(groups, "GroupElement", refuse)
+        with pytest.raises(BallCapExceeded, match=message):
+            fast.ball(2)
+    with pytest.raises(BallCapExceeded, match=message):
+        slow.ball(2)
+    assert 0 < len(multiplies) < 16  # the search stopped before the whole layer of 12
+    for ctx in (fast, slow):
+        assert len(ctx._layers) == 2 and len(ctx._dist) == 5
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
 def test_bad_ball_cap_is_an_error(monkeypatch, raw):
     from translation_lab import free_group

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from translation_lab import (
@@ -13,6 +15,8 @@ from translation_lab import (
     verify_stabilisers,
     words_not_starting_with,
 )
+from translation_lab.groups import cyclic_group
+from translation_lab.subsets import from_predicate
 from translation_lab.reports import FALSIFIED, VERIFIED
 
 
@@ -43,6 +47,25 @@ def test_window_monotone(f2):
     small = [x.word for x in cone.elements_in_ball(2)]
     large = [x.word for x in cone.elements_in_ball(3)]
     assert large[: len(small)] == small
+
+
+def test_elements_in_ball_match_the_filtered_ball_in_any_call_order(z2, f2, amalgam, bs12):
+    z5 = cyclic_group(5)  # diameter 1: every later sphere is empty
+    makers = [
+        lambda: coordinate_halfspace(z2, 1, 1),
+        lambda: positive_cone(f2),
+        lambda: make_tree_halfspace(amalgam, "G"),
+        lambda: make_tree_halfspace(bs12, "tB"),
+        lambda: from_predicate(z5, "odd", lambda x: x.word[0] % 2 == 1),
+    ]
+    for make in makers:
+        for order in itertools.permutations(range(4)):
+            spec = make()
+            for r in order + (2,):
+                expected = [x.word for x in spec.ctx.ball(r) if spec.predicate(x)]
+                assert [x.word for x in spec.elements_in_ball(r)] == expected
+    with pytest.raises(ValueError):
+        positive_cone(f2).elements_in_ball(-1)
 
 
 def test_amalgam_halfspace_first_syllable(amalgam):

@@ -18,6 +18,7 @@ from translation_lab.universal import (
     _centres,
     _first_centres,
     appendix_contrast_demo,
+    bit_at,
     characteristic_prefix,
     dependent_tracks_demo,
     track_independence_check,
@@ -35,6 +36,28 @@ def oracle_string(n: int) -> str:
             out.append(format(value, f"0{length}b"))
             if sum(len(s) for s in out) >= n:
                 return "".join(out)[:n]
+
+
+def _bit_at_by_block_walk(n: int) -> int:
+    """Reference: walk the blocks of L * 2^L digits from the start."""
+    if n < 0:
+        return 0
+    length = 1
+    start = 0
+    while n >= start + length * (1 << length):
+        start += length * (1 << length)
+        length += 1
+    index, position = divmod(n - start, length)
+    return (index >> (length - 1 - position)) & 1
+
+
+def test_bit_at_matches_the_block_walk():
+    assert [bit_at(n) for n in range(-5, 10**5)] == [_bit_at_by_block_walk(n) for n in range(-5, 10**5)]
+    start = 0
+    for length in range(1, 71):
+        for n in (start - 1, start, start + 1):
+            assert bit_at(n) == _bit_at_by_block_walk(n)
+        start += length * (1 << length)
 
 
 def test_prefix_matches_direct_enumeration():
@@ -143,14 +166,14 @@ def test_first_centres_match_a_per_goal_scan(z, f2, case):
         "f2-cone": (positive_cone(f2), 2),
     }[case]
     ball = spec.ctx.ball(1)
-    patterns = _all_patterns(ball)
+    patterns = [(len(ball), p) for p in _all_patterns(ball)]
     for radius in (None, 1):
         centres = list(_centres(spec, scan_bound, radius))
         for goals in (patterns, patterns[1::3]):
             first = _first_centres(spec, ball, goals, centres)
             assert list(first) == goals
             for goal in goals:
-                expected = _per_goal_first_centre(spec, ball, goal, centres)
+                expected = _per_goal_first_centre(spec, ball, goal[1], centres)
                 assert (first[goal] is None) == (expected is None)
                 if expected is not None:
                     assert first[goal].word == expected.word
@@ -158,9 +181,33 @@ def test_first_centres_match_a_per_goal_scan(z, f2, case):
         assert None in _first_centres(spec, ball, patterns, _centres(spec, scan_bound)).values()
 
 
-def test_independence_witnesses_match_a_per_track_scan(z):
+def test_first_centres_of_smaller_balls_match_their_own_scans(z, f2):
+    for spec, scan_bound in ((universal_z_spec(z), 300), (positive_cone(f2), 2)):
+        ctx = spec.ctx
+        ball = ctx.ball(2)
+        centres = list(_centres(spec, scan_bound))
+        goals = [(len(ctx.ball(r)), p) for r in (0, 1) for p in _all_patterns(ctx.ball(r))]
+        masks = random.Random(5).sample(range(1 << len(ball)), 24)
+        goals += [(len(ball), frozenset(ball[i].word for i in range(len(ball)) if m >> i & 1)) for m in masks]
+        first = _first_centres(spec, ball, goals, centres)
+        for n, pattern in goals:
+            expected = _per_goal_first_centre(spec, ball[:n], pattern, centres)
+            assert first[n, pattern] == expected
+
+
+def _tracks_of_mixed_class_radii(z):
+    """Classes of radius 1 (totals -1, 0, 1) and of radius 2 and 3 (totals -2 and 3)."""
+    n = z.integer
+    return _small_tracks(z, 1) + [
+        make_track(z, n(3), [n(0), n(3)]),
+        make_track(z, n(3), [n(1), n(3)]),
+        make_track(z, n(-2), [n(-2)]),
+        make_track(z, n(-2), [n(-2), n(-1)]),
+    ]
+
+
+def _check_witnesses_against_a_per_track_scan(z, tracks):
     u = universal_z_spec(z)
-    tracks = _small_tracks(z)[:24]
     random.Random(3).shuffle(tracks)
     report = track_independence_check(u, tracks, 5000)
     assert report.verdict == VERIFIED
@@ -177,17 +224,28 @@ def test_independence_witnesses_match_a_per_track_scan(z):
     assert [w["track"] for w in report.witnesses] == [t.report_form() for t in tracks]
 
 
+def test_independence_witnesses_match_a_per_track_scan(z):
+    _check_witnesses_against_a_per_track_scan(z, _small_tracks(z)[:24])
+
+
+def test_independence_witnesses_of_mixed_class_radii_match_a_per_track_scan(z):
+    _check_witnesses_against_a_per_track_scan(z, _tracks_of_mixed_class_radii(z))
+
+
 def test_centres_stop_growing_layers_once_every_goal_is_found(monkeypatch):
     monkeypatch.setenv(BALL_CAP_ENV, "20")  # ball(2) of F2 has 17 elements, ball(3) 53
     f2 = free_group(2)
     cone = positive_cone(f2)
     ball = f2.ball(1)
-    goals = [frozenset(f2.parse(w).word for w in pattern) for pattern in ((), ("a",), ("e", "a", "b"))]
+    goals = [
+        (len(ball), frozenset(f2.parse(w).word for w in pattern))
+        for pattern in ((), ("a",), ("e", "a", "b"))
+    ]
     first = _first_centres(cone, ball, goals, _centres(cone, 5000))
     assert [f2.format(first[g]) for g in goals] == ["AA", "A", "e"]
     assert len(f2._layers) == 3
     with pytest.raises(BallCapExceeded):  # the cone never realizes every pattern
-        _first_centres(cone, ball, _all_patterns(ball), _centres(cone, 10))
+        _first_centres(cone, ball, [(len(ball), p) for p in _all_patterns(ball)], _centres(cone, 10))
 
 
 def test_whole_group_tracks_dependent(z):
