@@ -63,7 +63,6 @@ from .subsets import (
     verify_stabilisers,
     whole_group,
     words_not_starting_with,
-    words_starting_with,
 )
 from .tracks import Track, compose_tracks, identity_track, make_track, nonzero_witness, track_of_sequence
 

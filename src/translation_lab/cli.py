@@ -123,32 +123,24 @@ def _parse_operator(ctx, w, text: str):
 
 def _cmd_check(args) -> SuiteReport:
     suite = SuiteReport(name=f"check-{args.what}")
+    ctx = _group(args)
+    b = _subset(ctx, args)
     if args.what == "deep":
-        ctx = _group(args)
-        spec = _subset(ctx, args)
-        suite.add(deep_witness(spec, args.r, args.R))
+        suite.add(deep_witness(b, args.r, args.R))
     elif args.what == "rel-deep":
-        ctx = _group(args)
-        b = _subset(ctx, args)
         x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
         k = _stabiliser_subgroup(x)
         suite.add(relatively_deep_check(b, x, k, args.r, args.R))
     elif args.what == "almost-invariant":
-        ctx = _group(args)
-        b = _subset(ctx, args)
         x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
         _require(args, "element")
         h = _stabiliser_subgroup(b)
         g = ctx.parse(args.element)
         suite.add(almost_invariant_check(b, x, h, g, args.R))
     elif args.what == "coseparable":
-        ctx = _group(args)
-        b = _subset(ctx, args)
         h = _stabiliser_subgroup(b)
         suite.add(coseparability_search(b, h, args.r, args.R, args.max_size))
     elif args.what == "isolation":
-        ctx = _group(args)
-        b = _subset(ctx, args)
         h = _stabiliser_subgroup(b)
         search = coseparability_search(b, h, args.r, args.R, args.max_size)
         suite.add(search)
@@ -156,8 +148,6 @@ def _cmd_check(args) -> SuiteReport:
             f1, f2 = h_isolation_sets(b, coseparability_witness(search, b))
             suite.add(verify_h_isolation(b, h, f1, f2, args.R))
     elif args.what == "boundary":
-        ctx = _group(args)
-        b = _subset(ctx, args)
         pts = boundary_set(b, args.R)
         suite.add(
             CheckReport(
@@ -169,15 +159,11 @@ def _cmd_check(args) -> SuiteReport:
             )
         )
     elif args.what == "convexity":
-        ctx = _group(args)
-        b = _subset(ctx, args)
         if not b.contains(ctx.identity()):
             raise ConfigError("convexity needs the identity inside the subset")
         pres = presentation_for(ctx)
         suite.add(convexity_bounded_check(b, pres, args.L))
     elif args.what == "stabilisers":
-        ctx = _group(args)
-        b = _subset(ctx, args)
         suite.add(verify_stabilisers(b, args.r))
     else:
         raise ConfigError(f"unknown check {args.what!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import boundary_check, deep_witness
+from .geometry import boundary_check, deep_witness, prefix_products
 from .group_algebra import isolation_projection
 from .groups import (
     AmalgamContext,
@@ -221,15 +221,6 @@ def _amalgam_relation_words(ctx: AmalgamContext) -> list[list[tuple[int, GroupEl
     return words
 
 
-def _stays_in(ctx: AmalgamContext, spec: SubsetSpec, letters) -> bool:
-    acc = ctx.identity()
-    for side, x in letters:
-        acc = ctx.multiply(acc, ctx.from_letters([(side, x)]))
-        if not spec.contains(acc):
-            return False
-    return True
-
-
 def run_relation_classification(radius: int = 5) -> SuiteReport:
     ctx = amalgam_z4_z6()
     b_spec = make_tree_halfspace(ctx, "G")
@@ -241,12 +232,12 @@ def run_relation_classification(radius: int = 5) -> SuiteReport:
 
     staying = crossing = 0
     for letters in _amalgam_relation_words(ctx):
-        ops = [generator_operator(w, ctx.from_letters([(side, x)])) for side, x in letters]
-        product = compose_chain(ops)
+        elems = [ctx.from_letters([(side, x)]) for side, x in letters]
+        product = compose_chain([generator_operator(w, g) for g in elems])
         word_name = "*".join(
             ctx.tags[side] + ctx.factors[side].format(x) for side, x in letters
         )
-        if _stays_in(ctx, b_spec, letters):
+        if prefix_products(b_spec, ctx.identity(), elems) is not None:
             staying += 1
             match = guarded_equal(product, ident)
             expected = "identity"

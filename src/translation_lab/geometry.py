@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .groups import AmalgamContext, FreeGroupContext, GroupContext, GroupElement, HnnContext
+from .groups import AmalgamContext, GroupContext, GroupElement, HnnContext
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
 from .subsets import SubsetSpec, Subgroup
 
@@ -426,7 +426,8 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
     infinite order contribute powers up to the bound) and all within-factor
     relation words of length at most 3.  HNN extensions add the stable letter
     and the twisting relations t h t^-1 k^-1 as words, with h running over
-    base letters inside the subgroup.  Free groups carry only cancellation.
+    base letters inside the subgroup.  Any other group uses its generators,
+    with cancellation only.
     """
     letters: list[GroupElement] = []
     relations: list[tuple[int, ...]] = []
@@ -500,11 +501,6 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
             add_relation_word(
                 [t, ctx.from_base(h), t_inv, ctx.from_base(base.invert(k))]
             )
-    elif isinstance(ctx, FreeGroupContext):
-        for g in ctx.generator_elements():
-            letters.append(g)
-        for i, g in enumerate(letters):
-            add_relation_word([g, ctx.invert(g)])
     else:
         for g in ctx.generator_elements():
             letters.append(g)
@@ -524,22 +520,19 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
     return Presentation(ctx, tuple(letters), tuple(sorted(closed)))
 
 
-def _stays_inside(pres: Presentation, spec: SubsetSpec, word: tuple[int, ...]) -> bool:
-    ctx = pres.ctx
-    acc = ctx.identity()
-    for i in word:
-        acc = ctx.multiply(acc, pres.letters[i])
+def prefix_products(
+    spec: SubsetSpec, start: GroupElement, letters: Iterable[GroupElement]
+) -> tuple[GroupElement, ...] | None:
+    """The products start*l1, start*l1*l2, ... along the letters, or None at the first outside the subset."""
+    ctx = spec.ctx
+    acc = start
+    out = []
+    for letter in letters:
+        acc = ctx.multiply(acc, letter)
         if not spec.contains(acc):
-            return False
-    return True
-
-
-def _word_product(pres: Presentation, word: tuple[int, ...]) -> GroupElement:
-    ctx = pres.ctx
-    acc = ctx.identity()
-    for i in word:
-        acc = ctx.multiply(acc, pres.letters[i])
-    return acc
+            return None
+        out.append(acc)
+    return tuple(out)
 
 
 def _rewrite_table(pres: Presentation) -> dict:
@@ -558,6 +551,7 @@ def _rewrite_table(pres: Presentation) -> dict:
 
 
 def _rewrites(word: tuple[int, ...], table: dict, max_len: int, allow_insert: bool):
+    """Yield (pos, length, repl): replace word[pos:pos + length] by repl."""
     for length, entries in table.items():
         if length == 0:
             if not allow_insert:
@@ -567,39 +561,48 @@ def _rewrites(word: tuple[int, ...], table: dict, max_len: int, allow_insert: bo
                     if len(word) + len(repl) > max_len:
                         continue
                     for pos in range(len(word) + 1):
-                        yield word[:pos] + repl + word[pos:]
+                        yield pos, 0, repl
             continue
         for pos in range(len(word) - length + 1):
-            u = word[pos : pos + length]
-            repls = entries.get(u)
+            repls = entries.get(word[pos : pos + length])
             if not repls:
                 continue
             for repl in repls:
                 if len(word) - length + len(repl) > max_len:
                     continue
-                yield word[:pos] + repl + word[pos + length :]
+                yield pos, length, repl
 
 
 def _connect_class(pres, b_spec, members, table, max_len, node_budget, allow_insert):
-    root = members[0]
-    goal_set = set(members[1:])
-    seen = {root}
-    queue = deque([root])
+    """Breadth-first rewrites from the first member that keep every prefix inside.
+
+    Members are (word, prefixes) pairs, prefixes[k] being the product of
+    word[:k].  A replacement equals the subword it replaces in G, so only its
+    own prefixes are new: a candidate walks just the replacement.  Returns
+    the words visited in visit order, the members left unreached, and
+    whether the node budget stopped the search.
+    """
+    root, root_prefixes = members[0]
+    goal_set = {word for word, _ in members[1:]}
+    seen = {root: None}  # an ordered set: the visit order
+    queue = deque([(root, root_prefixes)])
     nodes = 0
     while queue and goal_set:
         if nodes > node_budget:
-            return goal_set, True
-        current = queue.popleft()
+            return seen, goal_set, True
+        current, prefixes = queue.popleft()
         nodes += 1
-        for nxt in _rewrites(current, table, max_len, allow_insert):
+        for pos, length, repl in _rewrites(current, table, max_len, allow_insert):
+            nxt = current[:pos] + repl + current[pos + length :]
             if nxt in seen:
                 continue
-            if not _stays_inside(pres, b_spec, nxt):
+            walked = prefix_products(b_spec, prefixes[pos], (pres.letters[i] for i in repl))
+            if walked is None:
                 continue
-            seen.add(nxt)
+            seen[nxt] = None
             goal_set.discard(nxt)
-            queue.append(nxt)
-    return goal_set, False
+            queue.append((nxt, prefixes[: pos + 1] + walked + prefixes[pos + length + 1 :]))
+    return seen, goal_set, False
 
 
 def convexity_bounded_check(
@@ -629,20 +632,21 @@ def convexity_bounded_check(
     }
     if not b_spec.contains(ctx.identity()):
         raise ValueError("convexity needs the identity inside the subset")
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    frontier: list[tuple[int, ...]] = [()]
-    all_words: list[tuple[int, ...]] = [()]
+    # each inside-word with its prefix products, the identity first
+    frontier = [((), (ctx.identity(),))]
+    all_words = list(frontier)
     for _ in range(max_word_len):
         nxt = []
-        for word in frontier:
-            for i in range(len(pres.letters)):
-                cand = word + (i,)
-                if _stays_inside(pres, b_spec, cand):
-                    nxt.append(cand)
+        for word, prefixes in frontier:
+            for i, letter in enumerate(pres.letters):
+                step = prefix_products(b_spec, prefixes[-1], (letter,))
+                if step is not None:
+                    nxt.append((word + (i,), prefixes + step))
         all_words.extend(nxt)
         frontier = nxt
-    for word in all_words:
-        groups.setdefault(_word_product(pres, word).word, []).append(word)
+    groups: dict[tuple, list] = {}
+    for word, prefixes in all_words:
+        groups.setdefault(prefixes[-1].word, []).append((word, prefixes))
 
     table = _rewrite_table(pres)
     max_len = max_word_len + slack
@@ -651,11 +655,11 @@ def convexity_bounded_check(
         if len(members) < 2:
             continue
         checked_pairs += len(members) - 1
-        unreached, budget_hit = _connect_class(
+        _, unreached, budget_hit = _connect_class(
             pres, b_spec, members, table, max_len, node_budget, allow_insert=False
         )
         if unreached:
-            unreached, budget_hit = _connect_class(
+            _, unreached, budget_hit = _connect_class(
                 pres, b_spec, members, table, max_len, node_budget, allow_insert=True
             )
         if unreached:
@@ -666,7 +670,7 @@ def convexity_bounded_check(
                 params=params,
                 verdict=verdict,
                 witnesses=[
-                    [ctx.format(pres.letters[i]) for i in members[0]],
+                    [ctx.format(pres.letters[i]) for i in members[0][0]],
                     [ctx.format(pres.letters[i]) for i in sample],
                 ],
                 compared_count=checked_pairs,

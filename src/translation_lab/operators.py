@@ -76,9 +76,6 @@ class TranslationOperator:
             out.setdefault(r, {})[c] = v
         return out
 
-    def __matmul__(self, other: "TranslationOperator") -> "TranslationOperator":
-        return compose(self, other)
-
     def report_form(self):
         w = self.window
         return {

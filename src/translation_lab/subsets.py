@@ -246,18 +246,6 @@ def words_not_starting_with(ctx: FreeGroupContext, letter: GroupElement) -> Subs
     )
 
 
-def words_starting_with(ctx: FreeGroupContext, letter: GroupElement) -> SubsetSpec:
-    if len(letter.word) != 1:
-        raise ValueError("need a single-letter element")
-    first = letter.word[0]
-    return from_predicate(
-        ctx,
-        f"starting-{ctx.format(letter)}",
-        lambda x: bool(x.word) and x.word[0] == first,
-        params={"kind": "custom-first-letter", "require": ctx.format(letter)},
-    )
-
-
 def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None) -> SubsetSpec:
     """Union of the translates g^k * base over all integers k.
 

@@ -81,6 +81,14 @@ class Placement:
     pattern: tuple[GroupElement, ...]  # offsets within Ball(e, radius)
 
 
+def _a_run(word: tuple, i: int) -> tuple[int, int]:
+    """(exponent sum, end) of the run of a and A letters that starts at word[i]."""
+    j = i
+    while j < len(word) and abs(word[j]) == 1:
+        j += 1
+    return sum(word[i:j]), j
+
+
 class PlacedUniversalWords:
     """Patterns placed along b a^m with separation 4 (r_k + r_{k+1}), at least min_step.
 
@@ -113,9 +121,9 @@ class PlacedUniversalWords:
         self.b = ctx.generator(2)
         self.placements: list[Placement] = []
         self._point_words: set[tuple] = set()
-        # leading a-run of a b-word -> (inverted centre, pattern words) of the
-        # first placement whose window |exponent - run| <= radius holds the run
-        self._by_run: dict[int, tuple[GroupElement, frozenset]] = {}
+        # leading a-run of a b-word -> (exponent, pattern words) of the first
+        # placement whose window |exponent - run| <= radius holds the run
+        self._by_run: dict[int, tuple[int, frozenset]] = {}
         self._build()
 
     def _build(self):
@@ -143,26 +151,32 @@ class PlacedUniversalWords:
                 self.placements.append(placement)
                 prev_radius = radius
         for p in self.placements:
-            entry = (ctx.invert(p.center), frozenset(f.word for f in p.pattern))
+            entry = (p.exponent, frozenset(f.word for f in p.pattern))
             for run in range(p.exponent - p.radius, p.exponent + p.radius + 1):
                 self._by_run.setdefault(run, entry)
 
-    def contains(self, x: GroupElement) -> bool:
-        if not x.word or x.word[0] != 2:  # must start with the letter b
-            return False
-        run = 0
-        for letter in x.word[1:]:
-            if letter == 1:
-                run += 1
-            elif letter == -1:
-                run -= 1
-            else:
-                break
+    def a_shift(self, x: GroupElement) -> int | None:
+        """The k with x in a^k U, or None when no a-translate of U holds x.
+
+        Every point of U starts with b, so k is the leading a-run of x and the
+        rest is b a^run w.  Its run picks at most one placement, centre
+        b a^exponent, and centre^-1 b a^run w reduces to a^(run - exponent) w
+        with no multiply.
+        """
+        word = x.word
+        k, i = _a_run(word, 0)
+        if i == len(word) or word[i] != 2:
+            return None
+        run, j = _a_run(word, i + 1)
         hit = self._by_run.get(run)
         if hit is None:
-            return False
-        centre_inv, pattern_words = hit
-        return self.ctx.multiply(centre_inv, x).word in pattern_words
+            return None
+        exponent, pattern_words = hit
+        offset = (1,) * (run - exponent) + (-1,) * (exponent - run) + word[j:]
+        return k if offset in pattern_words else None
+
+    def contains(self, x: GroupElement) -> bool:
+        return self.a_shift(x) == 0
 
     def report_form(self):
         ctx = self.ctx
@@ -427,27 +441,12 @@ def appendix_contrast_demo(
     a = ctx.generator(1)
     b = ctx.generator(2)
 
-    def strip_run(x: GroupElement) -> tuple[int, GroupElement]:
-        run = 0
-        pos = 0
-        for letter in x.word:
-            if letter == 1:
-                run += 1
-            elif letter == -1:
-                run -= 1
-            else:
-                break
-            pos += 1
-        # a suffix of a freely reduced word is freely reduced
-        return run, GroupElement(ctx, x.word[pos:])
-
     def in_b(x: GroupElement) -> bool:
-        run, rest = strip_run(x)
-        return run >= 0 and placed.contains(rest)
+        k = placed.a_shift(x)
+        return k is not None and k >= 0
 
     def in_x(x: GroupElement) -> bool:
-        _run, rest = strip_run(x)
-        return placed.contains(rest)
+        return placed.a_shift(x) is not None
 
     trivial = Subgroup.trivial(ctx)
     b_spec = from_predicate(

@@ -1,3 +1,7 @@
+import functools
+import itertools
+from collections import deque
+
 import pytest
 
 from translation_lab import (
@@ -12,6 +16,9 @@ from translation_lab import (
     whole_group,
 )
 from translation_lab.geometry import (
+    _connect_class,
+    _rewrite_table,
+    _rewrites,
     almost_invariant_check,
     boundary_check,
     boundary_set,
@@ -21,6 +28,7 @@ from translation_lab.geometry import (
     coseparability_witness,
     deep_witness,
     h_isolation_sets,
+    prefix_products,
     presentation_for,
     relatively_deep_check,
     verify_h_isolation,
@@ -225,3 +233,68 @@ def test_convexity_whole_free_group(f2):
     pres = presentation_for(f2)
     report = convexity_bounded_check(whole_group(f2), pres, 2)
     assert report.verdict == VERIFIED
+
+
+def _stays_inside(pres, spec, word):
+    """Walk the whole word from the identity, testing every prefix."""
+    ctx = pres.ctx
+    acc = ctx.identity()
+    for i in word:
+        acc = ctx.multiply(acc, pres.letters[i])
+        if not spec.contains(acc):
+            return False
+    return True
+
+
+def _scratch_connect_class(pres, spec, members, table, max_len, node_budget, allow_insert):
+    """The rewrite search with every candidate walked from the identity."""
+    root = members[0]
+    goal_set = set(members[1:])
+    visited = {root: None}
+    queue = deque([root])
+    nodes = 0
+    while queue and goal_set:
+        if nodes > node_budget:
+            return list(visited), goal_set, True
+        current = queue.popleft()
+        nodes += 1
+        for pos, length, repl in _rewrites(current, table, max_len, allow_insert):
+            nxt = current[:pos] + repl + current[pos + length :]
+            if nxt in visited or not _stays_inside(pres, spec, nxt):
+                continue
+            visited[nxt] = None
+            goal_set.discard(nxt)
+            queue.append(nxt)
+    return list(visited), goal_set, False
+
+
+@pytest.mark.parametrize("group,side,length", [("amalgam", "G", 3), ("bs12", "B", 2)])
+def test_rewrites_with_carried_prefixes_match_a_walk_from_scratch(request, group, side, length):
+    ctx = request.getfixturevalue(group)
+    spec = make_tree_halfspace(ctx, side)
+    pres = presentation_for(ctx)
+    e = ctx.identity()
+    for rel in pres.relations:  # a replacement equals the subword it replaces
+        assert functools.reduce(ctx.multiply, (pres.letters[i] for i in rel), e) == e
+    words = [
+        w
+        for n in range(length + 1)
+        for w in itertools.product(range(len(pres.letters)), repeat=n)
+        if _stays_inside(pres, spec, w)
+    ]
+    classes = {}
+    for w in words:
+        product = functools.reduce(ctx.multiply, (pres.letters[i] for i in w), e)
+        classes.setdefault(product.word, []).append(w)
+    table = _rewrite_table(pres)
+    compared = 0
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        carried = [(w, (e,) + prefix_products(spec, e, [pres.letters[i] for i in w])) for w in members]
+        for allow_insert, budget in ((False, 30000), (True, 40)):
+            args = (table, length + 3, budget, allow_insert)
+            seen, unreached, hit = _connect_class(pres, spec, carried, *args)
+            assert (list(seen), unreached, hit) == _scratch_connect_class(pres, spec, members, *args)
+            compared += 1
+    assert compared > 0

@@ -11,6 +11,7 @@ from translation_lab import (
     positive_cone,
     track_of_sequence,
 )
+from translation_lab import universal
 from translation_lab.groups import BALL_CAP_ENV
 from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED
 from translation_lab.universal import (
@@ -322,6 +323,39 @@ def test_placed_contains_matches_a_loop_over_placements(f2, max_radius, start, m
     points = f2.ball(8) + near
     assert sum(map(placed.contains, near)) == sum(len(p.pattern) for p in placed.placements)
     assert [placed.contains(x) for x in points] == [naive(x) for x in points]
+
+
+@pytest.mark.parametrize("max_radius,start,min_step", [(0, 2, 4), (1, 2, 4), (1, 3, 9)])
+def test_a_shift_matches_stripping_the_run_and_multiplying(monkeypatch, f2, max_radius, start, min_step):
+    placed = PlacedUniversalWords(f2, max_radius, start, min_step)
+    u_words = {f2.multiply(p.center, f).word for p in placed.placements for f in p.pattern}
+
+    def naive(x):
+        """k with a^-k x in U, where k is the leading a-run and U is the placed centre * pattern points."""
+        k = sum(itertools.takewhile(lambda letter: abs(letter) == 1, x.word))
+        return k if f2.multiply(f2.generator(1, -k), x).word in u_words else None
+
+    near = [f2.multiply(p.center, u) for p in placed.placements for u in f2.ball(p.radius + 1)]
+    shifted = [f2.multiply(f2.generator(1, j), x) for j in (-3, 2) for x in near]
+    points = f2.ball(8) + near + shifted
+    want = [naive(x) for x in points]
+    assert [placed.a_shift(x) for x in points] == want
+    assert {k for k in want if k is not None} >= {-3, 0, 2}
+    assert [placed.contains(x) for x in points] == [k == 0 for k in want]
+
+    # the contrast demo's nonnegative cone B and translate union X, caught at their first use
+    class Caught(Exception):
+        pass
+
+    def catch(b_spec, x_spec, *_args):
+        raise Caught(b_spec, x_spec)
+
+    monkeypatch.setattr(universal, "relatively_deep_check", catch)
+    with pytest.raises(Caught) as caught:
+        appendix_contrast_demo(f2, max_radius, start, min_step)
+    b_spec, x_spec = caught.value.args
+    assert [b_spec.contains(x) for x in points] == [k is not None and k >= 0 for k in want]
+    assert [x_spec.contains(x) for x in points] == [k is not None for k in want]
 
 
 def test_placed_membership_is_local(f2):
