@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .configs import ConfigError, load_group, load_subset
 from .gallery import (
@@ -468,11 +469,15 @@ def dispatch(argv) -> int:
 
     suites = result if isinstance(result, list) else [result]
     include_timing = bool(getattr(args, "timings", False))
+    started = time.perf_counter()
     text = dumps({"suites": [s.to_dict(include_timing) for s in suites]})
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
+    if include_timing:
+        sys.stdout.flush()
+        print(f"emit_seconds={time.perf_counter() - started:.6f}", file=sys.stderr)
     falsified = any(s.verdict == FALSIFIED for s in suites)
     return EXIT_FALSIFIED if falsified else EXIT_OK
 

@@ -453,6 +453,8 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
     suite = SuiteReport(name="hnn-partition", params={"group": which, "R": radius})
 
     ball = ctx.ball(radius)
+    base_ball = [ctx.from_base(g) for g in ctx.base.ball(radius)]
+    base_inverses = [ctx.from_base(ctx.base.invert(g)) for g in ctx.base.ball(radius)]
     bc_spec = from_predicate(ctx, bc_words_name, lambda x: not b_spec.contains(x))
     counts = {"G": 0, "L": 0, "R": 0}
     mismatches = []
@@ -463,9 +465,9 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
         # translate of gamma can reach
         if cls == "G":
             alt = "G" if not gamma.word[1] else "?"
-        elif _left_translate_hits(ctx, bc_spec, gamma, radius):
+        elif _left_translate_hits(ctx, bc_spec, gamma, base_inverses):
             alt = "L"
-        elif _left_translate_hits(ctx, tb_spec, gamma, radius):
+        elif _left_translate_hits(ctx, tb_spec, gamma, base_inverses):
             alt = "R"
         else:
             alt = "?"
@@ -481,12 +483,11 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
         )
     )
 
-    base_ball = [ctx.from_base(g) for g in ctx.base.ball(radius)]
-
     def fiber_check(name: str, part: str, piece: SubsetSpec, in_subgroup) -> CheckReport:
         products: dict[tuple, list[tuple[GroupElement, GroupElement]]] = {}
+        piece_ball = piece.elements_in_ball(radius)
         for g in base_ball:
-            for x in piece.elements_in_ball(radius):
+            for x in piece_ball:
                 gamma = ctx.multiply(g, x)
                 if _hnn_classify(ctx, gamma) != part:
                     return CheckReport(
@@ -544,11 +545,8 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
     return suite
 
 
-def _left_translate_hits(ctx, piece, gamma, radius) -> bool:
-    for g in ctx.base.ball(radius):
-        if piece.contains(ctx.multiply(ctx.from_base(ctx.base.invert(g)), gamma)):
-            return True
-    return False
+def _left_translate_hits(ctx, piece, gamma, translates) -> bool:
+    return any(piece.contains(ctx.multiply(g, gamma)) for g in translates)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +646,13 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
         reduced_words.extend(w2 for w2 in nxt if len(w2) > 1)
         words_multi = nxt
 
+    operators: dict[tuple, TranslationOperator] = {}  # equal elements share one build
+
+    def operator_of(g: GroupElement) -> TranslationOperator:
+        if g.word not in operators:
+            operators[g.word] = generator_operator(w, g)
+        return operators[g.word]
+
     failures = 0
     for word in reduced_words:
         total = ctx.identity()
@@ -655,8 +660,8 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
         for side, x in word:
             el = ctx.from_letters([(side, x)])
             total = ctx.multiply(total, el)
-            ops.append(generator_operator(w, el))
-        direct = generator_operator(w, total)
+            ops.append(operator_of(el))
+        direct = operator_of(total)
         product = compose_chain(ops)
         match = guarded_equal(direct, product)
         if not match.equal:
@@ -684,7 +689,7 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
         x for x in factors[1].all_elements()
         if x.word != factors[1].identity().word and x.word not in h_words_s
     )
-    t_op = generator_operator(w, ctx.from_letters([(1, t_letter)]))
+    t_op = operator_of(ctx.from_letters([(1, t_letter)]))
     suite.add(
         _identity_check(
             "nonunital-unit", guarded_equal(compose(adjoint(t_op), t_op), subtract(ident, p_h))
@@ -695,12 +700,12 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
     off_subgroup = difference(b_spec, h_sub)
     for i in range(1, ctx.subgroup_size()):
         h_el = ctx.h_element(i)
-        mu_h = generator_operator(w, h_el)
+        mu_h = operator_of(h_el)
         nu_h = generator_operator(w, h_el, off_subgroup)
         match = guarded_equal(nu_h, compose(mu_h, subtract(ident, p_h)))
         suite.add(_identity_check(f"nu-mu-mesh-{ctx.format(h_el)}", match))
 
-    suite.add(_identity_check("unit-is-identity", guarded_equal(generator_operator(w, ctx.identity()), ident)))
+    suite.add(_identity_check("unit-is-identity", guarded_equal(operator_of(ctx.identity()), ident)))
     suite.add(boundary_check(b_spec, h_sub, radius))
     return suite
 

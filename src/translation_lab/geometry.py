@@ -578,11 +578,14 @@ def _connect_class(pres, b_spec, members, table, max_len, node_budget, allow_ins
 
     Members are (word, prefixes) pairs, prefixes[k] being the product of
     word[:k].  A replacement equals the subword it replaces in G, so only its
-    own prefixes are new: a candidate walks just the replacement.  Returns
-    the words visited in visit order, the members left unreached, and
-    whether the node budget stopped the search.
+    own prefixes are new: a candidate walks just the replacement.  Walked
+    products are interned, one element per product word in the class, so
+    queued prefix tuples share them.  Returns the words visited in visit
+    order, the members left unreached, and whether the node budget stopped
+    the search.
     """
     root, root_prefixes = members[0]
+    interned: dict[tuple, GroupElement] = {}
     goal_set = {word for word, _ in members[1:]}
     seen = {root: None}  # an ordered set: the visit order
     queue = deque([(root, root_prefixes)])
@@ -601,6 +604,7 @@ def _connect_class(pres, b_spec, members, table, max_len, node_budget, allow_ins
                 continue
             seen[nxt] = None
             goal_set.discard(nxt)
+            walked = tuple([interned.setdefault(p.word, p) for p in walked])
             queue.append((nxt, prefixes[: pos + 1] + walked + prefixes[pos + length + 1 :]))
     return seen, goal_set, False
 

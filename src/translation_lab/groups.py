@@ -174,15 +174,12 @@ class GroupContext:
             self._dist[e.word] = 0
             self._layers.append([e])
             return True
-        depth = len(self._layers)
-        layer = self._next_layer(cap - len(self._dist))
+        layer = self._next_layer(cap - sum(map(len, self._layers)))
         if layer is None:
             raise BallCapExceeded(
-                f"ball of radius {depth} needs more than {cap} elements "
+                f"ball of radius {len(self._layers)} needs more than {cap} elements "
                 f"(set {BALL_CAP_ENV} to raise the cap)"
             )
-        for x in layer:
-            self._dist[x.word] = depth
         self._layers.append(layer)
         return bool(layer)
 
@@ -190,6 +187,8 @@ class GroupContext:
         """The unseen neighbours of the last layer, sorted by ``structural_key``.
 
         None once more than ``room`` of them are found: the search stops there.
+        The depth table ``_dist``, which this dedupe and the default
+        ``word_length`` read, gains the returned layer.
         """
         gens = self.generator_elements()
         fresh: dict[tuple, GroupElement] = {}
@@ -200,6 +199,7 @@ class GroupContext:
                     fresh[y.word] = y
             if len(fresh) > room:
                 return None
+        self._dist.update(dict.fromkeys(fresh, len(self._layers)))
         return sorted(fresh.values(), key=self.structural_key)
 
     def _check(self, x: GroupElement) -> GroupElement:

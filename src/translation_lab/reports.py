@@ -106,12 +106,16 @@ class SuiteReport:
         return check
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        return {
+        out = {
             "name": self.name,
             "params": canonical_value(self.params),
             "verdict": self.verdict,
             "checks": [c.to_dict(include_timing) for c in self.checks],
         }
+        if include_timing:
+            # the checks' times chain from the suite's start to its last add
+            out["elapsed_seconds"] = round(sum(c.elapsed for c in self.checks), 6)
+        return out
 
     def report_form(self):
         return self.to_dict()

@@ -81,14 +81,6 @@ class Placement:
     pattern: tuple[GroupElement, ...]  # offsets within Ball(e, radius)
 
 
-def _a_run(word: tuple, i: int) -> tuple[int, int]:
-    """(exponent sum, end) of the run of a and A letters that starts at word[i]."""
-    j = i
-    while j < len(word) and abs(word[j]) == 1:
-        j += 1
-    return sum(word[i:j]), j
-
-
 class PlacedUniversalWords:
     """Patterns placed along b a^m with separation 4 (r_k + r_{k+1}), at least min_step.
 
@@ -121,9 +113,6 @@ class PlacedUniversalWords:
         self.b = ctx.generator(2)
         self.placements: list[Placement] = []
         self._point_words: set[tuple] = set()
-        # leading a-run of a b-word -> (exponent, pattern words) of the first
-        # placement whose window |exponent - run| <= radius holds the run
-        self._by_run: dict[int, tuple[int, frozenset]] = {}
         self._build()
 
     def _build(self):
@@ -150,30 +139,23 @@ class PlacedUniversalWords:
                     self._point_words.add(word)
                 self.placements.append(placement)
                 prev_radius = radius
-        for p in self.placements:
-            entry = (p.exponent, frozenset(f.word for f in p.pattern))
-            for run in range(p.exponent - p.radius, p.exponent + p.radius + 1):
-                self._by_run.setdefault(run, entry)
 
     def a_shift(self, x: GroupElement) -> int | None:
         """The k with x in a^k U, or None when no a-translate of U holds x.
 
-        Every point of U starts with b, so k is the leading a-run of x and the
-        rest is b a^run w.  Its run picks at most one placement, centre
-        b a^exponent, and centre^-1 b a^run w reduces to a^(run - exponent) w
-        with no multiply.
+        Every point of U starts with b, so x is in a^k U exactly when x is its
+        leading a-run a^k followed by a point of U: the rest from the first b
+        must be a point, and no B may come before that b.  A reduced word's
+        a-run has one sign, so k is plus or minus its length.
         """
         word = x.word
-        k, i = _a_run(word, 0)
-        if i == len(word) or word[i] != 2:
+        try:
+            i = word.index(2)
+        except ValueError:
             return None
-        run, j = _a_run(word, i + 1)
-        hit = self._by_run.get(run)
-        if hit is None:
+        if word[i:] not in self._point_words or -2 in word[:i]:
             return None
-        exponent, pattern_words = hit
-        offset = (1,) * (run - exponent) + (-1,) * (exponent - run) + word[j:]
-        return k if offset in pattern_words else None
+        return -i if i and word[0] == -1 else i
 
     def contains(self, x: GroupElement) -> bool:
         return self.a_shift(x) == 0

@@ -63,6 +63,11 @@ def test_multiply_is_associative(ctx, data):
 @given(data=st.data())
 def test_multiply_by_inverse_is_identity(ctx, data):
     x = data.draw(_elements(ctx))
+    # the letters of x in reverse order, each inverted in its factor
+    reference = ctx.from_letters(
+        [(side, ctx.factors[side].invert(g)) for side, g in reversed(_letters(ctx, x))]
+    )
+    assert ctx.invert(x).word == reference.word
     e = ctx.identity().word
     assert ctx.multiply(x, ctx.invert(x)).word == e
     assert ctx.multiply(ctx.invert(x), x).word == e

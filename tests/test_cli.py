@@ -147,15 +147,21 @@ def test_timings_report_elapsed_time(tmp_path, capsys):
     subset = tmp_path / "nat.json"
     subset.write_text('{"kind": "interval", "lo": 0}')
     argv = ["check", "deep", "--group", "z", "--subset", str(subset), "--r", "3", "--R", "10"]
-    _, plain = run(capsys, *argv)
-    _, timed = run(capsys, *argv, "--timings")
-    timed_doc = json.loads(timed)
+    cli.dispatch(argv)
+    plain = capsys.readouterr()
+    cli.dispatch(argv + ["--timings"])
+    timed = capsys.readouterr()
+    timed_doc = json.loads(timed.out)
     for suite in timed_doc["suites"]:
-        for check in suite["checks"]:
-            assert check.pop("elapsed_seconds") > 0
+        check_seconds = [check.pop("elapsed_seconds") for check in suite["checks"]]
+        assert all(s > 0 for s in check_seconds)
+        assert suite.pop("elapsed_seconds") == pytest.approx(sum(check_seconds), abs=1e-5)
+    # the JSON emission is timed on one stderr line after the report
+    name, _, seconds = timed.err.rstrip("\n").partition("=")
+    assert name == "emit_seconds" and float(seconds) >= 0
     # without the flag the bytes carry no timing, and are otherwise the same
-    assert "elapsed" not in plain
-    assert plain.rstrip("\n") == dumps(timed_doc)
+    assert "elapsed" not in plain.out and plain.err == ""
+    assert plain.out.rstrip("\n") == dumps(timed_doc)
 
 
 def test_unknown_subcommand_usage_error(capsys):

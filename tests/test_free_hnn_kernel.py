@@ -83,10 +83,20 @@ def test_multiply_is_associative(ctx, data):
     assert ctx.multiply(ctx.multiply(x, y), z).word == ctx.multiply(x, ctx.multiply(y, z)).word
 
 
+def _reference_inverse(ctx, x):
+    """The letters of x in reverse order, each inverted on its own."""
+    if isinstance(ctx, FreeGroupContext):
+        return ctx.from_letters([-l for l in reversed(x.word)])
+    return ctx.from_letters(
+        [("t", -v) if tag == "t" else ("g", ctx.base.invert(v)) for tag, v in reversed(ctx.letters_of(x))]
+    )
+
+
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_multiply_by_inverse_is_identity(ctx, data):
     x = data.draw(_elements(ctx))
+    assert ctx.invert(x).word == _reference_inverse(ctx, x).word
     e = ctx.identity().word
     assert ctx.multiply(x, ctx.invert(x)).word == e
     assert ctx.multiply(ctx.invert(x), x).word == e

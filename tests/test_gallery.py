@@ -1,5 +1,8 @@
+import collections
+
 import pytest
 
+from translation_lab import gallery
 from translation_lab.gallery import (
     run_all,
     run_cuntz_check,
@@ -87,6 +90,26 @@ def test_hnn_partition_suite(which):
 def test_quotient_suite(which):
     suite = run_quotient_consistency_check(which, 6 if which == "toeplitz" else 4)
     assert suite.verdict == VERIFIED
+
+
+def test_generation_builds_each_operator_once(monkeypatch, amalgam):
+    built = collections.Counter()
+    build = gallery.generator_operator
+
+    def counting(w, g, domain=None):
+        built[g.word, domain is not None] += 1
+        return build(w, g, domain)
+
+    monkeypatch.setattr(gallery, "generator_operator", counting)
+    assert run_mu_nu_generation_check(2, 3).verdict == VERIFIED
+    letters = {
+        amalgam.from_letters([(side, x)]).word
+        for side, f in enumerate(amalgam.factors)
+        for x in f.all_elements()
+        if x.word != f.identity().word
+    }
+    assert {word for word, restricted in built if not restricted} >= letters
+    assert max(built.values()) == 1
 
 
 def test_generation_suite():

@@ -10,7 +10,7 @@ from translation_lab import (
     MalformedWord,
     cyclic_group,
 )
-from translation_lab.groups import BALL_CAP_ENV
+from translation_lab.groups import BALL_CAP_ENV, GroupElement
 
 
 # -- free groups -------------------------------------------------------------
@@ -54,7 +54,9 @@ def test_free_ball_by_prefix_extension_matches_generic_bfs(rank):
     slow = _BfsFreeGroup(rank)
     for r in range(6):
         assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
-    assert fast._dist == slow._dist
+        # the closed form against the breadth-first search's depth table
+        for x in fast.sphere(r):
+            assert fast.word_length(x) == GroupContext.word_length(slow, GroupElement(slow, x.word)) == r
 
 
 def test_group_element_equality_and_hashing():
@@ -361,7 +363,8 @@ def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
         slow.ball(2)
     assert 0 < len(multiplies) < 16  # the search stopped before the whole layer of 12
     for ctx in (fast, slow):
-        assert len(ctx._layers) == 2 and len(ctx._dist) == 5
+        assert len(ctx._layers) == 2 and sum(map(len, ctx._layers)) == 5
+    assert len(slow._dist) == 5
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])

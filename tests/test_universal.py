@@ -358,6 +358,28 @@ def test_a_shift_matches_stripping_the_run_and_multiplying(monkeypatch, f2, max_
     assert [x_spec.contains(x) for x in points] == [k is not None for k in want]
 
 
+def test_a_shift_matches_a_scan_over_every_translate(f2):
+    """a_shift against its definition: the k with a^-k x in U, scanning every k up to |x| + 1."""
+    placed = PlacedUniversalWords(f2, 1, 2, 4)
+    u_words = {f2.multiply(p.center, f).word for p in placed.placements for f in p.pattern}
+
+    def scan(x):
+        bound = len(x.word) + 1
+        hits = [k for k in range(-bound, bound + 1) if f2.multiply(f2.generator(1, -k), x).word in u_words]
+        assert len(hits) <= 1
+        return hits[0] if hits else None
+
+    points = [f2.multiply(p.center, f) for p in placed.placements[:4] for f in p.pattern]
+    # B before the first b, so the rest from that b is a point of U but x is in no a-translate
+    b_first = [f2.multiply(f2.parse(prefix), u) for prefix in ("Ba", "BA", "aBa", "BBA") for u in points]
+    assert all(x.word[-len(u.word):] == u.word for x, u in zip(b_first, points * 4))
+    shifted = [f2.multiply(f2.generator(1, j), u) for j in (-3, -1, 1, 4) for u in points]
+    sample = f2.ball(6) + points + b_first + shifted
+    want = [scan(x) for x in sample]
+    assert [placed.a_shift(x) for x in sample] == want
+    assert {k for k in want if k is not None} == {-3, -1, 0, 1, 4}
+
+
 def test_placed_membership_is_local(f2):
     spec = universal_b_words_spec(f2, max_radius=1)
     placed = spec.placed
