@@ -242,11 +242,10 @@ def _cmd_module(args) -> SuiteReport:
 
         if not h.is_finite:
             raise ConfigError("inner products need a finite stabiliser subgroup")
-        value = module_inner_product(
-            h,
-            SigmaVector.basis(b, ctx.parse(args.lhs)),
-            SigmaVector.basis(b, ctx.parse(args.rhs)),
-        )
+        lhs, rhs = ctx.parse(args.lhs), ctx.parse(args.rhs)
+        if not (b.contains(lhs) and b.contains(rhs)):
+            raise ConfigError("--lhs and --rhs must lie in the subset")
+        value = module_inner_product(h, SigmaVector.basis(b, lhs), SigmaVector.basis(b, rhs))
         suite.add(
             CheckReport(
                 name="inner-product",
@@ -280,7 +279,11 @@ def _cmd_module(args) -> SuiteReport:
     elif args.what == "ideal":
         _require(args, "element")
         x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
-        suite.add(verify_ph_in_ideal(b, x, h, ctx.parse(args.element), args.R))
+        g = ctx.parse(args.element)
+        g_inv = ctx.invert(g)
+        if not x.contains(g_inv) or b.contains(g_inv):
+            raise ConfigError("g^-1 (from --element) must lie in the ambient set but outside the subset")
+        suite.add(verify_ph_in_ideal(b, x, h, g, args.R))
     elif args.what == "coset-decomp":
         _require(args, "element")
         x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)

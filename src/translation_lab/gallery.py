@@ -43,6 +43,7 @@ from .operators import (
 )
 from .reports import FALSIFIED, VERIFIED, CheckReport, SuiteReport
 from .subsets import (
+    Subgroup,
     SubsetSpec,
     amalgam_subgroup,
     cyclic_translates,
@@ -112,7 +113,7 @@ def run_pv_check(n: int = 2, radius: int = 4) -> SuiteReport:
 
     t1 = generator_operator(w, s1)
     suite.add(_identity_check("marked-generator-co-isometry", guarded_equal(compose(t1, adjoint(t1)), ident)))
-    p_e = coset_projection(w, [ctx.identity()], ctx.identity())
+    p_e = coset_projection(w, Subgroup.trivial(ctx), ctx.identity())
     suite.add(
         _identity_check(
             "marked-generator-defect",
@@ -149,7 +150,7 @@ def run_cuntz_check(n: int = 2, length: int = 4) -> SuiteReport:
     w_cone = make_window(cone, length)
     suite = SuiteReport(name="cuntz", params={"n": n, "L": length})
     ident = identity_operator(w_cone)
-    p_e = coset_projection(w_cone, [ctx.identity()], ctx.identity())
+    p_e = coset_projection(w_cone, Subgroup.trivial(ctx), ctx.identity())
 
     isometries = []
     for i in range(1, n + 1):
@@ -483,7 +484,7 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
         )
     )
 
-    def fiber_check(name: str, part: str, piece: SubsetSpec, in_subgroup) -> CheckReport:
+    def fiber_check(name: str, part: str, piece: SubsetSpec, sign: int) -> CheckReport:
         products: dict[tuple, list[tuple[GroupElement, GroupElement]]] = {}
         piece_ball = piece.elements_in_ball(radius)
         for g in base_ball:
@@ -504,7 +505,7 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
                 checked += 1
                 h = ctx.multiply(ctx.invert(g1), g0)
                 head, blocks = h.word
-                if blocks or not in_subgroup(ctx.head(h)):
+                if blocks or not ctx.data.member(sign, ctx.head(h)):
                     return CheckReport(
                         name=name,
                         verdict=FALSIFIED,
@@ -525,8 +526,8 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
             details={"fibered_pairs": checked},
         )
 
-    suite.add(fiber_check("left-part-fibers", "L", bc_spec, ctx.data.in_h))
-    suite.add(fiber_check("right-part-fibers", "R", tb_spec, ctx.data.in_k))
+    suite.add(fiber_check("left-part-fibers", "L", bc_spec, 1))
+    suite.add(fiber_check("right-part-fibers", "R", tb_spec, -1))
 
     t = ctx.stable_letter(1)
     t_inv = ctx.stable_letter(-1)

@@ -493,9 +493,9 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
                     continue
                 add_relation_word([ctx.from_base(x), ctx.from_base(y), ctx.from_base(z)])
         for h in base_letters:
-            if not ctx.data.in_h(h):
+            if not ctx.data.member(1, h):
                 continue
-            k = ctx.data.twist(h)
+            k = ctx.data.image(1, h)
             if k.word == base.identity().word:
                 continue
             add_relation_word(

@@ -830,28 +830,21 @@ class AmalgamContext(GroupContext):
 
 
 class HnnSubgroupData:
-    """Associated-subgroup data: membership, the twisting map, transversals."""
+    """Associated-subgroup data indexed by the stable letter's sign.
 
-    def in_h(self, g: GroupElement) -> bool:
+    Sign 1 is the subgroup H and sign -1 is K: ``t h t^-1 = image(1, h)`` lies
+    in K, and ``image(-1, .)`` is its inverse map.
+    """
+
+    def member(self, sign: int, g: GroupElement) -> bool:
         raise NotImplementedError
 
-    def in_k(self, g: GroupElement) -> bool:
+    def image(self, sign: int, h: GroupElement) -> GroupElement:
+        """``t^sign h t^-sign`` for a member h of the sign's subgroup."""
         raise NotImplementedError
 
-    def twist(self, h: GroupElement) -> GroupElement:
-        raise NotImplementedError
-
-    def untwist(self, k: GroupElement) -> GroupElement:
-        raise NotImplementedError
-
-    def split_h(self, g: GroupElement) -> tuple[GroupElement, GroupElement]:
-        """g = h * rep with h in the subgroup, rep shortlex-least in its coset."""
-        raise NotImplementedError
-
-    def split_k(self, g: GroupElement) -> tuple[GroupElement, GroupElement]:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
+    def split(self, sign: int, g: GroupElement) -> tuple[GroupElement, GroupElement]:
+        """g = h * rep with h in the sign's subgroup, rep shortlex-least in its coset."""
         raise NotImplementedError
 
 
@@ -868,48 +861,24 @@ class IntegerScaledSubgroup(HnnSubgroupData):
         if (h_step == 0) != (k_step == 0):
             raise ValueError("steps must be both zero or both nonzero")
         self.base = base
-        self.h_step = abs(int(h_step))
-        self.k_step = abs(int(k_step))
+        self.steps = {1: abs(int(h_step)), -1: abs(int(k_step))}
 
-    def _value(self, g: GroupElement) -> int:
-        return g.word[0]
+    def member(self, sign: int, g: GroupElement) -> bool:
+        step = self.steps[sign]
+        return g.word[0] % step == 0 if step else g.word[0] == 0
 
-    def in_h(self, g: GroupElement) -> bool:
-        v = self._value(g)
-        return v == 0 if self.h_step == 0 else v % self.h_step == 0
+    def image(self, sign: int, h: GroupElement) -> GroupElement:
+        step = self.steps[sign]
+        return self.base.integer(h.word[0] // step * self.steps[-sign] if step else 0)
 
-    def in_k(self, g: GroupElement) -> bool:
-        v = self._value(g)
-        return v == 0 if self.k_step == 0 else v % self.k_step == 0
-
-    def twist(self, h: GroupElement) -> GroupElement:
-        v = self._value(h)
-        if self.h_step == 0:
-            return self.base.integer(0)
-        return self.base.integer(v // self.h_step * self.k_step)
-
-    def untwist(self, k: GroupElement) -> GroupElement:
-        v = self._value(k)
-        if self.k_step == 0:
-            return self.base.integer(0)
-        return self.base.integer(v // self.k_step * self.h_step)
-
-    def _split(self, g: GroupElement, step: int) -> tuple[GroupElement, GroupElement]:
-        v = self._value(g)
+    def split(self, sign: int, g: GroupElement) -> tuple[GroupElement, GroupElement]:
+        step = self.steps[sign]
         if step == 0:
             return self.base.integer(0), g
+        v = g.word[0]
         r = v % step
         rep = min((r, r - step), key=lambda c: (abs(c), c))
         return self.base.integer(v - rep), self.base.integer(rep)
-
-    def split_h(self, g: GroupElement) -> tuple[GroupElement, GroupElement]:
-        return self._split(g, self.h_step)
-
-    def split_k(self, g: GroupElement) -> tuple[GroupElement, GroupElement]:
-        return self._split(g, self.k_step)
-
-    def describe(self) -> dict:
-        return {"model": "integer-scaled", "h_step": self.h_step, "k_step": self.k_step}
 
 
 class FiniteHnnSubgroup(HnnSubgroupData):
@@ -921,57 +890,37 @@ class FiniteHnnSubgroup(HnnSubgroupData):
         e = base.identity()
         if not any(a.word == e.word for a, _ in pairs):
             pairs.append((e, e))
-        self._twist = {a.word: b for a, b in pairs}
-        self._untwist = {b.word: a for a, b in pairs}
-        if len(self._twist) != len(pairs) or len(self._untwist) != len(pairs):
+        self._images = {1: {a.word: b for a, b in pairs}, -1: {b.word: a for a, b in pairs}}
+        if any(len(table) != len(pairs) for table in self._images.values()):
             raise ValueError("twist table must be a bijection")
-        self.h_elements = tuple(base._check(a) for a, _ in pairs)
-        self.k_elements = tuple(base._check(b) for _, b in pairs)
+        self._members = {
+            1: tuple(base._check(a) for a, _ in pairs),
+            -1: tuple(base._check(b) for _, b in pairs),
+        }
         for a1, b1 in pairs:  # homomorphism check
             for a2, b2 in pairs:
                 pa = base.multiply(a1, a2)
                 pb = base.multiply(b1, b2)
-                img = self._twist.get(pa.word)
+                img = self._images[1].get(pa.word)
                 if img is None or img.word != pb.word:
                     raise ValueError("twist table is not an injective homomorphism")
 
-    def in_h(self, g: GroupElement) -> bool:
-        return g.word in self._twist
+    def member(self, sign: int, g: GroupElement) -> bool:
+        return g.word in self._images[sign]
 
-    def in_k(self, g: GroupElement) -> bool:
-        return g.word in self._untwist
+    def image(self, sign: int, h: GroupElement) -> GroupElement:
+        return self._images[sign][h.word]
 
-    def twist(self, h: GroupElement) -> GroupElement:
-        return self._twist[h.word]
-
-    def untwist(self, k: GroupElement) -> GroupElement:
-        return self._untwist[k.word]
-
-    def _split(self, g: GroupElement, members: tuple[GroupElement, ...]):
+    def split(self, sign: int, g: GroupElement) -> tuple[GroupElement, GroupElement]:
         base = self.base
         best = None
         best_h = None
-        for h in members:
+        for h in self._members[sign]:
             cand = base.multiply(base.invert(h), g)
             if best is None or base.sort_key(cand) < base.sort_key(best):
                 best = cand
                 best_h = h
         return best_h, best
-
-    def split_h(self, g: GroupElement) -> tuple[GroupElement, GroupElement]:
-        return self._split(g, self.h_elements)
-
-    def split_k(self, g: GroupElement) -> tuple[GroupElement, GroupElement]:
-        return self._split(g, self.k_elements)
-
-    def describe(self) -> dict:
-        return {
-            "model": "finite",
-            "pairs": [
-                [self.base.format(a), self.base.format(b)]
-                for a, b in zip(self.h_elements, self.k_elements)
-            ],
-        }
 
 
 class HnnContext(GroupContext):
@@ -1046,9 +995,7 @@ class HnnContext(GroupContext):
 
     def _pinch(self, sign: int, g: GroupElement) -> GroupElement | None:
         """The base element ``t^sign g t^-sign`` when it is one, else None."""
-        if sign == 1:
-            return self.data.twist(g) if self.data.in_h(g) else None
-        return self.data.untwist(g) if self.data.in_k(g) else None
+        return self.data.image(sign, g) if self.data.member(sign, g) else None
 
     def _transversal_pass(self, head: GroupElement, blocks: list[list]) -> GroupElement:
         """Replace each block's element by its transversal rep, right to left.
@@ -1059,12 +1006,8 @@ class HnnContext(GroupContext):
         base = self.base
         for i in range(len(blocks) - 1, -1, -1):
             sign, g = blocks[i]
-            if sign == 1:
-                h, rep = self.data.split_h(g)
-                carry = self.data.twist(h)
-            else:
-                k, rep = self.data.split_k(g)
-                carry = self.data.untwist(k)
+            h, rep = self.data.split(sign, g)
+            carry = self.data.image(sign, h)
             blocks[i][1] = rep
             if i > 0:
                 blocks[i - 1][1] = base.multiply(blocks[i - 1][1], carry)

@@ -101,29 +101,30 @@ def identity_operator(w: Window) -> TranslationOperator:
     return TranslationOperator(w, {(i, i): ONE for i in range(len(w))})
 
 
-def generator_operator(w: Window, g: GroupElement, domain: SubsetSpec | None = None) -> TranslationOperator:
-    """The partial translation by g on a domain: source x maps to x * g^-1.
+def _partial_translation(
+    w: Window, total: GroupElement, middle: Sequence[GroupElement], domain: SubsetSpec
+) -> TranslationOperator:
+    """Source x maps to x * total^-1 when x, x * total^-1 and every x * h^-1
+    (h in ``middle``) lie in the domain.
 
-    The domain defaults to the window's own subset.  A row is present when
-    both x and x * g^-1 lie in the domain; it is clipped when the image is in
-    the domain but beyond the window.  Columns receiving from beyond the
-    window are recorded symmetrically.
+    A row is clipped when its image is beyond the window; a column is clipped
+    when the operator reaches it from a source beyond the window.
     """
     spec = w.spec
     ctx = spec.ctx
-    if domain is None:
-        domain = spec
     # window points lie in the window's subset by construction
     test_source = domain is not spec
-    g_inv = ctx.invert(g)
+    # the rule of tracks.support, on the middle points alone
+    stays = support(Track(total, tuple(middle)), domain)
+    total_inv = ctx.invert(total)
     entries = {}
     clipped_rows = set()
     clipped_cols = set()
     for i, x in enumerate(w.points):
         if test_source and not domain.contains(x):
             continue
-        y = ctx.multiply(x, g_inv)
-        if domain.contains(y):
+        y = ctx.multiply(x, total_inv)
+        if domain.contains(y) and (not middle or stays(x)):
             j = w.position(y)
             if j is None:
                 clipped_rows.add(i)
@@ -132,33 +133,28 @@ def generator_operator(w: Window, g: GroupElement, domain: SubsetSpec | None = N
     for j, y in enumerate(w.points):
         if test_source and not domain.contains(y):
             continue
-        x = ctx.multiply(y, g)
-        if domain.contains(x) and w.position(x) is None:
+        x = ctx.multiply(y, total)
+        if w.position(x) is None and domain.contains(x) and (not middle or stays(x)):
             clipped_cols.add(j)
     return TranslationOperator(w, entries, clipped_rows, clipped_cols)
+
+
+def generator_operator(w: Window, g: GroupElement, domain: SubsetSpec | None = None) -> TranslationOperator:
+    """The partial translation by g on a domain: source x maps to x * g^-1.
+
+    The domain defaults to the window's own subset.  A row is present when
+    both x and x * g^-1 lie in the domain; it is clipped when the image is in
+    the domain but beyond the window.  Columns receiving from beyond the
+    window are recorded symmetrically.
+    """
+    return _partial_translation(w, g, (), w.spec if domain is None else domain)
 
 
 def track_operator(w: Window, track: Track) -> TranslationOperator:
     """Operator of a whole track: nonzero exactly where every visited point stays inside."""
-    ctx = w.spec.ctx
-    fires = support(track, w.spec)
-    g_inv = ctx.invert(track.total)
-    entries = {}
-    clipped_rows = set()
-    clipped_cols = set()
-    for i, x in enumerate(w.points):
-        if fires(x):
-            y = ctx.multiply(x, g_inv)
-            j = w.position(y)
-            if j is None:
-                clipped_rows.add(i)
-            else:
-                entries[(i, j)] = ONE
-    for j, y in enumerate(w.points):
-        x = ctx.multiply(y, track.total)
-        if w.position(x) is None and fires(x):
-            clipped_cols.add(j)
-    return TranslationOperator(w, entries, clipped_rows, clipped_cols)
+    ends = (w.spec.ctx.identity().word, track.total.word)
+    middle = [h for h in track.visited if h.word not in ends]
+    return _partial_translation(w, track.total, middle, w.spec)
 
 
 def compose(after: TranslationOperator, first: TranslationOperator) -> TranslationOperator:
@@ -254,16 +250,11 @@ def diagonal(w: Window, keep: Callable[[GroupElement], bool]) -> TranslationOper
     return TranslationOperator(w, {(i, i): ONE for i, x in enumerate(w.points) if keep(x)})
 
 
-def coset_projection(w: Window, subgroup: Subgroup | Sequence[GroupElement], b: GroupElement) -> TranslationOperator:
+def coset_projection(w: Window, subgroup: Subgroup, b: GroupElement) -> TranslationOperator:
     """Diagonal 0/1 projection onto the window points of the coset H*b."""
     ctx = w.spec.ctx
-    if isinstance(subgroup, Subgroup):
-        member = subgroup.contains
-    else:
-        words = {h.word for h in subgroup}
-        member = lambda x: x.word in words
     b_inv = ctx.invert(b)
-    return diagonal(w, lambda x: member(ctx.multiply(x, b_inv)))
+    return diagonal(w, lambda x: subgroup.contains(ctx.multiply(x, b_inv)))
 
 
 def domain_projection(w: Window, g: GroupElement) -> TranslationOperator:

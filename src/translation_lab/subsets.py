@@ -332,6 +332,8 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
         if side not in ("B", "tB"):
             raise ValueError("hnn sides are 'B' and 'tB'")
 
+        member = ctx.data.member
+
         def in_b(x: GroupElement) -> bool:
             head, blocks = x.word
             if not blocks:
@@ -339,7 +341,7 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
             first_sign, _ = blocks[0]
             if first_sign == 1:
                 return True
-            return not ctx.data.in_h(ctx.head(x))
+            return not member(1, ctx.head(x))
 
         def in_tb(x: GroupElement) -> bool:
             head, blocks = x.word
@@ -348,35 +350,24 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
             first_sign, _ = blocks[0]
             if first_sign == -1:
                 return False
-            return ctx.data.in_k(ctx.head(x))
+            return member(-1, ctx.head(x))
 
-        def left_b(x: GroupElement) -> bool:
-            head, blocks = x.word
-            return not blocks and ctx.data.in_h(ctx.head(x))
+        # B is stabilised on the left by H (sign 1), tB by K (sign -1)
+        sign, predicate, left_name = (1, in_b, "H") if side == "B" else (-1, in_tb, "K")
 
-        def left_tb(x: GroupElement) -> bool:
-            head, blocks = x.word
-            return not blocks and ctx.data.in_k(ctx.head(x))
+        def left_member(x: GroupElement) -> bool:
+            return not x.word[1] and member(sign, ctx.head(x))
 
         def right_g(x: GroupElement) -> bool:
             return not x.word[1]
 
-        if side == "B":
-            return from_predicate(
-                ctx,
-                "halfspace-B",
-                in_b,
-                left_stabiliser=Subgroup.from_predicate(ctx, "H", left_b),
-                right_stabiliser=Subgroup.from_predicate(ctx, "G", right_g),
-                params={"kind": "halfspace", "side": "B"},
-            )
         return from_predicate(
             ctx,
-            "halfspace-tB",
-            in_tb,
-            left_stabiliser=Subgroup.from_predicate(ctx, "K", left_tb),
+            f"halfspace-{side}",
+            predicate,
+            left_stabiliser=Subgroup.from_predicate(ctx, left_name, left_member),
             right_stabiliser=Subgroup.from_predicate(ctx, "G", right_g),
-            params={"kind": "halfspace", "side": "tB"},
+            params={"kind": "halfspace", "side": side},
         )
 
     raise ValueError(f"context kind {ctx.kind!r} has no tree half-spaces")

@@ -102,6 +102,8 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["check", "deep", "--group", "f2", "--subset", bad["bneg"]],
         ["check", "deep", "--group", "f2", "--subset", bad["b2"], "--r", "1", "--R", "3"],
         ["check", "deep", "--group", "z2", "--subset", bad["b1"]],
+        ["module", "inner", *common, "--lhs", "-1", "--rhs", "0"],
+        ["module", "ideal", *common, "-g", "-1", "--R", "4"],
     ]
     codes = []
     for argv in invocations:
@@ -110,7 +112,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
 
 
 def test_gallery_honours_explicit_sizes(capsys):

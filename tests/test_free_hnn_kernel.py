@@ -7,7 +7,8 @@ reference is the letter-by-letter construction: ``from_letters`` applied to
 the letters of both canonical forms.  The HNN contexts cover an integer base
 with an injective twist (BS(1,2)), trivial associated subgroups (F2 as an
 HNN extension), subgroups 3Z -> 5Z of Z, and a finite base (the Klein
-four-group, with g1 sent to g2).
+four-group, with g1 sent to g2).  The associated-subgroup data, indexed by
+the stable letter's sign, is checked on its own against its laws.
 """
 
 import pytest
@@ -36,6 +37,18 @@ def hnn_klein():
     klein = [[i ^ j for j in range(4)] for i in range(4)]
     return load_group(
         {"kind": "hnn", "base": {"kind": "finite", "table": klein}, "theta": [["g1", "g2"]]}
+    )
+
+
+@pytest.fixture(scope="module")
+def hnn_z4_negation():
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    return load_group(
+        {
+            "kind": "hnn",
+            "base": {"kind": "finite", "table": z4, "names": ["0", "1", "2", "3"]},
+            "theta": [["1", "3"], ["2", "2"], ["3", "1"]],
+        }
     )
 
 
@@ -100,3 +113,22 @@ def test_multiply_by_inverse_is_identity(ctx, data):
     e = ctx.identity().word
     assert ctx.multiply(x, ctx.invert(x)).word == e
     assert ctx.multiply(ctx.invert(x), x).word == e
+
+
+@pytest.mark.parametrize("name", ["bs12", "f2_hnn", "hnn_3z_5z", "hnn_z4_negation", "hnn_klein"])
+def test_subgroup_data_laws(name, request):
+    # sign 1 is H and sign -1 is K; image(1, .) maps H onto K and image(-1, .) back
+    ctx = request.getfixturevalue(name)
+    data, base = ctx.data, ctx.base
+    e = base.identity()
+    for sign in (1, -1):
+        for g in base.ball(6):
+            h, rep = data.split(sign, g)
+            assert data.member(sign, h)
+            assert base.multiply(h, rep).word == g.word
+            again = data.split(sign, rep)
+            assert (again[0].word, again[1].word) == (e.word, rep.word)
+            if data.member(sign, g):
+                image = data.image(sign, g)
+                assert data.member(-sign, image)
+                assert data.image(-sign, image).word == g.word

@@ -115,7 +115,7 @@ def test_isolation_projection_naturals(z):
     w = make_window(nat, 8)
     proj = isolation_projection(w, [z.integer(0)], [z.integer(1)])
     assert sorted(proj.entries) == [(0, 0)]
-    target = coset_projection(w, [z.integer(0)], z.integer(0))
+    target = coset_projection(w, Subgroup.trivial(z), z.integer(0))
     assert guarded_equal(proj, target).equal
     assert guarded_equal(proj, proj).equal and not proj.clipped_rows
 

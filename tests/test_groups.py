@@ -267,7 +267,7 @@ def test_hnn_pinch_rewrite_oracle(bs12):
         x = ball[r.randrange(len(ball))]
         h = bs12.from_base(bs12.base.integer(r.randrange(-3, 4)))
         pinched = bs12.multiply(bs12.multiply(bs12.multiply(x, t), h), t_inv)
-        twisted = bs12.multiply(x, bs12.from_base(bs12.data.twist(bs12.head(h))))
+        twisted = bs12.multiply(x, bs12.from_base(bs12.data.image(1, bs12.head(h))))
         assert pinched.word == twisted.word
 
 

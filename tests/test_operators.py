@@ -138,7 +138,7 @@ def test_adjoint_laws(z, nat_window):
     bwd = generator_operator(nat_window, z.integer(-1))
     assert guarded_equal(adjoint(fwd), bwd).equal
     assert adjoint(adjoint(fwd)).entries == fwd.entries
-    proj = coset_projection(nat_window, [z.integer(0)], z.integer(0))
+    proj = coset_projection(nat_window, Subgroup.trivial(z), z.integer(0))
     assert adjoint(proj).entries == proj.entries
 
 
@@ -159,7 +159,7 @@ def test_linear_combination(z, nat_window):
     defect = subtract(identity_operator(nat_window), compose(adjoint(fwd), fwd))
     assert all(r == c for r, c in defect.entries)
     assert all(v == Fraction(1) for v in defect.entries.values())
-    p = coset_projection(nat_window, [z.integer(0)], z.integer(0))
+    p = coset_projection(nat_window, Subgroup.trivial(z), z.integer(0))
     q = subtract(identity_operator(nat_window), p)
     assert guarded_equal(combine([1, 1], [p, q]), identity_operator(nat_window)).equal
 
@@ -173,7 +173,7 @@ def test_guarded_equal_certificate(z, nat_window):
 
 
 def test_coset_projection_examples(z, amalgam, nat_window):
-    e00 = coset_projection(nat_window, [z.integer(0)], z.integer(0))
+    e00 = coset_projection(nat_window, Subgroup.trivial(z), z.integer(0))
     assert sorted(e00.entries) == [(0, 0)]
     assert matrix_rank(e00) == 1
 
@@ -247,18 +247,20 @@ DOMAIN_CASES = {
 }
 
 
-def brute_force_translation(w, g, domain):
-    """Entries and clip sets of the partial translation by g on domain.
+def brute_force_translation(w, g, domain, visited):
+    """Entries and clip sets of the operator of the track (g, visited) on domain.
 
-    Built from the pairs (y * g, y) with both ends in the domain and y in a
-    ball large enough to reach every window point, independently of how
-    generator_operator walks rows and columns.
+    Built from the pairs (x, y) = (y * g, y) with x * h^-1 in the domain for
+    every visited h and y in a ball large enough to reach every window point,
+    independently of how the operator builders walk rows and columns.  A
+    generator's visited points are e and g: x and y both lie in the domain.
     """
     ctx = w.spec.ctx
+    inverses = [ctx.invert(h) for h in visited]
     entries, rows, cols = {}, set(), set()
     for y in ctx.ball(w.radius + ctx.word_length(g)):
         x = ctx.multiply(y, g)
-        if not (domain.contains(x) and domain.contains(y)):
+        if not all(domain.contains(ctx.multiply(x, h_inv)) for h_inv in inverses):
             continue
         i, j = w.position(x), w.position(y)
         if i is not None and j is not None:
@@ -270,13 +272,15 @@ def brute_force_translation(w, g, domain):
     return entries, rows, cols
 
 
-@pytest.mark.parametrize("domain_kind", ["window-subset", "subset-in-whole-group", "subset-minus-subgroup"])
+@pytest.mark.parametrize(
+    "domain_kind", ["window-subset", "subset-in-whole-group", "subset-minus-subgroup", "tracks-on-window-subset"]
+)
 @pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
 def test_generator_operator_matches_brute_force_on_domains(case, domain_kind, request):
     fixture, build_subset, build_subgroup, radius = DOMAIN_CASES[case]
     ctx = request.getfixturevalue(fixture)
     b_spec = build_subset(ctx)
-    if domain_kind == "window-subset":
+    if domain_kind in ("window-subset", "tracks-on-window-subset"):
         w, domain, expected_domain = make_window(b_spec, radius), None, b_spec
     elif domain_kind == "subset-in-whole-group":
         w = make_window(whole_group(ctx), radius)
@@ -285,10 +289,23 @@ def test_generator_operator_matches_brute_force_on_domains(case, domain_kind, re
         w = make_window(b_spec, radius)
         domain = expected_domain = difference(b_spec, build_subgroup(ctx))
     gens = ctx.generator_elements()
-    elements = ctx.ball(1) + [ctx.multiply(a, b) for a in gens[:2] for b in gens[-2:]]
-    for g in elements:
-        op = generator_operator(w, g, domain)
-        entries, rows, cols = brute_force_translation(w, g, expected_domain)
+    if domain_kind == "tracks-on-window-subset":
+        # two- and three-letter sequences that visit a point besides e and the
+        # total; the three-letter ones step out and back in, so the middle
+        # point decides some clipped columns in the cone
+        sequences = [(a, b) for a in gens for b in gens]
+        sequences += [(ctx.invert(a), a, b) for a in gens[:2] for b in gens]
+        cases = []
+        for seq in sequences:
+            track = track_of_sequence(ctx, list(seq))
+            if {h.word for h in track.visited} - {ctx.identity().word, track.total.word}:
+                cases.append((track.total, track.visited, track_operator(w, track)))
+        assert len(cases) >= 6
+    else:
+        elements = ctx.ball(1) + [ctx.multiply(a, b) for a in gens[:2] for b in gens[-2:]]
+        cases = [(g, [ctx.identity(), g], generator_operator(w, g, domain)) for g in elements]
+    for g, visited, op in cases:
+        entries, rows, cols = brute_force_translation(w, g, expected_domain, visited)
         assert op.entries == entries, ctx.format(g)
         assert op.clipped_rows == rows, ctx.format(g)
         assert op.clipped_cols == cols, ctx.format(g)
