@@ -9,6 +9,7 @@ cap exceeded.  Exit code 1 is never used for a crash.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -374,7 +375,9 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="translation-lab",
         description="Exact finite-window checks for partial translation operators.",

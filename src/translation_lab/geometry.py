@@ -123,8 +123,8 @@ def _displaced(b_spec: SubsetSpec, x_spec: SubsetSpec, g: GroupElement, r: int) 
     g_inv = ctx.invert(g)
     return [
         x
-        for x in ctx.ball(r)
-        if not b_spec.contains(x) and x_spec.contains(x) and b_spec.contains(ctx.multiply(x, g_inv))
+        for x in x_spec.elements_in_ball(r)
+        if not b_spec.contains(x) and b_spec.contains(ctx.multiply(x, g_inv))
     ]
 
 

@@ -856,8 +856,8 @@ class IntegerScaledSubgroup(HnnSubgroupData):
     """
 
     def __init__(self, base: FreeAbelianContext, h_step: int, k_step: int):
-        if base.rank != 1:
-            raise ValueError("integer subgroup data needs a rank-1 base")
+        if not isinstance(base, FreeAbelianContext) or base.rank != 1:
+            raise ValueError("integer subgroup data needs the base Z (free abelian of rank 1)")
         if (h_step == 0) != (k_step == 0):
             raise ValueError("steps must be both zero or both nonzero")
         self.base = base

@@ -8,7 +8,10 @@ along as data and are only ever *verified at bounded radius*.
 Every predicate here does O(|x|) work on the canonical word of x, with no
 group multiply: membership is read off the normal form.  So ``contains``
 keeps no memo and asks the predicate on every call; the one reuse kept is
-``elements_in_ball``, which lists the members of each ball layer once.
+``elements_in_ball``, which lists the members of each ball layer once.  A
+subset that can list its members of each word length in closed form offers
+them as ``sphere_members``, so a sparse subset's window grows no ball; every
+listed element is still read through ``contains``.
 """
 
 from __future__ import annotations
@@ -108,6 +111,8 @@ class SubsetSpec:
     predicate: Callable[[GroupElement], bool] = lambda x: True
     left_stabiliser: Subgroup | None = None
     right_stabiliser: Subgroup | None = None
+    # sphere_members(k): candidates holding every member of word length k, in any order
+    sphere_members: Callable[[int], Iterable[GroupElement]] | None = None
 
     def __post_init__(self):
         # _layers[k]: the members of ctx.sphere(k), in ball order
@@ -122,8 +127,14 @@ class SubsetSpec:
         if r < 0:
             raise ValueError("radius must be nonnegative")
         layers = self._layers
+        ctx = self.ctx
         while len(layers) <= r:
-            layers.append([x for x in self.ctx.sphere(len(layers)) if self.contains(x)])
+            k = len(layers)
+            if self.sphere_members is None:
+                sphere = ctx.sphere(k)
+            else:
+                sphere = sorted(self.sphere_members(k), key=ctx.structural_key)
+            layers.append([x for x in sphere if self.contains(x)])
         out: list[GroupElement] = []
         for layer in layers[: r + 1]:
             out.extend(layer)
@@ -140,8 +151,11 @@ def from_predicate(
     left_stabiliser: Subgroup | None = None,
     right_stabiliser: Subgroup | None = None,
     params: dict | None = None,
+    sphere_members: Callable[[int], Iterable[GroupElement]] | None = None,
 ) -> SubsetSpec:
-    return SubsetSpec(ctx, name, params or {}, predicate, left_stabiliser, right_stabiliser)
+    return SubsetSpec(
+        ctx, name, params or {}, predicate, left_stabiliser, right_stabiliser, sphere_members
+    )
 
 
 def whole_group(ctx: GroupContext) -> SubsetSpec:

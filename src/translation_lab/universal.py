@@ -113,6 +113,8 @@ class PlacedUniversalWords:
         self.b = ctx.generator(2)
         self.placements: list[Placement] = []
         self._point_words: set[tuple] = set()
+        # _by_length[m]: the point words of length m, in placement order
+        self._by_length: dict[int, list[tuple]] = {}
         self._build()
 
     def _build(self):
@@ -137,6 +139,7 @@ class PlacedUniversalWords:
                     if word in self._point_words:
                         raise ValueError("placement overlap detected")
                     self._point_words.add(word)
+                    self._by_length.setdefault(len(word), []).append(word)
                 self.placements.append(placement)
                 prev_radius = radius
 
@@ -159,6 +162,26 @@ class PlacedUniversalWords:
 
     def contains(self, x: GroupElement) -> bool:
         return self.a_shift(x) == 0
+
+    def sphere(self, k: int, low: int | None = 0, high: int | None = 0) -> list[GroupElement]:
+        """The members of word length k of the union of a^j U over low <= j <= high.
+
+        None leaves its end open: U is (0, 0), the cone B is (0, None) and the
+        union X is (None, None).  Every point word w of U starts with b, so
+        a^j w is reduced, of length |j| + len(w), and its a-shift is j (see
+        ``a_shift``).  Hence the words a^j w with |j| + len(w) = k are all the
+        members of length k, each listed once, though not in ball order.
+        """
+        out: list[GroupElement] = []
+        for length, words in self._by_length.items():
+            j = k - length
+            if j < 0:
+                continue
+            for shift in {j, -j}:
+                if (low is None or low <= shift) and (high is None or shift <= high):
+                    run = (1 if shift > 0 else -1,) * abs(shift)
+                    out.extend(GroupElement(self.ctx, run + w) for w in words)
+        return out
 
     def report_form(self):
         ctx = self.ctx
@@ -188,6 +211,7 @@ def universal_b_words_spec(
             "start": start,
             "min_step": min_step,
         },
+        sphere_members=placed.sphere,
     )
     spec.placed = placed
     return spec
@@ -437,6 +461,7 @@ def appendix_contrast_demo(
         in_b,
         left_stabiliser=trivial,
         params={"kind": "custom", "construction": "nonnegative a-translates of universal-b-words"},
+        sphere_members=lambda k: placed.sphere(k, 0, None),
     )
     powers_of_a = Subgroup.from_predicate(
         ctx, "<a>", lambda x: all(l in (1, -1) for l in x.word)
@@ -447,6 +472,7 @@ def appendix_contrast_demo(
         in_x,
         left_stabiliser=powers_of_a,
         params={"kind": "coset-union", "base": u_spec.name, "translator": "a"},
+        sphere_members=lambda k: placed.sphere(k, None, None),
     )
     x_spec.placed = placed  # the ambient set realizes the same local patterns
 

@@ -76,9 +76,17 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         "b2": '{"kind": "universal", "variant": "b-words", "max_radius": 2}',
         "b1": '{"kind": "universal", "variant": "b-words", "max_radius": 1}',
     }
-    for stem, text in bad_subsets.items():
+    bad_groups = {
+        # an integer theta needs the base Z, not a finite or free base
+        "hnn_finite": '{"kind": "hnn", "base": {"kind": "finite", "table": [[0, 1], [1, 0]]},'
+        ' "theta": {"multiplier": 3}}',
+        "hnn_free": '{"kind": "hnn", "base": {"kind": "free", "rank": 1}, "theta": {"multiplier": 2}}',
+        "all": '{"kind": "universal-all"}',
+        "half_b": '{"kind": "halfspace", "side": "B"}',
+    }
+    for stem, text in {**bad_subsets, **bad_groups}.items():
         (tmp_path / f"{stem}.json").write_text(text)
-    bad = {stem: str(tmp_path / f"{stem}.json") for stem in bad_subsets}
+    bad = {stem: str(tmp_path / f"{stem}.json") for stem in {**bad_subsets, **bad_groups}}
     common = ["--group", "z", "--subset", subset]
     invocations = [
         ["op", "eq", *common, "--lhs", "track:(0,{0,1})", "--rhs", "id", "--R", "8"],
@@ -104,6 +112,9 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["check", "deep", "--group", "z2", "--subset", bad["b1"]],
         ["module", "inner", *common, "--lhs", "-1", "--rhs", "0"],
         ["module", "ideal", *common, "-g", "-1", "--R", "4"],
+        ["check", "deep", "--group", bad["hnn_finite"], "--subset", bad["all"], "--r", "1", "--R", "3"],
+        ["check", "deep", "--group", bad["hnn_free"], "--subset", bad["all"], "--r", "1", "--R", "3"],
+        ["op", "rank", "--group", bad["hnn_free"], "--subset", bad["half_b"]],
     ]
     codes = []
     for argv in invocations:
@@ -112,7 +123,20 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+
+
+def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):
+    """The parser is built once per process; a usage error must not spoil the next command."""
+    subset = tmp_path / "nat.json"
+    subset.write_text('{"kind": "interval", "lo": 0}')
+    argv = ["op", "eq", "--group", "z", "--subset", str(subset), "--lhs", "track:(0,{0,1})", "--rhs", "id"]
+    before = run(capsys, *argv)
+    assert before[0] == cli.EXIT_FALSIFIED
+    for usage_error in (["check", "deep", "--R", "-1"], ["check", "deep", "--r", "5", "--R", "3"], ["nope"]):
+        assert run(capsys, *usage_error)[0] == cli.EXIT_USAGE
+        assert run(capsys, *argv) == before
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_gallery_honours_explicit_sizes(capsys):

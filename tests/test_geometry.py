@@ -10,13 +10,16 @@ from translation_lab import (
     congruence_class,
     coordinate_halfspace,
     cyclic_translates,
+    difference,
     make_tree_halfspace,
     natural_numbers,
     positive_cone,
     whole_group,
+    words_not_starting_with,
 )
 from translation_lab.geometry import (
     _connect_class,
+    _displaced,
     _rewrite_table,
     _rewrites,
     almost_invariant_check,
@@ -120,6 +123,35 @@ def test_positive_cone_not_almost_invariant(f2):
         cone, whole_group(f2), Subgroup.trivial(f2), a_inv, [4, 6, 8]
     )
     assert profile[0] < profile[1] < profile[2]
+
+
+@pytest.mark.parametrize(
+    "group,make_b,make_inner",
+    [
+        ("f2", positive_cone, lambda f2: words_not_starting_with(f2, f2.generator(1))),
+        ("amalgam", lambda c: make_tree_halfspace(c, "G"), lambda c: make_tree_halfspace(c, "G")),
+        ("bs12", lambda c: make_tree_halfspace(c, "B"), lambda c: make_tree_halfspace(c, "tB")),
+    ],
+    ids=["f2-cone", "z4*z6-G", "bs12-B"],
+)
+def test_displaced_matches_the_filtered_ball(request, group, make_b, make_inner):
+    """(Bg \\ B) n X read from X's window equals its definition over the whole ball, in order."""
+    ctx = request.getfixturevalue(group)
+    b_spec = make_b(ctx)
+    x_spec = difference(whole_group(ctx), make_inner(ctx))  # a half-space's complement
+    found = 0
+    for g in ctx.ball(1):
+        g_inv = ctx.invert(g)
+        for r in (4, 0, 2, 1, 3):
+            want = [
+                x.word
+                for x in ctx.ball(r)
+                if not b_spec.contains(x) and x_spec.contains(x) and b_spec.contains(ctx.multiply(x, g_inv))
+            ]
+            assert [x.word for x in _displaced(b_spec, x_spec, g, r)] == want, (ctx.format(g), r)
+            found += len(want)
+    assert found
+    assert len(x_spec.elements_in_ball(4)) < len(ctx.ball(4))
 
 
 # -- co-separability and isolation ---------------------------------------------

@@ -343,19 +343,55 @@ def test_a_shift_matches_stripping_the_run_and_multiplying(monkeypatch, f2, max_
     assert {k for k in want if k is not None} >= {-3, 0, 2}
     assert [placed.contains(x) for x in points] == [k == 0 for k in want]
 
-    # the contrast demo's nonnegative cone B and translate union X, caught at their first use
+    b_spec, x_spec = _demo_cone_and_union(monkeypatch, f2, max_radius, start, min_step)
+    assert [b_spec.contains(x) for x in points] == [k is not None and k >= 0 for k in want]
+    assert [x_spec.contains(x) for x in points] == [k is not None for k in want]
+
+
+def _demo_cone_and_union(monkeypatch, f2, max_radius, start, min_step):
+    """The contrast demo's nonnegative cone B and translate union X, caught at their first use."""
+
     class Caught(Exception):
         pass
 
     def catch(b_spec, x_spec, *_args):
         raise Caught(b_spec, x_spec)
 
-    monkeypatch.setattr(universal, "relatively_deep_check", catch)
-    with pytest.raises(Caught) as caught:
-        appendix_contrast_demo(f2, max_radius, start, min_step)
-    b_spec, x_spec = caught.value.args
-    assert [b_spec.contains(x) for x in points] == [k is not None and k >= 0 for k in want]
-    assert [x_spec.contains(x) for x in points] == [k is not None for k in want]
+    with monkeypatch.context() as patch:
+        patch.setattr(universal, "relatively_deep_check", catch)
+        with pytest.raises(Caught) as caught:
+            appendix_contrast_demo(f2, max_radius, start, min_step)
+    return caught.value.args
+
+
+@pytest.mark.parametrize("max_radius,start,min_step", [(0, 2, 4), (1, 2, 4), (1, 3, 5)])
+def test_listed_spheres_match_the_filtered_ball(monkeypatch, max_radius, start, min_step):
+    """U, B and X list their members by sphere: the windows equal the filtered ball, unbuilt."""
+    f2 = free_group(2)  # a fresh context, so the layers it grows can be counted
+    u_spec = universal_b_words_spec(f2, max_radius, start, min_step)
+    b_spec, x_spec = _demo_cone_and_union(monkeypatch, f2, max_radius, start, min_step)
+    rng = random.Random(f"{max_radius},{start},{min_step}")
+    windows = {}
+    for spec in (u_spec, b_spec, x_spec):
+        radii = list(range(10))
+        rng.shuffle(radii)
+        windows[spec.name] = {r: [x.word for x in spec.elements_in_ball(r)] for r in radii}
+    assert len(f2._layers) <= max_radius + 1
+    ball = f2.ball(9)
+    for spec in (u_spec, b_spec, x_spec):
+        members = [x for x in ball if spec.predicate(x)]
+        for r, window in windows[spec.name].items():
+            assert window == [x.word for x in members if len(x.word) <= r], (spec.name, r)
+    assert 0 < len(windows[u_spec.name][9]) <= len(windows[b_spec.name][9]) <= len(windows[x_spec.name][9])
+
+    # beyond the brute-force ball, spheres hold words of several a-shifts: a^j p for each point p of U
+    big = 24
+    points = [f2.multiply(p.center, f) for p in u_spec.placed.placements for f in p.pattern]
+    for spec, shifts in ((u_spec, [0]), (b_spec, range(big + 1)), (x_spec, range(-big, big + 1))):
+        translates = {f2.multiply(f2.generator(1, j), p) for j in shifts for p in points}
+        want = sorted((x for x in translates if len(x.word) <= big), key=f2.sort_key)
+        assert spec.elements_in_ball(big) == want, spec.name
+    assert len(f2._layers) == 10
 
 
 def test_a_shift_matches_a_scan_over_every_translate(f2):
@@ -392,8 +428,10 @@ def test_placed_membership_is_local(f2):
 
 
 def test_contrast_demo():
-    suite = appendix_contrast_demo()
+    f2 = free_group(2)
+    suite = appendix_contrast_demo(f2)
     assert suite.verdict == VERIFIED
+    assert len(f2._layers) == 5  # U, B and X list their members: no ball beyond the search's radius 4
     by_name = {c.name: c for c in suite.checks}
     assert by_name["relatively-deep"].verdict == VERIFIED
     assert by_name["coseparability-expected-to-fail"].verdict == VERIFIED
