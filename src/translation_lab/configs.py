@@ -12,6 +12,7 @@ from .groups import (
     FreeAbelianContext,
     FreeGroupContext,
     GroupContext,
+    GroupElement,
     HnnContext,
     IntegerScaledSubgroup,
     amalgam_z4_z6,
@@ -145,6 +146,13 @@ def load_subset(ctx: GroupContext, source) -> SubsetSpec:
         raise ConfigError(f"bad subset definition: {err}") from err
 
 
+def _element(ctx: GroupContext, text) -> GroupElement:
+    """The element a subset definition names; the name must be a string."""
+    if not isinstance(text, str):
+        raise ConfigError(f"element {text!r} must be given as a string")
+    return ctx.parse(text)
+
+
 def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
     kind = _kind("subset", data, SUBSET_KEYS)
     if kind == "interval":
@@ -156,12 +164,12 @@ def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
     if kind == "positive-cone":
         return positive_cone(ctx)
     if kind == "custom-first-letter":
-        return words_not_starting_with(ctx, ctx.parse(data["exclude"]))
+        return words_not_starting_with(ctx, _element(ctx, data["exclude"]))
     if kind == "halfspace":
         return make_tree_halfspace(ctx, data["side"])
     if kind == "coset-union":
         base = _subset_from_dict(ctx, data["base"])
-        return cyclic_translates(base, ctx.parse(data["translator"]))
+        return cyclic_translates(base, _element(ctx, data["translator"]))
     if kind == "universal":
         variant = data.get("variant", "z")
         if variant == "z":

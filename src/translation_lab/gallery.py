@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import boundary_check, deep_witness, prefix_products
+from .geometry import boundary_check, deep_witness, factor_relation_words, prefix_products
 from .group_algebra import isolation_projection
 from .groups import (
     AmalgamContext,
@@ -67,6 +67,18 @@ def _identity_check(name: str, match, extra: dict | None = None) -> CheckReport:
         compared_count=match.rows_compared,
         details=extra or {},
     )
+
+
+def _operator_cache(w: Window):
+    """generator_operator on the window, built once per distinct element."""
+    built: dict[tuple, TranslationOperator] = {}
+
+    def operator_of(g: GroupElement) -> TranslationOperator:
+        if g.word not in built:
+            built[g.word] = generator_operator(w, g)
+        return built[g.word]
+
+    return operator_of
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +216,6 @@ def run_cuntz_check(n: int = 2, length: int = 4) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _amalgam_relation_words(ctx: AmalgamContext) -> list[list[tuple[int, GroupElement]]]:
-    """All single-factor words of length at most 3 with trivial product."""
-    words = []
-    for side in (0, 1):
-        factor = ctx.factors[side]
-        nontrivial = [x for x in factor.all_elements() if x.word != factor.identity().word]
-        for x in nontrivial:
-            words.append([(side, x), (side, factor.invert(x))])
-        for x in nontrivial:
-            for y in nontrivial:
-                prod = factor.multiply(x, y)
-                z = factor.invert(prod)
-                if z.word == factor.identity().word:
-                    continue
-                words.append([(side, x), (side, y), (side, z)])
-    return words
-
-
 def run_relation_classification(radius: int = 5) -> SuiteReport:
     ctx = amalgam_z4_z6()
     b_spec = make_tree_halfspace(ctx, "G")
@@ -231,30 +225,32 @@ def run_relation_classification(radius: int = 5) -> SuiteReport:
     complement_ph = subtract(ident, coset_projection(w, h_sub, ctx.identity()))
     suite = SuiteReport(name="relation-classification", params={"R": radius})
 
+    operator_of = _operator_cache(w)
     staying = crossing = 0
-    for letters in _amalgam_relation_words(ctx):
-        elems = [ctx.from_letters([(side, x)]) for side, x in letters]
-        product = compose_chain([generator_operator(w, g) for g in elems])
-        word_name = "*".join(
-            ctx.tags[side] + ctx.factors[side].format(x) for side, x in letters
-        )
-        if prefix_products(b_spec, ctx.identity(), elems) is not None:
-            staying += 1
-            match = guarded_equal(product, ident)
-            expected = "identity"
-        else:
-            crossing += 1
-            match = guarded_equal(product, complement_ph)
-            expected = "one-minus-subgroup-projection"
-        if not match.equal:
-            suite.add(
-                CheckReport(
-                    name=f"relation-{word_name}",
-                    verdict=FALSIFIED,
-                    witnesses=[match.mismatch],
-                    details={"expected": expected},
+    for side, f in enumerate(ctx.factors):
+        letters = [x for x in f.all_elements() if x.word != f.identity().word]
+        embedded = {x.word: ctx.from_letters([(side, x)]) for x in letters}
+        for word in factor_relation_words(f, letters):
+            elems = [embedded[x.word] for x in word]
+            product = compose_chain([operator_of(g) for g in elems])
+            if prefix_products(b_spec, ctx.identity(), elems) is not None:
+                staying += 1
+                match = guarded_equal(product, ident)
+                expected = "identity"
+            else:
+                crossing += 1
+                match = guarded_equal(product, complement_ph)
+                expected = "one-minus-subgroup-projection"
+            if not match.equal:
+                word_name = "*".join(ctx.tags[side] + f.format(x) for x in word)
+                suite.add(
+                    CheckReport(
+                        name=f"relation-{word_name}",
+                        verdict=FALSIFIED,
+                        witnesses=[match.mismatch],
+                        details={"expected": expected},
+                    )
                 )
-            )
     suite.add(
         CheckReport(
             name="all-relations-classified",
@@ -454,24 +450,26 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
     suite = SuiteReport(name="hnn-partition", params={"group": which, "R": radius})
 
     ball = ctx.ball(radius)
-    base_ball = [ctx.from_base(g) for g in ctx.base.ball(radius)]
-    base_inverses = [ctx.from_base(ctx.base.invert(g)) for g in ctx.base.ball(radius)]
+    base_pairs = [(ctx.from_base(g), ctx.from_base(ctx.base.invert(g))) for g in ctx.base.ball(radius)]
     bc_spec = from_predicate(ctx, bc_words_name, lambda x: not b_spec.contains(x))
     counts = {"G": 0, "L": 0, "R": 0}
     mismatches = []
     for gamma in ball:
         cls = _hnn_classify(ctx, gamma)
         counts[cls] += 1
-        # independent rule: the part is determined by which piece a base
-        # translate of gamma can reach
         if cls == "G":
-            alt = "G" if not gamma.word[1] else "?"
-        elif _left_translate_hits(ctx, bc_spec, gamma, base_inverses):
-            alt = "L"
-        elif _left_translate_hits(ctx, tb_spec, gamma, base_inverses):
-            alt = "R"
+            continue
+        # independent rule: the part is determined by which piece a base
+        # translate g^-1 gamma reaches, L at the first one outside B
+        in_tb = False
+        for _, g_inv in base_pairs:
+            translate = ctx.multiply(g_inv, gamma)
+            if not b_spec.contains(translate):
+                alt = "L"
+                break
+            in_tb = in_tb or tb_spec.contains(translate)
         else:
-            alt = "?"
+            alt = "R" if in_tb else "?"
         if alt != cls:
             mismatches.append(ctx.format(gamma))
     suite.add(
@@ -485,9 +483,9 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
     )
 
     def fiber_check(name: str, part: str, piece: SubsetSpec, sign: int) -> CheckReport:
-        products: dict[tuple, list[tuple[GroupElement, GroupElement]]] = {}
+        products: dict[tuple, list[tuple[GroupElement, GroupElement, GroupElement]]] = {}
         piece_ball = piece.elements_in_ball(radius)
-        for g in base_ball:
+        for g, g_inv in base_pairs:
             for x in piece_ball:
                 gamma = ctx.multiply(g, x)
                 if _hnn_classify(ctx, gamma) != part:
@@ -497,13 +495,13 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
                         witnesses=[ctx.format(gamma)],
                         details={"reason": "product landed outside the part"},
                     )
-                products.setdefault(gamma.word, []).append((g, x))
+                products.setdefault(gamma.word, []).append((g, g_inv, x))
         checked = 0
         for gamma_word, pairs in products.items():
-            g0, x0 = pairs[0]
-            for g1, x1 in pairs[1:]:
+            g0, _, x0 = pairs[0]
+            for _, g1_inv, x1 in pairs[1:]:
                 checked += 1
-                h = ctx.multiply(ctx.invert(g1), g0)
+                h = ctx.multiply(g1_inv, g0)
                 head, blocks = h.word
                 if blocks or not ctx.data.member(sign, ctx.head(h)):
                     return CheckReport(
@@ -544,10 +542,6 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
         )
     )
     return suite
-
-
-def _left_translate_hits(ctx, piece, gamma, translates) -> bool:
-    return any(piece.contains(ctx.multiply(g, gamma)) for g in translates)
 
 
 # ---------------------------------------------------------------------------
@@ -617,43 +611,19 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
     suite = SuiteReport(name="mu-nu-generation", params={"L": max_syllables, "R": radius})
 
     factors = ctx.factors
-    h_words_g = {ctx.pairs[i][0].word for i in range(ctx.subgroup_size())}
-    h_words_s = {ctx.pairs[i][1].word for i in range(ctx.subgroup_size())}
+    # per factor: its nontrivial syllables, and those off the glued subgroup
+    nontrivial, off = [], []
+    for side, f in enumerate(factors):
+        nontrivial.append([(side, x) for x in f.all_elements() if x.word != f.identity().word])
+        off.append([letter for letter in nontrivial[side] if not h_sub.contains(ctx.from_letters([letter]))])
 
-    def syllable_pool(side: int, allow_subgroup: bool):
-        f = factors[side]
-        h_words = h_words_g if side == 0 else h_words_s
-        out = []
-        for x in f.all_elements():
-            if x.word == f.identity().word:
-                continue
-            if not allow_subgroup and x.word in h_words:
-                continue
-            out.append((side, x))
-        return out
-
-    reduced_words: list[list[tuple[int, GroupElement]]] = []
-    for side in (0, 1):
-        for letter in syllable_pool(side, True):
-            reduced_words.append([letter])
-    frontier = [[letter] for side in (0, 1) for letter in syllable_pool(side, False)]
-    words_multi = frontier
+    reduced_words = [[letter] for side in (0, 1) for letter in nontrivial[side]]
+    words = [[letter] for side in (0, 1) for letter in off[side]]
     for _ in range(max_syllables - 1):
-        nxt = []
-        for word in words_multi:
-            last_side = word[-1][0]
-            for letter in syllable_pool(1 - last_side, False):
-                nxt.append(word + [letter])
-        reduced_words.extend(w2 for w2 in nxt if len(w2) > 1)
-        words_multi = nxt
+        words = [word + [letter] for word in words for letter in off[1 - word[-1][0]]]
+        reduced_words.extend(words)
 
-    operators: dict[tuple, TranslationOperator] = {}  # equal elements share one build
-
-    def operator_of(g: GroupElement) -> TranslationOperator:
-        if g.word not in operators:
-            operators[g.word] = generator_operator(w, g)
-        return operators[g.word]
-
+    operator_of = _operator_cache(w)
     failures = 0
     for word in reduced_words:
         total = ctx.identity()
@@ -686,11 +656,7 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
     )
 
     # the nonunital unit of the second representation
-    t_letter = next(
-        x for x in factors[1].all_elements()
-        if x.word != factors[1].identity().word and x.word not in h_words_s
-    )
-    t_op = operator_of(ctx.from_letters([(1, t_letter)]))
+    t_op = operator_of(ctx.from_letters([off[1][0]]))
     suite.add(
         _identity_check(
             "nonunital-unit", guarded_equal(compose(adjoint(t_op), t_op), subtract(ident, p_h))

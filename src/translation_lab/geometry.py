@@ -419,6 +419,29 @@ class Presentation:
         raise ValueError("alphabet not closed under inversion")
 
 
+def factor_relation_words(f: GroupContext, letters: Sequence[GroupElement]) -> list[list[GroupElement]]:
+    """A factor's trivial-product words of length 2 and 3 over nontrivial letters.
+
+    First [x, x^-1] for each letter, then [x, y, (xy)^-1] for each ordered
+    pair whose product inverts to a letter; a letter is never the identity,
+    so no pair with xy = e gives a word.
+    """
+    by_word = {x.word: x for x in letters}
+    words = [[x, f.invert(x)] for x in letters]
+    for x in letters:
+        for y in letters:
+            z = by_word.get(f.invert(f.multiply(x, y)).word)
+            if z is not None:
+                words.append([x, y, z])
+    return words
+
+
+def _nontrivial(f: GroupContext, elems: Iterable[GroupElement]) -> list[GroupElement]:
+    """The elements other than the identity, in the group's order."""
+    e = f.identity().word
+    return sorted((x for x in elems if x.word != e), key=f.sort_key)
+
+
 def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
     """Built-in presentations: factor letters with short trivial-product words.
 
@@ -430,93 +453,58 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
     with cancellation only.
     """
     letters: list[GroupElement] = []
-    relations: list[tuple[int, ...]] = []
+    index: dict[tuple, int] = {}  # letter word -> position in letters
 
-    def letter_index(x: GroupElement) -> int | None:
-        for i, l in enumerate(letters):
-            if l.word == x.word:
-                return i
-        return None
-
-    def add_relation_word(elems: Sequence[GroupElement]):
-        idx = []
+    def add_letters(elems: Iterable[GroupElement]):
         for x in elems:
-            i = letter_index(x)
-            if i is None:
-                return
-            idx.append(i)
-        relations.append(tuple(idx))
+            if x.word not in index:
+                index[x.word] = len(letters)
+                letters.append(x)
 
     if isinstance(ctx, AmalgamContext):
-        factor_letters: list[list[GroupElement]] = [[], []]
-        for side in (0, 1):
-            f = ctx.factors[side]
-            if hasattr(f, "all_elements"):
-                raw = [x for x in f.all_elements() if x.word != f.identity().word]
-            else:
-                raw = [x for x in f.ball(letter_bound) if x.word != f.identity().word]
-            for x in sorted(raw, key=f.sort_key):
-                el = ctx.from_letters([(side, x)])
-                if letter_index(el) is None:
-                    letters.append(el)
-                factor_letters[side].append(el)
-        for side in (0, 1):
-            for x in factor_letters[side]:
-                add_relation_word([x, ctx.invert(x)])
-            for x in factor_letters[side]:
-                for y in factor_letters[side]:
-                    prod = ctx.multiply(x, y)
-                    z = ctx.invert(prod)
-                    if z.word == ctx.identity().word:
-                        continue
-                    if letter_index(z) is not None:
-                        add_relation_word([x, y, z])
+        owns = []
+        for side, f in enumerate(ctx.factors):
+            own = _nontrivial(f, f.all_elements() if hasattr(f, "all_elements") else f.ball(letter_bound))
+            add_letters(ctx.from_letters([(side, x)]) for x in own)
+            owns.append(own)
+        # a factor's words run over its own letters and over its copy of each
+        # glued element that only the other factor lists (beyond the bound here)
+        words = []
+        for side, (f, own) in enumerate(zip(ctx.factors, owns)):
+            listed = {x.word for x in own}
+            glued = [
+                pair[side]
+                for i, pair in enumerate(ctx.pairs)
+                if ctx.h_element(i).word in index and pair[side].word not in listed
+            ]
+            at = {x.word: index[ctx.from_letters([(side, x)]).word] for x in own + glued}
+            words += [tuple(at[x.word] for x in word) for word in factor_relation_words(f, own + glued)]
     elif isinstance(ctx, HnnContext):
         base = ctx.base
-        raw = [x for x in base.ball(letter_bound) if x.word != base.identity().word]
-        for x in sorted(raw, key=base.sort_key):
-            letters.append(ctx.from_base(x))
-        t = ctx.stable_letter(1)
-        t_inv = ctx.stable_letter(-1)
-        letters.append(t)
-        letters.append(t_inv)
-        base_letters = [x for x in raw]
-        for x in base_letters:
-            add_relation_word([ctx.from_base(x), ctx.from_base(base.invert(x))])
-        add_relation_word([t, t_inv])
-        add_relation_word([t_inv, t])
-        for x in base_letters:
-            for y in base_letters:
-                prod = base.multiply(x, y)
-                z = base.invert(prod)
-                if z.word == base.identity().word:
-                    continue
-                add_relation_word([ctx.from_base(x), ctx.from_base(y), ctx.from_base(z)])
-        for h in base_letters:
-            if not ctx.data.member(1, h):
-                continue
-            k = ctx.data.image(1, h)
-            if k.word == base.identity().word:
-                continue
-            add_relation_word(
-                [t, ctx.from_base(h), t_inv, ctx.from_base(base.invert(k))]
-            )
+        own = _nontrivial(base, base.ball(letter_bound))
+        add_letters([*(ctx.from_base(x) for x in own), ctx.stable_letter(1), ctx.stable_letter(-1)])
+        at = {x.word: i for i, x in enumerate(own)}
+        t, t_inv = len(own), len(own) + 1
+        words = [tuple(at[x.word] for x in word) for word in factor_relation_words(base, own)]
+        words += [(t, t_inv), (t_inv, t)]
+        for h in own:
+            if ctx.data.member(1, h):
+                k_inv = at.get(base.invert(ctx.data.image(1, h)).word)  # None for k = e or beyond the bound
+                if k_inv is not None:
+                    words.append((t, at[h.word], t_inv, k_inv))
     else:
-        for g in ctx.generator_elements():
-            letters.append(g)
-        for g in list(letters):
-            add_relation_word([g, ctx.invert(g)])
+        add_letters(ctx.generator_elements())
+        words = [(i, index[ctx.invert(g).word]) for i, g in enumerate(letters) if ctx.invert(g).word in index]
 
-    # close relations under cyclic permutation and inversion
-    pres = Presentation(ctx, tuple(letters), ())
+    # close relations under cyclic permutation and inversion; every letter of
+    # a word has its inverse among the letters
+    inverse = [index.get(ctx.invert(x).word) for x in letters]
     closed: set[tuple[int, ...]] = set()
-    for rel in relations:
-        variants = set()
+    for rel in words:
         for s in range(len(rel)):
             rot = rel[s:] + rel[:s]
-            variants.add(rot)
-            variants.add(tuple(pres.letter_inverse(i) for i in reversed(rot)))
-        closed |= variants
+            closed.add(rot)
+            closed.add(tuple(inverse[i] for i in reversed(rot)))
     return Presentation(ctx, tuple(letters), tuple(sorted(closed)))
 
 

@@ -306,13 +306,9 @@ def coset_decomposition_check(
 
     def support(r: int) -> list[GroupElement]:
         out = []
-        for x in ctx.ball(r):
-            if not b_spec.contains(x):
-                continue
+        for x in b_spec.elements_in_ball(r):
             shifted = ctx.multiply(x, g_inv)
-            if b_spec.contains(shifted):
-                continue
-            if x_spec.contains(shifted):
+            if not b_spec.contains(shifted) and x_spec.contains(shifted):
                 out.append(x)
         return out
 

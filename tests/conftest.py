@@ -12,6 +12,7 @@ from translation_lab import (
     integer_lattice,
     integers,
 )
+from translation_lab.configs import load_group
 
 
 @pytest.fixture(scope="session")
@@ -37,8 +38,6 @@ def amalgam():
 @pytest.fixture(scope="session")
 def s3_z4():
     """S3 glued to Z/4 over Z/2: a transposition of S3 is identified with 2 in Z/4."""
-    from translation_lab.configs import load_group
-
     perms = sorted(itertools.permutations(range(3)))
     s3_table = [
         [perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms
@@ -67,6 +66,37 @@ def bs12():
 @pytest.fixture(scope="session")
 def f2_hnn():
     return free_group_as_hnn()
+
+
+@pytest.fixture(scope="session")
+def hnn_3z_5z():
+    return load_group(
+        {
+            "kind": "hnn",
+            "base": {"kind": "free-abelian", "rank": 1},
+            "theta": {"h_step": 3, "k_step": 5},
+        }
+    )
+
+
+@pytest.fixture(scope="session")
+def hnn_klein():
+    klein = [[i ^ j for j in range(4)] for i in range(4)]
+    return load_group(
+        {"kind": "hnn", "base": {"kind": "finite", "table": klein}, "theta": [["g1", "g2"]]}
+    )
+
+
+@pytest.fixture(scope="session")
+def hnn_z4_negation():
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    return load_group(
+        {
+            "kind": "hnn",
+            "base": {"kind": "finite", "table": z4, "names": ["0", "1", "2", "3"]},
+            "theta": [["1", "3"], ["2", "2"], ["3", "1"]],
+        }
+    )
 
 
 def rng(seed: int) -> random.Random:

@@ -75,6 +75,9 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         "bneg": '{"kind": "universal", "variant": "b-words", "max_radius": -1}',
         "b2": '{"kind": "universal", "variant": "b-words", "max_radius": 2}',
         "b1": '{"kind": "universal", "variant": "b-words", "max_radius": 1}',
+        # an element named by a JSON value that is not a string
+        "exclude_null": '{"kind": "custom-first-letter", "exclude": null}',
+        "translator_int": '{"kind": "coset-union", "base": {"kind": "positive-cone"}, "translator": 1}',
     }
     bad_groups = {
         # an integer theta needs the base Z, not a finite or free base
@@ -115,6 +118,8 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["check", "deep", "--group", bad["hnn_finite"], "--subset", bad["all"], "--r", "1", "--R", "3"],
         ["check", "deep", "--group", bad["hnn_free"], "--subset", bad["all"], "--r", "1", "--R", "3"],
         ["op", "rank", "--group", bad["hnn_free"], "--subset", bad["half_b"]],
+        ["check", "deep", "--group", "f2", "--subset", bad["exclude_null"]],
+        ["check", "stabilisers", "--group", "f2", "--subset", bad["translator_int"], "--r", "2"],
     ]
     codes = []
     for argv in invocations:
@@ -123,7 +128,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
 
 
 def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):

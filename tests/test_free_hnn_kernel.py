@@ -16,40 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translation_lab import FiniteGroupContext, FreeGroupContext
-from translation_lab.configs import load_group
 
 KERNEL_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
-
-
-@pytest.fixture(scope="module")
-def hnn_3z_5z():
-    return load_group(
-        {
-            "kind": "hnn",
-            "base": {"kind": "free-abelian", "rank": 1},
-            "theta": {"h_step": 3, "k_step": 5},
-        }
-    )
-
-
-@pytest.fixture(scope="module")
-def hnn_klein():
-    klein = [[i ^ j for j in range(4)] for i in range(4)]
-    return load_group(
-        {"kind": "hnn", "base": {"kind": "finite", "table": klein}, "theta": [["g1", "g2"]]}
-    )
-
-
-@pytest.fixture(scope="module")
-def hnn_z4_negation():
-    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    return load_group(
-        {
-            "kind": "hnn",
-            "base": {"kind": "finite", "table": z4, "names": ["0", "1", "2", "3"]},
-            "theta": [["1", "3"], ["2", "2"], ["3", "1"]],
-        }
-    )
 
 
 @pytest.fixture(scope="module", params=["f2", "bs12", "f2_hnn", "hnn_3z_5z", "hnn_klein"])

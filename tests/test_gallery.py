@@ -2,7 +2,7 @@ import collections
 
 import pytest
 
-from translation_lab import gallery
+from translation_lab import HnnContext, gallery
 from translation_lab.gallery import (
     run_all,
     run_cuntz_check,
@@ -93,6 +93,7 @@ def test_quotient_suite(which):
 
 
 def test_generation_builds_each_operator_once(monkeypatch, amalgam):
+    """The generation and relation suites build each element's operator once."""
     built = collections.Counter()
     build = gallery.generator_operator
 
@@ -101,15 +102,34 @@ def test_generation_builds_each_operator_once(monkeypatch, amalgam):
         return build(w, g, domain)
 
     monkeypatch.setattr(gallery, "generator_operator", counting)
-    assert run_mu_nu_generation_check(2, 3).verdict == VERIFIED
     letters = {
         amalgam.from_letters([(side, x)]).word
         for side, f in enumerate(amalgam.factors)
         for x in f.all_elements()
         if x.word != f.identity().word
     }
+    assert run_mu_nu_generation_check(2, 3).verdict == VERIFIED
     assert {word for word, restricted in built if not restricted} >= letters
     assert max(built.values()) == 1
+    built.clear()
+    assert run_relation_classification(5).verdict == VERIFIED
+    # the 3 + 5 nontrivial factor elements share the glued one: 7 letters
+    assert len(letters) == 7
+    assert built == {(word, False): 1 for word in letters}
+
+
+@pytest.mark.parametrize("which", ["bs12", "f2"])
+def test_hnn_partition_inverts_nothing(monkeypatch, which):
+    inverted = []
+    invert = HnnContext.invert
+
+    def counting(self, x):
+        inverted.append(x)
+        return invert(self, x)
+
+    monkeypatch.setattr(HnnContext, "invert", counting)
+    assert run_hnn_partition_check(which, 4).verdict == VERIFIED
+    assert inverted == []
 
 
 def test_generation_suite():

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from translation_lab import (
+    AmalgamContext,
     Subgroup,
     amalgam_subgroup,
     congruence_class,
@@ -17,7 +18,9 @@ from translation_lab import (
     whole_group,
     words_not_starting_with,
 )
+from translation_lab.configs import load_group
 from translation_lab.geometry import (
+    factor_relation_words,
     _connect_class,
     _displaced,
     _rewrite_table,
@@ -265,6 +268,116 @@ def test_convexity_whole_free_group(f2):
     pres = presentation_for(f2)
     report = convexity_bounded_check(whole_group(f2), pres, 2)
     assert report.verdict == VERIFIED
+
+
+def _presentation_by_scans(ctx, letter_bound=2):
+    """Letters and closed relations of an amalgam or HNN presentation, built as
+    two separate branches with a linear letter scan: every pair and triple of
+    factor letters is tried, and a word is kept only when all its letters are
+    in the alphabet."""
+    letters, relations = [], []
+
+    def letter_index(x):
+        for i, l in enumerate(letters):
+            if l.word == x.word:
+                return i
+        return None
+
+    def add_relation_word(elems):
+        idx = [letter_index(x) for x in elems]
+        if None not in idx:
+            relations.append(tuple(idx))
+
+    if isinstance(ctx, AmalgamContext):
+        factor_letters = [[], []]
+        for side in (0, 1):
+            f = ctx.factors[side]
+            raw = f.all_elements() if hasattr(f, "all_elements") else f.ball(letter_bound)
+            for x in sorted((x for x in raw if x.word != f.identity().word), key=f.sort_key):
+                el = ctx.from_letters([(side, x)])
+                if letter_index(el) is None:
+                    letters.append(el)
+                factor_letters[side].append(el)
+        for side in (0, 1):
+            for x in factor_letters[side]:
+                add_relation_word([x, ctx.invert(x)])
+            for x in factor_letters[side]:
+                for y in factor_letters[side]:
+                    z = ctx.invert(ctx.multiply(x, y))
+                    if z.word != ctx.identity().word and letter_index(z) is not None:
+                        add_relation_word([x, y, z])
+    else:
+        base = ctx.base
+        raw = [x for x in base.ball(letter_bound) if x.word != base.identity().word]
+        for x in sorted(raw, key=base.sort_key):
+            letters.append(ctx.from_base(x))
+        t, t_inv = ctx.stable_letter(1), ctx.stable_letter(-1)
+        letters += [t, t_inv]
+        for x in raw:
+            add_relation_word([ctx.from_base(x), ctx.from_base(base.invert(x))])
+        add_relation_word([t, t_inv])
+        add_relation_word([t_inv, t])
+        for x in raw:
+            for y in raw:
+                z = base.invert(base.multiply(x, y))
+                if z.word != base.identity().word:
+                    add_relation_word([ctx.from_base(x), ctx.from_base(y), ctx.from_base(z)])
+        for h in raw:
+            if ctx.data.member(1, h):
+                k = ctx.data.image(1, h)
+                if k.word != base.identity().word:
+                    add_relation_word([t, ctx.from_base(h), t_inv, ctx.from_base(base.invert(k))])
+
+    def inverse(i):
+        return letter_index(ctx.invert(letters[i]))
+
+    closed = set()
+    for rel in relations:
+        for s in range(len(rel)):
+            rot = rel[s:] + rel[:s]
+            closed.add(rot)
+            closed.add(tuple(inverse(i) for i in reversed(rot)))
+    return [x.word for x in letters], sorted(closed)
+
+
+@pytest.fixture(scope="module")
+def z6_hnn_z2():
+    """Z/2 glued to an HNN extension of Z/6, at 3: a letter of Z/2 but of length 3 in Z/6."""
+    z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    return load_group(
+        {
+            "kind": "amalgam",
+            "left": {
+                "kind": "hnn",
+                "base": {"kind": "finite", "table": z6, "names": [str(i) for i in range(6)], "generators": [1]},
+                "theta": [["3", "3"]],
+            },
+            "right": {"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["0", "1"]},
+            "pairs": [["3", "1"]],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["amalgam", "s3_z4", "zz", "z6_hnn_z2", "bs12", "f2_hnn", "hnn_3z_5z", "hnn_klein", "hnn_z4_negation"],
+)
+def test_presentation_matches_the_branch_by_branch_build(request, group):
+    ctx = request.getfixturevalue(group)
+    pres = presentation_for(ctx)
+    letters, relations = _presentation_by_scans(ctx)
+    assert [x.word for x in pres.letters] == letters
+    assert list(pres.relations) == relations
+
+
+def test_factor_relation_words_list_pairs_then_triples(amalgam):
+    z4 = amalgam.factors[0]
+    letters = [x for x in z4.all_elements() if x.word != z4.identity().word]
+    words = [[z4.format(x) for x in word] for word in factor_relation_words(z4, letters)]
+    # pairs first, then every ordered pair with a nontrivial product
+    assert words[:3] == [["1", "3"], ["2", "2"], ["3", "1"]]
+    assert len(words) == 3 + 9 - 3
+    assert ["1", "1", "2"] in words and ["1", "2", "1"] in words
 
 
 def _stays_inside(pres, spec, word):

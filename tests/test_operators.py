@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -204,32 +205,64 @@ def test_domain_projection_agrees_with_star_product(z, f2, nat_window):
         assert not built.clipped_rows
 
 
-def test_clipping_monotone_under_window_growth(z, f2):
-    cases = [
-        (natural_numbers(z), [z.integer(1), z.integer(-1), z.integer(3)]),
-        (positive_cone(f2), list(f2.generator_elements())),
-    ]
-    for spec, gens in cases:
-        small = make_window(spec, 5)
-        large = make_window(spec, 7)
-        for g in gens:
-            op_small = generator_operator(small, g)
-            op_large = generator_operator(large, g)
-            for i, x in enumerate(small.points):
-                if i in op_small.clipped_rows:
-                    continue
-                row_small = {
-                    large.spec.ctx.format(small.points[c]): v
-                    for (r, c), v in op_small.entries.items()
-                    if r == i
-                }
-                j = large.position(x)
-                row_large = {
-                    large.spec.ctx.format(large.points[c]): v
-                    for (r, c), v in op_large.entries.items()
-                    if r == j
-                }
-                assert row_small == row_large
+# (fixture, subset B, subgroup H glued into B, window radius)
+DOMAIN_CASES = {
+    "nat": ("z", natural_numbers, Subgroup.trivial, 6),
+    "f2-cone": ("f2", positive_cone, Subgroup.trivial, 3),
+    "z4*z6-half": ("amalgam", lambda c: make_tree_halfspace(c, "G"), amalgam_subgroup, 3),
+}
+
+
+def _rows_by_point(op):
+    """Each row of the operator as {column point: value}, keyed by its row point."""
+    points = op.window.points
+    return {points[r].word: {points[c].word: v for c, v in row.items()} for r, row in op.rows().items()}
+
+
+def test_clipping_monotone_under_window_growth(request):
+    """Generator words and tracks read the same on every row unclipped at R
+    when the window grows to R + 2, and a comparison falsified at R stays
+    falsified there, at its witness row."""
+    for fixture, build_subset, _, radius in DOMAIN_CASES.values():
+        _check_window_growth(request.getfixturevalue(fixture), build_subset, radius)
+
+
+def _check_window_growth(ctx, build_subset, radius):
+    spec = build_subset(ctx)
+    # one past the domain radius: the amalgam window grows from 20 to 44 points
+    small, large = make_window(spec, radius + 1), make_window(spec, radius + 3)
+    gens = ctx.generator_elements()
+    r = rng(radius)
+    words = [[g] for g in gens]
+    words += [[r.choice(gens) for _ in range(r.randint(2, 3))] for _ in range(4)]
+    builders = [identity_operator]
+    for word in words:
+        product = functools.reduce(ctx.multiply, word)
+        track = track_of_sequence(ctx, word)
+        builders += [
+            lambda w, g=product: generator_operator(w, g),
+            lambda w, word=word: compose_chain([generator_operator(w, g) for g in word]),
+            lambda w, track=track: track_operator(w, track),
+        ]
+    pairs = [(build(small), build(large)) for build in builders]
+    for op_small, op_large in pairs:
+        rows_small, rows_large = _rows_by_point(op_small), _rows_by_point(op_large)
+        for i, x in enumerate(small.points):
+            if i not in op_small.clipped_rows:
+                assert large.position(x) not in op_large.clipped_rows
+                assert rows_small.get(x.word, {}) == rows_large.get(x.word, {})
+    falsified = 0
+    for (a_small, a_large), (b_small, b_large) in itertools.combinations(pairs, 2):
+        match = guarded_equal(a_small, b_small)
+        if match.equal:
+            continue
+        falsified += 1
+        assert not guarded_equal(a_large, b_large).equal
+        x = ctx.parse(match.mismatch["row"])
+        j = large.position(x)
+        assert j not in a_large.clipped_rows | b_large.clipped_rows
+        assert _rows_by_point(a_large).get(x.word, {}) != _rows_by_point(b_large).get(x.word, {})
+    assert falsified
 
 
 def test_window_mismatch_rejected(z):
@@ -237,14 +270,6 @@ def test_window_mismatch_rejected(z):
     w2 = make_window(natural_numbers(z), 5)
     with pytest.raises(Exception):
         compose(generator_operator(w1, z.integer(1)), generator_operator(w2, z.integer(1)))
-
-
-# (fixture, subset B, subgroup H glued into B, window radius)
-DOMAIN_CASES = {
-    "nat": ("z", natural_numbers, Subgroup.trivial, 6),
-    "f2-cone": ("f2", positive_cone, Subgroup.trivial, 3),
-    "z4*z6-half": ("amalgam", lambda c: make_tree_halfspace(c, "G"), amalgam_subgroup, 3),
-}
 
 
 def brute_force_translation(w, g, domain, visited):
