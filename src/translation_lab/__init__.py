@@ -50,16 +50,17 @@ from .operators import (
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, SuiteReport, dumps
 from .subsets import (
     SubsetSpec,
-    Subgroup,
     amalgam_subgroup,
     congruence_class,
     coordinate_halfspace,
+    coset_cover,
     cyclic_translates,
     difference,
-    from_predicate,
+    finite_subgroup,
     make_tree_halfspace,
     natural_numbers,
     positive_cone,
+    trivial_subgroup,
     verify_stabilisers,
     whole_group,
     words_not_starting_with,

@@ -26,6 +26,7 @@ from .gallery import (
     run_toeplitz_check,
 )
 from .geometry import (
+    SPLIT_RADIUS,
     almost_invariant_check,
     boundary_set,
     convexity_bounded_check,
@@ -38,9 +39,11 @@ from .geometry import (
     verify_h_isolation,
 )
 from .group_algebra import coset_decomposition_check, isolation_projection, verify_ph_in_ideal
-from .groups import BallCapExceeded, BallCapInvalid, FreeAbelianContext, MalformedWord, ball_cap
+from .groups import BallCapExceeded, BallCapInvalid, FreeAbelianContext, FreeGroupContext, MalformedWord, ball_cap
 from .operators import (
     adjoint,
+    compose,
+    coset_projection,
     generator_operator,
     guarded_equal,
     identity_operator,
@@ -48,8 +51,8 @@ from .operators import (
     matrix_rank,
     track_operator,
 )
-from .reports import FALSIFIED, CheckReport, SuiteReport, dumps
-from .subsets import Subgroup, verify_stabilisers, whole_group
+from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, SuiteReport, dumps
+from .subsets import trivial_subgroup, verify_stabilisers, whole_group
 from .tracks import make_track, track_of_sequence
 from .universal import (
     appendix_contrast_demo,
@@ -96,9 +99,24 @@ def _subset(ctx, args, flag="subset"):
 
 
 def _stabiliser_subgroup(spec):
-    if spec.left_stabiliser is not None:
-        return spec.left_stabiliser
-    return Subgroup.trivial(spec.ctx)
+    return spec.left_stabiliser or trivial_subgroup(spec.ctx)
+
+
+def _isolation_sets(suite, name, b, h, args):
+    """Add the co-separability search; F1 and F2 split from its witness, or None.
+
+    A split that fails adds an inconclusive ``name`` check naming the radius.
+    """
+    search = coseparability_search(b, h, args.r, args.R, args.max_size)
+    suite.add(search)
+    if search.verdict != VERIFIED:
+        return None
+    families = h_isolation_sets(b, coseparability_witness(search, b))
+    if families is None:
+        note = f"no point within radius {SPLIT_RADIUS} splits the distinguishing set across the subset's boundary"
+        params = {"B": b.name, "H": h.name}
+        suite.add(CheckReport(name=name, params=params, verdict=INCONCLUSIVE, details={"note": note}))
+    return families
 
 
 def _parse_operator(ctx, w, text: str):
@@ -144,11 +162,9 @@ def _cmd_check(args) -> SuiteReport:
         suite.add(coseparability_search(b, h, args.r, args.R, args.max_size))
     elif args.what == "isolation":
         h = _stabiliser_subgroup(b)
-        search = coseparability_search(b, h, args.r, args.R, args.max_size)
-        suite.add(search)
-        if search.verdict == "verified-at-scale":
-            f1, f2 = h_isolation_sets(b, coseparability_witness(search, b))
-            suite.add(verify_h_isolation(b, h, f1, f2, args.R))
+        families = _isolation_sets(suite, "h-isolation", b, h, args)
+        if families is not None:
+            suite.add(verify_h_isolation(b, h, *families, args.R))
     elif args.what == "boundary":
         pts = boundary_set(b, args.R)
         suite.add(
@@ -189,8 +205,6 @@ def _cmd_op(args) -> SuiteReport:
         )
     elif args.what == "mul":
         _require(args, "lhs", "rhs")
-        from .operators import compose
-
         product = compose(_parse_operator(ctx, w, args.lhs), _parse_operator(ctx, w, args.rhs))
         suite.add(
             CheckReport(
@@ -241,7 +255,7 @@ def _cmd_module(args) -> SuiteReport:
         _require(args, "lhs", "rhs")
         from .group_algebra import SigmaVector, module_inner_product
 
-        if not h.is_finite:
+        if h.elements is None:
             raise ConfigError("inner products need a finite stabiliser subgroup")
         lhs, rhs = ctx.parse(args.lhs), ctx.parse(args.rhs)
         if not (b.contains(lhs) and b.contains(rhs)):
@@ -261,14 +275,10 @@ def _cmd_module(args) -> SuiteReport:
             raise ConfigError(
                 "the claimed stabiliser must lie inside the subset for the projection construction"
             )
-        search = coseparability_search(b, h, args.r, args.R, args.max_size)
-        suite.add(search)
-        if search.verdict == "verified-at-scale":
-            f1, f2 = h_isolation_sets(b, coseparability_witness(search, b))
+        families = _isolation_sets(suite, "isolation-projection", b, h, args)
+        if families is not None:
             w = make_window(b, args.R)
-            from .operators import coset_projection
-
-            proj = isolation_projection(w, f1, f2)
+            proj = isolation_projection(w, *families)
             match = guarded_equal(proj, coset_projection(w, h, ctx.identity()))
             suite.add(
                 CheckReport(
@@ -450,6 +460,9 @@ def dispatch(argv) -> int:
                 value = getattr(args, flag)
                 if value is not None and value < least:
                     parser.error(f"gallery {args.what} needs --{flag} >= {least}")
+            most = len(FreeGroupContext.default_names)  # the free-group suites name each generator
+            if args.what in ("pv", "cuntz") and args.n is not None and args.n > most:
+                parser.error(f"gallery {args.what} needs --n <= {most}")
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:

@@ -43,15 +43,14 @@ from .operators import (
 )
 from .reports import FALSIFIED, VERIFIED, CheckReport, SuiteReport
 from .subsets import (
-    Subgroup,
     SubsetSpec,
     amalgam_subgroup,
     cyclic_translates,
     difference,
-    from_predicate,
     make_tree_halfspace,
     natural_numbers,
     positive_cone,
+    trivial_subgroup,
     whole_group,
     words_not_starting_with,
 )
@@ -125,7 +124,7 @@ def run_pv_check(n: int = 2, radius: int = 4) -> SuiteReport:
 
     t1 = generator_operator(w, s1)
     suite.add(_identity_check("marked-generator-co-isometry", guarded_equal(compose(t1, adjoint(t1)), ident)))
-    p_e = coset_projection(w, Subgroup.trivial(ctx), ctx.identity())
+    p_e = coset_projection(w, trivial_subgroup(ctx), ctx.identity())
     suite.add(
         _identity_check(
             "marked-generator-defect",
@@ -162,7 +161,7 @@ def run_cuntz_check(n: int = 2, length: int = 4) -> SuiteReport:
     w_cone = make_window(cone, length)
     suite = SuiteReport(name="cuntz", params={"n": n, "L": length})
     ident = identity_operator(w_cone)
-    p_e = coset_projection(w_cone, Subgroup.trivial(ctx), ctx.identity())
+    p_e = coset_projection(w_cone, trivial_subgroup(ctx), ctx.identity())
 
     isometries = []
     for i in range(1, n + 1):
@@ -451,7 +450,7 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
 
     ball = ctx.ball(radius)
     base_pairs = [(ctx.from_base(g), ctx.from_base(ctx.base.invert(g))) for g in ctx.base.ball(radius)]
-    bc_spec = from_predicate(ctx, bc_words_name, lambda x: not b_spec.contains(x))
+    bc_spec = SubsetSpec(ctx, bc_words_name, lambda x: not b_spec.contains(x))
     counts = {"G": 0, "L": 0, "R": 0}
     mismatches = []
     for gamma in ball:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .groups import AmalgamContext, GroupContext, GroupElement, HnnContext
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
-from .subsets import SubsetSpec, Subgroup
+from .subsets import SubsetSpec, coset_cover
 
 
 def deep_witness(spec: SubsetSpec, r: int, search_radius: int) -> CheckReport:
@@ -48,7 +48,7 @@ def deep_witness(spec: SubsetSpec, r: int, search_radius: int) -> CheckReport:
 def relatively_deep_check(
     b_spec: SubsetSpec,
     x_spec: SubsetSpec,
-    k_sub: Subgroup,
+    k_sub: SubsetSpec,
     r: int,
     search_radius: int,
 ) -> CheckReport:
@@ -86,7 +86,7 @@ def relatively_deep_check(
                 return False
         return True
 
-    coset_reps = k_sub.coset_cover(x_spec.elements_in_ball(max(0, search_radius - r)))
+    coset_reps = coset_cover(k_sub, x_spec.elements_in_ball(max(0, search_radius - r)))
 
     found: list[dict] = []
     for rep in coset_reps:
@@ -131,7 +131,7 @@ def _displaced(b_spec: SubsetSpec, x_spec: SubsetSpec, g: GroupElement, r: int) 
 def almost_invariant_check(
     b_spec: SubsetSpec,
     x_spec: SubsetSpec,
-    h_sub: Subgroup,
+    h_sub: SubsetSpec,
     g: GroupElement,
     radius: int,
     growth: int = 2,
@@ -152,7 +152,7 @@ def coset_count_check(
     name: str,
     b_spec: SubsetSpec,
     x_spec: SubsetSpec,
-    h_sub: Subgroup,
+    h_sub: SubsetSpec,
     g: GroupElement,
     radius: int,
     growth: int,
@@ -165,8 +165,8 @@ def coset_count_check(
     witnesses are the coset representatives of ``small``.
     """
     ctx = b_spec.ctx
-    reps_small = h_sub.coset_cover(small)
-    n_large = len(h_sub.coset_cover(large))
+    reps_small = coset_cover(h_sub, small)
+    n_large = len(coset_cover(h_sub, large))
     return CheckReport(
         name=name,
         params={
@@ -187,17 +187,17 @@ def coset_count_check(
 def coset_count_profile(
     b_spec: SubsetSpec,
     x_spec: SubsetSpec,
-    h_sub: Subgroup,
+    h_sub: SubsetSpec,
     g: GroupElement,
     radii: Sequence[int],
 ) -> list[int]:
     """Number of covering cosets of (Bg \\ B) n X at each window radius."""
-    return [len(h_sub.coset_cover(_displaced(b_spec, x_spec, g, r))) for r in radii]
+    return [len(coset_cover(h_sub, _displaced(b_spec, x_spec, g, r))) for r in radii]
 
 
 def coseparability_search(
     b_spec: SubsetSpec,
-    h_sub: Subgroup,
+    h_sub: SubsetSpec,
     f_radius: int,
     g_radius: int,
     max_size: int = 3,
@@ -292,17 +292,22 @@ def coseparability_witness(report: CheckReport, spec: SubsetSpec) -> list[GroupE
     return [spec.ctx.parse(text) for text in report.witnesses]
 
 
+# radius within which h_isolation_sets looks for a point to split F' with
+SPLIT_RADIUS = 4
+
+
 def h_isolation_sets(
     b_spec: SubsetSpec,
     f_prime: Sequence[GroupElement],
-    enlarge_radius: int = 4,
-) -> tuple[list[GroupElement], list[GroupElement]]:
+    enlarge_radius: int = SPLIT_RADIUS,
+) -> tuple[list[GroupElement], list[GroupElement]] | None:
     """Split a distinguishing set into inverse families isolating the stabiliser.
 
     E1 = F' inside the subset and E2 = F' outside it must both be nonempty;
     if not, F' is enlarged with the shortlex-least points of the subset and of
     the complement (enlarging preserves the distinguishing property).  The
-    returned families are the inverse sets F1 = E1^-1, F2 = E2^-1.
+    returned families are the inverse sets F1 = E1^-1, F2 = E2^-1, or None
+    when the ball of radius enlarge_radius holds no point for an empty side.
     """
     ctx = b_spec.ctx
     inside = [x for x in f_prime if b_spec.contains(x)]
@@ -318,7 +323,7 @@ def h_isolation_sets(
                 outside.append(x)
                 break
     if not inside or not outside:
-        raise ValueError("could not split the distinguishing set within the bound")
+        return None
     f1 = [ctx.invert(x) for x in inside]
     f2 = [ctx.invert(x) for x in outside]
     return f1, f2
@@ -326,7 +331,7 @@ def h_isolation_sets(
 
 def verify_h_isolation(
     b_spec: SubsetSpec,
-    h_sub: Subgroup,
+    h_sub: SubsetSpec,
     f1: Sequence[GroupElement],
     f2: Sequence[GroupElement],
     radius: int,
@@ -379,7 +384,7 @@ def boundary_set(b_spec: SubsetSpec, radius: int) -> list[GroupElement]:
     return out
 
 
-def boundary_check(b_spec: SubsetSpec, expected: Subgroup, radius: int) -> CheckReport:
+def boundary_check(b_spec: SubsetSpec, expected: SubsetSpec, radius: int) -> CheckReport:
     ctx = b_spec.ctx
     boundary = boundary_set(b_spec, radius)
     expected_points = [x for x in ctx.ball(radius) if expected.contains(x) and b_spec.contains(x)]
@@ -410,13 +415,7 @@ class Presentation:
     ctx: GroupContext
     letters: tuple[GroupElement, ...]
     relations: tuple[tuple[int, ...], ...]  # indices into letters
-
-    def letter_inverse(self, i: int) -> int:
-        target = self.ctx.invert(self.letters[i]).word
-        for j, l in enumerate(self.letters):
-            if l.word == target:
-                return j
-        raise ValueError("alphabet not closed under inversion")
+    inverse: tuple[int, ...]  # inverse[i]: the index of letters[i]'s inverse
 
 
 def factor_relation_words(f: GroupContext, letters: Sequence[GroupElement]) -> list[list[GroupElement]]:
@@ -494,18 +493,18 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
                     words.append((t, at[h.word], t_inv, k_inv))
     else:
         add_letters(ctx.generator_elements())
-        words = [(i, index[ctx.invert(g).word]) for i, g in enumerate(letters) if ctx.invert(g).word in index]
+        words = [(i, index[ctx.invert(g).word]) for i, g in enumerate(letters)]
 
-    # close relations under cyclic permutation and inversion; every letter of
-    # a word has its inverse among the letters
-    inverse = [index.get(ctx.invert(x).word) for x in letters]
+    # close relations under cyclic permutation and inversion; every letter
+    # has its inverse among the letters
+    inverse = tuple(index[ctx.invert(x).word] for x in letters)
     closed: set[tuple[int, ...]] = set()
     for rel in words:
         for s in range(len(rel)):
             rot = rel[s:] + rel[:s]
             closed.add(rot)
             closed.add(tuple(inverse[i] for i in reversed(rot)))
-    return Presentation(ctx, tuple(letters), tuple(sorted(closed)))
+    return Presentation(ctx, tuple(letters), tuple(sorted(closed)), inverse)
 
 
 def prefix_products(
@@ -526,12 +525,13 @@ def prefix_products(
 def _rewrite_table(pres: Presentation) -> dict:
     """Map subword u -> replacements v' with u v' a relation, grouped by |u|."""
     table: dict[int, dict[tuple, set[tuple]]] = {}
+    inverse = pres.inverse
     for rel in pres.relations:
         n = len(rel)
         for cut in range(n + 1):
             u = rel[:cut]
             v = rel[cut:]
-            repl = tuple(pres.letter_inverse(i) for i in reversed(v))
+            repl = tuple(inverse[i] for i in reversed(v))
             if repl == u:
                 continue
             table.setdefault(len(u), {}).setdefault(u, set()).add(repl)

@@ -38,7 +38,7 @@ from .operators import (
     subtract,
 )
 from .reports import FALSIFIED, VERIFIED, CheckReport
-from .subsets import SubsetSpec, Subgroup
+from .subsets import SubsetSpec
 
 ZERO = Fraction(0)
 
@@ -46,8 +46,8 @@ ZERO = Fraction(0)
 class HAlgebraElement:
     """Finite formal rational combination of subgroup translations."""
 
-    def __init__(self, subgroup: Subgroup, coeffs: dict | None = None):
-        if not subgroup.is_finite:
+    def __init__(self, subgroup: SubsetSpec, coeffs: dict | None = None):
+        if subgroup.elements is None:
             raise ValueError("group-algebra elements need a finite subgroup")
         self.subgroup = subgroup
         self.coeffs: dict[tuple, Fraction] = {}
@@ -60,11 +60,11 @@ class HAlgebraElement:
                 raise ValueError("coefficient outside the subgroup")
 
     @classmethod
-    def unit(cls, subgroup: Subgroup) -> "HAlgebraElement":
+    def unit(cls, subgroup: SubsetSpec) -> "HAlgebraElement":
         return cls(subgroup, {subgroup.ctx.identity().word: Fraction(1)})
 
     @classmethod
-    def of(cls, subgroup: Subgroup, h: GroupElement, value=1) -> "HAlgebraElement":
+    def of(cls, subgroup: SubsetSpec, h: GroupElement, value=1) -> "HAlgebraElement":
         return cls(subgroup, {h.word: Fraction(value)})
 
     def is_zero(self) -> bool:
@@ -213,7 +213,7 @@ class SigmaVector:
         return SigmaVector(self.spec, out)
 
 
-def module_inner_product(subgroup: Subgroup, x: SigmaVector, y: SigmaVector) -> HAlgebraElement:
+def module_inner_product(subgroup: SubsetSpec, x: SigmaVector, y: SigmaVector) -> HAlgebraElement:
     """Sesquilinear extension of <sigma_g, sigma_k> = rho(g k^-1) [g k^-1 in H]."""
     ctx = subgroup.ctx
     out: dict[tuple, Fraction] = {}
@@ -252,7 +252,7 @@ def isolation_projection(w: Window, f1: Sequence[GroupElement], f2: Sequence[Gro
 def verify_ph_in_ideal(
     b_spec: SubsetSpec,
     x_spec: SubsetSpec,
-    h_sub: Subgroup,
+    h_sub: SubsetSpec,
     g: GroupElement,
     radius: int,
 ) -> CheckReport:
@@ -291,7 +291,7 @@ def verify_ph_in_ideal(
 def coset_decomposition_check(
     b_spec: SubsetSpec,
     x_spec: SubsetSpec,
-    h_sub: Subgroup,
+    h_sub: SubsetSpec,
     g: GroupElement,
     radius: int,
     growth: int = 2,

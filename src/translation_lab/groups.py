@@ -226,13 +226,14 @@ class FreeGroupContext(GroupContext):
     """
 
     kind = "free"
+    default_names = "abcdefgh"  # generator names when none are given
 
     def __init__(self, rank: int, names: Sequence[str] | None = None):
         super().__init__()
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        self.names = tuple(names) if names else tuple("abcdefgh"[:rank])
+        self.names = tuple(names) if names else tuple(self.default_names[:rank])
         if len(self.names) != rank:
             raise ValueError("need one name per generator")
         if any(len(n) != 1 or not n.islower() for n in self.names):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .groups import GroupElement, MalformedWord
-from .subsets import SubsetSpec, Subgroup
+from .subsets import SubsetSpec
 from .tracks import Track, support
 
 ZERO = Fraction(0)
@@ -250,11 +250,11 @@ def diagonal(w: Window, keep: Callable[[GroupElement], bool]) -> TranslationOper
     return TranslationOperator(w, {(i, i): ONE for i, x in enumerate(w.points) if keep(x)})
 
 
-def coset_projection(w: Window, subgroup: Subgroup, b: GroupElement) -> TranslationOperator:
-    """Diagonal 0/1 projection onto the window points of the coset H*b."""
+def coset_projection(w: Window, subset: SubsetSpec, b: GroupElement) -> TranslationOperator:
+    """Diagonal 0/1 projection onto the window points of the translate S*b, a coset H*b for a subgroup."""
     ctx = w.spec.ctx
     b_inv = ctx.invert(b)
-    return diagonal(w, lambda x: subgroup.contains(ctx.multiply(x, b_inv)))
+    return diagonal(w, lambda x: subset.contains(ctx.multiply(x, b_inv)))
 
 
 def domain_projection(w: Window, g: GroupElement) -> TranslationOperator:
@@ -263,10 +263,7 @@ def domain_projection(w: Window, g: GroupElement) -> TranslationOperator:
     Equals adjoint(T_g) @ T_g but built from the predicate, hence never
     clipped.
     """
-    spec = w.spec
-    ctx = spec.ctx
-    g_inv = ctx.invert(g)
-    return diagonal(w, lambda x: spec.contains(ctx.multiply(x, g_inv)))
+    return coset_projection(w, w.spec, g)
 
 
 @dataclass

@@ -11,13 +11,15 @@ keeps no memo and asks the predicate on every call; the one reuse kept is
 ``elements_in_ball``, which lists the members of each ball layer once.  A
 subset that can list its members of each word length in closed form offers
 them as ``sphere_members``, so a sparse subset's window grows no ball; every
-listed element is still read through ``contains``.
+listed element is still read through ``contains``.  Subgroups, claimed
+stabilisers included, are subsets of the same type; a finite one also keeps
+its whole member list in ``elements``, and its windows filter that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .groups import (
     AmalgamContext,
@@ -31,88 +33,20 @@ from .groups import (
 from .reports import FALSIFIED, VERIFIED, CheckReport
 
 
-class Subgroup:
-    """A subgroup given by a membership test, optionally with a finite list."""
-
-    def __init__(
-        self,
-        ctx: GroupContext,
-        name: str,
-        contains: Callable[[GroupElement], bool],
-        elements: Sequence[GroupElement] | None = None,
-    ):
-        self.ctx = ctx
-        self.name = name
-        self._contains = contains
-        self.elements = tuple(elements) if elements is not None else None
-
-    def contains(self, x: GroupElement) -> bool:
-        return bool(self._contains(x))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.elements is not None
-
-    def elements_in_ball(self, r: int) -> list[GroupElement]:
-        if self.elements is not None:
-            return [h for h in self.elements if self.ctx.word_length(h) <= r]
-        return [h for h in self.ctx.ball(r) if self.contains(h)]
-
-    def coset_cover(self, points: Iterable[GroupElement]) -> list[GroupElement]:
-        """Greedy cover by right cosets H x: the first point of each coset, in order."""
-        ctx = self.ctx
-        reps: list[GroupElement] = []
-        rep_inverses: list[GroupElement] = []
-        for x in points:
-            if not any(self.contains(ctx.multiply(x, r_inv)) for r_inv in rep_inverses):
-                reps.append(x)
-                rep_inverses.append(ctx.invert(x))
-        return reps
-
-    @classmethod
-    def from_elements(cls, ctx: GroupContext, elements: Iterable[GroupElement], name: str) -> "Subgroup":
-        elems = list(elements)
-        words = {x.word for x in elems}
-        e = ctx.identity()
-        if e.word not in words:
-            elems.append(e)
-            words.add(e.word)
-        for x in elems:
-            if ctx.invert(x).word not in words:
-                raise ValueError(f"subgroup {name} not closed under inverses")
-            for y in elems:
-                if ctx.multiply(x, y).word not in words:
-                    raise ValueError(f"subgroup {name} not closed under products")
-        elems.sort(key=ctx.sort_key)
-        return cls(ctx, name, lambda x: x.word in words, elems)
-
-    @classmethod
-    def from_predicate(cls, ctx: GroupContext, name: str, contains: Callable[[GroupElement], bool]) -> "Subgroup":
-        return cls(ctx, name, contains)
-
-    @classmethod
-    def trivial(cls, ctx: GroupContext) -> "Subgroup":
-        e = ctx.identity()
-        return cls.from_elements(ctx, [e], "{e}")
-
-    def report_form(self):
-        if self.elements is not None:
-            return {"name": self.name, "elements": [self.ctx.format(h) for h in self.elements]}
-        return {"name": self.name}
-
-
 @dataclass
 class SubsetSpec:
     """Total membership predicate plus claimed stabiliser data."""
 
     ctx: GroupContext
     name: str
+    predicate: Callable[[GroupElement], bool]
+    left_stabiliser: SubsetSpec | None = None
+    right_stabiliser: SubsetSpec | None = None
     params: dict = field(default_factory=dict)
-    predicate: Callable[[GroupElement], bool] = lambda x: True
-    left_stabiliser: Subgroup | None = None
-    right_stabiliser: Subgroup | None = None
     # sphere_members(k): candidates holding every member of word length k, in any order
     sphere_members: Callable[[int], Iterable[GroupElement]] | None = None
+    # every member of a finite set, in ball order
+    elements: tuple[GroupElement, ...] | None = None
 
     def __post_init__(self):
         # _layers[k]: the members of ctx.sphere(k), in ball order
@@ -126,8 +60,10 @@ class SubsetSpec:
     def elements_in_ball(self, r: int) -> list[GroupElement]:
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        layers = self._layers
         ctx = self.ctx
+        if self.elements is not None:
+            return [h for h in self.elements if ctx.word_length(h) <= r]
+        layers = self._layers
         while len(layers) <= r:
             k = len(layers)
             if self.sphere_members is None:
@@ -144,26 +80,46 @@ class SubsetSpec:
         return {"name": self.name, "params": self.params}
 
 
-def from_predicate(
-    ctx: GroupContext,
-    name: str,
-    predicate: Callable[[GroupElement], bool],
-    left_stabiliser: Subgroup | None = None,
-    right_stabiliser: Subgroup | None = None,
-    params: dict | None = None,
-    sphere_members: Callable[[int], Iterable[GroupElement]] | None = None,
-) -> SubsetSpec:
-    return SubsetSpec(
-        ctx, name, params or {}, predicate, left_stabiliser, right_stabiliser, sphere_members
-    )
+def finite_subgroup(ctx: GroupContext, elements: Iterable[GroupElement], name: str) -> SubsetSpec:
+    """The subgroup listing these elements and the identity; raises if they are not closed."""
+    elems = list(elements)
+    words = {x.word for x in elems}
+    e = ctx.identity()
+    if e.word not in words:
+        elems.append(e)
+        words.add(e.word)
+    for x in elems:
+        if ctx.invert(x).word not in words:
+            raise ValueError(f"subgroup {name} not closed under inverses")
+        for y in elems:
+            if ctx.multiply(x, y).word not in words:
+                raise ValueError(f"subgroup {name} not closed under products")
+    elems.sort(key=ctx.sort_key)
+    return SubsetSpec(ctx, name, lambda x: x.word in words, elements=tuple(elems))
+
+
+def trivial_subgroup(ctx: GroupContext) -> SubsetSpec:
+    return finite_subgroup(ctx, [], "{e}")
+
+
+def coset_cover(subgroup: SubsetSpec, points: Iterable[GroupElement]) -> list[GroupElement]:
+    """Greedy cover by right cosets H x: the first point of each coset, in order."""
+    ctx = subgroup.ctx
+    reps: list[GroupElement] = []
+    rep_inverses: list[GroupElement] = []
+    for x in points:
+        if not any(subgroup.contains(ctx.multiply(x, r_inv)) for r_inv in rep_inverses):
+            reps.append(x)
+            rep_inverses.append(ctx.invert(x))
+    return reps
 
 
 def whole_group(ctx: GroupContext) -> SubsetSpec:
-    return from_predicate(ctx, "all", lambda x: True, params={"kind": "universal-all"})
+    return SubsetSpec(ctx, "all", lambda x: True, params={"kind": "universal-all"})
 
 
-def difference(outer: SubsetSpec, inner: SubsetSpec | Subgroup, name: str | None = None) -> SubsetSpec:
-    return from_predicate(
+def difference(outer: SubsetSpec, inner: SubsetSpec, name: str | None = None) -> SubsetSpec:
+    return SubsetSpec(
         outer.ctx,
         name or f"{outer.name}-minus-{inner.name}",
         lambda x: outer.contains(x) and not inner.contains(x),
@@ -183,12 +139,12 @@ def coordinate_halfspace(ctx: FreeAbelianContext, coord: int = 0, lower: int = 0
     if not 0 <= coord < ctx.rank:
         raise ValueError("coordinate out of range")
     if ctx.rank == 1:
-        axis = Subgroup.trivial(ctx)
+        axis = trivial_subgroup(ctx)
     else:
-        axis = Subgroup.from_predicate(
+        axis = SubsetSpec(
             ctx, f"axis[{coord}=0]", lambda x, c=coord: x.word[c] == 0
         )
-    return from_predicate(
+    return SubsetSpec(
         ctx,
         f"halfspace[{coord}>={lower}]",
         lambda x: x.word[coord] >= lower,
@@ -214,10 +170,10 @@ def congruence_class(ctx: FreeAbelianContext, modulus: int, residue: int = 0, co
         raise ValueError("coordinate out of range")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    stab = Subgroup.from_predicate(
+    stab = SubsetSpec(
         ctx, f"{modulus}Z[{coord}]", lambda x, c=coord, m=modulus: x.word[c] % m == 0
     )
-    return from_predicate(
+    return SubsetSpec(
         ctx,
         f"congruence[{coord}%{modulus}={residue}]",
         lambda x: x.word[coord] % modulus == residue % modulus,
@@ -236,12 +192,12 @@ def positive_cone(ctx: FreeGroupContext) -> SubsetSpec:
     """Words in positive letters only, together with the identity."""
     if not isinstance(ctx, FreeGroupContext):
         raise ValueError("positive cones need a free context")
-    return from_predicate(
+    return SubsetSpec(
         ctx,
         "positive-cone",
         lambda x: min(x.word, default=1) > 0,
-        left_stabiliser=Subgroup.trivial(ctx),
-        right_stabiliser=Subgroup.trivial(ctx),
+        left_stabiliser=trivial_subgroup(ctx),
+        right_stabiliser=trivial_subgroup(ctx),
         params={"kind": "positive-cone"},
     )
 
@@ -251,11 +207,11 @@ def words_not_starting_with(ctx: FreeGroupContext, letter: GroupElement) -> Subs
     if len(letter.word) != 1:
         raise ValueError("need a single-letter element")
     banned = letter.word[0]
-    return from_predicate(
+    return SubsetSpec(
         ctx,
         f"not-starting-{ctx.format(letter)}",
         lambda x: not x.word or x.word[0] != banned,
-        left_stabiliser=Subgroup.trivial(ctx),
+        left_stabiliser=trivial_subgroup(ctx),
         params={"kind": "custom-first-letter", "exclude": ctx.format(letter)},
     )
 
@@ -288,10 +244,10 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
         return all(l > 0 for l in word[k:])
 
     # a reduced word lies in <a> iff every letter is a or a^-1
-    stab = Subgroup.from_predicate(
+    stab = SubsetSpec(
         ctx, f"<{ctx.format(g)}>", lambda x: all(abs(l) == letter for l in x.word)
     )
-    return from_predicate(
+    return SubsetSpec(
         ctx,
         name or f"translates[{ctx.format(g)}]({base.name})",
         member,
@@ -317,7 +273,6 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
         if side not in ("G", "S"):
             raise ValueError("amalgam sides are 'G' and 'S'")
         want = 0 if side == "G" else 1
-        other = 1 - want
 
         def member(x: GroupElement) -> bool:
             syllables, _h = x.word
@@ -325,20 +280,16 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
                 return True  # subgroup elements sit in both half-spaces
             return syllables[0][0] == want
 
-        h_elems = [ctx.h_element(i) for i in range(ctx.subgroup_size())]
-        left = Subgroup.from_elements(ctx, h_elems, "H")
-
         def right_member(x: GroupElement) -> bool:
             syllables, _h = x.word
             return all(s == want for s, _ in syllables)
 
-        right = Subgroup.from_predicate(ctx, side, right_member)
-        return from_predicate(
+        return SubsetSpec(
             ctx,
             f"halfspace-{side}",
             member,
-            left_stabiliser=left,
-            right_stabiliser=right,
+            left_stabiliser=amalgam_subgroup(ctx),
+            right_stabiliser=SubsetSpec(ctx, side, right_member),
             params={"kind": "halfspace", "side": side},
         )
 
@@ -375,22 +326,20 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
         def right_g(x: GroupElement) -> bool:
             return not x.word[1]
 
-        return from_predicate(
+        return SubsetSpec(
             ctx,
             f"halfspace-{side}",
             predicate,
-            left_stabiliser=Subgroup.from_predicate(ctx, left_name, left_member),
-            right_stabiliser=Subgroup.from_predicate(ctx, "G", right_g),
+            left_stabiliser=SubsetSpec(ctx, left_name, left_member),
+            right_stabiliser=SubsetSpec(ctx, "G", right_g),
             params={"kind": "halfspace", "side": side},
         )
 
     raise ValueError(f"context kind {ctx.kind!r} has no tree half-spaces")
 
 
-def amalgam_subgroup(ctx: AmalgamContext) -> Subgroup:
-    return Subgroup.from_elements(
-        ctx, [ctx.h_element(i) for i in range(ctx.subgroup_size())], "H"
-    )
+def amalgam_subgroup(ctx: AmalgamContext) -> SubsetSpec:
+    return finite_subgroup(ctx, [ctx.h_element(i) for i in range(ctx.subgroup_size())], "H")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .geometry import (
 from .groups import FreeAbelianContext, FreeGroupContext, GroupElement
 from .operators import rank_of_vectors
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, SuiteReport
-from .subsets import SubsetSpec, Subgroup, from_predicate
+from .subsets import SubsetSpec, trivial_subgroup, whole_group
 from .tracks import Track, support
 
 
@@ -59,11 +59,11 @@ def universal_z_spec(ctx: FreeAbelianContext) -> SubsetSpec:
     """The universal subset of the integers, supported on the nonnegatives."""
     if not isinstance(ctx, FreeAbelianContext) or ctx.rank != 1:
         raise ValueError("the integer universal subset needs Z")
-    return from_predicate(
+    return SubsetSpec(
         ctx,
         "universal-z",
         lambda x: x.word[0] >= 0 and bit_at(x.word[0]) == 1,
-        left_stabiliser=Subgroup.trivial(ctx),
+        left_stabiliser=trivial_subgroup(ctx),
         params={"kind": "universal", "variant": "z"},
     )
 
@@ -199,11 +199,11 @@ def universal_b_words_spec(
     ctx: FreeGroupContext, max_radius: int = 1, start: int = 2, min_step: int = 4
 ) -> SubsetSpec:
     placed = PlacedUniversalWords(ctx, max_radius, start, min_step)
-    spec = from_predicate(
+    spec = SubsetSpec(
         ctx,
         "universal-b-words",
         placed.contains,
-        left_stabiliser=Subgroup.trivial(ctx),
+        left_stabiliser=trivial_subgroup(ctx),
         params={
             "kind": "universal",
             "variant": "b-words",
@@ -402,7 +402,7 @@ def track_independence_check(
 
 def dependent_tracks_demo(ctx: FreeAbelianContext, tracks: Sequence[Track], radius: int) -> CheckReport:
     """On the whole group every relation holds: same-total tracks give equal operators."""
-    whole = from_predicate(ctx, "all", lambda x: True)
+    whole = whole_group(ctx)
     vectors = []
     points = ctx.ball(radius)
     for t in tracks:
@@ -454,8 +454,8 @@ def appendix_contrast_demo(
     def in_x(x: GroupElement) -> bool:
         return placed.a_shift(x) is not None
 
-    trivial = Subgroup.trivial(ctx)
-    b_spec = from_predicate(
+    trivial = trivial_subgroup(ctx)
+    b_spec = SubsetSpec(
         ctx,
         "a-cone-of-universal",
         in_b,
@@ -463,10 +463,10 @@ def appendix_contrast_demo(
         params={"kind": "custom", "construction": "nonnegative a-translates of universal-b-words"},
         sphere_members=lambda k: placed.sphere(k, 0, None),
     )
-    powers_of_a = Subgroup.from_predicate(
+    powers_of_a = SubsetSpec(
         ctx, "<a>", lambda x: all(l in (1, -1) for l in x.word)
     )
-    x_spec = from_predicate(
+    x_spec = SubsetSpec(
         ctx,
         "a-translates-of-universal",
         in_x,

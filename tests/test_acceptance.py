@@ -10,7 +10,6 @@ import time
 from conftest import generator_sequences, rng
 
 from translation_lab import (
-    Subgroup,
     amalgam_subgroup,
     compose,
     congruence_class,
@@ -23,6 +22,7 @@ from translation_lab import (
     positive_cone,
     track_of_sequence,
     track_operator,
+    trivial_subgroup,
     whole_group,
 )
 from translation_lab.gallery import (
@@ -200,7 +200,7 @@ def test_criterion_08_isolation_pipeline(z, z2, amalgam):
     ok = True
     s1 = amalgam.from_letters([(1, amalgam.factors[1].element(1))])
     cases = [
-        (natural_numbers(z), Subgroup.trivial(z), whole_group(z), z.integer(1), 1, 10, 12),
+        (natural_numbers(z), trivial_subgroup(z), whole_group(z), z.integer(1), 1, 10, 12),
         (
             coordinate_halfspace(z2, 0, 0),
             coordinate_halfspace(z2, 0, 0).left_stabiliser,
@@ -241,7 +241,7 @@ def test_criterion_08_isolation_pipeline(z, z2, amalgam):
 def test_criterion_09_almost_invariance_discrimination(z, z2, f2, amalgam):
     s1 = amalgam.from_letters([(1, amalgam.factors[1].element(1))])
     stable_cases = [
-        (natural_numbers(z), whole_group(z), Subgroup.trivial(z), z.integer(-3)),
+        (natural_numbers(z), whole_group(z), trivial_subgroup(z), z.integer(-3)),
         (
             coordinate_halfspace(z2, 0, 0),
             whole_group(z2),
@@ -256,7 +256,7 @@ def test_criterion_09_almost_invariance_discrimination(z, z2, f2, amalgam):
         if not (profile[0] == profile[1] == profile[2] and profile[0] > 0):
             ok = False
     cone_profile = coset_count_profile(
-        positive_cone(f2), whole_group(f2), Subgroup.trivial(f2), f2.invert(f2.generator(1)), [4, 6, 8]
+        positive_cone(f2), whole_group(f2), trivial_subgroup(f2), f2.invert(f2.generator(1)), [4, 6, 8]
     )
     growing = cone_profile[0] < cone_profile[1] < cone_profile[2]
     _report(9, "coset counts stable for invariant examples, strictly growing for the cone", ok and growing)

@@ -120,6 +120,12 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["op", "rank", "--group", bad["hnn_free"], "--subset", bad["half_b"]],
         ["check", "deep", "--group", "f2", "--subset", bad["exclude_null"]],
         ["check", "stabilisers", "--group", "f2", "--subset", bad["translator_int"], "--r", "2"],
+        # more generators than the default names
+        ["gallery", "pv", "--n", "9"],
+        ["gallery", "cuntz", "--n", "9"],
+        # a distinguishing set with no point outside B to split it
+        ["check", "isolation", "--group", "z", "--subset", bad["all"], "--r", "0", "--R", "0"],
+        ["module", "ph", "--group", "z", "--subset", bad["all"], "--r", "0", "--R", "0"],
     ]
     codes = []
     for argv in invocations:
@@ -128,7 +134,7 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 0, 0]
 
 
 def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):

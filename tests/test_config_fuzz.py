@@ -4,9 +4,9 @@ Group and subset definitions of every kind, composite groups nested one level
 over the plain kinds, are drawn with parameters that are sometimes valid and
 sometimes mutated: out of range, of the wrong type, or joined by a key the
 kind does not take.  Each must either be refused with exit code 3 or run
-`check deep --r 1 --R 3` and `check stabilisers --r 2` to a documented exit
-code under a small ball cap, with exit code 1 only beside a falsified
-verdict.
+`check deep --r 1 --R 3`, `check stabilisers --r 2` and `check isolation
+--r 0 --R 0` to a documented exit code under a small ball cap, with exit
+code 1 only beside a falsified verdict.
 """
 
 import json
@@ -132,7 +132,11 @@ def test_every_config_is_refused_or_runs(tmp_path, capsys, monkeypatch):
             group = str(group_file)
         subset_file.write_text(json.dumps(subset))
         common = ["--group", group, "--subset", str(subset_file)]
-        for argv in (["check", "deep", *common, "--r", "1", "--R", "3"], ["check", "stabilisers", *common, "--r", "2"]):
+        for argv in (
+            ["check", "deep", *common, "--r", "1", "--R", "3"],
+            ["check", "stabilisers", *common, "--r", "2"],
+            ["check", "isolation", *common, "--r", "0", "--R", "0"],
+        ):
             code = cli.dispatch(argv)
             captured = capsys.readouterr()
             assert code in (0, 1, 3, 4), (argv, group, subset)

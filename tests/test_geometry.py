@@ -6,7 +6,7 @@ import pytest
 
 from translation_lab import (
     AmalgamContext,
-    Subgroup,
+    SubsetSpec,
     amalgam_subgroup,
     congruence_class,
     coordinate_halfspace,
@@ -15,6 +15,7 @@ from translation_lab import (
     make_tree_halfspace,
     natural_numbers,
     positive_cone,
+    trivial_subgroup,
     whole_group,
     words_not_starting_with,
 )
@@ -60,7 +61,7 @@ def test_relatively_deep_reduces_to_deep(z):
     # the ambient set is the whole group, whose left stabiliser is everything:
     # a single coset, so the check degenerates to the plain deep witness
     nat = natural_numbers(z)
-    everything = Subgroup.from_predicate(z, "Z", lambda x: True)
+    everything = SubsetSpec(z, "Z", lambda x: True)
     report = relatively_deep_check(nat, whole_group(z), everything, 3, 10)
     assert report.verdict == VERIFIED
 
@@ -74,14 +75,14 @@ def test_relatively_deep_cuntz_setup(f2):
 
 def test_relatively_deep_fails_for_evens(z):
     evens = congruence_class(z, 2)
-    report = relatively_deep_check(evens, whole_group(z), Subgroup.from_predicate(z, "Z", lambda x: True), 1, 8)
+    report = relatively_deep_check(evens, whole_group(z), SubsetSpec(z, "Z", lambda x: True), 1, 8)
     assert report.verdict == FALSIFIED
 
 
 def test_relatively_deep_validates_containment(z):
     nat = natural_numbers(z)
     evens = congruence_class(z, 2)
-    report = relatively_deep_check(nat, evens, Subgroup.trivial(z), 1, 6)
+    report = relatively_deep_check(nat, evens, trivial_subgroup(z), 1, 6)
     assert report.verdict == FALSIFIED
     assert "error" in report.details
 
@@ -92,9 +93,9 @@ def test_relatively_deep_validates_containment(z):
 def test_almost_invariant_naturals(z):
     # both directions of the translate: the strip appears on the inverse side
     nat = natural_numbers(z)
-    fwd = almost_invariant_check(nat, whole_group(z), Subgroup.trivial(z), z.integer(3), 8)
+    fwd = almost_invariant_check(nat, whole_group(z), trivial_subgroup(z), z.integer(3), 8)
     assert fwd.verdict == VERIFIED and fwd.details["coset_count_at_R"] == 0
-    bwd = almost_invariant_check(nat, whole_group(z), Subgroup.trivial(z), z.integer(-3), 8)
+    bwd = almost_invariant_check(nat, whole_group(z), trivial_subgroup(z), z.integer(-3), 8)
     assert bwd.verdict == VERIFIED
     assert bwd.details["coset_count_at_R"] == 3  # the strip -3,-2,-1
     assert sorted(bwd.witnesses) == ["-1", "-2", "-3"]
@@ -120,10 +121,10 @@ def test_almost_invariant_amalgam(amalgam):
 def test_positive_cone_not_almost_invariant(f2):
     cone = positive_cone(f2)
     a_inv = f2.invert(f2.generator(1))
-    report = almost_invariant_check(cone, whole_group(f2), Subgroup.trivial(f2), a_inv, 4)
+    report = almost_invariant_check(cone, whole_group(f2), trivial_subgroup(f2), a_inv, 4)
     assert report.verdict == INCONCLUSIVE
     profile = coset_count_profile(
-        cone, whole_group(f2), Subgroup.trivial(f2), a_inv, [4, 6, 8]
+        cone, whole_group(f2), trivial_subgroup(f2), a_inv, [4, 6, 8]
     )
     assert profile[0] < profile[1] < profile[2]
 
@@ -162,7 +163,7 @@ def test_displaced_matches_the_filtered_ball(request, group, make_b, make_inner)
 
 def test_coseparability_naturals(z):
     nat = natural_numbers(z)
-    report = coseparability_search(nat, Subgroup.trivial(z), 1, 10)
+    report = coseparability_search(nat, trivial_subgroup(z), 1, 10)
     assert report.verdict == VERIFIED
     assert sorted(report.witnesses) == ["-1", "0"]
 
@@ -187,7 +188,7 @@ def test_coseparability_amalgam(amalgam):
 
 def test_coseparability_inconclusive_when_size_capped(z):
     nat = natural_numbers(z)
-    report = coseparability_search(nat, Subgroup.trivial(z), 1, 10, max_size=1)
+    report = coseparability_search(nat, trivial_subgroup(z), 1, 10, max_size=1)
     assert report.verdict == INCONCLUSIVE
 
 
@@ -196,7 +197,7 @@ def test_isolation_pipeline_naturals(z):
     f1, f2_ = h_isolation_sets(nat, [z.integer(-1), z.integer(0)])
     assert [x.word[0] for x in f1] == [0]
     assert [x.word[0] for x in f2_] == [1]
-    assert verify_h_isolation(nat, Subgroup.trivial(z), f1, f2_, 10).verdict == VERIFIED
+    assert verify_h_isolation(nat, trivial_subgroup(z), f1, f2_, 10).verdict == VERIFIED
 
 
 def test_isolation_pipeline_halfplane(z2):
@@ -211,13 +212,13 @@ def test_isolation_enlarges_one_sided_family(z):
     nat = natural_numbers(z)
     f1, f2_ = h_isolation_sets(nat, [z.integer(0)])  # no outside point given
     assert f1 and f2_
-    assert verify_h_isolation(nat, Subgroup.trivial(z), f1, f2_, 8).verdict == VERIFIED
+    assert verify_h_isolation(nat, trivial_subgroup(z), f1, f2_, 8).verdict == VERIFIED
 
 
 def test_isolation_requires_families(z):
     nat = natural_numbers(z)
     with pytest.raises(ValueError):
-        verify_h_isolation(nat, Subgroup.trivial(z), [], [z.integer(1)], 5)
+        verify_h_isolation(nat, trivial_subgroup(z), [], [z.integer(1)], 5)
 
 
 def test_subgroup_always_inside_intersection_side(z):

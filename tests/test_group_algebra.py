@@ -5,16 +5,17 @@ import pytest
 from conftest import rng
 
 from translation_lab import (
-    Subgroup,
     amalgam_subgroup,
     coordinate_halfspace,
     coset_projection,
     cyclic_group,
+    finite_subgroup,
     guarded_equal,
     make_tree_halfspace,
     make_window,
     natural_numbers,
     positive_cone,
+    trivial_subgroup,
     whole_group,
 )
 from translation_lab.group_algebra import (
@@ -31,7 +32,7 @@ from translation_lab.reports import INCONCLUSIVE, VERIFIED
 
 def test_inner_product_trivial_subgroup(z):
     nat = natural_numbers(z)
-    triv = Subgroup.trivial(z)
+    triv = trivial_subgroup(z)
     s2 = SigmaVector.basis(nat, z.integer(2))
     s5 = SigmaVector.basis(nat, z.integer(5))
     assert module_inner_product(triv, s2, s5).is_zero()
@@ -83,7 +84,7 @@ def test_adjointability_of_translation_action(amalgam):
 
 def test_star_and_product():
     c6 = cyclic_group(6)
-    h = Subgroup.from_elements(c6, [c6.element(0), c6.element(2), c6.element(4)], "H3")
+    h = finite_subgroup(c6, [c6.element(0), c6.element(2), c6.element(4)], "H3")
     a = HAlgebraElement(h, {c6.element(2).word: Fraction(1), c6.element(4).word: Fraction(2)})
     twice = a * a
     assert twice.coeffs[c6.element(4).word] == Fraction(1)  # 2+2
@@ -94,7 +95,7 @@ def test_star_and_product():
 
 def test_inner_products_positive_semidefinite():
     c6 = cyclic_group(6)
-    h = Subgroup.from_elements(c6, [c6.element(0), c6.element(2), c6.element(4)], "H3")
+    h = finite_subgroup(c6, [c6.element(0), c6.element(2), c6.element(4)], "H3")
     everything = whole_group(c6)
     r = rng(43)
     points = everything.elements_in_ball(2)
@@ -115,7 +116,7 @@ def test_isolation_projection_naturals(z):
     w = make_window(nat, 8)
     proj = isolation_projection(w, [z.integer(0)], [z.integer(1)])
     assert sorted(proj.entries) == [(0, 0)]
-    target = coset_projection(w, Subgroup.trivial(z), z.integer(0))
+    target = coset_projection(w, trivial_subgroup(z), z.integer(0))
     assert guarded_equal(proj, target).equal
     assert guarded_equal(proj, proj).equal and not proj.clipped_rows
 
@@ -157,7 +158,7 @@ def test_isolation_projection_is_projection(z):
 
 def test_ph_in_ideal_naturals(z):
     nat = natural_numbers(z)
-    report = verify_ph_in_ideal(nat, whole_group(z), Subgroup.trivial(z), z.integer(1), 12)
+    report = verify_ph_in_ideal(nat, whole_group(z), trivial_subgroup(z), z.integer(1), 12)
     assert report.verdict == VERIFIED
     assert report.compared_count >= 20
 
@@ -179,12 +180,12 @@ def test_ph_in_ideal_amalgam(amalgam):
 def test_ph_in_ideal_rejects_wrong_direction(z):
     nat = natural_numbers(z)
     with pytest.raises(ValueError):
-        verify_ph_in_ideal(nat, whole_group(z), Subgroup.trivial(z), z.integer(-1), 10)
+        verify_ph_in_ideal(nat, whole_group(z), trivial_subgroup(z), z.integer(-1), 10)
 
 
 def test_coset_decomposition_examples(z, z2, f2):
     nat = natural_numbers(z)
-    report = coset_decomposition_check(nat, whole_group(z), Subgroup.trivial(z), z.integer(2), 8)
+    report = coset_decomposition_check(nat, whole_group(z), trivial_subgroup(z), z.integer(2), 8)
     assert report.verdict == VERIFIED
     assert report.details["coset_count_at_R"] == 2
 
@@ -195,7 +196,7 @@ def test_coset_decomposition_examples(z, z2, f2):
 
     cone = positive_cone(f2)
     report = coset_decomposition_check(
-        cone, whole_group(f2), Subgroup.trivial(f2), f2.generator(1), 5
+        cone, whole_group(f2), trivial_subgroup(f2), f2.generator(1), 5
     )
     assert report.verdict == INCONCLUSIVE
     assert report.details["coset_count_at_R_plus"] > report.details["coset_count_at_R"]
@@ -203,7 +204,7 @@ def test_coset_decomposition_examples(z, z2, f2):
 
 def test_coset_count_checks_differ_only_in_their_support_details(f2):
     cone = positive_cone(f2)
-    args = (cone, whole_group(f2), Subgroup.trivial(f2), f2.generator(1), 3)
+    args = (cone, whole_group(f2), trivial_subgroup(f2), f2.generator(1), 3)
     decomp = coset_decomposition_check(*args)
     # over the trivial subgroup every support point is its own coset
     assert decomp.details["support_size_at_R"] == decomp.compared_count == decomp.details["coset_count_at_R"]

@@ -7,7 +7,7 @@ import pytest
 from conftest import generator_sequences, rng
 
 from translation_lab import (
-    Subgroup,
+    SubsetSpec,
     adjoint,
     amalgam_subgroup,
     combine,
@@ -15,6 +15,7 @@ from translation_lab import (
     compose_chain,
     congruence_class,
     coordinate_halfspace,
+    coset_cover,
     coset_projection,
     diagonal,
     difference,
@@ -30,6 +31,7 @@ from translation_lab import (
     subtract,
     track_of_sequence,
     track_operator,
+    trivial_subgroup,
     whole_group,
     words_not_starting_with,
     zero_operator,
@@ -139,7 +141,7 @@ def test_adjoint_laws(z, nat_window):
     bwd = generator_operator(nat_window, z.integer(-1))
     assert guarded_equal(adjoint(fwd), bwd).equal
     assert adjoint(adjoint(fwd)).entries == fwd.entries
-    proj = coset_projection(nat_window, Subgroup.trivial(z), z.integer(0))
+    proj = coset_projection(nat_window, trivial_subgroup(z), z.integer(0))
     assert adjoint(proj).entries == proj.entries
 
 
@@ -160,7 +162,7 @@ def test_linear_combination(z, nat_window):
     defect = subtract(identity_operator(nat_window), compose(adjoint(fwd), fwd))
     assert all(r == c for r, c in defect.entries)
     assert all(v == Fraction(1) for v in defect.entries.values())
-    p = coset_projection(nat_window, Subgroup.trivial(z), z.integer(0))
+    p = coset_projection(nat_window, trivial_subgroup(z), z.integer(0))
     q = subtract(identity_operator(nat_window), p)
     assert guarded_equal(combine([1, 1], [p, q]), identity_operator(nat_window)).equal
 
@@ -174,7 +176,7 @@ def test_guarded_equal_certificate(z, nat_window):
 
 
 def test_coset_projection_examples(z, amalgam, nat_window):
-    e00 = coset_projection(nat_window, Subgroup.trivial(z), z.integer(0))
+    e00 = coset_projection(nat_window, trivial_subgroup(z), z.integer(0))
     assert sorted(e00.entries) == [(0, 0)]
     assert matrix_rank(e00) == 1
 
@@ -207,8 +209,8 @@ def test_domain_projection_agrees_with_star_product(z, f2, nat_window):
 
 # (fixture, subset B, subgroup H glued into B, window radius)
 DOMAIN_CASES = {
-    "nat": ("z", natural_numbers, Subgroup.trivial, 6),
-    "f2-cone": ("f2", positive_cone, Subgroup.trivial, 3),
+    "nat": ("z", natural_numbers, trivial_subgroup, 6),
+    "f2-cone": ("f2", positive_cone, trivial_subgroup, 3),
     "z4*z6-half": ("amalgam", lambda c: make_tree_halfspace(c, "G"), amalgam_subgroup, 3),
 }
 
@@ -374,9 +376,9 @@ def test_coset_cover_is_a_set_of_distinct_cosets_covering_every_point(case, z, f
     elif case == "z4*z6-H":
         ctx, sub = amalgam, amalgam_subgroup(amalgam)
     else:
-        ctx, sub = f2, Subgroup.from_predicate(f2, "<a>", lambda x: all(l in (1, -1) for l in x.word))
+        ctx, sub = f2, SubsetSpec(f2, "<a>", lambda x: all(l in (1, -1) for l in x.word))
     points = ctx.ball(3)
-    reps = sub.coset_cover(points)
+    reps = coset_cover(sub, points)
     same_coset = lambda x, y: sub.contains(ctx.multiply(x, ctx.invert(y)))
     for i, r in enumerate(reps):
         assert not any(same_coset(r, q) for q in reps[:i])

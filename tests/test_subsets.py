@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from translation_lab import (
-    Subgroup,
+    SubsetSpec,
     amalgam_subgroup,
     congruence_class,
     coordinate_halfspace,
     cyclic_translates,
+    finite_subgroup,
     free_group,
     make_tree_halfspace,
     natural_numbers,
@@ -16,7 +17,6 @@ from translation_lab import (
     words_not_starting_with,
 )
 from translation_lab.groups import cyclic_group
-from translation_lab.subsets import from_predicate
 from translation_lab.reports import FALSIFIED, VERIFIED
 
 
@@ -56,7 +56,7 @@ def test_elements_in_ball_match_the_filtered_ball_in_any_call_order(z2, f2, amal
         lambda: positive_cone(f2),
         lambda: make_tree_halfspace(amalgam, "G"),
         lambda: make_tree_halfspace(bs12, "tB"),
-        lambda: from_predicate(z5, "odd", lambda x: x.word[0] % 2 == 1),
+        lambda: SubsetSpec(z5, "odd", lambda x: x.word[0] % 2 == 1),
     ]
     for make in makers:
         for order in itertools.permutations(range(4)):
@@ -207,7 +207,7 @@ def test_verify_stabilisers_amalgam(amalgam):
 
 def test_verify_stabilisers_finds_violation(f2):
     cone = positive_cone(f2)
-    bad = Subgroup.from_predicate(f2, "right-a", lambda x: x.word in ((), (1,)))
+    bad = SubsetSpec(f2, "right-a", lambda x: x.word in ((), (1,)))
     cone.right_stabiliser = bad
     report = verify_stabilisers(cone, 2)
     assert report.verdict == FALSIFIED
@@ -217,7 +217,7 @@ def test_verify_stabilisers_finds_violation(f2):
 
 def test_subgroup_closure_validation(z):
     with pytest.raises(ValueError):
-        Subgroup.from_elements(z, [z.integer(1)], "broken")
+        finite_subgroup(z, [z.integer(1)], "broken")
 
 
 def test_pv_subset(f2):
