@@ -491,8 +491,12 @@ def dispatch(argv) -> int:
     started = time.perf_counter()
     text = dumps({"suites": [s.to_dict(include_timing) for s in suites]})
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            print(f"config error: cannot write report {args.out}: {err.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
     print(text)
     if include_timing:
         sys.stdout.flush()

@@ -502,7 +502,7 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
                 checked += 1
                 h = ctx.multiply(g1_inv, g0)
                 head, blocks = h.word
-                if blocks or not ctx.data.member(sign, ctx.head(h)):
+                if blocks or not ctx.data.member(sign, head):
                     return CheckReport(
                         name=name,
                         verdict=FALSIFIED,

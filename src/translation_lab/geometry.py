@@ -487,8 +487,8 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
         words = [tuple(at[x.word] for x in word) for word in factor_relation_words(base, own)]
         words += [(t, t_inv), (t_inv, t)]
         for h in own:
-            if ctx.data.member(1, h):
-                k_inv = at.get(base.invert(ctx.data.image(1, h)).word)  # None for k = e or beyond the bound
+            if ctx.data.member(1, h.word):
+                k_inv = at.get(ctx.data.image(1, base.invert(h).word))  # None for k = e or beyond the bound
                 if k_inv is not None:
                     words.append((t, at[h.word], t_inv, k_inv))
     else:

@@ -11,6 +11,13 @@ form:
 * HNN extensions of a base group with stable letter ``t``
   (pinch-free forms with coset-transversal letters after each ``t``-power).
 
+Each context's arithmetic is a word kernel: ``_mul`` and ``_inv`` take and
+return canonical words (tuples), and the composite contexts call their
+factors' or base's kernel directly, so no element is built between kernel
+calls.  ``GroupContext.multiply`` and ``invert`` are the one checked entry
+point: they check that the operands belong to the context and wrap the
+resulting word in one ``GroupElement``.
+
 All contexts share the same metric machinery: the word metric of the stated
 generating set, enumerated by breadth-first search and ordered shortlex (free
 groups list each layer by prefix extension, in the same order).  Contexts are
@@ -20,6 +27,7 @@ immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import os
+from operator import add, neg
 from typing import Iterable, Sequence
 
 BALL_CAP_ENV = "TRANSLATION_LAB_MAX_BALL"
@@ -90,7 +98,11 @@ class GroupElement:
 
 
 class GroupContext:
-    """Shared metric/enumeration machinery; subclasses fix the arithmetic."""
+    """Shared metric/enumeration machinery; subclasses fix the arithmetic.
+
+    A subclass supplies the word kernel ``_mul``/``_inv``; ``multiply`` and
+    ``invert`` are written once, here, and no subclass overrides them.
+    """
 
     kind = "abstract"
 
@@ -98,15 +110,25 @@ class GroupContext:
         self._layers: list[list[GroupElement]] = []
         self._dist: dict[tuple, int] = {}
 
-    # -- arithmetic, provided by subclasses -------------------------------
-
-    def identity(self) -> GroupElement:
-        raise NotImplementedError
+    # -- arithmetic: checked entry points over the subclass's word kernel ----
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        if x.ctx is not self or y.ctx is not self:
+            raise MalformedWord("element belongs to a different group context")
+        return GroupElement(self, self._mul(x.word, y.word))
 
     def invert(self, x: GroupElement) -> GroupElement:
+        return GroupElement(self, self._inv(self._check(x).word))
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        """The canonical word of the product of two canonical words."""
+        raise NotImplementedError
+
+    def _inv(self, a: tuple) -> tuple:
+        """The canonical word of the inverse of a canonical word."""
+        raise NotImplementedError
+
+    def identity(self) -> GroupElement:
         raise NotImplementedError
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
@@ -138,9 +160,6 @@ class GroupContext:
             if len(self._dist) == before:
                 raise MalformedWord(f"element {self.format(x)} is not generated")
         return self._dist[x.word]
-
-    def distance(self, x: GroupElement, y: GroupElement) -> int:
-        return self.word_length(self.multiply(self.invert(x), y))
 
     def sort_key(self, x: GroupElement):
         return (self.word_length(x), self.structural_key(x))
@@ -190,25 +209,23 @@ class GroupContext:
         The depth table ``_dist``, which this dedupe and the default
         ``word_length`` read, gains the returned layer.
         """
-        gens = self.generator_elements()
+        gens = [g.word for g in self.generator_elements()]
+        mul, dist = self._mul, self._dist
         fresh: dict[tuple, GroupElement] = {}
         for x in self._layers[-1]:
             for g in gens:
-                y = self.multiply(x, g)
-                if y.word not in self._dist and y.word not in fresh:
-                    fresh[y.word] = y
+                w = mul(x.word, g)
+                if w not in dist and w not in fresh:
+                    fresh[w] = GroupElement(self, w)
             if len(fresh) > room:
                 return None
-        self._dist.update(dict.fromkeys(fresh, len(self._layers)))
+        dist.update(dict.fromkeys(fresh, len(self._layers)))
         return sorted(fresh.values(), key=self.structural_key)
 
     def _check(self, x: GroupElement) -> GroupElement:
         if x.ctx is not self:
             raise MalformedWord("element belongs to a different group context")
         return x
-
-    def _make(self, word: tuple) -> GroupElement:
-        return GroupElement(self, word)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +236,7 @@ class GroupContext:
 class FreeGroupContext(GroupContext):
     """Free group of finite rank; words are tuples of nonzero signed letters.
 
-    Canonical words are freely reduced.  ``multiply`` cancels only at the
+    Canonical words are freely reduced.  ``_mul`` cancels only at the
     seam: the product of two reduced words is the first without its last
     ``k`` letters followed by the second without its first ``k``, where ``k``
     counts the letters at the seam that are inverse to each other.
@@ -243,7 +260,7 @@ class FreeGroupContext(GroupContext):
         self._letter_ranks = {l: k for k, l in enumerate(self._letters)}
 
     def identity(self) -> GroupElement:
-        return self._make(())
+        return GroupElement(self, ())
 
     def generator(self, i: int, power: int = 1) -> GroupElement:
         if not 1 <= i <= self.rank:
@@ -259,28 +276,24 @@ class FreeGroupContext(GroupContext):
                 stack.pop()
             else:
                 stack.append(l)
-        return self._make(tuple(stack))
+        return GroupElement(self, tuple(stack))
 
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        self._check(x)
-        self._check(y)
-        a, b = x.word, y.word
+    def _mul(self, a: tuple, b: tuple) -> tuple:
         k = 0
         most = min(len(a), len(b))
         while k < most and a[-1 - k] == -b[k]:
             k += 1
-        return self._make(a[: len(a) - k] + b[k:])
+        return a[: len(a) - k] + b[k:]
 
-    def invert(self, x: GroupElement) -> GroupElement:
-        self._check(x)
-        return self._make(tuple(-l for l in reversed(x.word)))
+    def _inv(self, a: tuple) -> tuple:
+        return tuple(map(neg, reversed(a)))
 
     def word_length(self, x: GroupElement) -> int:
         self._check(x)
         return len(x.word)
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(self._make((l,)) for l in self._letters)
+        return tuple(GroupElement(self, (l,)) for l in self._letters)
 
     def structural_key(self, x: GroupElement):
         return tuple(map(self._letter_ranks.__getitem__, x.word))
@@ -349,26 +362,23 @@ class FreeAbelianContext(GroupContext):
             raise ValueError("need one name per generator")
 
     def identity(self) -> GroupElement:
-        return self._make((0,) * self.rank)
+        return GroupElement(self, (0,) * self.rank)
 
     def vector(self, *coords: int) -> GroupElement:
         if len(coords) != self.rank:
             raise MalformedWord(f"expected {self.rank} coordinates")
-        return self._make(tuple(int(c) for c in coords))
+        return GroupElement(self, tuple(int(c) for c in coords))
 
     def integer(self, n: int) -> GroupElement:
         if self.rank != 1:
             raise MalformedWord("integer() needs rank 1")
-        return self._make((int(n),))
+        return GroupElement(self, (int(n),))
 
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        self._check(x)
-        self._check(y)
-        return self._make(tuple(a + b for a, b in zip(x.word, y.word)))
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        return tuple(map(add, a, b))
 
-    def invert(self, x: GroupElement) -> GroupElement:
-        self._check(x)
-        return self._make(tuple(-a for a in x.word))
+    def _inv(self, a: tuple) -> tuple:
+        return tuple(map(neg, a))
 
     def word_length(self, x: GroupElement) -> int:
         self._check(x)
@@ -380,7 +390,7 @@ class FreeAbelianContext(GroupContext):
             for s in (1, -1):
                 vec = [0] * self.rank
                 vec[i] = s
-                out.append(self._make(tuple(vec)))
+                out.append(GroupElement(self, tuple(vec)))
         return tuple(out)
 
     def structural_key(self, x: GroupElement):
@@ -406,9 +416,9 @@ class FreeAbelianContext(GroupContext):
             if self.names and text.startswith(self.names[0]):
                 rest = text[len(self.names[0]):]
                 if not rest:
-                    return self._make((1,))
-                return self._make((_parse_int(rest.lstrip("^")),))
-            return self._make((_parse_int(text),))
+                    return GroupElement(self, (1,))
+                return GroupElement(self, (_parse_int(rest.lstrip("^")),))
+            return GroupElement(self, (_parse_int(text),))
         body = text.strip("()")
         coords = [_parse_int(part) for part in body.split(",")]
         return self.vector(*coords)
@@ -509,21 +519,18 @@ class FiniteGroupContext(GroupContext):
         return tuple(dist[i] for i in range(self.order))
 
     def identity(self) -> GroupElement:
-        return self._make((self._identity_index,))
+        return GroupElement(self, (self._identity_index,))
 
     def element(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
             raise MalformedWord(f"no element {index}")
-        return self._make((int(index),))
+        return GroupElement(self, (int(index),))
 
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        self._check(x)
-        self._check(y)
-        return self._make((self.table[x.word[0]][y.word[0]],))
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        return (self.table[a[0]][b[0]],)
 
-    def invert(self, x: GroupElement) -> GroupElement:
-        self._check(x)
-        return self._make((self._inverse[x.word[0]],))
+    def _inv(self, a: tuple) -> tuple:
+        return (self._inverse[a[0]],)
 
     def word_length(self, x: GroupElement) -> int:
         self._check(x)
@@ -534,7 +541,7 @@ class FiniteGroupContext(GroupContext):
         for g in self.generators:
             seen.setdefault(g)
             seen.setdefault(self._inverse[g])
-        return tuple(self._make((g,)) for g in seen)
+        return tuple(GroupElement(self, (g,)) for g in seen)
 
     def structural_key(self, x: GroupElement):
         return x.word
@@ -545,11 +552,11 @@ class FiniteGroupContext(GroupContext):
     def parse(self, text: str) -> GroupElement:
         text = text.strip()
         if text in self.names:
-            return self._make((self.names.index(text),))
+            return GroupElement(self, (self.names.index(text),))
         raise MalformedWord(f"unknown element name {text!r}")
 
     def all_elements(self) -> list[GroupElement]:
-        return [self._make((i,)) for i in range(self.order)]
+        return [GroupElement(self, (i,)) for i in range(self.order)]
 
 
 def cyclic_group(n: int) -> FiniteGroupContext:
@@ -570,13 +577,17 @@ class AmalgamContext(GroupContext):
     followed by a trailing subgroup part.  Transversal representatives are the
     shortlex-least members of their cosets.
 
-    ``multiply`` reduces only at the seam: it appends the syllables of the
-    right operand one at a time only while a subgroup part is being carried or
-    the next syllable lies in the same factor as the last one of the product
-    so far.  Once neither holds, the remaining syllables are already canonical
-    and are joined on unchanged.  Coset splits come from a table built at
-    construction for finite factors, are the identity split when the gluing
-    subgroup is trivial, and otherwise come from a search over the subgroup.
+    The kernel works on factor words and calls the factors' own ``_mul`` and
+    ``_inv``.  ``_mul`` reduces only at the seam: it appends the syllables of
+    the right operand one at a time only while a subgroup part is being
+    carried or the next syllable lies in the same factor as the last one of
+    the product so far.  Once neither holds, the remaining syllables are
+    already canonical and are joined on unchanged.  ``_inv`` starts from the
+    inverse of the trailing part and takes the syllables in reverse order,
+    each inverted in its factor, so the carry runs once.  Coset splits come
+    from a table built at construction for finite factors, are the identity
+    split when the gluing subgroup is trivial, and otherwise come from a
+    search over the subgroup.
     """
 
     kind = "amalgam"
@@ -599,19 +610,21 @@ class AmalgamContext(GroupContext):
         if pairs[0][0].word != ids[0].word:
             raise ValueError("identity pair must be shortlex-least in the gluing data")
         self.pairs = tuple((left._check(a), right._check(b)) for a, b in pairs)
+        self._h_words = tuple((a.word, b.word) for a, b in self.pairs)  # H as factor words, by side
         self._h_index = (
-            {a.word: i for i, (a, _) in enumerate(self.pairs)},
-            {b.word: i for i, (_, b) in enumerate(self.pairs)},
+            {a: i for i, (a, _) in enumerate(self._h_words)},
+            {b: i for i, (_, b) in enumerate(self._h_words)},
         )
         if len(self._h_index[0]) != len(self.pairs) or len(self._h_index[1]) != len(self.pairs):
             raise ValueError("gluing data is not a bijection")
         self._validate_gluing()
+        self._h_inverse = tuple(self._h_index[0][left._inv(a)] for a, _ in self._h_words)
         self._h_lengths = tuple(
             min(left.word_length(a), right.word_length(b)) for a, b in self.pairs
         )
         self._trivial_h = len(self.pairs) == 1
         self._split_tables = tuple(
-            {x.word: self._split_search(side, x) for x in f.all_elements()}
+            {x.word: self._split_search(side, x.word) for x in f.all_elements()}
             if isinstance(f, FiniteGroupContext) and not self._trivial_h
             else None
             for side, f in enumerate(self.factors)
@@ -652,38 +665,31 @@ class AmalgamContext(GroupContext):
     def subgroup_size(self) -> int:
         return len(self.pairs)
 
-    def embed_h(self, side: int, h: int) -> GroupElement:
-        return self.pairs[h][side]
-
     def h_element(self, h: int) -> GroupElement:
         """The trailing-part value ``h`` as a canonical element of the amalgam."""
-        return self._make(((), h))
+        return GroupElement(self, ((), h))
 
-    def _h_lookup(self, side: int, x: GroupElement) -> int | None:
-        return self._h_index[side].get(x.word)
+    def _h_lookup(self, side: int, w: tuple) -> int | None:
+        return self._h_index[side].get(w)
 
-    def _split(self, side: int, x: GroupElement) -> tuple[GroupElement, int]:
-        """Factor ``x = rep * h`` with rep shortlex-least in the coset x*H."""
+    def _split(self, side: int, w: tuple) -> tuple[tuple, int]:
+        """Factor the factor word ``w = rep * h`` with rep shortlex-least in wH.
+
+        Returns ``(rep word, h)``.
+        """
         if self._trivial_h:
-            return x, 0
+            return w, 0
         table = self._split_tables[side]
         if table is not None:
-            return table[x.word]
-        return self._split_search(side, x)
+            return table[w]
+        return self._split_search(side, w)
 
-    def _split_search(self, side: int, x: GroupElement) -> tuple[GroupElement, int]:
-        """The candidate loop defining the transversal: least ``x * h`` over H."""
+    def _split_search(self, side: int, w: tuple) -> tuple[tuple, int]:
+        """The candidate loop defining the transversal: least ``w * h`` over H."""
         f = self.factors[side]
-        best = None
-        best_key = None
-        for h in range(len(self.pairs)):
-            cand = f.multiply(x, self.embed_h(side, h))
-            key = f.sort_key(cand)
-            if best is None or key < best_key:
-                best = cand
-                best_key = key
-        leftover = f.multiply(f.invert(best), x)
-        h = self._h_lookup(side, leftover)
+        cands = [f._mul(w, pair[side]) for pair in self._h_words]
+        best = min(cands, key=lambda c: f.sort_key(GroupElement(f, c)))
+        h = self._h_lookup(side, f._mul(f._inv(best), w))
         if h is None:  # pragma: no cover - guarded by gluing validation
             raise MalformedWord("transversal split left the subgroup")
         return best, h
@@ -691,69 +697,62 @@ class AmalgamContext(GroupContext):
     # -- canonical-form construction -----------------------------------------
 
     def identity(self) -> GroupElement:
-        return self._make(((), 0))
+        return GroupElement(self, ((), 0))
 
-    def _append_letter(self, state: tuple, side: int, x: GroupElement) -> tuple:
+    def _append_letter(self, state: tuple, side: int, w: tuple) -> tuple:
+        """Append the factor word ``w`` of factor ``side`` to a canonical state."""
         syllables, h = state
         f = self.factors[side]
-        y = f.multiply(self.embed_h(side, h), x) if h else x
-        hy = self._h_lookup(side, y)
+        index = self._h_index[side]
+        y = f._mul(self._h_words[h][side], w) if h else w
+        hy = index.get(y)
         if hy is not None:
             return syllables, hy
         if syllables and syllables[-1][0] == side:
-            prev = GroupElement(f, syllables[-1][1])
-            z = f.multiply(prev, y)
-            hz = self._h_lookup(side, z)
+            z = f._mul(syllables[-1][1], y)
+            hz = index.get(z)
             if hz is not None:
                 return syllables[:-1], hz
             rep, h2 = self._split(side, z)
-            return syllables[:-1] + ((side, rep.word),), h2
+            return syllables[:-1] + ((side, rep),), h2
         rep, h2 = self._split(side, y)
-        return syllables + ((side, rep.word),), h2
+        return syllables + ((side, rep),), h2
 
     def from_letters(self, letters: Iterable[tuple[int, GroupElement]]) -> GroupElement:
         state: tuple = ((), 0)
         for side, x in letters:
             if side not in (0, 1):
                 raise MalformedWord(f"factor tag {side} must be 0 or 1")
-            self.factors[side]._check(x)
-            state = self._append_letter(state, side, x)
-        return self._make(state)
+            state = self._append_letter(state, side, self.factors[side]._check(x).word)
+        return GroupElement(self, state)
 
-    def syllables(self, x: GroupElement) -> list[tuple[int, GroupElement]]:
-        return [(side, GroupElement(self.factors[side], w)) for side, w in x.word[0]]
-
-    def trailing_part(self, x: GroupElement) -> int:
-        return x.word[1]
-
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        self._check(x)
-        self._check(y)
-        syllables, carry = x.word
-        tail, h = y.word
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        syllables, carry = a
+        tail, h = b
         i = 0
         # Reduce only at the seam: once nothing is carried and the next
-        # syllable switches factor, the rest of y's syllables are canonical.
+        # syllable switches factor, the rest of b's syllables are canonical.
         while i < len(tail) and (carry or (syllables and syllables[-1][0] == tail[i][0])):
             side, w = tail[i]
-            letter = GroupElement(self.factors[side], w)
-            syllables, carry = self._append_letter((syllables, carry), side, letter)
+            syllables, carry = self._append_letter((syllables, carry), side, w)
             i += 1
         state = (syllables + tail[i:], carry)
         if h:
-            state = self._append_letter(state, 0, self.embed_h(0, h))
-        return self._make(state)
+            state = self._append_letter(state, 0, self._h_words[h][0])
+        return state
 
-    def invert(self, x: GroupElement) -> GroupElement:
-        self._check(x)
-        letters: list[tuple[int, GroupElement]] = []
-        h = x.word[1]
-        if h:
-            letters.append((0, self.factors[0].invert(self.embed_h(0, h))))
-        for side, w in reversed(x.word[0]):
+    def _inv(self, a: tuple) -> tuple:
+        # The inverted syllables still alternate and none lies in H, so each
+        # takes the carry, splits once and never merges with its neighbour.
+        syllables, h = a
+        h = self._h_inverse[h]
+        out = []
+        for side, w in reversed(syllables):
             f = self.factors[side]
-            letters.append((side, f.invert(GroupElement(f, w))))
-        return self.from_letters(letters)
+            y = f._inv(w)
+            rep, h = self._split(side, f._mul(self._h_words[h][side], y) if h else y)
+            out.append((side, rep))
+        return tuple(out), h
 
     # -- metric and order ----------------------------------------------------
 
@@ -794,7 +793,7 @@ class AmalgamContext(GroupContext):
             for side, w in syllables
         ]
         if h:
-            parts.append("h[" + self.factors[0].format(self.embed_h(0, h)) + "]")
+            parts.append("h[" + self.factors[0].format(self.pairs[h][0]) + "]")
         return "*".join(parts) if parts else "e"
 
     def parse(self, text: str) -> GroupElement:
@@ -834,17 +833,18 @@ class HnnSubgroupData:
     """Associated-subgroup data indexed by the stable letter's sign.
 
     Sign 1 is the subgroup H and sign -1 is K: ``t h t^-1 = image(1, h)`` lies
-    in K, and ``image(-1, .)`` is its inverse map.
+    in K, and ``image(-1, .)`` is its inverse map.  Every method takes and
+    returns canonical words of the base group.
     """
 
-    def member(self, sign: int, g: GroupElement) -> bool:
+    def member(self, sign: int, g: tuple) -> bool:
         raise NotImplementedError
 
-    def image(self, sign: int, h: GroupElement) -> GroupElement:
+    def image(self, sign: int, h: tuple) -> tuple:
         """``t^sign h t^-sign`` for a member h of the sign's subgroup."""
         raise NotImplementedError
 
-    def split(self, sign: int, g: GroupElement) -> tuple[GroupElement, GroupElement]:
+    def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         """g = h * rep with h in the sign's subgroup, rep shortlex-least in its coset."""
         raise NotImplementedError
 
@@ -864,22 +864,22 @@ class IntegerScaledSubgroup(HnnSubgroupData):
         self.base = base
         self.steps = {1: abs(int(h_step)), -1: abs(int(k_step))}
 
-    def member(self, sign: int, g: GroupElement) -> bool:
+    def member(self, sign: int, g: tuple) -> bool:
         step = self.steps[sign]
-        return g.word[0] % step == 0 if step else g.word[0] == 0
+        return g[0] % step == 0 if step else g[0] == 0
 
-    def image(self, sign: int, h: GroupElement) -> GroupElement:
+    def image(self, sign: int, h: tuple) -> tuple:
         step = self.steps[sign]
-        return self.base.integer(h.word[0] // step * self.steps[-sign] if step else 0)
+        return (h[0] // step * self.steps[-sign] if step else 0,)
 
-    def split(self, sign: int, g: GroupElement) -> tuple[GroupElement, GroupElement]:
+    def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         step = self.steps[sign]
         if step == 0:
-            return self.base.integer(0), g
-        v = g.word[0]
+            return (0,), g
+        v = g[0]
         r = v % step
-        rep = min((r, r - step), key=lambda c: (abs(c), c))
-        return self.base.integer(v - rep), self.base.integer(rep)
+        rep = r if 2 * r < step else r - step  # least |rep|, the negative one on a tie
+        return (v - rep,), (rep,)
 
 
 class FiniteHnnSubgroup(HnnSubgroupData):
@@ -887,41 +887,30 @@ class FiniteHnnSubgroup(HnnSubgroupData):
 
     def __init__(self, base: GroupContext, twist_pairs: Sequence[tuple[GroupElement, GroupElement]]):
         self.base = base
-        pairs = list(twist_pairs)
-        e = base.identity()
-        if not any(a.word == e.word for a, _ in pairs):
+        pairs = [(base._check(a).word, base._check(b).word) for a, b in twist_pairs]
+        e = base.identity().word
+        if e not in (a for a, _ in pairs):
             pairs.append((e, e))
-        self._images = {1: {a.word: b for a, b in pairs}, -1: {b.word: a for a, b in pairs}}
+        self._images = {1: dict(pairs), -1: {b: a for a, b in pairs}}
         if any(len(table) != len(pairs) for table in self._images.values()):
             raise ValueError("twist table must be a bijection")
-        self._members = {
-            1: tuple(base._check(a) for a, _ in pairs),
-            -1: tuple(base._check(b) for _, b in pairs),
-        }
+        self._members = {1: tuple(a for a, _ in pairs), -1: tuple(b for _, b in pairs)}
         for a1, b1 in pairs:  # homomorphism check
             for a2, b2 in pairs:
-                pa = base.multiply(a1, a2)
-                pb = base.multiply(b1, b2)
-                img = self._images[1].get(pa.word)
-                if img is None or img.word != pb.word:
+                if self._images[1].get(base._mul(a1, a2)) != base._mul(b1, b2):
                     raise ValueError("twist table is not an injective homomorphism")
 
-    def member(self, sign: int, g: GroupElement) -> bool:
-        return g.word in self._images[sign]
+    def member(self, sign: int, g: tuple) -> bool:
+        return g in self._images[sign]
 
-    def image(self, sign: int, h: GroupElement) -> GroupElement:
-        return self._images[sign][h.word]
+    def image(self, sign: int, h: tuple) -> tuple:
+        return self._images[sign][h]
 
-    def split(self, sign: int, g: GroupElement) -> tuple[GroupElement, GroupElement]:
+    def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         base = self.base
-        best = None
-        best_h = None
-        for h in self._members[sign]:
-            cand = base.multiply(base.invert(h), g)
-            if best is None or base.sort_key(cand) < base.sort_key(best):
-                best = cand
-                best_h = h
-        return best_h, best
+        cands = {h: base._mul(base._inv(h), g) for h in self._members[sign]}
+        h = min(cands, key=lambda h: base.sort_key(GroupElement(base, cands[h])))
+        return h, cands[h]
 
 
 class HnnContext(GroupContext):
@@ -933,13 +922,17 @@ class HnnContext(GroupContext):
     pinch ``t g t^-1``/``t^-1 g t`` with trivial representative remains; the
     leading ``g0`` absorbs the leftover subgroup parts.
 
-    ``multiply`` removes pinches only at the seam: it merges the last block
-    of the left operand with the head of the right one and removes pinches
-    there while they last, pushing each pinch image into the right operand's
-    next element.  The right operand's remaining blocks are already
-    transversal reps and are joined on unchanged; the right-to-left
-    transversal pass, shared with ``from_letters``, runs only over the left
-    operand's surviving blocks.
+    The kernel works on base words and calls the base's own ``_mul`` and
+    ``_inv``.  ``_mul`` removes pinches only at the seam: it merges the last
+    block of the left operand with the head of the right one and removes
+    pinches there while they last, pushing each pinch image into the right
+    operand's next element.  The right operand's remaining blocks are already
+    transversal reps and are joined on unchanged.  The right-to-left
+    transversal pass, shared with ``from_letters`` and ``_inv``, then carries
+    leftwards only while the subgroup part is nontrivial: the left operand's
+    other blocks are reps already, and the split of a rep is ``(e, rep)``.
+    ``_inv`` reverses the blocks, inverts each base word, and runs that pass
+    once (the inverse of a pinch-free word is pinch-free).
     """
 
     kind = "hnn"
@@ -949,15 +942,15 @@ class HnnContext(GroupContext):
         self.base = base
         self.data = data
         self.t_name = t_name
+        self._e = base.identity().word
 
     # payload: (g0_word, ((sign, g_word), ...))
 
     def identity(self) -> GroupElement:
-        return self._make((self.base.identity().word, ()))
+        return GroupElement(self, (self._e, ()))
 
     def from_base(self, g: GroupElement) -> GroupElement:
-        self.base._check(g)
-        return self._make((g.word, ()))
+        return GroupElement(self, (self.base._check(g).word, ()))
 
     def stable_letter(self, power: int = 1) -> GroupElement:
         letters = [("t", 1 if power > 0 else -1)] * abs(power)
@@ -966,15 +959,15 @@ class HnnContext(GroupContext):
     def from_letters(self, letters: Iterable[tuple[str, object]]) -> GroupElement:
         """Build from ("g", base_element) and ("t", +1/-1) letters."""
         base = self.base
-        head = base.identity()
-        blocks: list[list] = []  # [sign, base element]
+        head = self._e
+        blocks: list[list] = []  # [sign, base word]
         for tag, val in letters:
             if tag == "g":
-                g = base._check(val)  # type: ignore[arg-type]
+                g = base._check(val).word  # type: ignore[arg-type]
                 if blocks:
-                    blocks[-1][1] = base.multiply(blocks[-1][1], g)
+                    blocks[-1][1] = base._mul(blocks[-1][1], g)
                 else:
-                    head = base.multiply(head, g)
+                    head = base._mul(head, g)
             elif tag == "t":
                 sign = int(val)  # type: ignore[arg-type]
                 if sign not in (1, -1):
@@ -984,91 +977,78 @@ class HnnContext(GroupContext):
                     if pinch is not None:
                         blocks.pop()
                         if blocks:
-                            blocks[-1][1] = base.multiply(blocks[-1][1], pinch)
+                            blocks[-1][1] = base._mul(blocks[-1][1], pinch)
                         else:
-                            head = base.multiply(head, pinch)
+                            head = base._mul(head, pinch)
                         continue
-                blocks.append([sign, base.identity()])
+                blocks.append([sign, self._e])
             else:
                 raise MalformedWord(f"unknown letter tag {tag!r}")
         head = self._transversal_pass(head, blocks)
-        return self._make((head.word, tuple((s, g.word) for s, g in blocks)))
+        return GroupElement(self, (head, tuple(blocks)))
 
-    def _pinch(self, sign: int, g: GroupElement) -> GroupElement | None:
-        """The base element ``t^sign g t^-sign`` when it is one, else None."""
+    def _pinch(self, sign: int, g: tuple) -> tuple | None:
+        """The base word ``t^sign g t^-sign`` when it is one, else None."""
         return self.data.image(sign, g) if self.data.member(sign, g) else None
 
-    def _transversal_pass(self, head: GroupElement, blocks: list[list]) -> GroupElement:
-        """Replace each block's element by its transversal rep, right to left.
+    def _transversal_pass(self, head: tuple, blocks: list, settled: int = 0) -> tuple:
+        """Make each block ``(sign, base word)`` hold its transversal rep, right to left.
 
-        Each subgroup part is pushed through its stable letter into the block
-        on its left, or into ``head``, which is returned.
+        Each nontrivial subgroup part is pushed through its stable letter into
+        the block on its left, or into ``head``, which is returned.
+        ``blocks[:settled]`` hold reps already, so the pass stops at the first
+        trivial part with only such blocks to its left.
         """
-        base = self.base
+        mul, split, image, e = self.base._mul, self.data.split, self.data.image, self._e
         for i in range(len(blocks) - 1, -1, -1):
             sign, g = blocks[i]
-            h, rep = self.data.split(sign, g)
-            carry = self.data.image(sign, h)
-            blocks[i][1] = rep
-            if i > 0:
-                blocks[i - 1][1] = base.multiply(blocks[i - 1][1], carry)
+            h, rep = split(sign, g)
+            blocks[i] = (sign, rep)
+            if h == e:
+                if i <= settled:
+                    break
+            elif i:
+                blocks[i - 1] = (blocks[i - 1][0], mul(blocks[i - 1][1], image(sign, h)))
             else:
-                head = base.multiply(head, carry)
+                head = mul(head, image(sign, h))
         return head
 
-    def letters_of(self, x: GroupElement) -> list[tuple[str, object]]:
-        base = self.base
-        out: list[tuple[str, object]] = [("g", GroupElement(base, x.word[0]))]
-        for sign, w in x.word[1]:
-            out.append(("t", sign))
-            out.append(("g", GroupElement(base, w)))
-        return out
-
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        self._check(x)
-        self._check(y)
-        base = self.base
-        head, left = x.word
-        y_head, right = y.word
-        # Remove pinches only at the seam.  ``g`` is what y contributes to the
-        # element of x's last surviving block (or to x's head once x has no
-        # blocks left); each pinch image is pushed into y's next element.
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        mul = self.base._mul
+        head, left = a
+        g, right = b
+        # Remove pinches only at the seam.  ``g`` is what b contributes to the
+        # element of a's last surviving block (or to a's head once a has no
+        # blocks left); each pinch image is pushed into b's next element.
         i, j = len(left), 0
-        g = GroupElement(base, y_head)
         while True:
-            merged = base.multiply(GroupElement(base, left[i - 1][1] if i else head), g)
+            merged = mul(left[i - 1][1] if i else head, g)
             if not i or j == len(right) or left[i - 1][0] != -right[j][0]:
                 break
             pinch = self._pinch(left[i - 1][0], merged)
             if pinch is None:
                 break
-            g = base.multiply(pinch, GroupElement(base, right[j][1]))
+            g = mul(pinch, right[j][1])
             i, j = i - 1, j + 1
-        # y's remaining blocks are transversal reps and carry nothing, so only
-        # x's surviving blocks need the transversal pass.
+        # b's remaining blocks are transversal reps and carry nothing, and so
+        # are a's blocks left of the merged one.
         if not i:
-            return self._make((merged.word, right[j:]))
-        blocks = [[sign, GroupElement(base, w)] for sign, w in left[: i - 1]]
-        blocks.append([left[i - 1][0], merged])
-        head = self._transversal_pass(GroupElement(base, head), blocks)
-        return self._make((head.word, tuple((s, b.word) for s, b in blocks) + right[j:]))
+            return merged, right[j:]
+        blocks = list(left[:i])
+        blocks[-1] = (left[i - 1][0], merged)
+        head = self._transversal_pass(head, blocks, i - 1)
+        return head, tuple(blocks) + right[j:]
 
-    def invert(self, x: GroupElement) -> GroupElement:
-        self._check(x)
-        base = self.base
-        letters: list[tuple[str, object]] = []
-        blocks = x.word[1]
-        for sign, w in reversed(blocks):
-            letters.append(("g", base.invert(GroupElement(base, w))))
-            letters.append(("t", -sign))
-        letters.append(("g", base.invert(GroupElement(base, x.word[0]))))
-        return self.from_letters(letters)
-
-    def head(self, x: GroupElement) -> GroupElement:
-        return GroupElement(self.base, x.word[0])
-
-    def blocks(self, x: GroupElement) -> list[tuple[int, GroupElement]]:
-        return [(sign, GroupElement(self.base, w)) for sign, w in x.word[1]]
+    def _inv(self, a: tuple) -> tuple:
+        inv = self.base._inv
+        g, blocks = a
+        out = []  # x^-1 = gn^-1 t^-en ... g1^-1 t^-e1 g0^-1, blocks collected reversed
+        for sign, w in blocks:
+            out.append((-sign, inv(g)))
+            g = w
+        out.reverse()
+        head = self._transversal_pass(inv(g), out)
+        return head, tuple(out)
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
         out = [self.from_base(g) for g in self.base.generator_elements()]
@@ -1087,14 +1067,12 @@ class HnnContext(GroupContext):
     def format(self, x: GroupElement) -> str:
         base = self.base
         parts = []
-        head = GroupElement(base, x.word[0])
-        if head.word != base.identity().word or not x.word[1]:
-            parts.append(base.format(head))
+        if x.word[0] != self._e or not x.word[1]:
+            parts.append(base.format(GroupElement(base, x.word[0])))
         for sign, w in x.word[1]:
             parts.append(self.t_name if sign == 1 else f"{self.t_name}^-1")
-            g = GroupElement(base, w)
-            if g.word != base.identity().word:
-                parts.append(base.format(g))
+            if w != self._e:
+                parts.append(base.format(GroupElement(base, w)))
         return "*".join(parts)
 
     def parse(self, text: str) -> GroupElement:

@@ -306,7 +306,7 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
             first_sign, _ = blocks[0]
             if first_sign == 1:
                 return True
-            return not member(1, ctx.head(x))
+            return not member(1, head)
 
         def in_tb(x: GroupElement) -> bool:
             head, blocks = x.word
@@ -315,13 +315,13 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
             first_sign, _ = blocks[0]
             if first_sign == -1:
                 return False
-            return member(-1, ctx.head(x))
+            return member(-1, head)
 
         # B is stabilised on the left by H (sign 1), tB by K (sign -1)
         sign, predicate, left_name = (1, in_b, "H") if side == "B" else (-1, in_tb, "K")
 
         def left_member(x: GroupElement) -> bool:
-            return not x.word[1] and member(sign, ctx.head(x))
+            return not x.word[1] and member(sign, x.word[0])
 
         def right_g(x: GroupElement) -> bool:
             return not x.word[1]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translation_lab import FiniteGroupContext
+from translation_lab.groups import GroupElement
 
 KERNEL_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -36,10 +37,11 @@ def _elements(ctx):
 
 
 def _letters(ctx, x):
-    out = ctx.syllables(x)
-    h = ctx.trailing_part(x)
+    """The syllables of x as factor elements, then its trailing subgroup part."""
+    syllables, h = x.word
+    out = [(side, GroupElement(ctx.factors[side], w)) for side, w in syllables]
     if h:
-        out.append((0, ctx.embed_h(0, h)))
+        out.append((0, ctx.pairs[h][0]))
     return out
 
 

@@ -126,6 +126,9 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         # a distinguishing set with no point outside B to split it
         ["check", "isolation", "--group", "z", "--subset", bad["all"], "--r", "0", "--R", "0"],
         ["module", "ph", "--group", "z", "--subset", bad["all"], "--r", "0", "--R", "0"],
+        # a report path that is a directory, or inside a missing directory
+        ["gallery", "toeplitz", "--R", "3", "--out", str(tmp_path)],
+        ["gallery", "toeplitz", "--R", "3", "--out", str(tmp_path / "missing" / "report.json")],
     ]
     codes = []
     for argv in invocations:
@@ -134,7 +137,9 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 0, 0]
+    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 0, 0, 3, 3]
+    cli.dispatch(invocations[-1])
+    assert capsys.readouterr().err.startswith(f"config error: cannot write report {invocations[-1][-1]}")
 
 
 def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):

@@ -20,6 +20,7 @@ from translation_lab import (
     words_not_starting_with,
 )
 from translation_lab.configs import load_group
+from translation_lab.groups import GroupElement
 from translation_lab.geometry import (
     factor_relation_words,
     _connect_class,
@@ -324,8 +325,8 @@ def _presentation_by_scans(ctx, letter_bound=2):
                 if z.word != base.identity().word:
                     add_relation_word([ctx.from_base(x), ctx.from_base(y), ctx.from_base(z)])
         for h in raw:
-            if ctx.data.member(1, h):
-                k = ctx.data.image(1, h)
+            if ctx.data.member(1, h.word):
+                k = GroupElement(base, ctx.data.image(1, h.word))
                 if k.word != base.identity().word:
                     add_relation_word([t, ctx.from_base(h), t_inv, ctx.from_base(base.invert(k))])
 

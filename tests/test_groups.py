@@ -10,6 +10,7 @@ from translation_lab import (
     MalformedWord,
     cyclic_group,
 )
+from translation_lab.configs import load_group
 from translation_lab.groups import BALL_CAP_ENV, GroupElement
 
 
@@ -122,25 +123,26 @@ def test_amalgam_shared_letter_cancellation(amalgam):
 
 
 def test_amalgam_transversal_splits_exactly(amalgam, s3_z4):
-    # every factor element factors as representative times subgroup part
+    # every factor element factors as representative times subgroup part; the
+    # split and its tables work on factor words
     for ctx in (amalgam, s3_z4):
         for side in (0, 1):
             factor = ctx.factors[side]
             table = ctx._split_tables[side]
             assert len(table) == factor.order
             for x in factor.all_elements():
-                rep, h = ctx._split(side, x)
-                recombined = factor.multiply(rep, ctx.embed_h(side, h))
+                rep, h = ctx._split(side, x.word)
+                recombined = factor.multiply(GroupElement(factor, rep), ctx.pairs[h][side])
                 assert recombined.word == x.word
                 # the representative is the least member of its coset
                 coset = [
-                    factor.multiply(x, ctx.embed_h(side, i))
+                    factor.multiply(x, ctx.pairs[i][side])
                     for i in range(ctx.subgroup_size())
                 ]
-                assert rep.word == min(coset, key=factor.sort_key).word
+                assert rep == min(coset, key=factor.sort_key).word
                 # the precomputed table agrees with the candidate loop
-                loop_rep, loop_h = ctx._split_search(side, x)
-                assert (table[x.word][0].word, table[x.word][1]) == (loop_rep.word, loop_h)
+                loop_rep, loop_h = ctx._split_search(side, x.word)
+                assert table[x.word] == (loop_rep, loop_h)
 
 
 def test_amalgam_cross_factor_absorption(amalgam):
@@ -163,10 +165,10 @@ def _amalgam_rewrites(ctx, letters):
             out.append(letters[:i] + [(s1, merged)] + letters[i + 2 :])
     # rewrite a glued-subgroup letter into the other factor
     for i, (s, x) in enumerate(letters):
-        h = ctx._h_lookup(s, x)
+        h = ctx._h_lookup(s, x.word)
         if h is not None:
             other = 1 - s
-            out.append(letters[:i] + [(other, ctx.embed_h(other, h))] + letters[i + 1 :])
+            out.append(letters[:i] + [(other, ctx.pairs[h][other])] + letters[i + 1 :])
     # insert a cancelling pair
     for s in (0, 1):
         for g in factors[s].generator_elements()[:2]:
@@ -203,10 +205,10 @@ def test_amalgam_syllable_count_matches_reduction(amalgam):
             while len(reduced) >= 2:
                 s2, v2 = reduced[-1]
                 s1, v1 = reduced[-2]
-                h2 = amalgam._h_lookup(s2, v2)
+                h2 = amalgam._h_lookup(s2, v2.word)
                 if v2.word == factors[s2].identity().word or h2 is not None:
                     if h2 is not None and v2.word != factors[s2].identity().word:
-                        reduced[-2:] = [(s1, factors[s1].multiply(v1, amalgam.embed_h(s1, h2)))]
+                        reduced[-2:] = [(s1, factors[s1].multiply(v1, amalgam.pairs[h2][s1]))]
                     else:
                         reduced.pop()
                     continue
@@ -223,7 +225,7 @@ def test_amalgam_syllable_count_matches_reduction(amalgam):
         expected = sum(
             1
             for s, v in reduced
-            if amalgam._h_lookup(s, v) is None
+            if amalgam._h_lookup(s, v.word) is None
         )
         assert len(x.word[0]) == expected
 
@@ -267,7 +269,7 @@ def test_hnn_pinch_rewrite_oracle(bs12):
         x = ball[r.randrange(len(ball))]
         h = bs12.from_base(bs12.base.integer(r.randrange(-3, 4)))
         pinched = bs12.multiply(bs12.multiply(bs12.multiply(x, t), h), t_inv)
-        twisted = bs12.multiply(x, bs12.from_base(bs12.data.image(1, bs12.head(h))))
+        twisted = bs12.multiply(x, bs12.from_base(GroupElement(bs12.base, bs12.data.image(1, h.word[0]))))
         assert pinched.word == twisted.word
 
 
@@ -314,6 +316,10 @@ def test_associativity_fuzz(ctx_name, request):
         assert left.word == right.word
 
 
+def distance(ctx, x, y):
+    return ctx.word_length(ctx.multiply(ctx.invert(x), y))
+
+
 @pytest.mark.parametrize("ctx_name", ["z", "f2", "amalgam", "bs12"])
 def test_metric_left_invariance(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
@@ -321,7 +327,7 @@ def test_metric_left_invariance(ctx_name, request):
     r = rng(17)
     for _ in range(200):
         g, x, y = (ball[r.randrange(len(ball))] for _ in range(3))
-        assert ctx.distance(x, y) == ctx.distance(ctx.multiply(g, x), ctx.multiply(g, y))
+        assert distance(ctx, x, y) == distance(ctx, ctx.multiply(g, x), ctx.multiply(g, y))
 
 
 def test_inversion_preserves_length(f2, bs12):
@@ -347,9 +353,9 @@ def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
     fast, slow = FreeGroupContext(2), _BfsFreeGroup(2)
     for ctx in (fast, slow):
         ctx.ball(1)
-    multiplies = []
-    slow_multiply = slow.multiply
-    slow.multiply = lambda x, y: multiplies.append(1) or slow_multiply(x, y)
+    multiplies = []  # calls of the word kernel, which the breadth-first search uses
+    slow_mul = slow._mul
+    slow._mul = lambda a, b: multiplies.append(1) or slow_mul(a, b)
 
     def refuse(*args):
         raise AssertionError("the free group built an element of a refused layer")
@@ -386,3 +392,34 @@ def test_malformed_letters(f2, z):
         z.multiply(z.integer(1), f2.identity())
     with pytest.raises(MalformedWord):
         z.parse("zz")
+
+
+@pytest.mark.parametrize("name", ["z", "f2", "c4", "z4*z6", "bs12"])
+def test_arithmetic_refuses_an_element_of_another_context(name):
+    # a second context of the same kind has the same words, but not the same elements
+    make = (lambda: cyclic_group(4)) if name == "c4" else (lambda: load_group(name))
+    ctx, other = make(), make()
+    x, stranger = ctx.generator_elements()[0], other.generator_elements()[0]
+    assert x.word == stranger.word
+    for call in (
+        lambda: ctx.multiply(x, stranger),
+        lambda: ctx.multiply(stranger, x),
+        lambda: ctx.invert(stranger),
+    ):
+        with pytest.raises(MalformedWord, match="different group context"):
+            call()
+    assert ctx.multiply(x, ctx.invert(x)).word == ctx.identity().word
+
+
+def _context_classes(cls=GroupContext):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _context_classes(sub)]
+
+
+def test_multiply_and_invert_are_written_once():
+    # every context supplies the word kernel _mul/_inv; the checked entry
+    # points live in GroupContext alone
+    subclasses = [cls for cls in _context_classes() if cls is not GroupContext]
+    assert {cls.kind for cls in subclasses} >= {"free", "free-abelian", "finite", "amalgam", "hnn"}
+    for cls in subclasses:
+        assert "multiply" not in vars(cls) and "invert" not in vars(cls), cls.__name__
+        assert cls._mul is not GroupContext._mul and cls._inv is not GroupContext._inv, cls.__name__
