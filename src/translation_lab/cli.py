@@ -12,19 +12,10 @@ import argparse
 import functools
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .configs import ConfigError, load_group, load_subset
-from .gallery import (
-    run_all,
-    run_cuntz_check,
-    run_hnn_partition_check,
-    run_lance_difference_check,
-    run_mu_nu_generation_check,
-    run_pv_check,
-    run_quotient_consistency_check,
-    run_relation_classification,
-    run_toeplitz_check,
-)
+from .gallery import SUITES, run_all
 from .geometry import (
     SPLIT_RADIUS,
     almost_invariant_check,
@@ -67,35 +58,21 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
 
-# Least sizes each gallery suite can run at; smaller explicit values are usage
-# errors.  Toeplitz searches for a deepness witness at radius 3, the free-group
-# suites need at least one generator, and the Lance window must contain the
-# (e, e) block it compares.
-GALLERY_MINIMUMS = {
-    "toeplitz": {"R": 3},
-    "pv": {"n": 1},
-    "cuntz": {"n": 1},
-    "lance": {"R": 1},
-}
-
 
 def _require(args, *names):
     for name in names:
-        if getattr(args, name, None) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required for this command")
+        if getattr(args, name) is None:
+            raise ConfigError(f"--{name} is required for this command")
 
 
 def _group(args):
-    if args.group is None:
-        raise ConfigError("--group is required for this command")
+    _require(args, "group")
     return load_group(args.group)
 
 
 def _subset(ctx, args, flag="subset"):
-    value = getattr(args, flag, None)
-    if value is None:
-        raise ConfigError(f"--{flag} is required for this command")
-    return load_subset(ctx, value)
+    _require(args, flag)
+    return load_subset(ctx, getattr(args, flag))
 
 
 def _stabiliser_subgroup(spec):
@@ -171,7 +148,7 @@ def _cmd_check(args) -> SuiteReport:
             CheckReport(
                 name="boundary-set",
                 params={"B": b.name, "R": args.R},
-                verdict="verified-at-scale",
+                verdict=VERIFIED,
                 witnesses=[ctx.format(x) for x in pts],
                 compared_count=len(pts),
             )
@@ -183,8 +160,6 @@ def _cmd_check(args) -> SuiteReport:
         suite.add(convexity_bounded_check(b, pres, args.L))
     elif args.what == "stabilisers":
         suite.add(verify_stabilisers(b, args.r))
-    else:
-        raise ConfigError(f"unknown check {args.what!r}")
     return suite
 
 
@@ -193,56 +168,34 @@ def _cmd_op(args) -> SuiteReport:
     spec = _subset(ctx, args)
     w = make_window(spec, args.R)
     suite = SuiteReport(name=f"op-{args.what}", params={"R": args.R})
+    binary = args.what in ("mul", "eq")
     if args.what == "build":
         _require(args, "element")
         op = generator_operator(w, ctx.parse(args.element))
-        suite.add(
-            CheckReport(
-                name="operator",
-                verdict="verified-at-scale",
-                details={"operator": op.report_form()},
-            )
-        )
-    elif args.what == "mul":
-        _require(args, "lhs", "rhs")
-        product = compose(_parse_operator(ctx, w, args.lhs), _parse_operator(ctx, w, args.rhs))
-        suite.add(
-            CheckReport(
-                name="product",
-                verdict="verified-at-scale",
-                details={"operator": product.report_form()},
-            )
-        )
-    elif args.what == "adjoint":
-        _require(args, "lhs")
-        op = adjoint(_parse_operator(ctx, w, args.lhs))
-        suite.add(
-            CheckReport(
-                name="adjoint",
-                verdict="verified-at-scale",
-                details={"operator": op.report_form()},
-            )
-        )
-    elif args.what == "eq":
-        _require(args, "lhs", "rhs")
-        match = guarded_equal(_parse_operator(ctx, w, args.lhs), _parse_operator(ctx, w, args.rhs))
+    else:
+        _require(args, "lhs", *(["rhs"] if binary else []))
+        op = _parse_operator(ctx, w, args.lhs)
+    if binary:
+        rhs = _parse_operator(ctx, w, args.rhs)
+    if args.what == "eq":
+        match = guarded_equal(op, rhs)
         suite.add(
             CheckReport(
                 name="equality",
                 params={"lhs": args.lhs, "rhs": args.rhs},
-                verdict="verified-at-scale" if match.equal else FALSIFIED,
+                verdict=VERIFIED if match.equal else FALSIFIED,
                 witnesses=[] if match.equal else [match.mismatch],
                 compared_count=match.rows_compared,
             )
         )
-    elif args.what == "rank":
-        _require(args, "lhs")
-        rank = matrix_rank(_parse_operator(ctx, w, args.lhs))
-        suite.add(
-            CheckReport(name="rank", verdict="verified-at-scale", details={"rank": rank})
-        )
-    else:
-        raise ConfigError(f"unknown op command {args.what!r}")
+        return suite
+    if args.what == "mul":
+        op = compose(op, rhs)
+    elif args.what == "adjoint":
+        op = adjoint(op)
+    name = {"build": "operator", "mul": "product", "adjoint": "adjoint", "rank": "rank"}[args.what]
+    details = {"rank": matrix_rank(op)} if args.what == "rank" else {"operator": op.report_form()}
+    suite.add(CheckReport(name=name, verdict=VERIFIED, details=details))
     return suite
 
 
@@ -265,7 +218,7 @@ def _cmd_module(args) -> SuiteReport:
             CheckReport(
                 name="inner-product",
                 params={"lhs": args.lhs, "rhs": args.rhs},
-                verdict="verified-at-scale",
+                verdict=VERIFIED,
                 details={"value": value.report_form()},
             )
         )
@@ -283,7 +236,7 @@ def _cmd_module(args) -> SuiteReport:
             suite.add(
                 CheckReport(
                     name="isolation-projection",
-                    verdict="verified-at-scale" if match.equal else FALSIFIED,
+                    verdict=VERIFIED if match.equal else FALSIFIED,
                     compared_count=match.rows_compared,
                 )
             )
@@ -299,82 +252,47 @@ def _cmd_module(args) -> SuiteReport:
         _require(args, "element")
         x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
         suite.add(coset_decomposition_check(b, x, h, ctx.parse(args.element), args.R))
-    else:
-        raise ConfigError(f"unknown module command {args.what!r}")
     return suite
 
 
-def _given(value, default):
-    """The flag's value, or the suite's default when the flag was not given."""
-    return default if value is None else value
-
-
 def _cmd_gallery(args) -> list[SuiteReport]:
-    what = args.what
-    if what == "toeplitz":
-        return [run_toeplitz_check(_given(args.R, 20))]
-    if what == "pv":
-        return [run_pv_check(_given(args.n, 2), _given(args.R, 4))]
-    if what == "cuntz":
-        return [run_cuntz_check(_given(args.n, 2), _given(args.L, 4))]
-    if what == "relations":
-        return [run_relation_classification(_given(args.R, 5))]
-    if what == "lance":
-        return [run_lance_difference_check(_given(args.R, 4))]
-    if what == "hnn":
-        return [
-            run_hnn_partition_check("bs12", _given(args.R, 4)),
-            run_hnn_partition_check("f2", _given(args.R, 4)),
-        ]
-    if what == "quotient":
-        return [
-            run_quotient_consistency_check("toeplitz", _given(args.R, 8)),
-            run_quotient_consistency_check("amalgam", 4),
-        ]
-    if what == "generation":
-        return [run_mu_nu_generation_check(_given(args.L, 3), _given(args.R, 5))]
-    if what == "all":
+    if args.what == "all":
         return run_all()
-    raise ConfigError(f"unknown gallery suite {what!r}")
+    suite = SUITES[args.what]
+    return suite.at(**{flag: value for flag in suite.sizes if (value := getattr(args, flag)) is not None})
 
 
 def _cmd_universal(args) -> SuiteReport | list[SuiteReport]:
     if args.what == "demo":
         return appendix_contrast_demo()
     suite = SuiteReport(name=f"universal-{args.what}")
-    ctx = load_group(args.group or "z")
+    ctx = load_group(args.group)
     if args.subset:
         spec = _subset(ctx, args)
     elif isinstance(ctx, FreeAbelianContext) and ctx.rank == 1:
         spec = universal_z_spec(ctx)
     else:
         raise ConfigError("the integer universal subset needs Z; pass --subset for other groups")
+    # --R is the window radius of build and the scan bound of verify and independence
+    radius = (12 if args.what == "build" else 5000) if args.R is None else args.R
     if args.what == "build":
-        radius = _given(args.R, 12)
         window = spec.elements_in_ball(radius)
-        details = {}
-        if hasattr(spec, "placed"):
-            details["placements"] = spec.placed.report_form()
+        details = {"placements": spec.placed.report_form()} if hasattr(spec, "placed") else {}
         suite.add(
             CheckReport(
                 name="universal-window",
                 params={"R": radius},
-                verdict="verified-at-scale",
+                verdict=VERIFIED,
                 witnesses=[ctx.format(x) for x in window],
                 compared_count=len(window),
                 details=details,
             )
         )
     elif args.what == "verify":
-        suite.add(universality_check(spec, args.r, _given(args.R, 5000)))
+        suite.add(universality_check(spec, args.r, radius))
     elif args.what == "independence":
-        tracks = []
-        bound = args.r
-        for g in ctx.ball(bound):
-            tracks.append(track_of_sequence(ctx, [g]))
-        suite.add(track_independence_check(spec, tracks, _given(args.R, 5000)))
-    else:
-        raise ConfigError(f"unknown universal command {args.what!r}")
+        tracks = [track_of_sequence(ctx, [g]) for g in ctx.ball(args.r)]
+        suite.add(track_independence_check(spec, tracks, radius))
     return suite
 
 
@@ -385,6 +303,66 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+# The flags' argparse keywords; a flag's spelling is its name with "-" for "_".
+FLAGS = {
+    "group": {"help": "builtin name or JSON file"},
+    "subset": {"help": "subset JSON file"},
+    "ambient": {"help": "ambient subset JSON file"},
+    "element": {"help": "group element (context notation)"},
+    "lhs": {"help": "operator expression"},
+    "rhs": {"help": "operator expression"},
+    "R": {"type": nonnegative_int, "help": "window / search radius"},
+    "r": {"type": nonnegative_int, "help": "inner radius"},
+    "L": {"type": nonnegative_int, "help": "word length bound"},
+    "n": {"type": nonnegative_int, "help": "rank parameter"},
+    "max_size": {"type": nonnegative_int, "help": "largest distinguishing set searched"},
+}
+
+
+class Command(NamedTuple):
+    """One subcommand: its ``what`` choices, the flags it reads with their defaults, its runner."""
+
+    help: str
+    whats: list[str]
+    flags: dict[str, object]  # flag -> its default; None reads as "not given"
+    run: Callable
+
+
+# Every subcommand also takes --out and --timings; any other flag is a usage error.
+COMMANDS = {
+    "check": Command(
+        "geometric checks",
+        ["deep", "rel-deep", "almost-invariant", "coseparable", "isolation", "boundary", "convexity", "stabilisers"],
+        dict.fromkeys(["group", "subset", "ambient", "element"]) | {"R": 8, "r": 3, "L": 3, "max_size": 3},
+        _cmd_check,
+    ),
+    "op": Command(
+        "windowed operator arithmetic",
+        ["build", "mul", "adjoint", "eq", "rank"],
+        dict.fromkeys(["group", "subset", "element", "lhs", "rhs"]) | {"R": 8},
+        _cmd_op,
+    ),
+    "module": Command(
+        "subgroup-module identities",
+        ["inner", "ph", "ideal", "coset-decomp"],
+        dict.fromkeys(["group", "subset", "ambient", "element", "lhs", "rhs"]) | {"R": 8, "r": 3, "max_size": 3},
+        _cmd_module,
+    ),
+    "gallery": Command(
+        "named extension suites",
+        [*SUITES, "all"],
+        dict.fromkeys(flag for suite in SUITES.values() for flag in suite.sizes),  # None: the suite's default
+        _cmd_gallery,
+    ),
+    "universal": Command(
+        "universal subsets",
+        ["build", "verify", "independence", "demo"],
+        {"group": "z", "subset": None, "R": None, "r": 2},  # None: the default of each ``what``
+        _cmd_universal,
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parsing leaves it unchanged."""
@@ -393,60 +371,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact finite-window checks for partial translation operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--group", help="builtin name or JSON file")
-        p.add_argument("--subset", help="subset JSON file")
-        p.add_argument("--ambient", help="ambient subset JSON file")
-        p.add_argument("--element", "-g", help="group element (context notation)")
-        p.add_argument("--lhs", help="operator expression")
-        p.add_argument("--rhs", help="operator expression")
-        p.add_argument("--R", type=nonnegative_int, default=8, help="window / search radius")
-        p.add_argument("--r", type=nonnegative_int, default=3, help="inner radius")
-        p.add_argument("--L", type=nonnegative_int, default=3, help="word length bound")
-        p.add_argument("--n", type=nonnegative_int, default=2, help="rank parameter")
-        p.add_argument("--max-size", dest="max_size", type=nonnegative_int, default=3)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("what", choices=command.whats)
+        for flag, default in command.flags.items():
+            spellings = ["--" + flag.replace("_", "-"), *(["-g"] if flag == "element" else [])]
+            p.add_argument(*spellings, default=default, **FLAGS[flag])
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--timings", action="store_true", help="include timings (breaks byte reproducibility)")
-
-    p_check = sub.add_parser("check", help="geometric checks")
-    p_check.add_argument(
-        "what",
-        choices=[
-            "deep",
-            "rel-deep",
-            "almost-invariant",
-            "coseparable",
-            "isolation",
-            "boundary",
-            "convexity",
-            "stabilisers",
-        ],
-    )
-    common(p_check)
-
-    p_op = sub.add_parser("op", help="windowed operator arithmetic")
-    p_op.add_argument("what", choices=["build", "mul", "adjoint", "eq", "rank"])
-    common(p_op)
-
-    p_module = sub.add_parser("module", help="subgroup-module identities")
-    p_module.add_argument("what", choices=["inner", "ph", "ideal", "coset-decomp"])
-    common(p_module)
-
-    p_gallery = sub.add_parser("gallery", help="named extension suites")
-    p_gallery.add_argument(
-        "what",
-        choices=["toeplitz", "pv", "cuntz", "lance", "hnn", "relations", "quotient", "generation", "all"],
-    )
-    common(p_gallery)
-    p_gallery.set_defaults(R=None, L=None, n=None)
-
-    p_universal = sub.add_parser("universal", help="universal subsets")
-    p_universal.add_argument("what", choices=["build", "verify", "independence", "demo"])
-    common(p_universal)
-    p_universal.set_defaults(R=None, r=2)
-
     return parser
+
+
+def _check_gallery_sizes(parser, args) -> None:
+    """Refuse a size flag the suite does not take, or one below its least value."""
+    sizes = SUITES[args.what].sizes if args.what in SUITES else {}
+    for flag in COMMANDS["gallery"].flags:
+        value = getattr(args, flag)
+        if value is not None and flag not in sizes:
+            parser.error(f"gallery {args.what} takes no --{flag}")
+        if value is not None and value < sizes[flag][1]:
+            parser.error(f"gallery {args.what} needs --{flag} >= {sizes[flag][1]}")
+    most = len(FreeGroupContext.default_names)  # --n names each generator of a free-group suite
+    if args.n is not None and args.n > most:
+        parser.error(f"gallery {args.what} needs --n <= {most}")
 
 
 def dispatch(argv) -> int:
@@ -456,29 +403,12 @@ def dispatch(argv) -> int:
         if args.command == "check" and args.what == "deep" and args.r > args.R:
             parser.error("check deep needs --r <= --R")
         if args.command == "gallery":
-            for flag, least in GALLERY_MINIMUMS.get(args.what, {}).items():
-                value = getattr(args, flag)
-                if value is not None and value < least:
-                    parser.error(f"gallery {args.what} needs --{flag} >= {least}")
-            most = len(FreeGroupContext.default_names)  # the free-group suites name each generator
-            if args.what in ("pv", "cuntz") and args.n is not None and args.n > most:
-                parser.error(f"gallery {args.what} needs --n <= {most}")
+            _check_gallery_sizes(parser, args)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         ball_cap()  # a malformed cap is a config error whether or not a ball is grown
-        if args.command == "check":
-            result = _cmd_check(args)
-        elif args.command == "op":
-            result = _cmd_op(args)
-        elif args.command == "module":
-            result = _cmd_module(args)
-        elif args.command == "gallery":
-            result = _cmd_gallery(args)
-        elif args.command == "universal":
-            result = _cmd_universal(args)
-        else:  # pragma: no cover
-            return EXIT_USAGE
+        result = COMMANDS[args.command].run(args)
     except (ConfigError, MalformedWord, BallCapInvalid) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -487,10 +417,9 @@ def dispatch(argv) -> int:
         return EXIT_RESOURCE
 
     suites = result if isinstance(result, list) else [result]
-    include_timing = bool(getattr(args, "timings", False))
     started = time.perf_counter()
-    text = dumps({"suites": [s.to_dict(include_timing) for s in suites]})
-    if getattr(args, "out", None):
+    text = dumps({"suites": [s.to_dict(args.timings) for s in suites]})
+    if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -498,7 +427,7 @@ def dispatch(argv) -> int:
             print(f"config error: cannot write report {args.out}: {err.strerror}", file=sys.stderr)
             return EXIT_CONFIG
     print(text)
-    if include_timing:
+    if args.timings:
         sys.stdout.flush()
         print(f"emit_seconds={time.perf_counter() - started:.6f}", file=sys.stderr)
     falsified = any(s.verdict == FALSIFIED for s in suites)

@@ -9,6 +9,7 @@ numerically.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .geometry import boundary_check, deep_witness, factor_relation_words, prefix_products
 from .group_algebra import isolation_projection
@@ -85,7 +86,7 @@ def _operator_cache(w: Window):
 # ---------------------------------------------------------------------------
 
 
-def run_toeplitz_check(radius: int = 20) -> SuiteReport:
+def run_toeplitz_check(radius: int) -> SuiteReport:
     ctx = integers()
     nat = natural_numbers(ctx)
     w = make_window(nat, radius)
@@ -114,7 +115,7 @@ def run_toeplitz_check(radius: int = 20) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def run_pv_check(n: int = 2, radius: int = 4) -> SuiteReport:
+def run_pv_check(n: int, radius: int) -> SuiteReport:
     ctx = free_group(n)
     s1 = ctx.generator(1)
     b_spec = words_not_starting_with(ctx, ctx.invert(s1))
@@ -155,7 +156,7 @@ def run_pv_check(n: int = 2, radius: int = 4) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def run_cuntz_check(n: int = 2, length: int = 4) -> SuiteReport:
+def run_cuntz_check(n: int, length: int) -> SuiteReport:
     ctx = free_group(n)
     cone = positive_cone(ctx)
     w_cone = make_window(cone, length)
@@ -215,7 +216,7 @@ def run_cuntz_check(n: int = 2, length: int = 4) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def run_relation_classification(radius: int = 5) -> SuiteReport:
+def run_relation_classification(radius: int) -> SuiteReport:
     ctx = amalgam_z4_z6()
     b_spec = make_tree_halfspace(ctx, "G")
     h_sub = amalgam_subgroup(ctx)
@@ -276,7 +277,7 @@ def _decompose_prefix(ctx: AmalgamContext, gamma: GroupElement):
     return ctx.factors[1].identity(), gamma
 
 
-def run_lance_difference_check(radius: int = 4) -> SuiteReport:
+def run_lance_difference_check(radius: int) -> SuiteReport:
     """Compare conjugated right multiplication with the tensor action on S x B.
 
     With trivial gluing the product of the two factors is exactly the grid
@@ -434,7 +435,7 @@ def _hnn_classify(ctx: HnnContext, gamma: GroupElement) -> str:
     return "L" if blocks[0][0] == -1 else "R"
 
 
-def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport:
+def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
     """Partition by first stable-letter sign, cross-checked through products.
 
     The left part consists of base-translates of the inverse half-space, the
@@ -445,12 +446,11 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
     ctx = baumslag_solitar(1, 2) if which == "bs12" else free_group_as_hnn()
     b_spec = make_tree_halfspace(ctx, "B")
     tb_spec = make_tree_halfspace(ctx, "tB")
-    bc_words_name = "complement"
     suite = SuiteReport(name="hnn-partition", params={"group": which, "R": radius})
 
     ball = ctx.ball(radius)
     base_pairs = [(ctx.from_base(g), ctx.from_base(ctx.base.invert(g))) for g in ctx.base.ball(radius)]
-    bc_spec = SubsetSpec(ctx, bc_words_name, lambda x: not b_spec.contains(x))
+    bc_spec = SubsetSpec(ctx, "complement", lambda x: not b_spec.contains(x))
     counts = {"G": 0, "L": 0, "R": 0}
     mismatches = []
     for gamma in ball:
@@ -548,7 +548,7 @@ def run_hnn_partition_check(which: str = "bs12", radius: int = 4) -> SuiteReport
 # ---------------------------------------------------------------------------
 
 
-def run_quotient_consistency_check(which: str = "toeplitz", radius: int = 8) -> SuiteReport:
+def run_quotient_consistency_check(which: str, radius: int) -> SuiteReport:
     """Compressing the ambient translation by the subset projection recovers the subset translation."""
     if which == "toeplitz":
         ctx = integers()
@@ -599,7 +599,7 @@ def run_quotient_consistency_check(which: str = "toeplitz", radius: int = 8) -> 
     return suite
 
 
-def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> SuiteReport:
+def run_mu_nu_generation_check(max_syllables: int, radius: int) -> SuiteReport:
     """Reduced words factor through generator products; the two representations mesh."""
     ctx = amalgam_z4_z6()
     b_spec = make_tree_halfspace(ctx, "G")
@@ -677,21 +677,39 @@ def run_mu_nu_generation_check(max_syllables: int = 3, radius: int = 5) -> Suite
 
 
 # ---------------------------------------------------------------------------
-# Aggregate runner
+# The suite table
 # ---------------------------------------------------------------------------
 
 
+class Suite(NamedTuple):
+    """One ``gallery`` suite: its size flags and how it runs at given sizes."""
+
+    sizes: dict[str, tuple[int, int]]  # flag -> (default, least value)
+    run: Callable[..., list[SuiteReport]]  # takes one keyword per flag
+
+    def at(self, **given: int) -> list[SuiteReport]:
+        """Run at the given sizes; a flag not given takes its default."""
+        return self.run(**{flag: given.get(flag, default) for flag, (default, _) in self.sizes.items()})
+
+
+# Toeplitz searches for a deepness witness at radius 3, the free-group suites
+# need at least one generator, and the Lance window must contain the (e, e)
+# block it compares.  The quotient suite's amalgam half is always run at 4.
+SUITES = {
+    "toeplitz": Suite({"R": (20, 3)}, lambda R: [run_toeplitz_check(R)]),
+    "pv": Suite({"n": (2, 1), "R": (4, 0)}, lambda n, R: [run_pv_check(n, R)]),
+    "cuntz": Suite({"n": (2, 1), "L": (4, 0)}, lambda n, L: [run_cuntz_check(n, L)]),
+    "relations": Suite({"R": (5, 0)}, lambda R: [run_relation_classification(R)]),
+    "lance": Suite({"R": (4, 1)}, lambda R: [run_lance_difference_check(R)]),
+    "hnn": Suite({"R": (4, 0)}, lambda R: [run_hnn_partition_check(g, R) for g in ("bs12", "f2")]),
+    "quotient": Suite(
+        {"R": (8, 0)},
+        lambda R: [run_quotient_consistency_check("toeplitz", R), run_quotient_consistency_check("amalgam", 4)],
+    ),
+    "generation": Suite({"L": (3, 0), "R": (5, 0)}, lambda L, R: [run_mu_nu_generation_check(L, R)]),
+}
+
+
 def run_all() -> list[SuiteReport]:
-    suites = [
-        run_toeplitz_check(20),
-        run_pv_check(2, 4),
-        run_cuntz_check(2, 4),
-        run_relation_classification(5),
-        run_lance_difference_check(4),
-        run_hnn_partition_check("bs12", 4),
-        run_hnn_partition_check("f2", 4),
-        run_quotient_consistency_check("toeplitz", 8),
-        run_quotient_consistency_check("amalgam", 4),
-        run_mu_nu_generation_check(3, 5),
-    ]
-    return suites
+    """Every suite at its default sizes, in table order."""
+    return [report for suite in SUITES.values() for report in suite.at()]

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .groups import AmalgamContext, GroupContext, GroupElement, HnnContext
+from .groups import AmalgamContext, FiniteGroupContext, FreeAbelianContext, GroupContext, GroupElement, HnnContext
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
 from .subsets import SubsetSpec, coset_cover
 
@@ -446,10 +446,13 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
 
     Amalgams use every nontrivial factor element as a letter (factors of
     infinite order contribute powers up to the bound) and all within-factor
-    relation words of length at most 3.  HNN extensions add the stable letter
-    and the twisting relations t h t^-1 k^-1 as words, with h running over
-    base letters inside the subgroup.  Any other group uses its generators,
-    with cancellation only.
+    relation words of length at most 3; a finite group is presented the same
+    way, as one such factor.  HNN extensions add the stable letter and the
+    twisting relations t h t^-1 k^-1 as words, with h running over base
+    letters inside the subgroup (a twist whose image k lies beyond the bound
+    gives no word).  Free abelian groups use their generators with
+    cancellation and the commutators [x_i, x_j]; free groups use their
+    generators with cancellation only.
     """
     letters: list[GroupElement] = []
     index: dict[tuple, int] = {}  # letter word -> position in letters
@@ -491,9 +494,15 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
                 k_inv = at.get(ctx.data.image(1, base.invert(h).word))  # None for k = e or beyond the bound
                 if k_inv is not None:
                     words.append((t, at[h.word], t_inv, k_inv))
+    elif isinstance(ctx, FiniteGroupContext):
+        own = _nontrivial(ctx, ctx.all_elements())
+        add_letters(own)
+        words = [tuple(index[x.word] for x in word) for word in factor_relation_words(ctx, own)]
     else:
         add_letters(ctx.generator_elements())
         words = [(i, index[ctx.invert(g).word]) for i, g in enumerate(letters)]
+        if isinstance(ctx, FreeAbelianContext):  # letters 2i and 2i + 1 are x_i and its inverse
+            words += [(2 * i, 2 * j, 2 * i + 1, 2 * j + 1) for i, j in itertools.combinations(range(ctx.rank), 2)]
 
     # close relations under cyclic permutation and inversion; every letter
     # has its inverse among the letters
@@ -611,7 +620,9 @@ def convexity_bounded_check(
     connectivity with word length capped at max_word_len + slack.  Rewrites
     that insert a whole relation are tried only in a second pass, since the
     splits and merges already derived from the relations connect the built-in
-    examples without them.
+    examples without them.  A class left unreached is inconclusive, never
+    falsified: a search capped in length is no witness against the unbounded
+    statement.
     """
     ctx = b_spec.ctx
     params = {
@@ -655,12 +666,12 @@ def convexity_bounded_check(
                 pres, b_spec, members, table, max_len, node_budget, allow_insert=True
             )
         if unreached:
+            # rewrites capped at max_len never witness that no longer chain exists
             sample = sorted(unreached)[0]
-            verdict = INCONCLUSIVE if budget_hit else FALSIFIED
             return CheckReport(
                 name="convexity",
                 params=params,
-                verdict=verdict,
+                verdict=INCONCLUSIVE,
                 witnesses=[
                     [ctx.format(pres.letters[i]) for i in members[0][0]],
                     [ctx.format(pres.letters[i]) for i in sample],

@@ -67,9 +67,6 @@ class HAlgebraElement:
     def of(cls, subgroup: SubsetSpec, h: GroupElement, value=1) -> "HAlgebraElement":
         return cls(subgroup, {h.word: Fraction(value)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "HAlgebraElement") -> "HAlgebraElement":
         out = dict(self.coeffs)
         for w, v in other.coeffs.items():
@@ -200,16 +197,6 @@ class SigmaVector:
         out = dict(self.coeffs)
         for w, v in other.coeffs.items():
             out[w] = out.get(w, ZERO) + v
-        return SigmaVector(self.spec, out)
-
-    def act_by(self, k: GroupElement) -> "SigmaVector":
-        """Right action: sigma_g . T_k = sigma_{g k} when g k stays inside, else 0."""
-        ctx = self.spec.ctx
-        out: dict[tuple, Fraction] = {}
-        for w, v in self.coeffs.items():
-            target = ctx.multiply(GroupElement(ctx, w), k)
-            if self.spec.contains(target):
-                out[target.word] = out.get(target.word, ZERO) + v
         return SigmaVector(self.spec, out)
 
 

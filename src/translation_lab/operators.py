@@ -310,20 +310,6 @@ def guarded_equal(a: TranslationOperator, b: TranslationOperator) -> MatchResult
     return MatchResult(True, compared)
 
 
-def is_partial_permutation(a: TranslationOperator) -> bool:
-    """0/1 entries with at most one nonzero per row and per column."""
-    row_seen: set[int] = set()
-    col_seen: set[int] = set()
-    for (r, c), v in a.entries.items():
-        if v != ONE:
-            return False
-        if r in row_seen or c in col_seen:
-            return False
-        row_seen.add(r)
-        col_seen.add(c)
-    return True
-
-
 def rank_of_vectors(vectors: Sequence[dict]) -> int:
     """Exact rank over Q of sparse vectors keyed by arbitrary hashable columns."""
     basis: list[dict] = []

@@ -68,11 +68,6 @@ def compose_tracks(ctx: GroupContext, first: Track, second: Track) -> Track:
     return _canonical(ctx, total, visited)
 
 
-def is_valid(ctx: GroupContext, track: Track) -> bool:
-    words = {h.word for h in track.visited}
-    return ctx.identity().word in words and track.total.word in words
-
-
 def nonzero_witness(track: Track, spec: SubsetSpec, radius: int) -> GroupElement | None:
     """Smallest x in the window on which the track's operator is nonzero.
 

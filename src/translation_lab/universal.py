@@ -26,7 +26,7 @@ from .geometry import (
 from .groups import FreeAbelianContext, FreeGroupContext, GroupElement
 from .operators import rank_of_vectors
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, SuiteReport
-from .subsets import SubsetSpec, trivial_subgroup, whole_group
+from .subsets import SubsetSpec, trivial_subgroup
 from .tracks import Track, support
 
 
@@ -109,7 +109,6 @@ class PlacedUniversalWords:
         self.max_radius = max_radius
         self.start = start
         self.min_step = min_step
-        self.a = ctx.generator(1)
         self.b = ctx.generator(2)
         self.placements: list[Placement] = []
         self._point_words: set[tuple] = set()
@@ -396,24 +395,6 @@ def track_independence_check(
             for i, x in sorted(witnesses.items())
         ],
         compared_count=len(tracks),
-        details={"rank": rank},
-    )
-
-
-def dependent_tracks_demo(ctx: FreeAbelianContext, tracks: Sequence[Track], radius: int) -> CheckReport:
-    """On the whole group every relation holds: same-total tracks give equal operators."""
-    whole = whole_group(ctx)
-    vectors = []
-    points = ctx.ball(radius)
-    for t in tracks:
-        fires = support(t, whole)
-        total_inv = ctx.invert(t.total)
-        vectors.append({(ctx.multiply(x, total_inv).word, x.word): 1 for x in points if fires(x)})
-    rank = rank_of_vectors(vectors)
-    return CheckReport(
-        name="dependence-on-whole-group",
-        params={"tracks": len(tracks), "R": radius},
-        verdict=VERIFIED if rank < len(tracks) else FALSIFIED,
         details={"rank": rank},
     )
 

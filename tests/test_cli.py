@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from translation_lab import cli
+from translation_lab import cli, gallery
 from translation_lab.groups import BALL_CAP_ENV
 from translation_lab.reports import dumps
 
@@ -292,3 +294,49 @@ def test_reports_independent_of_hash_seed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a flag each subcommand never reads
+        ["check", "deep", "--group", "z", "--lhs", "x"],
+        ["op", "eq", "--L", "3"],
+        ["module", "inner", "--n", "2"],
+        ["gallery", "toeplitz", "--group", "f2"],
+        ["universal", "demo", "--max-size", "2"],
+        # a size flag the suite does not take
+        ["gallery", "toeplitz", "--L", "3"],
+        ["gallery", "quotient", "--n", "2"],
+        ["gallery", "all", "--R", "5"],
+    ],
+    ids=lambda argv: "-".join(argv[:2] + [argv[-2]]),
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and argv[-2] in captured.err
+
+
+def test_gallery_suite_without_flags_is_its_slice_of_run_all(capsys):
+    everything = [suite.to_dict(False) for suite in gallery.run_all()]
+    start = 0
+    for name in gallery.SUITES:
+        code, out = run(capsys, "gallery", name)
+        assert code == cli.EXIT_OK
+        count = len(json.loads(out)["suites"])
+        assert out == dumps({"suites": everything[start : start + count]}) + "\n", name
+        start += count
+    assert start == len(everything)
+
+
+def test_readme_command_lines_parse():
+    """Every ``translation-lab`` line of the README's command block is accepted by the parser."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("translation-lab ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command in cli.COMMANDS, line

@@ -272,6 +272,43 @@ def test_convexity_whole_free_group(f2):
     assert report.verdict == VERIFIED
 
 
+C3 = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+BS13 = {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"multiplier": 3}}
+
+
+@pytest.mark.parametrize(
+    "group,length",
+    [("z2", 2), ({"kind": "free-abelian", "rank": 2}, 3), ({"kind": "free-abelian", "rank": 3}, 2), (C3, 3)],
+    ids=["z2", "z2-json", "z3", "c3"],
+)
+def test_convexity_of_the_whole_group_with_a_presentation_of_the_group(group, length):
+    """Z^n carries its commutators and a finite group its multiplication table."""
+    ctx = load_group(group)
+    pres = presentation_for(ctx)
+    e = ctx.identity()
+    for rel in pres.relations:
+        assert functools.reduce(ctx.multiply, (pres.letters[i] for i in rel), e) == e
+    report = convexity_bounded_check(whole_group(ctx), pres, length)
+    assert report.verdict == VERIFIED, report.witnesses
+
+
+def test_finite_presentation_is_the_finite_factor_rule():
+    ctx = load_group(C3)
+    pres = presentation_for(ctx)
+    assert [ctx.format(x) for x in pres.letters] == ["g1", "g2"]
+    # g1 g2, g2 g1 and the cubes, closed under rotation and inversion
+    assert list(pres.relations) == [(0, 0, 0), (0, 1), (1, 0), (1, 1, 1)]
+
+
+def test_convexity_unreached_class_is_inconclusive_not_falsified():
+    """BS(1,3)'s twist image a^3 is beyond the letter bound, so t a t^-1 = a^3 is no relation word."""
+    ctx = load_group(BS13)
+    report = convexity_bounded_check(whole_group(ctx), presentation_for(ctx), 3)
+    assert report.verdict == INCONCLUSIVE
+    assert report.details == {"budget_exceeded": False}
+    assert report.witnesses == [["-2", "-2", "-2"], ["t", "-2", "t^-1"]]
+
+
 def _presentation_by_scans(ctx, letter_bound=2):
     """Letters and closed relations of an amalgam or HNN presentation, built as
     two separate branches with a linear letter scan: every pair and triple of

@@ -36,8 +36,22 @@ from translation_lab import (
     words_not_starting_with,
     zero_operator,
 )
-from translation_lab.operators import is_partial_permutation, rank_of_vectors
+from translation_lab.operators import rank_of_vectors
 from translation_lab.tracks import compose_tracks
+
+
+def is_partial_permutation(a) -> bool:
+    """0/1 entries with at most one nonzero per row and per column."""
+    row_seen: set[int] = set()
+    col_seen: set[int] = set()
+    for (r, c), v in a.entries.items():
+        if v != 1:
+            return False
+        if r in row_seen or c in col_seen:
+            return False
+        row_seen.add(r)
+        col_seen.add(c)
+    return True
 
 
 @pytest.fixture(scope="module")

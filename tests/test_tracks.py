@@ -10,7 +10,12 @@ from translation_lab import (
     positive_cone,
     track_of_sequence,
 )
-from translation_lab.tracks import is_valid
+
+
+def is_valid(ctx, track) -> bool:
+    """The identity and the total are among the visited points."""
+    words = {h.word for h in track.visited}
+    return ctx.identity().word in words and track.total.word in words
 
 
 def test_single_step(z):

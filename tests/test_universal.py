@@ -13,7 +13,10 @@ from translation_lab import (
 )
 from translation_lab import universal
 from translation_lab.groups import BALL_CAP_ENV
-from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED
+from translation_lab.operators import rank_of_vectors
+from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
+from translation_lab.subsets import whole_group
+from translation_lab.tracks import support
 from translation_lab.universal import (
     PlacedUniversalWords,
     _centres,
@@ -21,7 +24,6 @@ from translation_lab.universal import (
     appendix_contrast_demo,
     bit_at,
     characteristic_prefix,
-    dependent_tracks_demo,
     track_independence_check,
     universal_b_words_spec,
     universal_z_spec,
@@ -247,6 +249,24 @@ def test_centres_stop_growing_layers_once_every_goal_is_found(monkeypatch):
     assert len(f2._layers) == 3
     with pytest.raises(BallCapExceeded):  # the cone never realizes every pattern
         _first_centres(cone, ball, [(len(ball), p) for p in _all_patterns(ball)], _centres(cone, 10))
+
+
+def dependent_tracks_demo(ctx, tracks, radius: int) -> CheckReport:
+    """On the whole group every relation holds: same-total tracks give equal operators."""
+    whole = whole_group(ctx)
+    vectors = []
+    points = ctx.ball(radius)
+    for t in tracks:
+        fires = support(t, whole)
+        total_inv = ctx.invert(t.total)
+        vectors.append({(ctx.multiply(x, total_inv).word, x.word): 1 for x in points if fires(x)})
+    rank = rank_of_vectors(vectors)
+    return CheckReport(
+        name="dependence-on-whole-group",
+        params={"tracks": len(tracks), "R": radius},
+        verdict=VERIFIED if rank < len(tracks) else FALSIFIED,
+        details={"rank": rank},
+    )
 
 
 def test_whole_group_tracks_dependent(z):
