@@ -8,7 +8,6 @@ numerically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .geometry import boundary_check, deep_witness, factor_relation_words, prefix_products
@@ -25,6 +24,7 @@ from .groups import (
     integers,
 )
 from .operators import (
+    ONE,
     TranslationOperator,
     Window,
     adjoint,
@@ -55,8 +55,6 @@ from .subsets import (
     whole_group,
     words_not_starting_with,
 )
-
-ONE = Fraction(1)
 
 
 def _identity_check(name: str, match, extra: dict | None = None) -> CheckReport:

@@ -98,81 +98,12 @@ class HAlgebraElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, HAlgebraElement) and self.coeffs == other.coeffs
 
-    def regular_matrix(self) -> list[list[Fraction]]:
-        """Matrix of right translation on the subgroup's own basis."""
-        ctx = self.subgroup.ctx
-        elems = list(self.subgroup.elements)
-        pos = {x.word: i for i, x in enumerate(elems)}
-        n = len(elems)
-        mat = [[ZERO] * n for _ in range(n)]
-        for w, v in self.coeffs.items():
-            h_inv = ctx.invert(GroupElement(ctx, w))
-            for i, x in enumerate(elems):
-                target = ctx.multiply(x, h_inv)
-                mat[i][pos[target.word]] += v
-        return mat
-
-    def is_positive_semidefinite(self) -> bool:
-        """Exact test through the characteristic polynomial of the regular matrix.
-
-        A rational symmetric matrix is PSD iff det(tI - A) = t^n - c1 t^(n-1)
-        + c2 t^(n-2) - ... has all c_k >= 0; the coefficients are computed by
-        exact trace recursion.
-        """
-        mat = self.regular_matrix()
-        n = len(mat)
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] != mat[j][i]:
-                    return False
-        return all(e >= 0 for e in _elementary_symmetrics(mat))
-
     def report_form(self):
         ctx = self.subgroup.ctx
         return {
             ctx.format(GroupElement(ctx, w)): [v.numerator, v.denominator]
             for w, v in sorted(self.coeffs.items())
         }
-
-
-def _elementary_symmetrics(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Elementary symmetric functions e_1..e_n of the eigenvalues, exactly.
-
-    Power sums come from repeated multiplication, e_k from Newton's identity
-    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i.  For a symmetric matrix all
-    eigenvalues are real, and they are all nonnegative iff every e_k >= 0.
-    """
-    n = len(mat)
-    power = [row[:] for row in mat]
-    psums = []
-    for k in range(n):
-        if k:
-            power = _mat_mul(power, mat)
-        psums.append(sum(power[i][i] for i in range(n)))
-    es: list[Fraction] = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = ZERO
-        for i in range(1, k + 1):
-            term = es[k - i] * psums[i - 1]
-            acc += term if i % 2 == 1 else -term
-        es.append(acc / k)
-    return es[1:]
-
-
-def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, v in enumerate(arow):
-            if v == 0:
-                continue
-            brow = b[k]
-            for j in range(n):
-                if brow[j] != 0:
-                    orow[j] += v * brow[j]
-    return out
 
 
 class SigmaVector:

@@ -1,12 +1,15 @@
 """Exact finite truncations of partial translation operators.
 
 Operators live on a *window*: the shortlex-ordered list of subset elements
-within a ball.  Entries are exact rationals; membership questions are always
-answered by the subset's total predicate, so an entry is either exactly
-correct or the row is marked *clipped* because the true image (or, for
-columns, the true preimage) leaves the window.  Equality assertions compare
-only mutually unclipped rows and are therefore exact statements about the
-untruncated operators.
+within a ball.  Entries are exact rationals, held as ``int`` when integral
+and as ``Fraction`` otherwise, never as ``float``: the 0/1 partial
+translations and their integer combinations stay ``int``, and a ``Fraction``
+appears only where a division or a non-integral coefficient forces it.
+Membership questions are always answered by the subset's total predicate, so
+an entry is either exactly correct or the row is marked *clipped* because the
+true image (or, for columns, the true preimage) leaves the window.  Equality
+assertions compare only mutually unclipped rows and are therefore exact
+statements about the untruncated operators.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .groups import GroupElement, MalformedWord
 from .subsets import SubsetSpec
 from .tracks import Track, support
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class TranslationOperator:
         self.clipped_cols = frozenset(clipped_cols)
 
     def rows(self) -> dict:
-        out: dict[int, dict[int, Fraction]] = {}
+        out: dict[int, dict[int, int | Fraction]] = {}
         for (r, c), v in self.entries.items():
             out.setdefault(r, {})[c] = v
         return out
@@ -108,7 +111,9 @@ def _partial_translation(
     (h in ``middle``) lie in the domain.
 
     A row is clipped when its image is beyond the window; a column is clipped
-    when the operator reaches it from a source beyond the window.
+    when the operator reaches it from a source beyond the window.  A column
+    that some row maps onto is reached from a window point, so it is never
+    clipped and the column pass skips it.
     """
     spec = w.spec
     ctx = spec.ctx
@@ -118,6 +123,7 @@ def _partial_translation(
     stays = support(Track(total, tuple(middle)), domain)
     total_inv = ctx.invert(total)
     entries = {}
+    reached = set()
     clipped_rows = set()
     clipped_cols = set()
     for i, x in enumerate(w.points):
@@ -130,8 +136,9 @@ def _partial_translation(
                 clipped_rows.add(i)
             else:
                 entries[(i, j)] = ONE
+                reached.add(j)
     for j, y in enumerate(w.points):
-        if test_source and not domain.contains(y):
+        if j in reached or (test_source and not domain.contains(y)):
             continue
         x = ctx.multiply(y, total)
         if w.position(x) is None and domain.contains(x) and (not middle or stays(x)):
@@ -165,7 +172,7 @@ def compose(after: TranslationOperator, first: TranslationOperator) -> Translati
     this through the targets.
     """
     _same_window(after, first)
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int | Fraction] = {}
     after_rows = after.rows()
     for (i, j), v in first.entries.items():
         arow = after_rows.get(j)
@@ -206,17 +213,20 @@ def adjoint(a: TranslationOperator) -> TranslationOperator:
 
 
 def combine(coeffs: Sequence[Fraction | int], ops: Sequence[TranslationOperator]) -> TranslationOperator:
+    """``sum(c * op)``; an integral coefficient acts as an ``int``."""
     if len(coeffs) != len(ops):
         raise ValueError("one coefficient per operator")
     if not ops:
         raise ValueError("empty combination")
     for op in ops[1:]:
         _same_window(ops[0], op)
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int | Fraction] = {}
     clipped_rows: set[int] = set()
     clipped_cols: set[int] = set()
     for c, op in zip(coeffs, ops):
         c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
         clipped_rows |= op.clipped_rows
         clipped_cols |= op.clipped_cols
         if c == 0:
@@ -303,15 +313,20 @@ def guarded_equal(a: TranslationOperator, b: TranslationOperator) -> MatchResult
                 {
                     "row": ctx.format(w.points[i]),
                     "col": ctx.format(w.points[c]),
-                    "lhs": ra.get(c, ZERO),
-                    "rhs": rb.get(c, ZERO),
+                    # a Fraction emits as [numerator, denominator], an int would not
+                    "lhs": Fraction(ra.get(c, ZERO)),
+                    "rhs": Fraction(rb.get(c, ZERO)),
                 },
             )
     return MatchResult(True, compared)
 
 
 def rank_of_vectors(vectors: Sequence[dict]) -> int:
-    """Exact rank over Q of sparse vectors keyed by arbitrary hashable columns."""
+    """Exact rank over Q of sparse vectors keyed by arbitrary hashable columns.
+
+    Entries are ``int`` or ``Fraction``; the elimination divides as
+    ``Fraction``, so integer input never falls into float arithmetic.
+    """
     basis: list[dict] = []
     pivots: list = []
     for vec in vectors:
@@ -319,7 +334,7 @@ def rank_of_vectors(vectors: Sequence[dict]) -> int:
         for pivot, bvec in zip(pivots, basis):
             coeff = work.get(pivot)
             if coeff:
-                factor = coeff / bvec[pivot]
+                factor = Fraction(coeff) / bvec[pivot]
                 for k, v in bvec.items():
                     acc = work.get(k, ZERO) - factor * v
                     if acc == 0:

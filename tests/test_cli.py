@@ -46,6 +46,8 @@ def test_op_eq_broken_relation(tmp_path, capsys):
     check = doc["suites"][0]["checks"][0]
     assert check["verdict"] == "falsified"
     assert check["witnesses"][0]["row"] == "0"
+    # integer operator entries still emit as [numerator, denominator]
+    assert (check["witnesses"][0]["lhs"], check["witnesses"][0]["rhs"]) == ([0, 1], [1, 1])
 
 
 def test_op_kept_relation(tmp_path, capsys):

@@ -109,6 +109,77 @@ def test_star_and_product():
     assert a.star().coeffs == {c6.element(4).word: Fraction(1), c6.element(2).word: Fraction(2)}
 
 
+def regular_matrix(a: HAlgebraElement) -> list[list[Fraction]]:
+    """Matrix of right translation on the subgroup's own basis."""
+    ctx = a.subgroup.ctx
+    elems = list(a.subgroup.elements)
+    pos = {x.word: i for i, x in enumerate(elems)}
+    n = len(elems)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for w, v in a.coeffs.items():
+        h_inv = ctx.invert(GroupElement(ctx, w))
+        for i, x in enumerate(elems):
+            target = ctx.multiply(x, h_inv)
+            mat[i][pos[target.word]] += v
+    return mat
+
+
+def is_positive_semidefinite(a: HAlgebraElement) -> bool:
+    """Exact test through the characteristic polynomial of the regular matrix.
+
+    A rational symmetric matrix is PSD iff det(tI - A) = t^n - c1 t^(n-1)
+    + c2 t^(n-2) - ... has all c_k >= 0; the coefficients are computed by
+    exact trace recursion.
+    """
+    mat = regular_matrix(a)
+    n = len(mat)
+    for i in range(n):
+        for j in range(n):
+            if mat[i][j] != mat[j][i]:
+                return False
+    return all(e >= 0 for e in _elementary_symmetrics(mat))
+
+
+def _elementary_symmetrics(mat: list[list[Fraction]]) -> list[Fraction]:
+    """Elementary symmetric functions e_1..e_n of the eigenvalues, exactly.
+
+    Power sums come from repeated multiplication, e_k from Newton's identity
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i.  For a symmetric matrix all
+    eigenvalues are real, and they are all nonnegative iff every e_k >= 0.
+    """
+    n = len(mat)
+    power = [row[:] for row in mat]
+    psums = []
+    for k in range(n):
+        if k:
+            power = _mat_mul(power, mat)
+        psums.append(sum(power[i][i] for i in range(n)))
+    es: list[Fraction] = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            term = es[k - i] * psums[i - 1]
+            acc += term if i % 2 == 1 else -term
+        es.append(acc / k)
+    return es[1:]
+
+
+def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        arow = a[i]
+        orow = out[i]
+        for k, v in enumerate(arow):
+            if v == 0:
+                continue
+            brow = b[k]
+            for j in range(n):
+                if brow[j] != 0:
+                    orow[j] += v * brow[j]
+    return out
+
+
 def test_inner_products_positive_semidefinite():
     c6 = cyclic_group(6)
     h = finite_subgroup(c6, [c6.element(0), c6.element(2), c6.element(4)], "H3")
@@ -122,9 +193,9 @@ def test_inner_products_positive_semidefinite():
             coeffs[p.word] = coeffs.get(p.word, 0) + Fraction(r.randrange(-3, 4))
         vec = SigmaVector(everything, coeffs)
         gram = module_inner_product(h, vec, vec)
-        assert gram.is_positive_semidefinite()
+        assert is_positive_semidefinite(gram)
     indefinite = HAlgebraElement(h, {c6.element(2).word: Fraction(1)})
-    assert not indefinite.is_positive_semidefinite()  # not even self-adjoint
+    assert not is_positive_semidefinite(indefinite)  # not even self-adjoint
 
 
 def test_isolation_projection_naturals(z):

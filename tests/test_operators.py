@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import generator_sequences, rng
 
@@ -36,6 +38,7 @@ from translation_lab import (
     words_not_starting_with,
     zero_operator,
 )
+from translation_lab.configs import load_subset
 from translation_lab.operators import rank_of_vectors
 from translation_lab.tracks import compose_tracks
 
@@ -209,6 +212,56 @@ def test_matrix_rank_basics(z, nat_window):
     assert rank_of_vectors([{1: Fraction(1), 2: Fraction(1)}, {2: Fraction(1)}]) == 2
 
 
+def test_rank_of_integer_vectors_is_exact():
+    # elimination in float arithmetic found ranks 7 and 3 here
+    zero_one = [
+        {1: 1, 2: 1},
+        {3: 1, 4: 1},
+        {1: 1, 3: 1, 4: 1, 5: 1},
+        {0: 1, 2: 1, 3: 1, 5: 1},
+        {0: 1, 1: 1},
+        {1: 1, 2: 1, 3: 1, 4: 1, 5: 1},
+        {0: 1, 1: 1, 2: 1, 4: 1, 5: 1},
+    ]
+    assert rank_of_vectors(zero_one) == 6
+    assert rank_of_vectors([{2: 9, 3: 6}, {0: 21, 1: 12, 2: 30, 3: -3}, {0: 7, 1: 4, 2: 7, 3: -3}]) == 2
+
+
+SMALL_INT_VECTORS = st.lists(
+    st.dictionaries(st.integers(0, 3), st.integers(-5, 5), min_size=1, max_size=4), min_size=2, max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(SMALL_INT_VECTORS)
+def test_rank_of_int_vectors_is_the_rank_of_their_fractions(vectors):
+    rank = rank_of_vectors(vectors)
+    columns = {k for vec in vectors for k, v in vec.items() if v}
+    assert type(rank) is int
+    assert rank == rank_of_vectors([{k: Fraction(v) for k, v in vec.items()} for vec in vectors])
+    assert rank <= min(len(vectors), len(columns))
+
+
+def test_coefficients_stay_int_until_a_fraction_enters(z, nat_window):
+    t = generator_operator(nat_window, z.integer(1))
+    u = generator_operator(nat_window, z.integer(-2))
+    integral = [
+        t,
+        compose(t, u),
+        subtract(t, u),
+        adjoint(t),
+        combine([1, -1], [t, u]),
+        combine([Fraction(4, 2)], [t]),
+    ]
+    for op in integral:
+        assert op.entries and all(type(v) is int for v in op.entries.values())
+    half = combine([Fraction(1, 2)], [t])
+    assert half.entries and all(type(v) is Fraction for v in half.entries.values())
+    assert {tuple(e[2:]) for e in half.report_form()["entries"]} == {(1, 2)}
+    for op in integral + [half]:
+        assert type(matrix_rank(op)) is int
+
+
 def test_domain_projection_agrees_with_star_product(z, f2, nat_window):
     for w, g in [
         (nat_window, z.integer(1)),
@@ -350,6 +403,80 @@ def test_generator_operator_matches_brute_force_on_domains(case, domain_kind, re
         assert op.entries == entries, ctx.format(g)
         assert op.clipped_rows == rows, ctx.format(g)
         assert op.clipped_cols == cols, ctx.format(g)
+
+
+def two_pass_translation(w, total, middle, domain):
+    """Entries and clip sets of a partial translation, by two full passes.
+
+    Source x maps to x * total^-1 when x, x * total^-1 and every x * h^-1
+    (h in ``middle``) lie in the domain.  Every window point in the domain
+    multiplies once as a row source and once as a column target, whether or
+    not the row pass already reached it.
+    """
+    ctx = w.spec.ctx
+    total_inv = ctx.invert(total)
+    inverses = [ctx.invert(h) for h in middle]
+
+    def stays(x):
+        return all(domain.contains(ctx.multiply(x, h_inv)) for h_inv in inverses)
+
+    entries, rows, cols = {}, set(), set()
+    for i, x in enumerate(w.points):
+        if not domain.contains(x):
+            continue
+        y = ctx.multiply(x, total_inv)
+        if domain.contains(y) and stays(x):
+            j = w.position(y)
+            if j is None:
+                rows.add(i)
+            else:
+                entries[(i, j)] = 1
+    for j, y in enumerate(w.points):
+        if not domain.contains(y):
+            continue
+        x = ctx.multiply(y, total)
+        if w.position(x) is None and domain.contains(x) and stays(x):
+            cols.add(j)
+    return entries, rows, cols
+
+
+# (fixture, subset, window radius)
+TWO_PASS_CASES = {
+    "z-nat.json": ("z", lambda c: load_subset(c, {"kind": "interval", "lo": 0}), 6),
+    "f2-halfspace": ("f2", lambda c: words_not_starting_with(c, c.invert(c.generator(1))), 3),
+    "z4*z6-G": ("amalgam", lambda c: make_tree_halfspace(c, "G"), 3),
+    "bs12-B": ("bs12", lambda c: make_tree_halfspace(c, "B"), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_PASS_CASES))
+def test_partial_translation_matches_the_two_pass_oracle(case, request):
+    fixture, build_subset, radius = TWO_PASS_CASES[case]
+    ctx = request.getfixturevalue(fixture)
+    spec = build_subset(ctx)
+    w, w_whole = make_window(spec, radius), make_window(whole_group(ctx), radius)
+    gens = ctx.generator_elements()
+    elements = ctx.ball(1) + [ctx.multiply(a, b) for a in gens for b in gens]
+    cases = []
+    for g in elements:
+        cases.append((w, g, [], spec, generator_operator(w, g)))
+        # a domain that is not the window's subset: every source is tested
+        cases.append((w_whole, g, [], spec, generator_operator(w_whole, g, spec)))
+    ends = {ctx.identity().word}
+    for seq in [(a, b) for a in gens for b in gens] + [(ctx.invert(a), a, b) for a in gens for b in gens]:
+        track = track_of_sequence(ctx, list(seq))
+        middle = [h for h in track.visited if h.word not in ends | {track.total.word}]
+        if middle:
+            cases.append((w, track.total, middle, spec, track_operator(w, track)))
+    clipped_cols = 0
+    for window, total, middle, domain, op in cases:
+        entries, rows, cols = two_pass_translation(window, total, middle, domain)
+        label = (ctx.format(total), [ctx.format(h) for h in middle])
+        assert op.entries == entries, label
+        assert op.clipped_rows == rows, label
+        assert op.clipped_cols == cols, label
+        clipped_cols += len(cols)
+    assert clipped_cols and any(middle for _, _, middle, _, _ in cases)
 
 
 def test_subtract_equals_combine(z, f2, amalgam):
