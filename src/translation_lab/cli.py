@@ -8,10 +8,10 @@ cap exceeded.  Exit code 1 is never used for a crash.
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .configs import ConfigError, load_group, load_subset
@@ -296,116 +296,226 @@ def _cmd_universal(args) -> SuiteReport | list[SuiteReport]:
     return suite
 
 
+class UsageError(Exception):
+    """A command line that the command table refuses; ``dispatch`` exits 2."""
+
+
 def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise ValueError(f"must be nonnegative, got {value}")
     return value
 
 
-# The flags' argparse keywords; a flag's spelling is its name with "-" for "_".
+class Flag(NamedTuple):
+    help: str
+    type: Callable[[str], object] | None = str  # converts the flag's value; None: a switch with no value
+
+
+# A flag's spelling is its name with "-" for "_"; "-g" also spells --element.
 FLAGS = {
-    "group": {"help": "builtin name or JSON file"},
-    "subset": {"help": "subset JSON file"},
-    "ambient": {"help": "ambient subset JSON file"},
-    "element": {"help": "group element (context notation)"},
-    "lhs": {"help": "operator expression"},
-    "rhs": {"help": "operator expression"},
-    "R": {"type": nonnegative_int, "help": "window / search radius"},
-    "r": {"type": nonnegative_int, "help": "inner radius"},
-    "L": {"type": nonnegative_int, "help": "word length bound"},
-    "n": {"type": nonnegative_int, "help": "rank parameter"},
-    "max_size": {"type": nonnegative_int, "help": "largest distinguishing set searched"},
+    "group": Flag("builtin name or JSON file"),
+    "subset": Flag("subset JSON file"),
+    "ambient": Flag("ambient subset JSON file"),
+    "element": Flag("group element (context notation)"),
+    "lhs": Flag("operator expression"),
+    "rhs": Flag("operator expression"),
+    "R": Flag("window / search radius", nonnegative_int),
+    "r": Flag("inner radius", nonnegative_int),
+    "L": Flag("word length bound", nonnegative_int),
+    "n": Flag("rank parameter", nonnegative_int),
+    "max_size": Flag("largest distinguishing set searched", nonnegative_int),
+    "out": Flag("write the report to this path"),
+    "timings": Flag("include timings (breaks byte reproducibility)", None),
 }
+COMMON = ("out", "timings")  # every ``what`` takes these
+
+
+def _spelling(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+SPELLINGS = {_spelling(flag): flag for flag in FLAGS} | {"-g": "element"}
 
 
 class Command(NamedTuple):
-    """One subcommand: its ``what`` choices, the flags it reads with their defaults, its runner."""
+    """One subcommand: the flags each ``what`` reads, every flag's default, its runner."""
 
     help: str
-    whats: list[str]
+    whats: dict[str, tuple[str, ...]]  # what -> the flags it reads, besides --out and --timings
     flags: dict[str, object]  # flag -> its default; None reads as "not given"
     run: Callable
 
 
-# Every subcommand also takes --out and --timings; any other flag is a usage error.
+def _reading(common: list[str], own: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
+    """Each ``what``'s flags: the ``common`` ones, then its ``own``."""
+    return {what: (*common, *flags) for what, flags in own.items()}
+
+
+# The flags each runner reads; any other flag is a usage error.
 COMMANDS = {
     "check": Command(
         "geometric checks",
-        ["deep", "rel-deep", "almost-invariant", "coseparable", "isolation", "boundary", "convexity", "stabilisers"],
+        _reading(
+            ["group", "subset"],
+            {
+                "deep": ["r", "R"],
+                "rel-deep": ["ambient", "r", "R"],
+                "almost-invariant": ["ambient", "element", "R"],
+                "coseparable": ["r", "R", "max_size"],
+                "isolation": ["r", "R", "max_size"],
+                "boundary": ["R"],
+                "convexity": ["L"],
+                "stabilisers": ["r"],
+            },
+        ),
         dict.fromkeys(["group", "subset", "ambient", "element"]) | {"R": 8, "r": 3, "L": 3, "max_size": 3},
         _cmd_check,
     ),
     "op": Command(
         "windowed operator arithmetic",
-        ["build", "mul", "adjoint", "eq", "rank"],
+        _reading(
+            ["group", "subset", "R"],
+            {"build": ["element"], "mul": ["lhs", "rhs"], "adjoint": ["lhs"], "eq": ["lhs", "rhs"], "rank": ["lhs"]},
+        ),
         dict.fromkeys(["group", "subset", "element", "lhs", "rhs"]) | {"R": 8},
         _cmd_op,
     ),
     "module": Command(
         "subgroup-module identities",
-        ["inner", "ph", "ideal", "coset-decomp"],
+        _reading(
+            ["group", "subset"],
+            {
+                "inner": ["lhs", "rhs"],
+                "ph": ["r", "R", "max_size"],
+                "ideal": ["ambient", "element", "R"],
+                "coset-decomp": ["ambient", "element", "R"],
+            },
+        ),
         dict.fromkeys(["group", "subset", "ambient", "element", "lhs", "rhs"]) | {"R": 8, "r": 3, "max_size": 3},
         _cmd_module,
     ),
     "gallery": Command(
         "named extension suites",
-        [*SUITES, "all"],
+        {name: tuple(suite.sizes) for name, suite in SUITES.items()} | {"all": ()},
         dict.fromkeys(flag for suite in SUITES.values() for flag in suite.sizes),  # None: the suite's default
         _cmd_gallery,
     ),
     "universal": Command(
         "universal subsets",
-        ["build", "verify", "independence", "demo"],
+        {
+            "build": ("group", "subset", "R"),
+            "verify": ("group", "subset", "r", "R"),
+            "independence": ("group", "subset", "r", "R"),
+            "demo": (),
+        },
         {"group": "z", "subset": None, "R": None, "r": 2},  # None: the default of each ``what``
         _cmd_universal,
     ),
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="translation-lab",
-        description="Exact finite-window checks for partial translation operators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("what", choices=command.whats)
-        for flag, default in command.flags.items():
-            spellings = ["--" + flag.replace("_", "-"), *(["-g"] if flag == "element" else [])]
-            p.add_argument(*spellings, default=default, **FLAGS[flag])
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--timings", action="store_true", help="include timings (breaks byte reproducibility)")
-    return parser
+def _is_flag(token: str) -> bool:
+    """A token starting with "-" names a flag, unless it is "-", a negative
+    number, or holds a space outside a ``--name=value`` (so ``--lhs -1`` parses)."""
+    if token.partition("=")[0] in SPELLINGS:
+        return True
+    return token[:1] == "-" and token != "-" and " " not in token and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
 
 
-def _check_gallery_sizes(parser, args) -> None:
-    """Refuse a size flag the suite does not take, or one below its least value."""
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``COMMAND WHAT [flags]`` against ``COMMANDS`` and ``FLAGS``.
+
+    ``what`` may stand anywhere after the command.  A flag is spelled exactly,
+    as ``--name value`` or ``--name=value``, and the last of a repeated flag
+    wins.  The result holds ``command``, ``what``, every flag of the command
+    (its default when not given), ``out`` and ``timings``.  Raises
+    ``UsageError`` for anything else.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"the command must be one of {', '.join(COMMANDS)}")
+    name, command = argv[0], COMMANDS[argv[0]]
+    whats, given = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_flag(token):
+            whats.append(token)
+            continue
+        spelling, eq, value = token.partition("=")
+        flag = SPELLINGS.get(spelling)
+        if flag is None:
+            raise UsageError(f"unrecognized argument {token}")
+        convert = FLAGS[flag].type
+        if convert is None:
+            if eq:
+                raise UsageError(f"{spelling} takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise UsageError(f"{spelling} needs a value")
+        try:
+            given[flag] = convert(value)
+        except ValueError as err:
+            raise UsageError(f"{spelling}: {err}") from None
+    if len(whats) != 1 or whats[0] not in command.whats:
+        raise UsageError(f"{name} takes one of {', '.join(command.whats)}, got {' '.join(whats) or 'none'}")
+    what = whats[0]
+    extra = [_spelling(flag) for flag in given if flag not in command.whats[what] and flag not in COMMON]
+    if extra:
+        raise UsageError(f"{name} {what} takes no {', '.join(extra)}")
+    return SimpleNamespace(**{"command": name, "what": what, **command.flags, "out": None, "timings": False, **given})
+
+
+def _usage(name: str | None) -> str:
+    head = f"{name} {{{','.join(COMMANDS[name].whats)}}}" if name else f"{{{','.join(COMMANDS)}}} WHAT"
+    return f"usage: translation-lab {head} [--FLAG VALUE ...] [--out PATH] [--timings]"
+
+
+def _help(name: str | None) -> str:
+    """Usage, each command (or each ``what`` with its flags), and each flag's help."""
+    if name is None:
+        rows, flags, defaults = [(n, c.help) for n, c in COMMANDS.items()], FLAGS, {}
+    else:
+        command = COMMANDS[name]
+        rows = [(what, " ".join(map(_spelling, flags))) for what, flags in command.whats.items()]
+        flags, defaults = [*command.flags, *COMMON], command.flags
+    lines = [_usage(name), "", *(f"  {left:<18}{right}" for left, right in rows), "", "flags:"]
+    for flag in flags:
+        spelled = _spelling(flag) + (", -g" if flag == "element" else "")
+        default = "" if defaults.get(flag) is None else f" (default {defaults[flag]})"
+        lines.append(f"  {spelled:<18}{FLAGS[flag].help}{default}")
+    return "\n".join(lines)
+
+
+def _check_gallery_sizes(args) -> None:
+    """Refuse a size below the suite's least value, or more generators than have names."""
     sizes = SUITES[args.what].sizes if args.what in SUITES else {}
-    for flag in COMMANDS["gallery"].flags:
+    for flag, (_default, least) in sizes.items():
         value = getattr(args, flag)
-        if value is not None and flag not in sizes:
-            parser.error(f"gallery {args.what} takes no --{flag}")
-        if value is not None and value < sizes[flag][1]:
-            parser.error(f"gallery {args.what} needs --{flag} >= {sizes[flag][1]}")
+        if value is not None and value < least:
+            raise UsageError(f"gallery {args.what} needs --{flag} >= {least}")
     most = len(FreeGroupContext.default_names)  # --n names each generator of a free-group suite
     if args.n is not None and args.n > most:
-        parser.error(f"gallery {args.what} needs --n <= {most}")
+        raise UsageError(f"gallery {args.what} needs --n <= {most}")
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    argv = list(argv)
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in argv or "--help" in argv:  # "-h" is always read as a flag, never as a value
+        print(_help(name))
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         if args.command == "check" and args.what == "deep" and args.r > args.R:
-            parser.error("check deep needs --r <= --R")
+            raise UsageError("check deep needs --r <= --R")
         if args.command == "gallery":
-            _check_gallery_sizes(parser, args)
-    except SystemExit as err:
-        return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+            _check_gallery_sizes(args)
+    except UsageError as err:
+        print(f"{_usage(name)}\ntranslation-lab: error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         ball_cap()  # a malformed cap is a config error whether or not a ball is grown
         result = COMMANDS[args.command].run(args)

@@ -265,14 +265,18 @@ def run_relation_classification(radius: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _decompose_prefix(ctx: AmalgamContext, gamma: GroupElement):
-    """Split gamma = s * x with s the leading second-factor syllable (maybe trivial)."""
+def _decompose_prefix(ctx: AmalgamContext, gamma: GroupElement, s_inverses: dict):
+    """Split gamma = s * x with s the leading second-factor syllable (maybe trivial).
+
+    ``s_inverses`` maps the word of each s in S to the inverse of its letter;
+    returns the word of s, and x, or None when s lies outside S.
+    """
     syllables, _h = gamma.word
-    if syllables and syllables[0][0] == 1:
-        s = GroupElement(ctx.factors[1], syllables[0][1])
-        x = ctx.multiply(ctx.invert(ctx.from_letters([(1, s)])), gamma)
-        return s, x
-    return ctx.factors[1].identity(), gamma
+    if not syllables or syllables[0][0] != 1:
+        return ctx.factors[1].identity().word, gamma
+    s = syllables[0][1]
+    inverse = s_inverses.get(s)
+    return s, None if inverse is None else ctx.multiply(inverse, gamma)
 
 
 def run_lance_difference_check(radius: int) -> SuiteReport:
@@ -302,11 +306,8 @@ def run_lance_difference_check(radius: int) -> SuiteReport:
     # the grid S x B as a window of the group, s-major: (s_i, x_j) sits at
     # i * nb + j, so generator_operator(grid, g) is right multiplication by g
     # read through the grid
-    products = [
-        ctx.multiply(s_el, x)
-        for s_el in (ctx.from_letters([(1, s)]) for s in s_points)
-        for x in w_b.points
-    ]
+    s_letters = [ctx.from_letters([(1, s)]) for s in s_points]
+    products = [ctx.multiply(s_el, x) for s_el in s_letters for x in w_b.points]
     grid = Window(
         whole_group(ctx), radius, tuple(products), {p.word: idx for idx, p in enumerate(products)}
     )
@@ -314,9 +315,10 @@ def run_lance_difference_check(radius: int) -> SuiteReport:
     # the (s, x) -> s x product map must be a bijection onto its window image
     bijective = len(grid.index) == len(grid)
     roundtrip = True
+    s_inverses = {s.word: ctx.invert(s_el) for s, s_el in zip(s_points, s_letters)}
     for idx, gamma in enumerate(grid.points):
-        s, x = _decompose_prefix(ctx, gamma)
-        i, j = s_index.get(s.word), w_b.position(x)
+        s, x = _decompose_prefix(ctx, gamma, s_inverses)
+        i, j = s_index.get(s), None if x is None else w_b.position(x)
         if i is None or j is None or i * nb + j != idx:
             roundtrip = False
     suite.add(

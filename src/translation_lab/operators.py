@@ -59,7 +59,7 @@ class TranslationOperator:
     instances as immutable.
     """
 
-    __slots__ = ("window", "entries", "clipped_rows", "clipped_cols")
+    __slots__ = ("window", "entries", "clipped_rows", "clipped_cols", "_rows")
 
     def __init__(
         self,
@@ -72,12 +72,16 @@ class TranslationOperator:
         self.entries = {k: v for k, v in entries.items() if v != 0}
         self.clipped_rows = frozenset(clipped_rows)
         self.clipped_cols = frozenset(clipped_cols)
+        self._rows: dict[int, dict[int, int | Fraction]] | None = None
 
     def rows(self) -> dict:
-        out: dict[int, dict[int, int | Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(r, {})[c] = v
-        return out
+        """The entries grouped as ``{row: {col: coeff}}``, built on the first call
+        and shared by every later one: read it, never change it."""
+        if self._rows is None:
+            self._rows = {}
+            for (r, c), v in self.entries.items():
+                self._rows.setdefault(r, {})[c] = v
+        return self._rows
 
     def report_form(self):
         w = self.window

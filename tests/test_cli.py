@@ -1,18 +1,67 @@
+import argparse
+import collections
+import contextlib
+import functools
+import io
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from translation_lab import cli, gallery
 from translation_lab.groups import BALL_CAP_ENV
 from translation_lab.reports import dumps
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
     code = cli.dispatch(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that read the command line before ``cli.parse_args``:
+    the reference the parity test holds ``cli.parse_args`` to.  It accepts every
+    flag of a command for each of its ``what``s, and abbreviations."""
+    parser = argparse.ArgumentParser(prog="translation-lab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("what", choices=list(command.whats))
+        for flag, default in command.flags.items():
+            spellings = ["--" + flag.replace("_", "-"), *(["-g"] if flag == "element" else [])]
+            p.add_argument(*spellings, default=default, type=cli.FLAGS[flag].type, help=cli.FLAGS[flag].help)
+        p.add_argument("--out", help=cli.FLAGS["out"].help)
+        p.add_argument("--timings", action="store_true", help=cli.FLAGS["timings"].help)
+    return parser
+
+
+def argparse_reading(argv):
+    """The oracle's attributes for ``argv``, or None when it exits 2."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as err:
+            assert err.code == cli.EXIT_USAGE, argv
+            return None
+
+
+def table_reading(argv):
+    """``cli.parse_args``'s attributes for ``argv``, or None for a usage error."""
+    try:
+        return vars(cli.parse_args(argv))
+    except cli.UsageError:
+        return None
 
 
 def test_gallery_toeplitz(capsys):
@@ -147,16 +196,21 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
 
 
 def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):
-    """The parser is built once per process; a usage error must not spoil the next command."""
+    """One command table serves the whole process; a usage error, or a caller
+    that changes the namespace it got, must not spoil the next command."""
     subset = tmp_path / "nat.json"
     subset.write_text('{"kind": "interval", "lo": 0}')
     argv = ["op", "eq", "--group", "z", "--subset", str(subset), "--lhs", "track:(0,{0,1})", "--rhs", "id"]
+    table = repr(cli.COMMANDS), repr(cli.FLAGS)
+    parsed = cli.parse_args(argv)
     before = run(capsys, *argv)
     assert before[0] == cli.EXIT_FALSIFIED
     for usage_error in (["check", "deep", "--R", "-1"], ["check", "deep", "--r", "5", "--R", "3"], ["nope"]):
         assert run(capsys, *usage_error)[0] == cli.EXIT_USAGE
         assert run(capsys, *argv) == before
-    assert cli.build_parser() is cli.build_parser()
+    parsed.R = 99
+    assert cli.parse_args(argv) == cli.parse_args(argv) != parsed
+    assert (repr(cli.COMMANDS), repr(cli.FLAGS)) == table
 
 
 def test_gallery_honours_explicit_sizes(capsys):
@@ -280,10 +334,6 @@ def test_empty_report_shape():
 
 
 def test_reports_independent_of_hash_seed():
-    import os
-    import subprocess
-    import sys
-
     outputs = []
     for seed in ("0", "7"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -307,6 +357,12 @@ def test_reports_independent_of_hash_seed():
         ["module", "inner", "--n", "2"],
         ["gallery", "toeplitz", "--group", "f2"],
         ["universal", "demo", "--max-size", "2"],
+        # a flag the command reads for another ``what``
+        ["universal", "demo", "--group", "f2", "--R", "3", "--r", "1"],
+        ["check", "deep", "--group", "z", "--subset", "nat.json", "-g", "5", "--L", "7", "--max-size", "9"],
+        ["check", "convexity", "--group", "z", "--R", "4"],
+        ["op", "build", "--lhs", "id"],
+        ["module", "inner", "--ambient", "nat.json"],
         # a size flag the suite does not take
         ["gallery", "toeplitz", "--L", "3"],
         ["gallery", "quotient", "--n", "2"],
@@ -333,12 +389,131 @@ def test_gallery_suite_without_flags_is_its_slice_of_run_all(capsys):
 
 
 def test_readme_command_lines_parse():
-    """Every ``translation-lab`` line of the README's command block is accepted by the parser."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    """Every ``translation-lab`` line of the README's command block is accepted
+    by the parser, and read as argparse read it."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("translation-lab ")]
     assert len(lines) >= 10
-    parser = cli.build_parser()
     for line in lines:
-        args = parser.parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        args = cli.parse_args(argv)
         assert args.command in cli.COMMANDS, line
+        assert vars(args) == argparse_reading(argv), line
+
+
+def test_readme_flag_table_matches_the_command_table():
+    """One README row per (command, what), naming exactly the flags that ``what``
+    reads, with the defaults (and, for a gallery suite, the least values) of the tables."""
+    text = README.read_text().split("| command | what | flags (default) |", 1)[1]
+    rows = re.findall(r"^\| `([\w-]+)` \| `([\w-]+)` \| (.*) \|$", text.split("\n\n", 1)[0], re.M)
+    assert [(name, what) for name, what, _ in rows] == [
+        (name, what) for name, command in cli.COMMANDS.items() for what in command.whats
+    ]
+    for name, what, cell in rows:
+        command = cli.COMMANDS[name]
+        spellings = re.findall(r"`(-[-\w]+)`", cell)
+        assert {cli.SPELLINGS[s] for s in spellings} == set(command.whats[what]), (name, what)
+        for flag in command.whats[what]:
+            spelling = "--" + flag.replace("_", "-")
+            if name == "gallery":
+                default, least = gallery.SUITES[what].sizes[flag]
+                assert f"`{spelling}` ({default}, least {least}" in cell, (name, what, flag)
+            elif command.flags[flag] is not None:
+                assert f"`{spelling}` ({command.flags[flag]})" in cell, (name, what, flag)
+
+
+INT_VALUES = ["0", "3", "12"] * 3 + ["-1", "-12", "1.5", "x", ""]
+TEXT_VALUES = ["z", "nat.json", "track:(0,{0,1})", "gen:1", "-1", "-2.5", "-.5", "a b", "-x y", "-", ""]
+JUNK = ["junk", "-", "-5", "x y", "--bogus", "--bogus=1", "-q"]
+WHATS = [(name, what) for name, command in cli.COMMANDS.items() for what in command.whats]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv for one (command, what): its own flags in both spellings, with good,
+    negative, junk or missing values, junk tokens, and the ``what`` anywhere,
+    missing, doubled or unknown.  No abbreviation, no -h, no flag the ``what`` does not read."""
+    name, what = draw(st.sampled_from(WHATS))
+    flags = [*cli.COMMANDS[name].whats[what], *cli.COMMON]
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        if not flags or draw(st.integers(0, 9)) == 0:
+            pieces.append([draw(st.sampled_from(JUNK))])
+            continue
+        flag = draw(st.sampled_from(flags))
+        spelling = "-g" if flag == "element" and draw(st.booleans()) else "--" + flag.replace("_", "-")
+        if cli.FLAGS[flag].type is None:
+            pieces.append(draw(st.sampled_from([[spelling], [spelling], [spelling + "=1"], [spelling + "="]])))
+            continue
+        value = draw(st.sampled_from(TEXT_VALUES if cli.FLAGS[flag].type is str else INT_VALUES))
+        form = draw(st.sampled_from(["space"] * 4 + ["equals"] * 2 + ["missing"]))
+        pieces.append({"space": [spelling, value], "equals": [f"{spelling}={value}"], "missing": [spelling]}[form])
+    placed = draw(st.sampled_from([[what]] * 4 + [[], [what, what], ["nope"], [what, "deep"]]))
+    for token in placed:
+        pieces.insert(draw(st.integers(0, len(pieces))), [token])
+    head = draw(st.sampled_from([name] * 8 + ["nope", what]))
+    return [head, *(token for piece in pieces for token in piece)]
+
+
+def test_parse_args_reads_as_argparse_did():
+    """Each generated argv is accepted by both parsers with the same attribute
+    values, or refused by both, and then ``dispatch`` exits 2."""
+    outcomes = collections.Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(command_lines())
+    def check(argv):
+        expected = argparse_reading(argv)
+        assert table_reading(argv) == expected, argv
+        if expected is None:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert cli.dispatch(argv) == cli.EXIT_USAGE, argv
+            assert err.getvalue().startswith("usage: translation-lab"), argv
+        outcomes[expected is not None] += 1
+
+    check()
+    assert outcomes[True] >= 80 and outcomes[False] >= 80, outcomes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "deep", "--sub", "nat.json"],
+        ["check", "deep", "--group", "z", "--max", "2"],
+        ["gallery", "toeplitz", "--timi"],
+        ["op", "eq", "--lh", "id", "--rhs", "id"],
+    ],
+    ids=lambda argv: argv[-2] if argv[-1] != "--timi" else argv[-1],
+)
+def test_an_abbreviated_flag_is_a_usage_error(capsys, argv):
+    """argparse took a unique prefix of a flag; the table takes exact spellings only."""
+    assert argparse_reading(argv) is not None
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized argument --" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"], ["gallery", "lance", "--R", "4", "--help"]])
+def test_help_prints_usage_and_flags(capsys, argv):
+    assert cli.dispatch(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: translation-lab ") and captured.err == ""
+    assert "--timings" in captured.out
+    if argv[0] == "check":
+        assert "--max-size" in captured.out and "(default 8)" in captured.out
+
+
+def test_dispatch_imports_no_argparse():
+    """A fresh process runs a command without importing argparse, or gettext and
+    locale, which argparse's first message lookup pulls in."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import contextlib, io, sys\n"
+        "from translation_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.dispatch(['gallery', 'toeplitz', '--R', '3']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"

@@ -2,7 +2,7 @@ import collections
 
 import pytest
 
-from translation_lab import HnnContext, gallery
+from translation_lab import AmalgamContext, HnnContext, gallery
 from translation_lab.gallery import (
     run_all,
     run_cuntz_check,
@@ -74,6 +74,32 @@ def test_lance_suite():
     assert checks["second-factor-difference-is-translation-block"].details["scalar_block_rank"] >= 1
     assert checks["first-factor-difference-vanishes"].verdict == VERIFIED
     assert checks["product-map-bijective-on-grid"].verdict == VERIFIED
+
+
+def test_lance_roundtrip_inverts_each_syllable_once(monkeypatch):
+    """The grid roundtrip inverts the letter of each s in S once, not once per grid point."""
+    inverted = []
+    invert = AmalgamContext.invert
+
+    def counting(self, x):
+        inverted.append(x.word)
+        return invert(self, x)
+
+    monkeypatch.setattr(AmalgamContext, "invert", counting)
+    assert run_lance_difference_check(4).verdict == VERIFIED
+    # 9 syllables of S at radius 4 and a few inverses outside the grid; the grid has 729 points
+    assert len(inverted) < 2 * 9
+
+
+def test_lance_prefix_split_refuses_a_syllable_outside_s(zz):
+    s_factor = zz.factors[1]
+    s_inverses = {s.word: zz.invert(zz.from_letters([(1, s)])) for s in s_factor.ball(2)}
+    x = zz.from_letters([(0, zz.factors[0].integer(1))])
+    for n in (0, 2, 3):
+        gamma = zz.multiply(zz.from_letters([(1, s_factor.integer(n))]), x)
+        word, rest = gallery._decompose_prefix(zz, gamma, s_inverses)
+        assert word == s_factor.integer(n).word
+        assert rest == (None if n == 3 else x)
 
 
 @pytest.mark.parametrize("which", ["bs12", "f2"])

@@ -72,6 +72,37 @@ def test_generator_rows_naturals(z, nat_window):
     assert bwd.clipped_rows == {5}
 
 
+def test_rows_are_grouped_once_and_read_unchanged(monkeypatch, z, nat_window):
+    """``rows()`` groups the entries once; compose, guarded_equal, matrix_rank
+    and Lance's tensor action read the shared grouping without changing it."""
+    from translation_lab.gallery import run_lance_difference_check
+    from translation_lab.operators import TranslationOperator
+
+    read = []
+    rows = TranslationOperator.rows
+
+    def recording(op):
+        read.append(op)
+        return rows(op)
+
+    monkeypatch.setattr(TranslationOperator, "rows", recording)
+    fwd = generator_operator(nat_window, z.integer(1))
+    bwd = generator_operator(nat_window, z.integer(-1))
+    product = compose(bwd, fwd)  # the projection onto x >= 1
+    assert not guarded_equal(product, identity_operator(nat_window)).equal
+    assert matrix_rank(fwd) == 5
+    assert run_lance_difference_check(3).verdict == "verified-at-scale"
+    monkeypatch.undo()
+    assert {id(op) for op in read} >= {id(fwd), id(product)}
+    for op in read:
+        grouped = op.rows()
+        assert op.rows() is grouped
+        fresh = {}
+        for (r, c), v in op.entries.items():
+            fresh.setdefault(r, {})[c] = v
+        assert grouped == fresh
+
+
 def test_generator_origin_row_empty_for_marked_letter(f2):
     b = words_not_starting_with(f2, f2.invert(f2.generator(1)))
     w = make_window(b, 3)
