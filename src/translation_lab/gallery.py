@@ -15,7 +15,6 @@ from .group_algebra import isolation_projection
 from .groups import (
     AmalgamContext,
     GroupElement,
-    HnnContext,
     amalgam_z4_z6,
     baumslag_solitar,
     free_group,
@@ -428,8 +427,9 @@ def run_lance_difference_check(radius: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _hnn_classify(ctx: HnnContext, gamma: GroupElement) -> str:
-    head, blocks = gamma.word
+def _hnn_classify(word: tuple) -> str:
+    """The part of a canonical HNN word: G with no stable letter, else by its first sign."""
+    _head, blocks = word
     if not blocks:
         return "G"
     return "L" if blocks[0][0] == -1 else "R"
@@ -441,20 +441,27 @@ def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
     The left part consists of base-translates of the inverse half-space, the
     right part of base-translates of the forward translate of the half-space;
     products g * x land injectively up to the associated subgroup's diagonal
-    action, which the fiber check verifies pair by pair on the window.
+    action, which the fiber check verifies pair by pair on the window.  Every
+    product is the kernel's ``_mul`` of canonical words, never read off the
+    normal form; the group, its ball and its pieces are all built here from
+    one context, and elements are built only for witnesses.
     """
     ctx = baumslag_solitar(1, 2) if which == "bs12" else free_group_as_hnn()
     b_spec = make_tree_halfspace(ctx, "B")
     tb_spec = make_tree_halfspace(ctx, "tB")
     suite = SuiteReport(name="hnn-partition", params={"group": which, "R": radius})
 
+    mul = ctx._mul
+    inside_b, inside_tb = b_spec.predicate, tb_spec.predicate
     ball = ctx.ball(radius)
-    base_pairs = [(ctx.from_base(g), ctx.from_base(ctx.base.invert(g))) for g in ctx.base.ball(radius)]
-    bc_spec = SubsetSpec(ctx, "complement", lambda x: not b_spec.contains(x))
+    # each base element g of the ball, and g^-1, as HNN words
+    base_pairs = [((g.word, ()), (ctx.base._inv(g.word), ())) for g in ctx.base.ball(radius)]
+    bc_spec = SubsetSpec(ctx, "complement", lambda w: not b_spec.predicate(w))
     counts = {"G": 0, "L": 0, "R": 0}
     mismatches = []
     for gamma in ball:
-        cls = _hnn_classify(ctx, gamma)
+        gamma = gamma.word
+        cls = _hnn_classify(gamma)
         counts[cls] += 1
         if cls == "G":
             continue
@@ -462,15 +469,15 @@ def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
         # translate g^-1 gamma reaches, L at the first one outside B
         in_tb = False
         for _, g_inv in base_pairs:
-            translate = ctx.multiply(g_inv, gamma)
-            if not b_spec.contains(translate):
+            translate = mul(g_inv, gamma)
+            if not inside_b(translate):
                 alt = "L"
                 break
-            in_tb = in_tb or tb_spec.contains(translate)
+            in_tb = in_tb or inside_tb(translate)
         else:
             alt = "R" if in_tb else "?"
         if alt != cls:
-            mismatches.append(ctx.format(gamma))
+            mismatches.append(ctx.format(GroupElement(ctx, gamma)))
     suite.add(
         CheckReport(
             name="partition-counts",
@@ -482,40 +489,33 @@ def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
     )
 
     def fiber_check(name: str, part: str, piece: SubsetSpec, sign: int) -> CheckReport:
-        products: dict[tuple, list[tuple[GroupElement, GroupElement, GroupElement]]] = {}
-        piece_ball = piece.elements_in_ball(radius)
+        def falsified(gamma: tuple, reason: str) -> CheckReport:
+            return CheckReport(
+                name=name,
+                verdict=FALSIFIED,
+                witnesses=[ctx.format(GroupElement(ctx, gamma))],
+                details={"reason": reason},
+            )
+
+        products: dict[tuple, list[tuple[tuple, tuple, tuple]]] = {}
+        piece_ball = [x.word for x in piece.elements_in_ball(radius)]
         for g, g_inv in base_pairs:
             for x in piece_ball:
-                gamma = ctx.multiply(g, x)
-                if _hnn_classify(ctx, gamma) != part:
-                    return CheckReport(
-                        name=name,
-                        verdict=FALSIFIED,
-                        witnesses=[ctx.format(gamma)],
-                        details={"reason": "product landed outside the part"},
-                    )
-                products.setdefault(gamma.word, []).append((g, g_inv, x))
+                gamma = mul(g, x)
+                if _hnn_classify(gamma) != part:
+                    return falsified(gamma, "product landed outside the part")
+                products.setdefault(gamma, []).append((g, g_inv, x))
         checked = 0
-        for gamma_word, pairs in products.items():
+        for gamma, pairs in products.items():
             g0, _, x0 = pairs[0]
             for _, g1_inv, x1 in pairs[1:]:
                 checked += 1
-                h = ctx.multiply(g1_inv, g0)
-                head, blocks = h.word
+                h = mul(g1_inv, g0)
+                head, blocks = h
                 if blocks or not ctx.data.member(sign, head):
-                    return CheckReport(
-                        name=name,
-                        verdict=FALSIFIED,
-                        witnesses=[ctx.format(GroupElement(ctx, gamma_word))],
-                        details={"reason": "fiber pair not related by the subgroup"},
-                    )
-                if ctx.multiply(h, x0).word != x1.word:
-                    return CheckReport(
-                        name=name,
-                        verdict=FALSIFIED,
-                        witnesses=[ctx.format(GroupElement(ctx, gamma_word))],
-                        details={"reason": "diagonal action mismatch"},
-                    )
+                    return falsified(gamma, "fiber pair not related by the subgroup")
+                if mul(h, x0) != x1:
+                    return falsified(gamma, "diagonal action mismatch")
         return CheckReport(
             name=name,
             verdict=VERIFIED,
@@ -526,18 +526,13 @@ def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
     suite.add(fiber_check("left-part-fibers", "L", bc_spec, 1))
     suite.add(fiber_check("right-part-fibers", "R", tb_spec, -1))
 
-    t = ctx.stable_letter(1)
-    t_inv = ctx.stable_letter(-1)
+    t = _hnn_classify(ctx.stable_letter(1).word)
+    t_inv = _hnn_classify(ctx.stable_letter(-1).word)
     suite.add(
         CheckReport(
             name="stable-letter-orientation",
-            verdict=VERIFIED
-            if _hnn_classify(ctx, t) == "R" and _hnn_classify(ctx, t_inv) == "L"
-            else FALSIFIED,
-            details={
-                "t": _hnn_classify(ctx, t),
-                "t_inverse": _hnn_classify(ctx, t_inv),
-            },
+            verdict=VERIFIED if t == "R" and t_inv == "L" else FALSIFIED,
+            details={"t": t, "t_inverse": t_inv},
         )
     )
     return suite

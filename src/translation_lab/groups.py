@@ -20,8 +20,11 @@ resulting word in one ``GroupElement``.
 
 All contexts share the same metric machinery: the word metric of the stated
 generating set, enumerated by breadth-first search and ordered shortlex (free
-groups list each layer by prefix extension, in the same order).  Contexts are
-immutable after construction and all operations are pure.
+groups list each layer by prefix extension, in the same order).  Free,
+free-abelian and finite contexts give the sort key of a raw word in closed
+form (``_sort_word``), so the composite contexts order their words by their
+factors' or base's keys without building elements.  Contexts are immutable
+after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -164,6 +167,11 @@ class GroupContext:
     def sort_key(self, x: GroupElement):
         return (self.word_length(x), self.structural_key(x))
 
+    def _sort_word(self, w: tuple):
+        """``sort_key`` of a canonical word; free, free-abelian and finite
+        contexts give it in closed form, without building an element."""
+        return self.sort_key(GroupElement(self, w))
+
     # -- balls --------------------------------------------------------------
 
     def ball(self, r: int) -> list[GroupElement]:
@@ -226,6 +234,15 @@ class GroupContext:
         if x.ctx is not self:
             raise MalformedWord("element belongs to a different group context")
         return x
+
+    def _check_all(self, *members) -> None:
+        """Raise MalformedWord unless every element or subset given belongs here.
+
+        A loop over raw words calls this once at its entry, in place of the
+        check that ``multiply`` or ``contains`` makes on every call.
+        """
+        if any(m.ctx is not self for m in members):
+            raise MalformedWord("element belongs to a different group context")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +314,9 @@ class FreeGroupContext(GroupContext):
 
     def structural_key(self, x: GroupElement):
         return tuple(map(self._letter_ranks.__getitem__, x.word))
+
+    def _sort_word(self, w: tuple):
+        return (len(w), tuple(map(self._letter_ranks.__getitem__, w)))
 
     def _next_layer(self, room: int) -> list[GroupElement] | None:
         """Each word of the last layer followed by each letter in rank order.
@@ -395,6 +415,9 @@ class FreeAbelianContext(GroupContext):
 
     def structural_key(self, x: GroupElement):
         return x.word
+
+    def _sort_word(self, w: tuple):
+        return (sum(map(abs, w)), w)
 
     def format(self, x: GroupElement) -> str:
         if self.rank == 1:
@@ -546,6 +569,9 @@ class FiniteGroupContext(GroupContext):
     def structural_key(self, x: GroupElement):
         return x.word
 
+    def _sort_word(self, w: tuple):
+        return (self._lengths[w[0]], w)
+
     def format(self, x: GroupElement) -> str:
         return self.names[x.word[0]]
 
@@ -688,7 +714,7 @@ class AmalgamContext(GroupContext):
         """The candidate loop defining the transversal: least ``w * h`` over H."""
         f = self.factors[side]
         cands = [f._mul(w, pair[side]) for pair in self._h_words]
-        best = min(cands, key=lambda c: f.sort_key(GroupElement(f, c)))
+        best = min(cands, key=f._sort_word)
         h = self._h_lookup(side, f._mul(f._inv(best), w))
         if h is None:  # pragma: no cover - guarded by gluing validation
             raise MalformedWord("transversal split left the subgroup")
@@ -780,10 +806,7 @@ class AmalgamContext(GroupContext):
 
     def structural_key(self, x: GroupElement):
         syllables, h = x.word
-        body = tuple(
-            (side, self.factors[side].sort_key(GroupElement(self.factors[side], w)))
-            for side, w in syllables
-        )
+        body = tuple((side, self.factors[side]._sort_word(w)) for side, w in syllables)
         return (len(syllables), body, h)
 
     def format(self, x: GroupElement) -> str:
@@ -909,7 +932,7 @@ class FiniteHnnSubgroup(HnnSubgroupData):
     def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         base = self.base
         cands = {h: base._mul(base._inv(h), g) for h in self._members[sign]}
-        h = min(cands, key=lambda h: base.sort_key(GroupElement(base, cands[h])))
+        h = min(cands, key=lambda h: base._sort_word(cands[h]))
         return h, cands[h]
 
 
@@ -1057,12 +1080,10 @@ class HnnContext(GroupContext):
         return tuple(out)
 
     def structural_key(self, x: GroupElement):
-        base = self.base
-        body = tuple(
-            (0 if sign == 1 else 1, base.sort_key(GroupElement(base, w)))
-            for sign, w in x.word[1]
-        )
-        return (len(x.word[1]), base.sort_key(GroupElement(base, x.word[0])), body)
+        sort_word = self.base._sort_word
+        head, blocks = x.word
+        body = tuple((0 if sign == 1 else 1, sort_word(w)) for sign, w in blocks)
+        return (len(blocks), sort_word(head), body)
 
     def format(self, x: GroupElement) -> str:
         base = self.base

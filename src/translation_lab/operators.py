@@ -10,6 +10,13 @@ an entry is either exactly correct or the row is marked *clipped* because the
 true image (or, for columns, the true preimage) leaves the window.  Equality
 assertions compare only mutually unclipped rows and are therefore exact
 statements about the untruncated operators.
+
+The construction loops (``_partial_translation``, behind every generator and
+track operator, and ``coset_projection``) run on canonical words: they check
+once at their entry that the window, the domain and the translating elements
+share one group context (``MalformedWord`` otherwise), then multiply with the
+context's ``_mul`` and ask the domain's ``predicate`` and the window's word
+index, building no element per window point.
 """
 
 from __future__ import annotations
@@ -121,31 +128,36 @@ def _partial_translation(
     """
     spec = w.spec
     ctx = spec.ctx
+    ctx._check_all(domain, total)
     # window points lie in the window's subset by construction
     test_source = domain is not spec
-    # the rule of tracks.support, on the middle points alone
+    # the rule of tracks.support, on the middle points alone; it checks their context
     stays = support(Track(total, tuple(middle)), domain)
-    total_inv = ctx.invert(total)
+    mul, inside, index = ctx._mul, domain.predicate, w.index
+    t = total.word
+    t_inv = ctx._inv(t)
     entries = {}
     reached = set()
     clipped_rows = set()
     clipped_cols = set()
     for i, x in enumerate(w.points):
-        if test_source and not domain.contains(x):
+        x = x.word
+        if test_source and not inside(x):
             continue
-        y = ctx.multiply(x, total_inv)
-        if domain.contains(y) and (not middle or stays(x)):
-            j = w.position(y)
+        y = mul(x, t_inv)
+        if inside(y) and (not middle or stays(x)):
+            j = index.get(y)
             if j is None:
                 clipped_rows.add(i)
             else:
                 entries[(i, j)] = ONE
                 reached.add(j)
     for j, y in enumerate(w.points):
-        if j in reached or (test_source and not domain.contains(y)):
+        y = y.word
+        if j in reached or (test_source and not inside(y)):
             continue
-        x = ctx.multiply(y, total)
-        if w.position(x) is None and domain.contains(x) and (not middle or stays(x)):
+        x = mul(y, t)
+        if x not in index and inside(x) and (not middle or stays(x)):
             clipped_cols.add(j)
     return TranslationOperator(w, entries, clipped_rows, clipped_cols)
 
@@ -267,8 +279,9 @@ def diagonal(w: Window, keep: Callable[[GroupElement], bool]) -> TranslationOper
 def coset_projection(w: Window, subset: SubsetSpec, b: GroupElement) -> TranslationOperator:
     """Diagonal 0/1 projection onto the window points of the translate S*b, a coset H*b for a subgroup."""
     ctx = w.spec.ctx
-    b_inv = ctx.invert(b)
-    return diagonal(w, lambda x: subset.contains(ctx.multiply(x, b_inv)))
+    ctx._check_all(subset, b)
+    mul, inside, b_inv = ctx._mul, subset.predicate, ctx._inv(b.word)
+    return diagonal(w, lambda x: inside(mul(x.word, b_inv)))
 
 
 def domain_projection(w: Window, g: GroupElement) -> TranslationOperator:

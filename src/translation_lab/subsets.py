@@ -1,17 +1,23 @@
 """Subsets of a group given by total membership predicates.
 
-A subset is described by a predicate that is total over canonical elements,
+A subset is described by a predicate that is total over canonical words,
 never by a finite enumeration: this is what makes finite-window truncations of
 translation operators exact rather than approximate.  Claimed stabilisers ride
 along as data and are only ever *verified at bounded radius*.
 
-Every predicate here does O(|x|) work on the canonical word of x, with no
-group multiply: membership is read off the normal form.  So ``contains``
-keeps no memo and asks the predicate on every call; the one reuse kept is
-``elements_in_ball``, which lists the members of each ball layer once.  A
-subset that can list its members of each word length in closed form offers
-them as ``sphere_members``, so a sparse subset's window grows no ball; every
-listed element is still read through ``contains``.  Subgroups, claimed
+A predicate takes the canonical word of x, not the element, and does O(|x|)
+work on it with no group multiply: membership is read off the normal form.
+``contains(x)`` is the one checked entry point: it checks that x belongs to
+the subset's context, then asks the predicate about ``x.word``.  A loop that
+multiplies raw words with the context's ``_mul`` checks its operands' context
+once at its entry and then asks ``predicate`` directly: the window and track
+operators, coset projections, the HNN partition suite and the universal
+pattern-centre scan run so.  Membership keeps no memo and asks the predicate
+on every call; the one reuse kept is ``elements_in_ball``, which lists the
+members of each ball layer once.  A subset that can list its members of each
+word length in closed form offers them as ``sphere_members``, so a sparse
+subset's window grows no ball; every listed element is still read through
+``contains``.  Subgroups, claimed
 stabilisers included, are subsets of the same type; a finite one also keeps
 its whole member list in ``elements``, and its windows filter that list.
 """
@@ -39,7 +45,7 @@ class SubsetSpec:
 
     ctx: GroupContext
     name: str
-    predicate: Callable[[GroupElement], bool]
+    predicate: Callable[[tuple], bool]  # reads a canonical word of ctx
     left_stabiliser: SubsetSpec | None = None
     right_stabiliser: SubsetSpec | None = None
     params: dict = field(default_factory=dict)
@@ -55,7 +61,7 @@ class SubsetSpec:
     def contains(self, x: GroupElement) -> bool:
         if x.ctx is not self.ctx:
             raise MalformedWord("element belongs to a different group context")
-        return bool(self.predicate(x))
+        return bool(self.predicate(x.word))
 
     def elements_in_ball(self, r: int) -> list[GroupElement]:
         if r < 0:
@@ -95,7 +101,7 @@ def finite_subgroup(ctx: GroupContext, elements: Iterable[GroupElement], name: s
             if ctx.multiply(x, y).word not in words:
                 raise ValueError(f"subgroup {name} not closed under products")
     elems.sort(key=ctx.sort_key)
-    return SubsetSpec(ctx, name, lambda x: x.word in words, elements=tuple(elems))
+    return SubsetSpec(ctx, name, words.__contains__, elements=tuple(elems))
 
 
 def trivial_subgroup(ctx: GroupContext) -> SubsetSpec:
@@ -115,14 +121,15 @@ def coset_cover(subgroup: SubsetSpec, points: Iterable[GroupElement]) -> list[Gr
 
 
 def whole_group(ctx: GroupContext) -> SubsetSpec:
-    return SubsetSpec(ctx, "all", lambda x: True, params={"kind": "universal-all"})
+    return SubsetSpec(ctx, "all", lambda w: True, params={"kind": "universal-all"})
 
 
 def difference(outer: SubsetSpec, inner: SubsetSpec, name: str | None = None) -> SubsetSpec:
+    outer.ctx._check_all(inner)
     return SubsetSpec(
         outer.ctx,
         name or f"{outer.name}-minus-{inner.name}",
-        lambda x: outer.contains(x) and not inner.contains(x),
+        lambda w: outer.predicate(w) and not inner.predicate(w),
         params={"kind": "difference", "outer": outer.name, "inner": inner.name},
     )
 
@@ -142,12 +149,12 @@ def coordinate_halfspace(ctx: FreeAbelianContext, coord: int = 0, lower: int = 0
         axis = trivial_subgroup(ctx)
     else:
         axis = SubsetSpec(
-            ctx, f"axis[{coord}=0]", lambda x, c=coord: x.word[c] == 0
+            ctx, f"axis[{coord}=0]", lambda w, c=coord: w[c] == 0
         )
     return SubsetSpec(
         ctx,
         f"halfspace[{coord}>={lower}]",
-        lambda x: x.word[coord] >= lower,
+        lambda w: w[coord] >= lower,
         left_stabiliser=axis,
         right_stabiliser=axis,
         params={"kind": "interval", "coord": coord, "lo": lower, "hi": None},
@@ -171,12 +178,12 @@ def congruence_class(ctx: FreeAbelianContext, modulus: int, residue: int = 0, co
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     stab = SubsetSpec(
-        ctx, f"{modulus}Z[{coord}]", lambda x, c=coord, m=modulus: x.word[c] % m == 0
+        ctx, f"{modulus}Z[{coord}]", lambda w, c=coord, m=modulus: w[c] % m == 0
     )
     return SubsetSpec(
         ctx,
         f"congruence[{coord}%{modulus}={residue}]",
-        lambda x: x.word[coord] % modulus == residue % modulus,
+        lambda w: w[coord] % modulus == residue % modulus,
         left_stabiliser=stab,
         right_stabiliser=stab,
         params={"kind": "congruence", "coord": coord, "modulus": modulus, "residue": residue},
@@ -195,7 +202,7 @@ def positive_cone(ctx: FreeGroupContext) -> SubsetSpec:
     return SubsetSpec(
         ctx,
         "positive-cone",
-        lambda x: min(x.word, default=1) > 0,
+        lambda w: min(w, default=1) > 0,
         left_stabiliser=trivial_subgroup(ctx),
         right_stabiliser=trivial_subgroup(ctx),
         params={"kind": "positive-cone"},
@@ -210,7 +217,7 @@ def words_not_starting_with(ctx: FreeGroupContext, letter: GroupElement) -> Subs
     return SubsetSpec(
         ctx,
         f"not-starting-{ctx.format(letter)}",
-        lambda x: not x.word or x.word[0] != banned,
+        lambda w: not w or w[0] != banned,
         left_stabiliser=trivial_subgroup(ctx),
         params={"kind": "custom-first-letter", "exclude": ctx.format(letter)},
     )
@@ -236,8 +243,7 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
         )
     letter = abs(g.word[0])
 
-    def member(x: GroupElement) -> bool:
-        word = x.word
+    def member(word: tuple) -> bool:
         k = 0
         while k < len(word) and abs(word[k]) == letter:
             k += 1
@@ -245,7 +251,7 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
 
     # a reduced word lies in <a> iff every letter is a or a^-1
     stab = SubsetSpec(
-        ctx, f"<{ctx.format(g)}>", lambda x: all(abs(l) == letter for l in x.word)
+        ctx, f"<{ctx.format(g)}>", lambda w: all(abs(l) == letter for l in w)
     )
     return SubsetSpec(
         ctx,
@@ -274,14 +280,14 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
             raise ValueError("amalgam sides are 'G' and 'S'")
         want = 0 if side == "G" else 1
 
-        def member(x: GroupElement) -> bool:
-            syllables, _h = x.word
+        def member(w: tuple) -> bool:
+            syllables, _h = w
             if not syllables:
                 return True  # subgroup elements sit in both half-spaces
             return syllables[0][0] == want
 
-        def right_member(x: GroupElement) -> bool:
-            syllables, _h = x.word
+        def right_member(w: tuple) -> bool:
+            syllables, _h = w
             return all(s == want for s, _ in syllables)
 
         return SubsetSpec(
@@ -299,8 +305,8 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
 
         member = ctx.data.member
 
-        def in_b(x: GroupElement) -> bool:
-            head, blocks = x.word
+        def in_b(w: tuple) -> bool:
+            head, blocks = w
             if not blocks:
                 return True
             first_sign, _ = blocks[0]
@@ -308,8 +314,8 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
                 return True
             return not member(1, head)
 
-        def in_tb(x: GroupElement) -> bool:
-            head, blocks = x.word
+        def in_tb(w: tuple) -> bool:
+            head, blocks = w
             if not blocks:
                 return False
             first_sign, _ = blocks[0]
@@ -320,11 +326,11 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
         # B is stabilised on the left by H (sign 1), tB by K (sign -1)
         sign, predicate, left_name = (1, in_b, "H") if side == "B" else (-1, in_tb, "K")
 
-        def left_member(x: GroupElement) -> bool:
-            return not x.word[1] and member(sign, x.word[0])
+        def left_member(w: tuple) -> bool:
+            return not w[1] and member(sign, w[0])
 
-        def right_g(x: GroupElement) -> bool:
-            return not x.word[1]
+        def right_g(w: tuple) -> bool:
+            return not w[1]
 
         return SubsetSpec(
             ctx,

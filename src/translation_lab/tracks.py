@@ -76,11 +76,17 @@ def nonzero_witness(track: Track, spec: SubsetSpec, radius: int) -> GroupElement
     witness is only meaningful within the scanned window.
     """
     fires = support(track, spec)
-    return next((x for x in spec.elements_in_ball(radius) if fires(x)), None)
+    return next((x for x in spec.elements_in_ball(radius) if fires(x.word)), None)
 
 
-def support(track: Track, spec: SubsetSpec) -> Callable[[GroupElement], bool]:
-    """The test "the track's operator is nonzero at x": x h^-1 in the subset for every visited h."""
+def support(track: Track, spec: SubsetSpec) -> Callable[[tuple], bool]:
+    """The test "the track's operator is nonzero at x": x h^-1 in the subset for every visited h.
+
+    The test takes the canonical word of x, a word of the subset's context;
+    the visited points are checked to lie in that context here, once.
+    """
     ctx = spec.ctx
-    inverses = [ctx.invert(h) for h in track.visited]
-    return lambda x: all(spec.contains(ctx.multiply(x, h_inv)) for h_inv in inverses)
+    ctx._check_all(*track.visited)
+    mul, inside = ctx._mul, spec.predicate
+    inverses = [ctx._inv(h.word) for h in track.visited]
+    return lambda x: all(inside(mul(x, h_inv)) for h_inv in inverses)

@@ -62,7 +62,7 @@ def universal_z_spec(ctx: FreeAbelianContext) -> SubsetSpec:
     return SubsetSpec(
         ctx,
         "universal-z",
-        lambda x: x.word[0] >= 0 and bit_at(x.word[0]) == 1,
+        lambda w: w[0] >= 0 and bit_at(w[0]) == 1,
         left_stabiliser=trivial_subgroup(ctx),
         params={"kind": "universal", "variant": "z"},
     )
@@ -142,15 +142,15 @@ class PlacedUniversalWords:
                 self.placements.append(placement)
                 prev_radius = radius
 
-    def a_shift(self, x: GroupElement) -> int | None:
+    def a_shift(self, word: tuple) -> int | None:
         """The k with x in a^k U, or None when no a-translate of U holds x.
 
-        Every point of U starts with b, so x is in a^k U exactly when x is its
-        leading a-run a^k followed by a point of U: the rest from the first b
-        must be a point, and no B may come before that b.  A reduced word's
-        a-run has one sign, so k is plus or minus its length.
+        Takes the canonical word of x.  Every point of U starts with b, so x is
+        in a^k U exactly when x is its leading a-run a^k followed by a point of
+        U: the rest from the first b must be a point, and no B may come before
+        that b.  A reduced word's a-run has one sign, so k is plus or minus its
+        length.
         """
-        word = x.word
         try:
             i = word.index(2)
         except ValueError:
@@ -159,8 +159,9 @@ class PlacedUniversalWords:
             return None
         return -i if i and word[0] == -1 else i
 
-    def contains(self, x: GroupElement) -> bool:
-        return self.a_shift(x) == 0
+    def contains(self, word: tuple) -> bool:
+        """Whether the canonical word lies in U; the predicate of U's subset."""
+        return self.a_shift(word) == 0
 
     def sphere(self, k: int, low: int | None = 0, high: int | None = 0) -> list[GroupElement]:
         """The members of word length k of the union of a^j U over low <= j <= high.
@@ -254,17 +255,23 @@ def _first_centres(
     each gets the centre a scan of its own radius would give.  The local
     pattern at each centre is read through the predicate, so a centre offered
     by a construction is never trusted; a goal no centre realizes maps to
-    None.  The scan stops once every goal is found.
+    None.  The scan stops once every goal is found.  Products are taken on
+    words, once the ball and each centre are checked to lie in the subset's
+    context.
     """
     ctx = spec.ctx
+    ctx._check_all(*ball)
+    mul, inside = ctx._mul, spec.predicate
+    words = [u.word for u in ball]
     first: dict[Goal, GroupElement | None] = dict.fromkeys(goals)
     unfound = collections.Counter(n for n, _ in first)
     sizes = sorted(unfound)
     for c in centres:
+        cw = ctx._check(c).word
         local: list[tuple] = []
         done = 0
         for n in sizes:
-            local.extend(u.word for u in ball[done:n] if spec.contains(ctx.multiply(c, u)))
+            local.extend(u for u in words[done:n] if inside(mul(cw, u)))
             done = n
             goal = (n, frozenset(local))
             if goal in first and first[goal] is None:
@@ -369,7 +376,7 @@ def track_independence_check(
             vis_i = {h.word for h in tracks[i].visited}
             for j in members:
                 included = {h.word for h in tracks[j].visited} <= vis_i
-                if fires[j](x) != included:
+                if fires[j](x.word) != included:
                     return CheckReport(
                         name="track-independence",
                         params={"subset": spec.name, "tracks": len(tracks)},
@@ -382,7 +389,7 @@ def track_independence_check(
     for j, t in enumerate(tracks):
         total_inv = ctx.invert(t.total)
         vectors.append(
-            {(i, ctx.multiply(x, total_inv).word): 1 for i, x in witnesses.items() if fires[j](x)}
+            {(i, ctx.multiply(x, total_inv).word): 1 for i, x in witnesses.items() if fires[j](x.word)}
         )
     rank = rank_of_vectors(vectors)
     independent = rank == len(tracks)
@@ -428,12 +435,12 @@ def appendix_contrast_demo(
     a = ctx.generator(1)
     b = ctx.generator(2)
 
-    def in_b(x: GroupElement) -> bool:
-        k = placed.a_shift(x)
+    def in_b(w: tuple) -> bool:
+        k = placed.a_shift(w)
         return k is not None and k >= 0
 
-    def in_x(x: GroupElement) -> bool:
-        return placed.a_shift(x) is not None
+    def in_x(w: tuple) -> bool:
+        return placed.a_shift(w) is not None
 
     trivial = trivial_subgroup(ctx)
     b_spec = SubsetSpec(
@@ -445,7 +452,7 @@ def appendix_contrast_demo(
         sphere_members=lambda k: placed.sphere(k, 0, None),
     )
     powers_of_a = SubsetSpec(
-        ctx, "<a>", lambda x: all(l in (1, -1) for l in x.word)
+        ctx, "<a>", lambda w: all(l in (1, -1) for l in w)
     )
     x_spec = SubsetSpec(
         ctx,

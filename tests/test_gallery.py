@@ -14,7 +14,8 @@ from translation_lab.gallery import (
     run_relation_classification,
     run_toeplitz_check,
 )
-from translation_lab.reports import VERIFIED
+from translation_lab.groups import GroupElement
+from translation_lab.reports import FALSIFIED, VERIFIED
 
 
 def _by_name(suite):
@@ -146,16 +147,48 @@ def test_generation_builds_each_operator_once(monkeypatch, amalgam):
 
 @pytest.mark.parametrize("which", ["bs12", "f2"])
 def test_hnn_partition_inverts_nothing(monkeypatch, which):
+    """Neither the checked ``invert`` nor the kernel's ``_inv`` runs on an HNN word."""
     inverted = []
-    invert = HnnContext.invert
+    invert, inv = HnnContext.invert, HnnContext._inv
 
     def counting(self, x):
         inverted.append(x)
         return invert(self, x)
 
+    def counting_inv(self, a):
+        inverted.append(a)
+        return inv(self, a)
+
     monkeypatch.setattr(HnnContext, "invert", counting)
+    monkeypatch.setattr(HnnContext, "_inv", counting_inv)
     assert run_hnn_partition_check(which, 4).verdict == VERIFIED
     assert inverted == []
+
+
+def test_hnn_partition_builds_elements_only_for_its_ball(monkeypatch):
+    """The partition and fiber loops run on words; the ball's own elements are most of what is built."""
+    built = []
+    init = GroupElement.__init__
+
+    def counting(self, ctx, word):
+        built.append(word)
+        init(self, ctx, word)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting)
+    assert run_hnn_partition_check("bs12", 5).verdict == VERIFIED
+    assert len(built) < 600
+
+
+@pytest.mark.parametrize("which", ["bs12", "f2"])
+def test_hnn_partition_falsifies_a_wrong_kernel(monkeypatch, which):
+    """With products taken in the wrong order the suite must fail: it reads every product from ``_mul``.
+
+    Swapped products leave every ball as it is (left and right Cayley graphs
+    have the same spheres), so only the checks can notice.
+    """
+    mul = HnnContext._mul
+    monkeypatch.setattr(HnnContext, "_mul", lambda self, a, b: mul(self, b, a))
+    assert run_hnn_partition_check(which, 4).verdict == FALSIFIED
 
 
 def test_generation_suite():

@@ -62,7 +62,7 @@ def test_relatively_deep_reduces_to_deep(z):
     # the ambient set is the whole group, whose left stabiliser is everything:
     # a single coset, so the check degenerates to the plain deep witness
     nat = natural_numbers(z)
-    everything = SubsetSpec(z, "Z", lambda x: True)
+    everything = SubsetSpec(z, "Z", lambda w: True)
     report = relatively_deep_check(nat, whole_group(z), everything, 3, 10)
     assert report.verdict == VERIFIED
 
@@ -76,7 +76,7 @@ def test_relatively_deep_cuntz_setup(f2):
 
 def test_relatively_deep_fails_for_evens(z):
     evens = congruence_class(z, 2)
-    report = relatively_deep_check(evens, whole_group(z), SubsetSpec(z, "Z", lambda x: True), 1, 8)
+    report = relatively_deep_check(evens, whole_group(z), SubsetSpec(z, "Z", lambda w: True), 1, 8)
     assert report.verdict == FALSIFIED
 
 

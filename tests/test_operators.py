@@ -39,8 +39,9 @@ from translation_lab import (
     zero_operator,
 )
 from translation_lab.configs import load_subset
+from translation_lab.groups import GroupElement, MalformedWord, integers
 from translation_lab.operators import rank_of_vectors
-from translation_lab.tracks import compose_tracks
+from translation_lab.tracks import compose_tracks, support
 
 
 def is_partial_permutation(a) -> bool:
@@ -372,6 +373,54 @@ def test_window_mismatch_rejected(z):
         compose(generator_operator(w1, z.integer(1)), generator_operator(w2, z.integer(1)))
 
 
+def test_word_loops_check_the_context_at_their_entry(z):
+    """The loops over raw words check their inputs' context once, at their entry.
+
+    A second Z has the same words as z but other elements: without the entry
+    check, a loop would read its words silently.
+    """
+    other = integers()
+    nat = natural_numbers(z)
+    w = make_window(nat, 6)
+    foreign_track = track_of_sequence(other, [other.integer(1), other.integer(1)])
+    with pytest.raises(MalformedWord):
+        generator_operator(w, z.integer(1), natural_numbers(other))
+    with pytest.raises(MalformedWord):
+        generator_operator(w, other.integer(1))
+    with pytest.raises(MalformedWord):
+        track_operator(w, foreign_track)
+    with pytest.raises(MalformedWord):
+        support(foreign_track, nat)
+    with pytest.raises(MalformedWord):
+        coset_projection(w, trivial_subgroup(other), z.integer(1))
+    with pytest.raises(MalformedWord):
+        nat.contains(other.integer(1))
+    with pytest.raises(MalformedWord):
+        difference(nat, trivial_subgroup(other))
+    # the same inputs in z's own context are fine
+    assert generator_operator(w, z.integer(1), natural_numbers(z)).entries
+    assert track_operator(w, track_of_sequence(z, [z.integer(1), z.integer(1)])).entries
+
+
+@pytest.mark.parametrize("radius", [100, 200])
+def test_generator_operator_builds_no_element_per_window_point(monkeypatch, radius):
+    """The window loop runs on words: a longer window builds no more elements."""
+    z = integers()
+    w = make_window(natural_numbers(z), radius)
+    one = z.integer(1)
+    built = []
+    init = GroupElement.__init__
+
+    def counting(self, ctx, word):
+        built.append(word)
+        init(self, ctx, word)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting)
+    op = generator_operator(w, one)
+    assert len(op.entries) == radius
+    assert len(built) <= 2
+
+
 def brute_force_translation(w, g, domain, visited):
     """Entries and clip sets of the operator of the track (g, visited) on domain.
 
@@ -548,7 +597,7 @@ def test_coset_cover_is_a_set_of_distinct_cosets_covering_every_point(case, z, f
     elif case == "z4*z6-H":
         ctx, sub = amalgam, amalgam_subgroup(amalgam)
     else:
-        ctx, sub = f2, SubsetSpec(f2, "<a>", lambda x: all(l in (1, -1) for l in x.word))
+        ctx, sub = f2, SubsetSpec(f2, "<a>", lambda w: all(l in (1, -1) for l in w))
     points = ctx.ball(3)
     reps = coset_cover(sub, points)
     same_coset = lambda x, y: sub.contains(ctx.multiply(x, ctx.invert(y)))

@@ -56,13 +56,13 @@ def test_elements_in_ball_match_the_filtered_ball_in_any_call_order(z2, f2, amal
         lambda: positive_cone(f2),
         lambda: make_tree_halfspace(amalgam, "G"),
         lambda: make_tree_halfspace(bs12, "tB"),
-        lambda: SubsetSpec(z5, "odd", lambda x: x.word[0] % 2 == 1),
+        lambda: SubsetSpec(z5, "odd", lambda w: w[0] % 2 == 1),
     ]
     for make in makers:
         for order in itertools.permutations(range(4)):
             spec = make()
             for r in order + (2,):
-                expected = [x.word for x in spec.ctx.ball(r) if spec.predicate(x)]
+                expected = [x.word for x in spec.ctx.ball(r) if spec.predicate(x.word)]
                 assert [x.word for x in spec.elements_in_ball(r)] == expected
     with pytest.raises(ValueError):
         positive_cone(f2).elements_in_ball(-1)
@@ -207,7 +207,7 @@ def test_verify_stabilisers_amalgam(amalgam):
 
 def test_verify_stabilisers_finds_violation(f2):
     cone = positive_cone(f2)
-    bad = SubsetSpec(f2, "right-a", lambda x: x.word in ((), (1,)))
+    bad = SubsetSpec(f2, "right-a", lambda w: w in ((), (1,)))
     cone.right_stabiliser = bad
     report = verify_stabilisers(cone, 2)
     assert report.verdict == FALSIFIED

@@ -12,7 +12,7 @@ from translation_lab import (
     track_of_sequence,
 )
 from translation_lab import universal
-from translation_lab.groups import BALL_CAP_ENV
+from translation_lab.groups import BALL_CAP_ENV, MalformedWord, integers
 from translation_lab.operators import rank_of_vectors
 from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
 from translation_lab.subsets import whole_group
@@ -227,6 +227,17 @@ def _check_witnesses_against_a_per_track_scan(z, tracks):
     assert [w["track"] for w in report.witnesses] == [t.report_form() for t in tracks]
 
 
+def test_first_centres_check_the_context_of_the_ball_and_each_centre(z):
+    """The scan multiplies raw words, so a centre or ball of another Z must raise, not be read."""
+    other = integers()
+    spec = universal_z_spec(z)
+    goals = [(2, frozenset({(7,)}))]  # never found: the scan reaches every centre
+    with pytest.raises(MalformedWord):
+        _first_centres(spec, z.ball(1), goals, [z.integer(0), other.integer(0)])
+    with pytest.raises(MalformedWord):
+        _first_centres(spec, other.ball(1), goals, [z.integer(0)])
+
+
 def test_independence_witnesses_match_a_per_track_scan(z):
     _check_witnesses_against_a_per_track_scan(z, _small_tracks(z)[:24])
 
@@ -259,7 +270,7 @@ def dependent_tracks_demo(ctx, tracks, radius: int) -> CheckReport:
     for t in tracks:
         fires = support(t, whole)
         total_inv = ctx.invert(t.total)
-        vectors.append({(ctx.multiply(x, total_inv).word, x.word): 1 for x in points if fires(x)})
+        vectors.append({(ctx.multiply(x, total_inv).word, x.word): 1 for x in points if fires(x.word)})
     rank = rank_of_vectors(vectors)
     return CheckReport(
         name="dependence-on-whole-group",
@@ -341,8 +352,8 @@ def test_placed_contains_matches_a_loop_over_placements(f2, max_radius, start, m
 
     near = [f2.multiply(p.center, u) for p in placed.placements for u in f2.ball(p.radius + 1)]
     points = f2.ball(8) + near
-    assert sum(map(placed.contains, near)) == sum(len(p.pattern) for p in placed.placements)
-    assert [placed.contains(x) for x in points] == [naive(x) for x in points]
+    assert sum(placed.contains(x.word) for x in near) == sum(len(p.pattern) for p in placed.placements)
+    assert [placed.contains(x.word) for x in points] == [naive(x) for x in points]
 
 
 @pytest.mark.parametrize("max_radius,start,min_step", [(0, 2, 4), (1, 2, 4), (1, 3, 9)])
@@ -359,9 +370,9 @@ def test_a_shift_matches_stripping_the_run_and_multiplying(monkeypatch, f2, max_
     shifted = [f2.multiply(f2.generator(1, j), x) for j in (-3, 2) for x in near]
     points = f2.ball(8) + near + shifted
     want = [naive(x) for x in points]
-    assert [placed.a_shift(x) for x in points] == want
+    assert [placed.a_shift(x.word) for x in points] == want
     assert {k for k in want if k is not None} >= {-3, 0, 2}
-    assert [placed.contains(x) for x in points] == [k == 0 for k in want]
+    assert [placed.contains(x.word) for x in points] == [k == 0 for k in want]
 
     b_spec, x_spec = _demo_cone_and_union(monkeypatch, f2, max_radius, start, min_step)
     assert [b_spec.contains(x) for x in points] == [k is not None and k >= 0 for k in want]
@@ -399,7 +410,7 @@ def test_listed_spheres_match_the_filtered_ball(monkeypatch, max_radius, start, 
     assert len(f2._layers) <= max_radius + 1
     ball = f2.ball(9)
     for spec in (u_spec, b_spec, x_spec):
-        members = [x for x in ball if spec.predicate(x)]
+        members = [x for x in ball if spec.predicate(x.word)]
         for r, window in windows[spec.name].items():
             assert window == [x.word for x in members if len(x.word) <= r], (spec.name, r)
     assert 0 < len(windows[u_spec.name][9]) <= len(windows[b_spec.name][9]) <= len(windows[x_spec.name][9])
@@ -432,7 +443,7 @@ def test_a_shift_matches_a_scan_over_every_translate(f2):
     shifted = [f2.multiply(f2.generator(1, j), u) for j in (-3, -1, 1, 4) for u in points]
     sample = f2.ball(6) + points + b_first + shifted
     want = [scan(x) for x in sample]
-    assert [placed.a_shift(x) for x in sample] == want
+    assert [placed.a_shift(x.word) for x in sample] == want
     assert {k for k in want if k is not None} == {-3, -1, 0, 1, 4}
 
 
