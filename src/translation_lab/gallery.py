@@ -264,18 +264,19 @@ def run_relation_classification(radius: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _decompose_prefix(ctx: AmalgamContext, gamma: GroupElement, s_inverses: dict):
-    """Split gamma = s * x with s the leading second-factor syllable (maybe trivial).
+def _decompose_prefix(ctx: AmalgamContext, gamma: tuple, s_inverses: dict):
+    """Split the word gamma = s * x with s the leading second-factor syllable (maybe trivial).
 
-    ``s_inverses`` maps the word of each s in S to the inverse of its letter;
-    returns the word of s, and x, or None when s lies outside S.
+    ``s_inverses`` maps the word of each s in S to the word of the inverse of
+    its letter; returns the word of s, and the word of x, or None when s lies
+    outside S.
     """
-    syllables, _h = gamma.word
+    syllables, _h = gamma
     if not syllables or syllables[0][0] != 1:
         return ctx.factors[1].identity().word, gamma
     s = syllables[0][1]
     inverse = s_inverses.get(s)
-    return s, None if inverse is None else ctx.multiply(inverse, gamma)
+    return s, None if inverse is None else ctx._mul(inverse, gamma)
 
 
 def run_lance_difference_check(radius: int) -> SuiteReport:
@@ -304,20 +305,24 @@ def run_lance_difference_check(radius: int) -> SuiteReport:
 
     # the grid S x B as a window of the group, s-major: (s_i, x_j) sits at
     # i * nb + j, so generator_operator(grid, g) is right multiplication by g
-    # read through the grid
-    s_letters = [ctx.from_letters([(1, s)]) for s in s_points]
-    products = [ctx.multiply(s_el, x) for s_el in s_letters for x in w_b.points]
+    # read through the grid; the products are formed on words
+    mul = ctx._mul
+    s_letters = [ctx.from_letters([(1, s)]).word for s in s_points]
+    products = [mul(s, x.word) for s in s_letters for x in w_b.points]
     grid = Window(
-        whole_group(ctx), radius, tuple(products), {p.word: idx for idx, p in enumerate(products)}
+        whole_group(ctx),
+        radius,
+        tuple(GroupElement(ctx, p) for p in products),
+        {p: idx for idx, p in enumerate(products)},
     )
 
     # the (s, x) -> s x product map must be a bijection onto its window image
     bijective = len(grid.index) == len(grid)
     roundtrip = True
-    s_inverses = {s.word: ctx.invert(s_el) for s, s_el in zip(s_points, s_letters)}
-    for idx, gamma in enumerate(grid.points):
+    s_inverses = {s.word: ctx._inv(s_letter) for s, s_letter in zip(s_points, s_letters)}
+    for idx, gamma in enumerate(products):
         s, x = _decompose_prefix(ctx, gamma, s_inverses)
-        i, j = s_index.get(s), None if x is None else w_b.position(x)
+        i, j = s_index.get(s), None if x is None else w_b.index.get(x)
         if i is None or j is None or i * nb + j != idx:
             roundtrip = False
     suite.add(

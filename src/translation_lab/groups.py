@@ -20,9 +20,12 @@ resulting word in one ``GroupElement``.
 
 All contexts share the same metric machinery: the word metric of the stated
 generating set, enumerated by breadth-first search and ordered shortlex (free
-groups list each layer by prefix extension, in the same order).  Free,
-free-abelian and finite contexts give the sort key of a raw word in closed
-form (``_sort_word``), so the composite contexts order their words by their
+groups list each layer by prefix extension, in the same order).  A
+breadth-first layer multiplies raw words, dedupes each product once against
+the depth table, sorts the new words by ``structural_key`` (which reads a
+canonical word) and builds one element per member last.  Free, free-abelian
+and finite contexts give the sort key of a raw word in closed form
+(``_sort_word``), so the composite contexts order their words by their
 factors' or base's keys without building elements.  Contexts are immutable
 after construction and all operations are pure.
 """
@@ -112,6 +115,7 @@ class GroupContext:
     def __init__(self):
         self._layers: list[list[GroupElement]] = []
         self._dist: dict[tuple, int] = {}
+        self._generator_words: tuple[tuple, ...] = ()  # set with the identity layer
 
     # -- arithmetic: checked entry points over the subclass's word kernel ----
 
@@ -138,8 +142,8 @@ class GroupContext:
         """Alphabet of the word metric, closed under inversion, config order."""
         raise NotImplementedError
 
-    def structural_key(self, x: GroupElement):
-        """Deterministic tie-break among words of equal length."""
+    def structural_key(self, w: tuple):
+        """Deterministic tie-break among canonical words of equal length."""
         raise NotImplementedError
 
     def format(self, x: GroupElement) -> str:
@@ -165,7 +169,7 @@ class GroupContext:
         return self._dist[x.word]
 
     def sort_key(self, x: GroupElement):
-        return (self.word_length(x), self.structural_key(x))
+        return (self.word_length(x), self.structural_key(x.word))
 
     def _sort_word(self, w: tuple):
         """``sort_key`` of a canonical word; free, free-abelian and finite
@@ -200,6 +204,7 @@ class GroupContext:
             e = self.identity()
             self._dist[e.word] = 0
             self._layers.append([e])
+            self._generator_words = tuple(g.word for g in self.generator_elements())
             return True
         layer = self._next_layer(cap - sum(map(len, self._layers)))
         if layer is None:
@@ -213,22 +218,28 @@ class GroupContext:
     def _next_layer(self, room: int) -> list[GroupElement] | None:
         """The unseen neighbours of the last layer, sorted by ``structural_key``.
 
-        None once more than ``room`` of them are found: the search stops there.
-        The depth table ``_dist``, which this dedupe and the default
-        ``word_length`` read, gains the returned layer.
+        Each product word is looked up once in the depth table ``_dist``,
+        which this dedupe and the default ``word_length`` read, and a new one
+        enters it at once; elements are built only for the sorted words.
+        None once more than ``room`` new words are found: the search stops
+        there and takes them out of ``_dist`` again.
         """
-        gens = [g.word for g in self.generator_elements()]
-        mul, dist = self._mul, self._dist
-        fresh: dict[tuple, GroupElement] = {}
+        gens, mul, dist = self._generator_words, self._mul, self._dist
+        depth = len(self._layers)
+        fresh: list[tuple] = []
         for x in self._layers[-1]:
+            a = x.word
             for g in gens:
-                w = mul(x.word, g)
-                if w not in dist and w not in fresh:
-                    fresh[w] = GroupElement(self, w)
+                w = mul(a, g)
+                if w not in dist:
+                    dist[w] = depth
+                    fresh.append(w)
             if len(fresh) > room:
+                for w in fresh:
+                    del dist[w]
                 return None
-        dist.update(dict.fromkeys(fresh, len(self._layers)))
-        return sorted(fresh.values(), key=self.structural_key)
+        fresh.sort(key=self.structural_key)
+        return [GroupElement(self, w) for w in fresh]
 
     def _check(self, x: GroupElement) -> GroupElement:
         if x.ctx is not self:
@@ -312,8 +323,8 @@ class FreeGroupContext(GroupContext):
     def generator_elements(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(self, (l,)) for l in self._letters)
 
-    def structural_key(self, x: GroupElement):
-        return tuple(map(self._letter_ranks.__getitem__, x.word))
+    def structural_key(self, w: tuple):
+        return tuple(map(self._letter_ranks.__getitem__, w))
 
     def _sort_word(self, w: tuple):
         return (len(w), tuple(map(self._letter_ranks.__getitem__, w)))
@@ -367,7 +378,10 @@ class FreeAbelianContext(GroupContext):
     """Z^n; canonical words are the integer vectors themselves.
 
     Shortlex tie-breaking uses the plain tuple order, so for Z the ball of
-    radius 2 enumerates as 0, -1, 1, -2, 2.
+    radius 2 enumerates as 0, -1, 1, -2, 2.  Z itself, the base of Toeplitz,
+    Lance's Z*Z and the Baumslag-Solitar groups, is the innermost kernel of
+    most suites, so ``_mul``, ``_inv`` and ``_sort_word`` branch on rank 1
+    and build its one-entry word directly; higher ranks map over the entries.
     """
 
     kind = "free-abelian"
@@ -395,9 +409,13 @@ class FreeAbelianContext(GroupContext):
         return GroupElement(self, (int(n),))
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
+        if self.rank == 1:
+            return (a[0] + b[0],)
         return tuple(map(add, a, b))
 
     def _inv(self, a: tuple) -> tuple:
+        if self.rank == 1:
+            return (-a[0],)
         return tuple(map(neg, a))
 
     def word_length(self, x: GroupElement) -> int:
@@ -413,10 +431,12 @@ class FreeAbelianContext(GroupContext):
                 out.append(GroupElement(self, tuple(vec)))
         return tuple(out)
 
-    def structural_key(self, x: GroupElement):
-        return x.word
+    def structural_key(self, w: tuple):
+        return w
 
     def _sort_word(self, w: tuple):
+        if self.rank == 1:
+            return (abs(w[0]), w)
         return (sum(map(abs, w)), w)
 
     def format(self, x: GroupElement) -> str:
@@ -566,8 +586,8 @@ class FiniteGroupContext(GroupContext):
             seen.setdefault(self._inverse[g])
         return tuple(GroupElement(self, (g,)) for g in seen)
 
-    def structural_key(self, x: GroupElement):
-        return x.word
+    def structural_key(self, w: tuple):
+        return w
 
     def _sort_word(self, w: tuple):
         return (self._lengths[w[0]], w)
@@ -804,8 +824,8 @@ class AmalgamContext(GroupContext):
                 seen.setdefault(el.word, el)
         return tuple(seen.values())
 
-    def structural_key(self, x: GroupElement):
-        syllables, h = x.word
+    def structural_key(self, w: tuple):
+        syllables, h = w
         body = tuple((side, self.factors[side]._sort_word(w)) for side, w in syllables)
         return (len(syllables), body, h)
 
@@ -946,11 +966,14 @@ class HnnContext(GroupContext):
     leading ``g0`` absorbs the leftover subgroup parts.
 
     The kernel works on base words and calls the base's own ``_mul`` and
-    ``_inv``.  ``_mul`` removes pinches only at the seam: it merges the last
-    block of the left operand with the head of the right one and removes
-    pinches there while they last, pushing each pinch image into the right
-    operand's next element.  The right operand's remaining blocks are already
-    transversal reps and are joined on unchanged.  The right-to-left
+    ``_inv``.  A left operand with no stable letter has no seam: the product
+    is its head times the right operand's head, followed by the right
+    operand's blocks unchanged.  Otherwise ``_mul`` removes pinches only at
+    the seam: it merges the last block of the left operand with the head of
+    the right one and removes pinches there while they last, pushing each
+    pinch image into the right operand's next element.  The right operand's
+    remaining blocks are already transversal reps and are joined on
+    unchanged.  The right-to-left
     transversal pass, shared with ``from_letters`` and ``_inv``, then carries
     leftwards only while the subgroup part is nontrivial: the left operand's
     other blocks are reps already, and the split of a rep is ``(e, rep)``.
@@ -1040,6 +1063,8 @@ class HnnContext(GroupContext):
         mul = self.base._mul
         head, left = a
         g, right = b
+        if not left:  # no seam: a's head joins b's, and b's blocks are reps
+            return mul(head, g), right
         # Remove pinches only at the seam.  ``g`` is what b contributes to the
         # element of a's last surviving block (or to a's head once a has no
         # blocks left); each pinch image is pushed into b's next element.
@@ -1079,9 +1104,9 @@ class HnnContext(GroupContext):
         out.append(self.stable_letter(-1))
         return tuple(out)
 
-    def structural_key(self, x: GroupElement):
+    def structural_key(self, w: tuple):
         sort_word = self.base._sort_word
-        head, blocks = x.word
+        head, blocks = w
         body = tuple((0 if sign == 1 else 1, sort_word(w)) for sign, w in blocks)
         return (len(blocks), sort_word(head), body)
 

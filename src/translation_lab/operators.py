@@ -124,7 +124,9 @@ def _partial_translation(
     A row is clipped when its image is beyond the window; a column is clipped
     when the operator reaches it from a source beyond the window.  A column
     that some row maps onto is reached from a window point, so it is never
-    clipped and the column pass skips it.
+    clipped and the column pass skips it.  A translation by e moves nothing:
+    each row is its own image, found with no kernel call, and no column is
+    reached from beyond the window, so there is no column pass.
     """
     spec = w.spec
     ctx = spec.ctx
@@ -135,7 +137,8 @@ def _partial_translation(
     stays = support(Track(total, tuple(middle)), domain)
     mul, inside, index = ctx._mul, domain.predicate, w.index
     t = total.word
-    t_inv = ctx._inv(t)
+    moves = t != ctx.identity().word
+    t_inv = ctx._inv(t) if moves else t
     entries = {}
     reached = set()
     clipped_rows = set()
@@ -144,7 +147,7 @@ def _partial_translation(
         x = x.word
         if test_source and not inside(x):
             continue
-        y = mul(x, t_inv)
+        y = mul(x, t_inv) if moves else x
         if inside(y) and (not middle or stays(x)):
             j = index.get(y)
             if j is None:
@@ -152,7 +155,7 @@ def _partial_translation(
             else:
                 entries[(i, j)] = ONE
                 reached.add(j)
-    for j, y in enumerate(w.points):
+    for j, y in enumerate(w.points if moves else ()):
         y = y.word
         if j in reached or (test_source and not inside(y)):
             continue

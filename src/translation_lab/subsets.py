@@ -14,12 +14,13 @@ once at its entry and then asks ``predicate`` directly: the window and track
 operators, coset projections, the HNN partition suite and the universal
 pattern-centre scan run so.  Membership keeps no memo and asks the predicate
 on every call; the one reuse kept is ``elements_in_ball``, which lists the
-members of each ball layer once.  A subset that can list its members of each
-word length in closed form offers them as ``sphere_members``, so a sparse
-subset's window grows no ball; every listed element is still read through
-``contains``.  Subgroups, claimed
-stabilisers included, are subsets of the same type; a finite one also keeps
-its whole member list in ``elements``, and its windows filter that list.
+members of each ball layer once, asking the predicate about each word of
+the layer.  A subset that can list its members of each word length in closed
+form offers their words as ``sphere_members``, so a sparse subset's window
+grows no ball; the listed words are sorted by ``structural_key``, read
+through the predicate, and only the members become elements.  Subgroups,
+claimed stabilisers included, are subsets of the same type; a finite one also
+keeps its whole member list in ``elements``, and its windows filter that list.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class SubsetSpec:
     left_stabiliser: SubsetSpec | None = None
     right_stabiliser: SubsetSpec | None = None
     params: dict = field(default_factory=dict)
-    # sphere_members(k): candidates holding every member of word length k, in any order
-    sphere_members: Callable[[int], Iterable[GroupElement]] | None = None
+    # sphere_members(k): candidate words holding every member of word length k, in any order
+    sphere_members: Callable[[int], Iterable[tuple]] | None = None
     # every member of a finite set, in ball order
     elements: tuple[GroupElement, ...] | None = None
 
@@ -69,14 +70,14 @@ class SubsetSpec:
         ctx = self.ctx
         if self.elements is not None:
             return [h for h in self.elements if ctx.word_length(h) <= r]
-        layers = self._layers
+        layers, inside = self._layers, self.predicate
         while len(layers) <= r:
             k = len(layers)
             if self.sphere_members is None:
-                sphere = ctx.sphere(k)
+                layers.append([x for x in ctx.sphere(k) if inside(x.word)])
             else:
-                sphere = sorted(self.sphere_members(k), key=ctx.structural_key)
-            layers.append([x for x in sphere if self.contains(x)])
+                words = sorted(self.sphere_members(k), key=ctx.structural_key)
+                layers.append([GroupElement(ctx, w) for w in words if inside(w)])
         out: list[GroupElement] = []
         for layer in layers[: r + 1]:
             out.extend(layer)

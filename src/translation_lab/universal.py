@@ -163,8 +163,8 @@ class PlacedUniversalWords:
         """Whether the canonical word lies in U; the predicate of U's subset."""
         return self.a_shift(word) == 0
 
-    def sphere(self, k: int, low: int | None = 0, high: int | None = 0) -> list[GroupElement]:
-        """The members of word length k of the union of a^j U over low <= j <= high.
+    def sphere(self, k: int, low: int | None = 0, high: int | None = 0) -> list[tuple]:
+        """The member words of length k of the union of a^j U over low <= j <= high.
 
         None leaves its end open: U is (0, 0), the cone B is (0, None) and the
         union X is (None, None).  Every point word w of U starts with b, so
@@ -172,7 +172,7 @@ class PlacedUniversalWords:
         ``a_shift``).  Hence the words a^j w with |j| + len(w) = k are all the
         members of length k, each listed once, though not in ball order.
         """
-        out: list[GroupElement] = []
+        out: list[tuple] = []
         for length, words in self._by_length.items():
             j = k - length
             if j < 0:
@@ -180,7 +180,7 @@ class PlacedUniversalWords:
             for shift in {j, -j}:
                 if (low is None or low <= shift) and (high is None or shift <= high):
                     run = (1 if shift > 0 else -1,) * abs(shift)
-                    out.extend(GroupElement(self.ctx, run + w) for w in words)
+                    out.extend(run + w for w in words)
         return out
 
     def report_form(self):

@@ -4,16 +4,19 @@ Elements are drawn as raw words over the generating alphabet.  The reference
 evaluates a word one letter at a time without the kernel: coordinate sums for
 Z^2, lookups in the multiplication table for S3 (non-abelian, so the order of
 the letters matters).  A letter's inverse is the negated vector, or the
-table entry whose product with it is the identity.
+table entry whose product with it is the identity.  The free-abelian kernel's
+rank-1 branch, which builds the one-entry word directly, is checked against
+the entrywise map forms that every rank uses.
 """
 
 import itertools
+from operator import add, neg
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from translation_lab import FiniteGroupContext
+from translation_lab import FiniteGroupContext, FreeAbelianContext
 
 KERNEL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -80,3 +83,21 @@ def test_multiply_by_inverse_is_identity(ctx, data):
     e = ctx.identity().word
     assert ctx.multiply(x, ctx.invert(x)).word == e
     assert ctx.multiply(ctx.invert(x), x).word == e
+
+
+def _vector_pairs(rank):
+    vectors = st.tuples(*[st.integers(-6, 6)] * rank)
+    return st.tuples(st.just(rank), vectors, vectors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.sampled_from([1, 2, 3]).flatmap(_vector_pairs))
+@example(case=(1, (0,), (-3,)))
+@example(case=(2, (0, -2), (5, 0)))
+@example(case=(3, (-1, 0, 4), (0, 0, 0)))
+def test_free_abelian_kernel_equals_the_map_forms(case):
+    rank, a, b = case
+    ctx = FreeAbelianContext(rank)
+    assert ctx._mul(a, b) == tuple(map(add, a, b))
+    assert ctx._inv(a) == tuple(map(neg, a))
+    assert ctx._sort_word(a) == (sum(map(abs, a)), a)

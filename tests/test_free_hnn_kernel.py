@@ -7,15 +7,17 @@ reference is the letter-by-letter construction: ``from_letters`` applied to
 the letters of both canonical forms.  The HNN contexts cover an integer base
 with an injective twist (BS(1,2)), trivial associated subgroups (F2 as an
 HNN extension), subgroups 3Z -> 5Z of Z, and a finite base (the Klein
-four-group, with g1 sent to g2).  The associated-subgroup data, indexed by
-the stable letter's sign, is checked on its own against its laws.
+four-group, with g1 sent to g2).  A left operand with no stable letter, the
+kernel's early answer, is checked on its own, on BS(1,3) as well.  The
+associated-subgroup data, indexed by the stable letter's sign, is checked on
+its own against its laws.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translation_lab import FiniteGroupContext, FreeGroupContext
+from translation_lab import FiniteGroupContext, FreeGroupContext, baumslag_solitar
 from translation_lab.groups import GroupElement
 
 KERNEL_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
@@ -73,6 +75,23 @@ def test_multiply_matches_letter_by_letter(ctx, data):
 def test_multiply_is_associative(ctx, data):
     x, y, z = (data.draw(_elements(ctx)) for _ in range(3))
     assert ctx.multiply(ctx.multiply(x, y), z).word == ctx.multiply(x, ctx.multiply(y, z)).word
+
+
+@pytest.fixture(scope="module", params=["bs12", "f2_hnn", "bs13", "hnn_klein"])
+def hnn_ctx(request):
+    if request.param == "bs13":
+        return baumslag_solitar(1, 3)
+    return request.getfixturevalue(request.param)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_head_only_left_operand_matches_letter_by_letter(hnn_ctx, data):
+    ctx = hnn_ctx
+    x = ctx.from_base(data.draw(_base_elements(ctx.base)))
+    y = data.draw(_elements(ctx))
+    assert not x.word[1]
+    assert ctx._mul(x.word, y.word) == _reference_product(ctx, x, y).word
 
 
 def _reference_inverse(ctx, x):

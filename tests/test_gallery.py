@@ -78,15 +78,24 @@ def test_lance_suite():
 
 
 def test_lance_roundtrip_inverts_each_syllable_once(monkeypatch):
-    """The grid roundtrip inverts the letter of each s in S once, not once per grid point."""
+    """The grid roundtrip inverts the letter of each s in S once, not once per grid point.
+
+    Both ``invert`` and the raw-word ``_inv`` are counted, so an inverse taken
+    either way shows.
+    """
     inverted = []
-    invert = AmalgamContext.invert
+    invert, inv = AmalgamContext.invert, AmalgamContext._inv
 
     def counting(self, x):
         inverted.append(x.word)
         return invert(self, x)
 
+    def counting_raw(self, a):
+        inverted.append(a)
+        return inv(self, a)
+
     monkeypatch.setattr(AmalgamContext, "invert", counting)
+    monkeypatch.setattr(AmalgamContext, "_inv", counting_raw)
     assert run_lance_difference_check(4).verdict == VERIFIED
     # 9 syllables of S at radius 4 and a few inverses outside the grid; the grid has 729 points
     assert len(inverted) < 2 * 9
@@ -94,10 +103,10 @@ def test_lance_roundtrip_inverts_each_syllable_once(monkeypatch):
 
 def test_lance_prefix_split_refuses_a_syllable_outside_s(zz):
     s_factor = zz.factors[1]
-    s_inverses = {s.word: zz.invert(zz.from_letters([(1, s)])) for s in s_factor.ball(2)}
-    x = zz.from_letters([(0, zz.factors[0].integer(1))])
+    s_inverses = {s.word: zz._inv(zz.from_letters([(1, s)]).word) for s in s_factor.ball(2)}
+    x = zz.from_letters([(0, zz.factors[0].integer(1))]).word
     for n in (0, 2, 3):
-        gamma = zz.multiply(zz.from_letters([(1, s_factor.integer(n))]), x)
+        gamma = zz._mul(zz.from_letters([(1, s_factor.integer(n))]).word, x)
         word, rest = gallery._decompose_prefix(zz, gamma, s_inverses)
         assert word == s_factor.integer(n).word
         assert rest == (None if n == 3 else x)

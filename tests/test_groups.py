@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bfs_distances, rng
 
@@ -8,10 +10,15 @@ from translation_lab import (
     FreeGroupContext,
     GroupContext,
     MalformedWord,
+    amalgam_z4_z6,
+    baumslag_solitar,
     cyclic_group,
+    free_group_as_hnn,
+    free_product_of_two_integers,
+    integer_lattice,
 )
 from translation_lab.configs import load_group
-from translation_lab.groups import BALL_CAP_ENV, GroupElement
+from translation_lab.groups import BALL_CAP_ENV, GroupElement, HnnContext
 
 
 # -- free groups -------------------------------------------------------------
@@ -371,6 +378,46 @@ def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
     for ctx in (fast, slow):
         assert len(ctx._layers) == 2 and sum(map(len, ctx._layers)) == 5
     assert len(slow._dist) == 5
+
+
+# contexts that grow their balls by the generic breadth-first search, built fresh per example
+BFS_CONTEXTS = {
+    "z2": lambda: integer_lattice(2),
+    "z4*z6": amalgam_z4_z6,
+    "z*z": free_product_of_two_integers,
+    "bs12": lambda: baumslag_solitar(1, 2),
+    "f2-as-hnn": free_group_as_hnn,
+}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(BFS_CONTEXTS)), radius=st.integers(0, 3), data=st.data())
+def test_refused_layer_leaves_the_depth_table_and_a_larger_cap_grows_the_same_ball(name, radius, data):
+    """A layer over the cap raises and leaves ``_dist`` and ``word_length`` as they were."""
+    build = BFS_CONTEXTS[name]
+    ref = build()
+    inner_size, layer = len(ref.ball(radius)), ref.sphere(radius + 1)
+    want = [x.word for x in ref.ball(radius + 2)]
+    cap = data.draw(st.integers(inner_size, inner_size + len(layer) - 1))
+    ctx = build()
+    inner = ctx.ball(radius)
+    dist, lengths = dict(ctx._dist), [ctx.word_length(x) for x in inner]
+    outside = GroupElement(ctx, layer[-1].word)
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv(BALL_CAP_ENV, str(cap))
+        with pytest.raises(BallCapExceeded, match=f"ball of radius {radius + 1} needs more than {cap}"):
+            ctx.ball(radius + 1)
+        assert ctx._dist == dist
+        assert [ctx.word_length(x) for x in inner] == lengths
+        try:  # a closed-form length needs no ball; the breadth-first one is refused again
+            assert ctx.word_length(outside) == radius + 1
+        except BallCapExceeded:
+            assert isinstance(ctx, HnnContext)
+        assert ctx._dist == dist and len(ctx._layers) == radius + 1
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv(BALL_CAP_ENV, str(len(want)))
+        assert [x.word for x in ctx.ball(radius + 2)] == want
+    assert ctx.word_length(outside) == radius + 1
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])

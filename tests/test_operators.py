@@ -559,6 +559,29 @@ def test_partial_translation_matches_the_two_pass_oracle(case, request):
     assert clipped_cols and any(middle for _, _, middle, _, _ in cases)
 
 
+@pytest.mark.parametrize("case", sorted(TWO_PASS_CASES))
+def test_translation_by_e_makes_no_kernel_call(case, request, monkeypatch):
+    """x * e = x: the unit operator takes each row as its own image, with no multiply,
+    on the window's subset, on a whole-group window with the subset as domain and
+    on a whole-group window with the whole group as domain."""
+    fixture, build_subset, radius = TWO_PASS_CASES[case]
+    ctx = request.getfixturevalue(fixture)
+    spec, whole = build_subset(ctx), whole_group(ctx)
+    w, w_whole = make_window(spec, radius), make_window(whole, radius)
+    e = ctx.identity()
+    cases = [(w, spec), (w_whole, spec), (w_whole, whole)]
+    expected = [two_pass_translation(window, e, [], domain) for window, domain in cases]
+    calls = []
+    for name in ("_mul", "_inv"):
+        kernel = getattr(ctx, name)
+        monkeypatch.setattr(ctx, name, lambda *words, kernel=kernel: calls.append(words) or kernel(*words))
+    ops = [generator_operator(window, e, domain) for window, domain in cases]
+    assert calls == []
+    for op, (entries, rows, cols) in zip(ops, expected):
+        assert (op.entries, op.clipped_rows, op.clipped_cols) == (entries, rows, cols)
+    assert len(ops[1].entries) == len(w) < len(w_whole) == len(ops[2].entries)
+
+
 def test_subtract_equals_combine(z, f2, amalgam):
     cases = [
         (make_window(natural_numbers(z), 6), [z.integer(1), z.integer(-1), z.integer(2)]),

@@ -274,6 +274,6 @@ def test_sort_word_is_sort_key_and_balls_come_sorted(any_ctx):
     ball = ctx.ball(4)
     assert [ctx._sort_word(x.word) for x in ball] == [ctx.sort_key(x) for x in ball]
     if isinstance(ctx, (AmalgamContext, HnnContext)):
-        assert [ctx.structural_key(x) for x in ball] == [_element_structural_key(ctx, x) for x in ball]
+        assert [ctx.structural_key(x.word) for x in ball] == [_element_structural_key(ctx, x) for x in ball]
     for r in range(5):
         assert ctx.ball(r) == sorted(ctx.ball(r), key=ctx.sort_key)
