@@ -1,5 +1,12 @@
 """Command-line front end: load configs, dispatch checks, emit canonical JSON.
 
+``COMMANDS`` has one row per (command, what): the flags that ``what`` reads,
+each with its default or the ``REQUIRED`` mark, its runner, and a usage rule
+tested before anything is loaded.  ``dispatch`` parses the line against the
+row, applies the rule, refuses a missing required flag, loads ``--group``,
+``--subset`` and ``--ambient`` once, and hands the loaded namespace to the
+runner.
+
 Exit codes: 0 success (verified or inconclusive verdicts only), 1 at least
 one falsified verdict, 2 usage error (such as a negative radius), 3 malformed
 configuration (such as an unparseable element or a bad ball cap), 4 resource
@@ -29,7 +36,13 @@ from .geometry import (
     relatively_deep_check,
     verify_h_isolation,
 )
-from .group_algebra import coset_decomposition_check, isolation_projection, verify_ph_in_ideal
+from .group_algebra import (
+    SigmaVector,
+    coset_decomposition_check,
+    isolation_projection,
+    module_inner_product,
+    verify_ph_in_ideal,
+)
 from .groups import BallCapExceeded, BallCapInvalid, FreeAbelianContext, FreeGroupContext, MalformedWord, ball_cap
 from .operators import (
     adjoint,
@@ -58,42 +71,11 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
 
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ConfigError(f"--{name} is required for this command")
+REQUIRED = object()  # a row's mark for a flag with no default: leaving it out is a config error
 
 
-def _group(args):
-    _require(args, "group")
-    return load_group(args.group)
-
-
-def _subset(ctx, args, flag="subset"):
-    _require(args, flag)
-    return load_subset(ctx, getattr(args, flag))
-
-
-def _stabiliser_subgroup(spec):
+def _stabiliser(spec):
     return spec.left_stabiliser or trivial_subgroup(spec.ctx)
-
-
-def _isolation_sets(suite, name, b, h, args):
-    """Add the co-separability search; F1 and F2 split from its witness, or None.
-
-    A split that fails adds an inconclusive ``name`` check naming the radius.
-    """
-    search = coseparability_search(b, h, args.r, args.R, args.max_size)
-    suite.add(search)
-    if search.verdict != VERIFIED:
-        return None
-    families = h_isolation_sets(b, coseparability_witness(search, b))
-    if families is None:
-        note = f"no point within radius {SPLIT_RADIUS} splits the distinguishing set across the subset's boundary"
-        params = {"B": b.name, "H": h.name}
-        suite.add(CheckReport(name=name, params=params, verdict=INCONCLUSIVE, details={"note": note}))
-    return families
 
 
 def _parse_operator(ctx, w, text: str):
@@ -112,188 +94,166 @@ def _parse_operator(ctx, w, text: str):
         total = ctx.parse(head.rstrip(", "))
         if not brace:
             raise ConfigError("track needs a {..} visited part")
-        visited_text = rest.rsplit("}", 1)[0]
+        visited_text, close, tail = rest.partition("}")
+        if not close or tail.strip():
+            raise ConfigError(f"track needs its {{..}} visited part closed at the end, got {text!r}")
         visited = [ctx.parse(tok) for tok in visited_text.split(",") if tok.strip()]
         return track_operator(w, make_track(ctx, total, visited))
     raise ConfigError(f"cannot parse operator expression {text!r}")
 
 
-def _cmd_check(args) -> SuiteReport:
-    suite = SuiteReport(name=f"check-{args.what}")
-    ctx = _group(args)
-    b = _subset(ctx, args)
-    if args.what == "deep":
-        suite.add(deep_witness(b, args.r, args.R))
-    elif args.what == "rel-deep":
-        x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
-        k = _stabiliser_subgroup(x)
-        suite.add(relatively_deep_check(b, x, k, args.r, args.R))
-    elif args.what == "almost-invariant":
-        x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
-        _require(args, "element")
-        h = _stabiliser_subgroup(b)
-        g = ctx.parse(args.element)
-        suite.add(almost_invariant_check(b, x, h, g, args.R))
-    elif args.what == "coseparable":
-        h = _stabiliser_subgroup(b)
-        suite.add(coseparability_search(b, h, args.r, args.R, args.max_size))
-    elif args.what == "isolation":
-        h = _stabiliser_subgroup(b)
-        families = _isolation_sets(suite, "h-isolation", b, h, args)
-        if families is not None:
-            suite.add(verify_h_isolation(b, h, *families, args.R))
-    elif args.what == "boundary":
-        pts = boundary_set(b, args.R)
-        suite.add(
-            CheckReport(
-                name="boundary-set",
-                params={"B": b.name, "R": args.R},
-                verdict=VERIFIED,
-                witnesses=[ctx.format(x) for x in pts],
-                compared_count=len(pts),
-            )
-        )
-    elif args.what == "convexity":
-        if not b.contains(ctx.identity()):
-            raise ConfigError("convexity needs the identity inside the subset")
-        pres = presentation_for(ctx)
-        suite.add(convexity_bounded_check(b, pres, args.L))
-    elif args.what == "stabilisers":
-        suite.add(verify_stabilisers(b, args.r))
-    return suite
+def _operand(args, w, flag: str = "lhs"):
+    """The operator that ``--lhs`` (or ``--rhs``) names, on the window ``w``."""
+    return _parse_operator(args.group, w, getattr(args, flag))
 
 
-def _cmd_op(args) -> SuiteReport:
-    ctx = _group(args)
-    spec = _subset(ctx, args)
-    w = make_window(spec, args.R)
-    suite = SuiteReport(name=f"op-{args.what}", params={"R": args.R})
-    binary = args.what in ("mul", "eq")
-    if args.what == "build":
-        _require(args, "element")
-        op = generator_operator(w, ctx.parse(args.element))
+def _suite(make: Callable, *params: str) -> Callable:
+    """A runner whose one suite, COMMAND-WHAT, records the flags ``params`` and
+    holds the checks of ``make(args)``, each timed as it is made."""
+
+    def run(args) -> list[SuiteReport]:
+        suite = SuiteReport(name=f"{args.command}-{args.what}", params={flag: getattr(args, flag) for flag in params})
+        for check in make(args):
+            suite.add(check)
+        return [suite]
+
+    return run
+
+
+def _isolation(args, h, name: str, finish: Callable):
+    """The co-separability search, then ``finish(families)`` on the F1 and F2 split
+    from its witness.  A split that fails gives an inconclusive ``name`` check
+    naming the radius."""
+    b = args.subset
+    search = coseparability_search(b, h, args.r, args.R, args.max_size)
+    yield search
+    if search.verdict != VERIFIED:
+        return
+    families = h_isolation_sets(b, coseparability_witness(search, b))
+    if families is None:
+        note = f"no point within radius {SPLIT_RADIUS} splits the distinguishing set across the subset's boundary"
+        yield CheckReport(name=name, params={"B": b.name, "H": h.name}, verdict=INCONCLUSIVE, details={"note": note})
     else:
-        _require(args, "lhs", *(["rhs"] if binary else []))
-        op = _parse_operator(ctx, w, args.lhs)
-    if binary:
-        rhs = _parse_operator(ctx, w, args.rhs)
-    if args.what == "eq":
-        match = guarded_equal(op, rhs)
-        suite.add(
-            CheckReport(
-                name="equality",
-                params={"lhs": args.lhs, "rhs": args.rhs},
-                verdict=VERIFIED if match.equal else FALSIFIED,
-                witnesses=[] if match.equal else [match.mismatch],
-                compared_count=match.rows_compared,
-            )
-        )
-        return suite
-    if args.what == "mul":
-        op = compose(op, rhs)
-    elif args.what == "adjoint":
-        op = adjoint(op)
-    name = {"build": "operator", "mul": "product", "adjoint": "adjoint", "rank": "rank"}[args.what]
-    details = {"rank": matrix_rank(op)} if args.what == "rank" else {"operator": op.report_form()}
-    suite.add(CheckReport(name=name, verdict=VERIFIED, details=details))
-    return suite
+        yield finish(families)
 
 
-def _cmd_module(args) -> SuiteReport:
-    ctx = _group(args)
-    b = _subset(ctx, args)
-    suite = SuiteReport(name=f"module-{args.what}")
-    h = _stabiliser_subgroup(b)
-    if args.what == "inner":
-        _require(args, "lhs", "rhs")
-        from .group_algebra import SigmaVector, module_inner_product
-
-        if h.elements is None:
-            raise ConfigError("inner products need a finite stabiliser subgroup")
-        lhs, rhs = ctx.parse(args.lhs), ctx.parse(args.rhs)
-        if not (b.contains(lhs) and b.contains(rhs)):
-            raise ConfigError("--lhs and --rhs must lie in the subset")
-        value = module_inner_product(h, SigmaVector.basis(b, lhs), SigmaVector.basis(b, rhs))
-        suite.add(
-            CheckReport(
-                name="inner-product",
-                params={"lhs": args.lhs, "rhs": args.rhs},
-                verdict=VERIFIED,
-                details={"value": value.report_form()},
-            )
-        )
-    elif args.what == "ph":
-        outside = [h_el for h_el in h.elements_in_ball(args.R) if not b.contains(h_el)]
-        if outside:
-            raise ConfigError(
-                "the claimed stabiliser must lie inside the subset for the projection construction"
-            )
-        families = _isolation_sets(suite, "isolation-projection", b, h, args)
-        if families is not None:
-            w = make_window(b, args.R)
-            proj = isolation_projection(w, *families)
-            match = guarded_equal(proj, coset_projection(w, h, ctx.identity()))
-            suite.add(
-                CheckReport(
-                    name="isolation-projection",
-                    verdict=VERIFIED if match.equal else FALSIFIED,
-                    compared_count=match.rows_compared,
-                )
-            )
-    elif args.what == "ideal":
-        _require(args, "element")
-        x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
-        g = ctx.parse(args.element)
-        g_inv = ctx.invert(g)
-        if not x.contains(g_inv) or b.contains(g_inv):
-            raise ConfigError("g^-1 (from --element) must lie in the ambient set but outside the subset")
-        suite.add(verify_ph_in_ideal(b, x, h, g, args.R))
-    elif args.what == "coset-decomp":
-        _require(args, "element")
-        x = _subset(ctx, args, "ambient") if args.ambient else whole_group(ctx)
-        suite.add(coset_decomposition_check(b, x, h, ctx.parse(args.element), args.R))
-    return suite
+def _h_isolation(args):
+    h = _stabiliser(args.subset)
+    return _isolation(args, h, "h-isolation", lambda families: verify_h_isolation(args.subset, h, *families, args.R))
 
 
-def _cmd_gallery(args) -> list[SuiteReport]:
-    if args.what == "all":
-        return run_all()
-    suite = SUITES[args.what]
-    return suite.at(**{flag: value for flag in suite.sizes if (value := getattr(args, flag)) is not None})
+def _projection(args):
+    """P_H built from the isolation families against the coset projection onto H."""
+    b, h = args.subset, _stabiliser(args.subset)
+    if not all(b.contains(x) for x in h.elements_in_ball(args.R)):
+        raise ConfigError("the claimed stabiliser must lie inside the subset for the projection construction")
+
+    def finish(families):
+        w = make_window(b, args.R)
+        match = guarded_equal(isolation_projection(w, *families), coset_projection(w, h, args.group.identity()))
+        verdict = VERIFIED if match.equal else FALSIFIED
+        return CheckReport(name="isolation-projection", verdict=verdict, compared_count=match.rows_compared)
+
+    yield from _isolation(args, h, "isolation-projection", finish)
 
 
-def _cmd_universal(args) -> SuiteReport | list[SuiteReport]:
-    if args.what == "demo":
-        return appendix_contrast_demo()
-    suite = SuiteReport(name=f"universal-{args.what}")
-    ctx = load_group(args.group)
-    if args.subset:
-        spec = _subset(ctx, args)
-    elif isinstance(ctx, FreeAbelianContext) and ctx.rank == 1:
-        spec = universal_z_spec(ctx)
-    else:
-        raise ConfigError("the integer universal subset needs Z; pass --subset for other groups")
-    # --R is the window radius of build and the scan bound of verify and independence
-    radius = (12 if args.what == "build" else 5000) if args.R is None else args.R
-    if args.what == "build":
-        window = spec.elements_in_ball(radius)
-        details = {"placements": spec.placed.report_form()} if hasattr(spec, "placed") else {}
-        suite.add(
-            CheckReport(
-                name="universal-window",
-                params={"R": radius},
-                verdict=VERIFIED,
-                witnesses=[ctx.format(x) for x in window],
-                compared_count=len(window),
-                details=details,
-            )
-        )
-    elif args.what == "verify":
-        suite.add(universality_check(spec, args.r, radius))
-    elif args.what == "independence":
-        tracks = [track_of_sequence(ctx, [g]) for g in ctx.ball(args.r)]
-        suite.add(track_independence_check(spec, tracks, radius))
-    return suite
+def _listing(args, name: str, params: dict, points, details=None) -> list[CheckReport]:
+    """A verified check whose witnesses are ``points``."""
+    fields = {"witnesses": [args.group.format(x) for x in points], "compared_count": len(points)}
+    return [CheckReport(name=name, params=params, verdict=VERIFIED, details=details or {}, **fields)]
+
+
+def _boundary(args):
+    return _listing(args, "boundary-set", {"B": args.subset.name, "R": args.R}, boundary_set(args.subset, args.R))
+
+
+def _convexity(args):
+    if not args.subset.contains(args.group.identity()):
+        raise ConfigError("convexity needs the identity inside the subset")
+    return [convexity_bounded_check(args.subset, presentation_for(args.group), args.L)]
+
+
+def _op(check: Callable) -> Callable:
+    """An ``op`` runner: its suite records R and holds ``check(args, window)``."""
+    return _suite(lambda a: [check(a, make_window(a.subset, a.R))], "R")
+
+
+def _operator(name: str, make: Callable, details=lambda op: {"operator": op.report_form()}) -> Callable:
+    """An ``op`` runner reporting ``details`` of the operator ``make(args, window)`` as the check ``name``."""
+    return _op(lambda a, w: CheckReport(name=name, verdict=VERIFIED, details=details(make(a, w))))
+
+
+def _equality(args, w):
+    match = guarded_equal(_operand(args, w), _operand(args, w, "rhs"))
+    return CheckReport(
+        name="equality",
+        params={"lhs": args.lhs, "rhs": args.rhs},
+        verdict=VERIFIED if match.equal else FALSIFIED,
+        witnesses=[] if match.equal else [match.mismatch],
+        compared_count=match.rows_compared,
+    )
+
+
+def _inner(args):
+    ctx, b, h = args.group, args.subset, _stabiliser(args.subset)
+    if h.elements is None:
+        raise ConfigError("inner products need a finite stabiliser subgroup")
+    lhs, rhs = ctx.parse(args.lhs), ctx.parse(args.rhs)
+    if not (b.contains(lhs) and b.contains(rhs)):
+        raise ConfigError("--lhs and --rhs must lie in the subset")
+    value = module_inner_product(h, SigmaVector.basis(b, lhs), SigmaVector.basis(b, rhs))
+    params, details = {"lhs": args.lhs, "rhs": args.rhs}, {"value": value.report_form()}
+    return [CheckReport(name="inner-product", params=params, verdict=VERIFIED, details=details)]
+
+
+def _translate(args):
+    """B, X, H, g and R of a check on B's translate by g: H is B's stabiliser and g the ``--element``."""
+    return args.subset, args.ambient, _stabiliser(args.subset), args.group.parse(args.element), args.R
+
+
+def _ideal(args):
+    b, x, _h, g, _radius = translate = _translate(args)
+    g_inv = args.group.invert(g)
+    if not x.contains(g_inv) or b.contains(g_inv):
+        raise ConfigError("g^-1 (from --element) must lie in the ambient set but outside the subset")
+    return [verify_ph_in_ideal(*translate)]
+
+
+def _universal_set(args):
+    """``--subset``, or on Z the integer universal subset."""
+    if args.subset is not None:
+        return args.subset
+    if isinstance(args.group, FreeAbelianContext) and args.group.rank == 1:
+        return universal_z_spec(args.group)
+    raise ConfigError("the integer universal subset needs Z; pass --subset for other groups")
+
+
+def _universal_window(args):
+    spec = _universal_set(args)
+    window = spec.elements_in_ball(args.R)
+    details = {"placements": spec.placed.report_form()} if hasattr(spec, "placed") else {}
+    return _listing(args, "universal-window", {"R": args.R}, window, details)
+
+
+def _independence(args):
+    spec = _universal_set(args)
+    tracks = [track_of_sequence(args.group, [g]) for g in args.group.ball(args.r)]
+    return [track_independence_check(spec, tracks, args.R)]
+
+
+def _gallery(name: str, suite) -> What:
+    """A suite's row: its sizes at their defaults, each refused below its least,
+    and ``--n`` refused above the number of generator names."""
+    sizes = {flag: default for flag, (default, _least) in suite.sizes.items()}
+    most = len(FreeGroupContext.default_names)  # --n names each generator of a free-group suite
+
+    def rule(args):
+        for flag, (_default, least) in suite.sizes.items():
+            if getattr(args, flag) < least:
+                return f"gallery {name} needs --{flag} >= {least}"
+        return f"gallery {name} needs --n <= {most}" if getattr(args, "n", 0) > most else None
+
+    return What(sizes, lambda a: suite.run(**{flag: getattr(a, flag) for flag in sizes}), rule)
 
 
 class UsageError(Exception):
@@ -338,79 +298,92 @@ def _spelling(flag: str) -> str:
 SPELLINGS = {_spelling(flag): flag for flag in FLAGS} | {"-g": "element"}
 
 
+class What(NamedTuple):
+    """One (command, what) row: the flags it reads, its runner and its usage rule."""
+
+    flags: dict[str, object]  # flag -> its default; None: optional and "not given"; or REQUIRED
+    run: Callable[[SimpleNamespace], list[SuiteReport]]  # reads --group, --subset and --ambient loaded
+    rule: Callable[[SimpleNamespace], str | None] = lambda args: None  # a usage error, before any loading
+
+
 class Command(NamedTuple):
-    """One subcommand: the flags each ``what`` reads, every flag's default, its runner."""
+    """One subcommand: its help line and its row for each ``what``."""
 
     help: str
-    whats: dict[str, tuple[str, ...]]  # what -> the flags it reads, besides --out and --timings
-    flags: dict[str, object]  # flag -> its default; None reads as "not given"
-    run: Callable
+    whats: dict[str, What]
 
 
-def _reading(common: list[str], own: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
-    """Each ``what``'s flags: the ``common`` ones, then its ``own``."""
-    return {what: (*common, *flags) for what, flags in own.items()}
+ON_B = {"group": REQUIRED, "subset": REQUIRED}  # every check, op and module row reads a subset B of a group
+SEARCH = {"r": 3, "R": 8, "max_size": 3}  # the co-separability search
+TRANSLATE = {"ambient": None, "element": REQUIRED, "R": 8}  # B, its translate by g and an ambient set X
+OP = ON_B | {"R": 8}  # every op row builds the window of radius R on B
+UNIVERSAL = {"group": "z", "subset": None}  # no --subset: Z's own universal subset
 
-
-# The flags each runner reads; any other flag is a usage error.
+# The flags each runner reads; any other flag is a usage error.  Universal's --R is the
+# window radius of build and the scan bound of verify and independence.
 COMMANDS = {
     "check": Command(
         "geometric checks",
-        _reading(
-            ["group", "subset"],
-            {
-                "deep": ["r", "R"],
-                "rel-deep": ["ambient", "r", "R"],
-                "almost-invariant": ["ambient", "element", "R"],
-                "coseparable": ["r", "R", "max_size"],
-                "isolation": ["r", "R", "max_size"],
-                "boundary": ["R"],
-                "convexity": ["L"],
-                "stabilisers": ["r"],
-            },
-        ),
-        dict.fromkeys(["group", "subset", "ambient", "element"]) | {"R": 8, "r": 3, "L": 3, "max_size": 3},
-        _cmd_check,
+        {
+            "deep": What(
+                ON_B | {"r": 3, "R": 8},
+                _suite(lambda a: [deep_witness(a.subset, a.r, a.R)]),
+                lambda a: "check deep needs --r <= --R" if a.r > a.R else None,
+            ),
+            "rel-deep": What(
+                ON_B | {"ambient": None, "r": 3, "R": 8},
+                _suite(lambda a: [relatively_deep_check(a.subset, a.ambient, _stabiliser(a.ambient), a.r, a.R)]),
+            ),
+            "almost-invariant": What(ON_B | TRANSLATE, _suite(lambda a: [almost_invariant_check(*_translate(a))])),
+            "coseparable": What(
+                ON_B | SEARCH,
+                _suite(lambda a: [coseparability_search(a.subset, _stabiliser(a.subset), a.r, a.R, a.max_size)]),
+            ),
+            "isolation": What(ON_B | SEARCH, _suite(_h_isolation)),
+            "boundary": What(ON_B | {"R": 8}, _suite(_boundary)),
+            "convexity": What(ON_B | {"L": 3}, _suite(_convexity)),
+            "stabilisers": What(ON_B | {"r": 3}, _suite(lambda a: [verify_stabilisers(a.subset, a.r)])),
+        },
     ),
     "op": Command(
         "windowed operator arithmetic",
-        _reading(
-            ["group", "subset", "R"],
-            {"build": ["element"], "mul": ["lhs", "rhs"], "adjoint": ["lhs"], "eq": ["lhs", "rhs"], "rank": ["lhs"]},
-        ),
-        dict.fromkeys(["group", "subset", "element", "lhs", "rhs"]) | {"R": 8},
-        _cmd_op,
+        {
+            "build": What(
+                OP | {"element": REQUIRED},
+                _operator("operator", lambda a, w: generator_operator(w, a.group.parse(a.element))),
+            ),
+            "mul": What(
+                OP | {"lhs": REQUIRED, "rhs": REQUIRED},
+                _operator("product", lambda a, w: compose(_operand(a, w), _operand(a, w, "rhs"))),
+            ),
+            "adjoint": What(OP | {"lhs": REQUIRED}, _operator("adjoint", lambda a, w: adjoint(_operand(a, w)))),
+            "eq": What(OP | {"lhs": REQUIRED, "rhs": REQUIRED}, _op(_equality)),
+            "rank": What(OP | {"lhs": REQUIRED}, _operator("rank", _operand, lambda op: {"rank": matrix_rank(op)})),
+        },
     ),
     "module": Command(
         "subgroup-module identities",
-        _reading(
-            ["group", "subset"],
-            {
-                "inner": ["lhs", "rhs"],
-                "ph": ["r", "R", "max_size"],
-                "ideal": ["ambient", "element", "R"],
-                "coset-decomp": ["ambient", "element", "R"],
-            },
-        ),
-        dict.fromkeys(["group", "subset", "ambient", "element", "lhs", "rhs"]) | {"R": 8, "r": 3, "max_size": 3},
-        _cmd_module,
+        {
+            "inner": What(ON_B | {"lhs": REQUIRED, "rhs": REQUIRED}, _suite(_inner)),
+            "ph": What(ON_B | SEARCH, _suite(_projection)),
+            "ideal": What(ON_B | TRANSLATE, _suite(_ideal)),
+            "coset-decomp": What(ON_B | TRANSLATE, _suite(lambda a: [coset_decomposition_check(*_translate(a))])),
+        },
     ),
     "gallery": Command(
         "named extension suites",
-        {name: tuple(suite.sizes) for name, suite in SUITES.items()} | {"all": ()},
-        dict.fromkeys(flag for suite in SUITES.values() for flag in suite.sizes),  # None: the suite's default
-        _cmd_gallery,
+        {name: _gallery(name, suite) for name, suite in SUITES.items()} | {"all": What({}, lambda a: run_all())},
     ),
     "universal": Command(
         "universal subsets",
         {
-            "build": ("group", "subset", "R"),
-            "verify": ("group", "subset", "r", "R"),
-            "independence": ("group", "subset", "r", "R"),
-            "demo": (),
+            "build": What(UNIVERSAL | {"R": 12}, _suite(_universal_window)),
+            "verify": What(
+                UNIVERSAL | {"r": 2, "R": 5000}, _suite(lambda a: [universality_check(_universal_set(a), a.r, a.R)])
+            ),
+            "independence": What(UNIVERSAL | {"r": 2, "R": 5000}, _suite(_independence)),
+            "demo": What({}, lambda a: [appendix_contrast_demo()]),
         },
-        {"group": "z", "subset": None, "R": None, "r": 2},  # None: the default of each ``what``
-        _cmd_universal,
     ),
 }
 
@@ -428,9 +401,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
     ``what`` may stand anywhere after the command.  A flag is spelled exactly,
     as ``--name value`` or ``--name=value``, and the last of a repeated flag
-    wins.  The result holds ``command``, ``what``, every flag of the command
-    (its default when not given), ``out`` and ``timings``.  Raises
-    ``UsageError`` for anything else.
+    wins.  The result holds ``command``, ``what``, every flag of the row (its
+    default when not given, None for a required one), ``out`` and ``timings``.
+    Raises ``UsageError`` for anything else.
     """
     if not argv or argv[0] not in COMMANDS:
         raise UsageError(f"the command must be one of {', '.join(COMMANDS)}")
@@ -462,10 +435,27 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if len(whats) != 1 or whats[0] not in command.whats:
         raise UsageError(f"{name} takes one of {', '.join(command.whats)}, got {' '.join(whats) or 'none'}")
     what = whats[0]
-    extra = [_spelling(flag) for flag in given if flag not in command.whats[what] and flag not in COMMON]
+    flags = command.whats[what].flags
+    extra = [_spelling(flag) for flag in given if flag not in flags and flag not in COMMON]
     if extra:
         raise UsageError(f"{name} {what} takes no {', '.join(extra)}")
-    return SimpleNamespace(**{"command": name, "what": what, **command.flags, "out": None, "timings": False, **given})
+    defaults = {flag: None if default is REQUIRED else default for flag, default in flags.items()}
+    return SimpleNamespace(**{"command": name, "what": what, **defaults, "out": None, "timings": False, **given})
+
+
+def _load(args: SimpleNamespace, flags: dict[str, object]) -> SimpleNamespace:
+    """Refuse a missing required flag, then load ``--group``, ``--subset`` and
+    ``--ambient`` (the whole group when absent) in place of their text."""
+    for flag, default in flags.items():
+        if default is REQUIRED and getattr(args, flag) is None:
+            raise ConfigError(f"--{flag} is required for this command")
+    if "group" in flags:
+        args.group = load_group(args.group)
+    if "subset" in flags and args.subset is not None:
+        args.subset = load_subset(args.group, args.subset)
+    if "ambient" in flags:
+        args.ambient = whole_group(args.group) if args.ambient is None else load_subset(args.group, args.ambient)
+    return args
 
 
 def _usage(name: str | None) -> str:
@@ -473,32 +463,23 @@ def _usage(name: str | None) -> str:
     return f"usage: translation-lab {head} [--FLAG VALUE ...] [--out PATH] [--timings]"
 
 
+def _shown(flag: str, default) -> str:
+    return _spelling(flag) + ("" if default in (None, REQUIRED) else f" (default {default})")
+
+
 def _help(name: str | None) -> str:
-    """Usage, each command (or each ``what`` with its flags), and each flag's help."""
+    """Usage, each command (or each ``what`` with its flags and their defaults), and each flag's help."""
     if name is None:
-        rows, flags, defaults = [(n, c.help) for n, c in COMMANDS.items()], FLAGS, {}
+        rows, flags = [(n, c.help) for n, c in COMMANDS.items()], list(FLAGS)
     else:
-        command = COMMANDS[name]
-        rows = [(what, " ".join(map(_spelling, flags))) for what, flags in command.whats.items()]
-        flags, defaults = [*command.flags, *COMMON], command.flags
+        whats = COMMANDS[name].whats
+        rows = [(what, " ".join(_shown(*item) for item in row.flags.items())) for what, row in whats.items()]
+        flags = [*dict.fromkeys(flag for row in whats.values() for flag in row.flags), *COMMON]
     lines = [_usage(name), "", *(f"  {left:<18}{right}" for left, right in rows), "", "flags:"]
     for flag in flags:
         spelled = _spelling(flag) + (", -g" if flag == "element" else "")
-        default = "" if defaults.get(flag) is None else f" (default {defaults[flag]})"
-        lines.append(f"  {spelled:<18}{FLAGS[flag].help}{default}")
+        lines.append(f"  {spelled:<18}{FLAGS[flag].help}")
     return "\n".join(lines)
-
-
-def _check_gallery_sizes(args) -> None:
-    """Refuse a size below the suite's least value, or more generators than have names."""
-    sizes = SUITES[args.what].sizes if args.what in SUITES else {}
-    for flag, (_default, least) in sizes.items():
-        value = getattr(args, flag)
-        if value is not None and value < least:
-            raise UsageError(f"gallery {args.what} needs --{flag} >= {least}")
-    most = len(FreeGroupContext.default_names)  # --n names each generator of a free-group suite
-    if args.n is not None and args.n > most:
-        raise UsageError(f"gallery {args.what} needs --n <= {most}")
 
 
 def dispatch(argv) -> int:
@@ -509,16 +490,15 @@ def dispatch(argv) -> int:
         return EXIT_OK
     try:
         args = parse_args(argv)
-        if args.command == "check" and args.what == "deep" and args.r > args.R:
-            raise UsageError("check deep needs --r <= --R")
-        if args.command == "gallery":
-            _check_gallery_sizes(args)
+        row = COMMANDS[args.command].whats[args.what]
+        if problem := row.rule(args):
+            raise UsageError(problem)
     except UsageError as err:
         print(f"{_usage(name)}\ntranslation-lab: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
         ball_cap()  # a malformed cap is a config error whether or not a ball is grown
-        result = COMMANDS[args.command].run(args)
+        suites = row.run(_load(args, row.flags))
     except (ConfigError, MalformedWord, BallCapInvalid) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -526,7 +506,6 @@ def dispatch(argv) -> int:
         print(f"resource cap: {err}", file=sys.stderr)
         return EXIT_RESOURCE
 
-    suites = result if isinstance(result, list) else [result]
     started = time.perf_counter()
     text = dumps({"suites": [s.to_dict(args.timings) for s in suites]})
     if args.out:

@@ -32,28 +32,34 @@ def run(capsys, *argv):
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser that read the command line before ``cli.parse_args``:
     the reference the parity test holds ``cli.parse_args`` to.  It accepts every
-    flag of a command for each of its ``what``s, and abbreviations."""
+    flag of a command for each of its ``what``s, and abbreviations, and leaves
+    out a flag not given."""
     parser = argparse.ArgumentParser(prog="translation-lab")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in cli.COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         p.add_argument("what", choices=list(command.whats))
-        for flag, default in command.flags.items():
+        for flag in dict.fromkeys(flag for row in command.whats.values() for flag in row.flags):
             spellings = ["--" + flag.replace("_", "-"), *(["-g"] if flag == "element" else [])]
-            p.add_argument(*spellings, default=default, type=cli.FLAGS[flag].type, help=cli.FLAGS[flag].help)
+            p.add_argument(*spellings, type=cli.FLAGS[flag].type, help=cli.FLAGS[flag].help)
         p.add_argument("--out", help=cli.FLAGS["out"].help)
         p.add_argument("--timings", action="store_true", help=cli.FLAGS["timings"].help)
     return parser
 
 
 def argparse_reading(argv):
-    """The oracle's attributes for ``argv``, or None when it exits 2."""
+    """The oracle's attributes for ``argv``, each flag of the ``what``'s row that
+    is not given at the row's default (None for a required one), or None when
+    the oracle exits 2."""
     with contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser().parse_args(argv))
+            given = vars(build_parser().parse_args(argv))
         except SystemExit as err:
             assert err.code == cli.EXIT_USAGE, argv
             return None
+    row = cli.COMMANDS[given["command"]].whats[given["what"]]
+    defaults = {flag: None if default is cli.REQUIRED else default for flag, default in row.flags.items()}
+    return {**defaults, "out": None, "timings": False, **given}
 
 
 def table_reading(argv):
@@ -149,6 +155,9 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         ["op", "eq", *common, "--lhs", "track:(0,{0,-1})", "--rhs", "id", "--R", "8"],
         ["op", "eq", *common, "--lhs", "gen:zz", "--rhs", "id"],
         ["op", "eq", *common, "--lhs", "track:(x,{0})", "--rhs", "id"],
+        # a track whose visited part is not closed, or is followed by more text
+        ["op", "eq", *common, "--lhs", "track:0,{0,1", "--rhs", "id"],
+        ["op", "eq", *common, "--lhs", "track:(0,{0,1}junk)", "--rhs", "id"],
         ["op", "build", *common, "--element", "q"],
         ["check", "deep", *common, "--r", "3", "--R", "-1"],
         ["check", "deep", *common, "--r", "5", "--R", "3"],
@@ -190,7 +199,10 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
         if code == cli.EXIT_FALSIFIED:
             verdicts = [c["verdict"] for s in json.loads(out)["suites"] for c in s["checks"]]
             assert "falsified" in verdicts, argv
-    assert codes == [1, 0, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 0, 0, 3, 3]
+    assert codes == [
+        *[1, 0, 3, 3, 3, 3, 3, 2, 2, 2, 3, 2, 2, 3, 3, 3, 3, 3, 3],
+        *[3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 0, 0, 3, 3],
+    ]
     cli.dispatch(invocations[-1])
     assert capsys.readouterr().err.startswith(f"config error: cannot write report {invocations[-1][-1]}")
 
@@ -211,6 +223,77 @@ def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):
     parsed.R = 99
     assert cli.parse_args(argv) == cli.parse_args(argv) != parsed
     assert (repr(cli.COMMANDS), repr(cli.FLAGS)) == table
+
+
+# The flags without which each (command, what) cannot run, written out here rather
+# than read from the command table, each with a value that lets the line run
+# ("nat.json" stands for the naturals in Z).
+ON_NAT = {"--group": "z", "--subset": "nat.json"}
+REQUIRED_FLAGS = {
+    ("check", "deep"): ON_NAT,
+    ("check", "rel-deep"): ON_NAT,
+    ("check", "almost-invariant"): {**ON_NAT, "--element": "1"},
+    ("check", "coseparable"): ON_NAT,
+    ("check", "isolation"): ON_NAT,
+    ("check", "boundary"): ON_NAT,
+    ("check", "convexity"): ON_NAT,
+    ("check", "stabilisers"): ON_NAT,
+    ("op", "build"): {**ON_NAT, "--element": "1"},
+    ("op", "mul"): {**ON_NAT, "--lhs": "gen:1", "--rhs": "id"},
+    ("op", "adjoint"): {**ON_NAT, "--lhs": "gen:1"},
+    ("op", "eq"): {**ON_NAT, "--lhs": "gen:1", "--rhs": "id"},
+    ("op", "rank"): {**ON_NAT, "--lhs": "gen:1"},
+    ("module", "inner"): {**ON_NAT, "--lhs": "1", "--rhs": "0"},
+    ("module", "ph"): ON_NAT,
+    ("module", "ideal"): {**ON_NAT, "--element": "1"},
+    ("module", "coset-decomp"): {**ON_NAT, "--element": "1"},
+    **{("gallery", what): {} for what in "toeplitz pv cuntz relations lance hnn quotient generation all".split()},
+    **{("universal", what): {} for what in "build verify independence demo".split()},
+}
+
+
+def test_each_required_flag_is_a_config_error_when_absent(tmp_path, capsys):
+    """The line with every required flag runs; without any one of them it exits 3
+    and names that flag."""
+    subset = tmp_path / "nat.json"
+    subset.write_text('{"kind": "interval", "lo": 0}')
+    rows = {(name, what): row for name, command in cli.COMMANDS.items() for what, row in command.whats.items()}
+    assert list(rows) == list(REQUIRED_FLAGS)
+    for (name, what), flags in REQUIRED_FLAGS.items():
+        marked = {"--" + flag for flag, default in rows[name, what].flags.items() if default is cli.REQUIRED}
+        assert marked == set(flags), (name, what)
+        flags = {flag: str(subset) if value == "nat.json" else value for flag, value in flags.items()}
+        if flags:
+            assert cli.dispatch([name, what, *(token for item in flags.items() for token in item)]) in (0, 1), what
+        for dropped in flags:
+            argv = [name, what, *(token for item in flags.items() if item[0] != dropped for token in item)]
+            capsys.readouterr()
+            assert cli.dispatch(argv) == cli.EXIT_CONFIG, argv
+            assert capsys.readouterr().err == f"config error: {dropped} is required for this command\n", argv
+    # an empty --subset or --ambient is a path that cannot be read, not an absent flag
+    on_nat = ["--group", "z", "--subset", str(subset)]
+    for argv in (["universal", "build", "--subset", ""], ["check", "rel-deep", *on_nat, "--ambient", ""]):
+        assert cli.dispatch(argv) == cli.EXIT_CONFIG, argv
+
+
+def test_a_usage_error_wins_over_any_config_error(tmp_path, capsys, monkeypatch):
+    subset = tmp_path / "nat.json"
+    subset.write_text('{"kind": "interval", "lo": 0}')
+    line = ["check", "deep", "--group", "nope", "--subset", str(subset), "--r", "5", "--R", "3"]
+    assert cli.dispatch(line) == cli.EXIT_USAGE
+    assert cli.dispatch(line[:-1] + ["5"]) == cli.EXIT_CONFIG  # with --r <= --R the unknown group shows
+    capsys.readouterr()
+    monkeypatch.setenv(BALL_CAP_ENV, "abc")
+    assert cli.dispatch(line) == cli.EXIT_USAGE
+    for argv in (
+        ["check", "almost-invariant", "--group", "nope", "--L", "3"],  # a missing --subset and --element
+        ["op", "eq", "--group", "z", "--subset", "missing.json", "--lhs", "track:0,{0", "--R", "-1"],
+        ["module", "inner", "--group", "z", "--subset", "missing.json", "--lhs"],
+        ["gallery", "pv", "--n", "0"],
+        ["gallery", "lance", "--R", "0"],
+    ):
+        assert cli.dispatch(argv) == cli.EXIT_USAGE, argv
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_gallery_honours_explicit_sizes(capsys):
@@ -410,16 +493,22 @@ def test_readme_flag_table_matches_the_command_table():
         (name, what) for name, command in cli.COMMANDS.items() for what in command.whats
     ]
     for name, what, cell in rows:
-        command = cli.COMMANDS[name]
+        flags = cli.COMMANDS[name].whats[what].flags
         spellings = re.findall(r"`(-[-\w]+)`", cell)
-        assert {cli.SPELLINGS[s] for s in spellings} == set(command.whats[what]), (name, what)
-        for flag in command.whats[what]:
+        assert {cli.SPELLINGS[s] for s in spellings} == set(flags), (name, what)
+        for flag, default in flags.items():
             spelling = "--" + flag.replace("_", "-")
             if name == "gallery":
-                default, least = gallery.SUITES[what].sizes[flag]
+                suite_default, least = gallery.SUITES[what].sizes[flag]
+                assert default == suite_default, (name, what, flag)
                 assert f"`{spelling}` ({default}, least {least}" in cell, (name, what, flag)
-            elif command.flags[flag] is not None:
-                assert f"`{spelling}` ({command.flags[flag]})" in cell, (name, what, flag)
+            elif default in (None, cli.REQUIRED):
+                assert f"`{spelling}` (" not in cell, (name, what, flag)
+            else:
+                assert f"`{spelling}` ({default})" in cell, (name, what, flag)
+    # universal's --R is the window radius of build and the scan bound of verify and independence
+    universal = cli.COMMANDS["universal"].whats
+    assert [universal[what].flags["R"] for what in ("build", "verify", "independence")] == [12, 5000, 5000]
 
 
 INT_VALUES = ["0", "3", "12"] * 3 + ["-1", "-12", "1.5", "x", ""]
@@ -434,7 +523,7 @@ def command_lines(draw):
     negative, junk or missing values, junk tokens, and the ``what`` anywhere,
     missing, doubled or unknown.  No abbreviation, no -h, no flag the ``what`` does not read."""
     name, what = draw(st.sampled_from(WHATS))
-    flags = [*cli.COMMANDS[name].whats[what], *cli.COMMON]
+    flags = [*cli.COMMANDS[name].whats[what].flags, *cli.COMMON]
     pieces = []
     for _ in range(draw(st.integers(0, 5))):
         if not flags or draw(st.integers(0, 9)) == 0:
@@ -493,7 +582,9 @@ def test_an_abbreviated_flag_is_a_usage_error(capsys, argv):
     assert captured.out == "" and "unrecognized argument --" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"], ["gallery", "lance", "--R", "4", "--help"]])
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["check", "-h"], ["gallery", "lance", "--R", "4", "--help"], ["universal", "-h"]]
+)
 def test_help_prints_usage_and_flags(capsys, argv):
     assert cli.dispatch(argv) == cli.EXIT_OK
     captured = capsys.readouterr()
@@ -501,6 +592,9 @@ def test_help_prints_usage_and_flags(capsys, argv):
     assert "--timings" in captured.out
     if argv[0] == "check":
         assert "--max-size" in captured.out and "(default 8)" in captured.out
+    if argv[0] == "universal":
+        build, verify = (line for line in captured.out.splitlines() if line.lstrip().startswith(("build", "verify")))
+        assert "--R (default 12)" in build and "--R (default 5000)" in verify
 
 
 def test_dispatch_imports_no_argparse():
