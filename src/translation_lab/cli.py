@@ -19,7 +19,7 @@ import re
 import sys
 import time
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .configs import ConfigError, load_group, load_subset
 from .gallery import SUITES, run_all
@@ -267,9 +267,15 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-class Flag(NamedTuple):
-    help: str
-    type: Callable[[str], object] | None = str  # converts the flag's value; None: a switch with no value
+class Flag:
+    """``Flag(help, type=str)``: a flag's help line and the function that
+    converts its value; ``type`` None marks a switch that takes no value."""
+
+    __slots__ = ("help", "type")
+
+    def __init__(self, help: str, type: Callable[[str], object] | None = str):
+        self.help = help
+        self.type = type
 
 
 # A flag's spelling is its name with "-" for "_"; "-g" also spells --element.
@@ -298,19 +304,37 @@ def _spelling(flag: str) -> str:
 SPELLINGS = {_spelling(flag): flag for flag in FLAGS} | {"-g": "element"}
 
 
-class What(NamedTuple):
-    """One (command, what) row: the flags it reads, its runner and its usage rule."""
+class What:
+    """``What(flags, run, rule)``: one (command, what) row.
 
-    flags: dict[str, object]  # flag -> its default; None: optional and "not given"; or REQUIRED
-    run: Callable[[SimpleNamespace], list[SuiteReport]]  # reads --group, --subset and --ambient loaded
-    rule: Callable[[SimpleNamespace], str | None] = lambda args: None  # a usage error, before any loading
+    ``flags`` maps each flag the row reads to its default, to None (optional
+    and "not given") or to ``REQUIRED``.  ``run`` takes the parsed namespace
+    with --group, --subset and --ambient loaded and returns the suites.
+    ``rule`` returns a usage error, or None, before anything is loaded; by
+    default there is none.
+    """
+
+    __slots__ = ("flags", "run", "rule")
+
+    def __init__(
+        self,
+        flags: dict[str, object],
+        run: Callable[[SimpleNamespace], list[SuiteReport]],
+        rule: Callable[[SimpleNamespace], str | None] = lambda args: None,
+    ):
+        self.flags = flags
+        self.run = run
+        self.rule = rule
 
 
-class Command(NamedTuple):
-    """One subcommand: its help line and its row for each ``what``."""
+class Command:
+    """``Command(help, whats)``: one subcommand's help line and its row for each ``what``."""
 
-    help: str
-    whats: dict[str, What]
+    __slots__ = ("help", "whats")
+
+    def __init__(self, help: str, whats: dict[str, What]):
+        self.help = help
+        self.whats = whats
 
 
 ON_B = {"group": REQUIRED, "subset": REQUIRED}  # every check, op and module row reads a subset B of a group

@@ -81,6 +81,13 @@ def _kind(what: str, data: dict, allowed: dict) -> str:
     return kind
 
 
+def _integer(value, key: str) -> int:
+    """``value`` itself if it is a JSON integer; a float, bool or string is refused, never rounded."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _as_dict(source) -> dict:
     if isinstance(source, dict):
         return source
@@ -109,11 +116,15 @@ def load_group(source) -> GroupContext:
 def _group_from_dict(data: dict) -> GroupContext:
     kind = _kind("group", data, GROUP_KEYS)
     if kind == "free":
-        return FreeGroupContext(int(data["rank"]), data.get("generators"))
+        return FreeGroupContext(_integer(data["rank"], "rank"), data.get("generators"))
     if kind == "free-abelian":
-        return FreeAbelianContext(int(data["rank"]), data.get("generators"))
+        return FreeAbelianContext(_integer(data["rank"], "rank"), data.get("generators"))
     if kind == "finite":
-        return FiniteGroupContext(data["table"], data.get("names"), data.get("generators"))
+        table = [[_integer(v, "table entry") for v in row] for row in data["table"]]
+        generators = data.get("generators")
+        if generators is not None:
+            generators = [_integer(g, "generator") for g in generators]
+        return FiniteGroupContext(table, data.get("names"), generators)
     if kind == "amalgam":
         left = _group_from_dict(data["left"])
         right = _group_from_dict(data["right"])
@@ -127,9 +138,9 @@ def _group_from_dict(data: dict) -> GroupContext:
     if isinstance(theta, dict) and set(theta) not in THETA_KEYS:
         raise ConfigError(f"hnn theta keys must be one of {[sorted(k) for k in THETA_KEYS]}")
     if isinstance(theta, dict) and "multiplier" in theta:
-        sub = IntegerScaledSubgroup(base, 1, int(theta["multiplier"]))
+        sub = IntegerScaledSubgroup(base, 1, _integer(theta["multiplier"], "multiplier"))
     elif isinstance(theta, dict):
-        sub = IntegerScaledSubgroup(base, int(theta["h_step"]), int(theta["k_step"]))
+        sub = IntegerScaledSubgroup(base, _integer(theta["h_step"], "h_step"), _integer(theta["k_step"], "k_step"))
     else:
         pairs = [(base.parse(str(a)), base.parse(str(b))) for a, b in theta]
         sub = FiniteHnnSubgroup(base, pairs)
@@ -156,10 +167,13 @@ def _element(ctx: GroupContext, text) -> GroupElement:
 def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
     kind = _kind("subset", data, SUBSET_KEYS)
     if kind == "interval":
-        return coordinate_halfspace(ctx, int(data.get("coord", 0)), int(data.get("lo", 0)))
+        return coordinate_halfspace(ctx, _integer(data.get("coord", 0), "coord"), _integer(data.get("lo", 0), "lo"))
     if kind == "congruence":
         return congruence_class(
-            ctx, int(data["modulus"]), int(data.get("residue", 0)), int(data.get("coord", 0))
+            ctx,
+            _integer(data["modulus"], "modulus"),
+            _integer(data.get("residue", 0), "residue"),
+            _integer(data.get("coord", 0), "coord"),
         )
     if kind == "positive-cone":
         return positive_cone(ctx)
@@ -179,9 +193,9 @@ def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
         if variant == "b-words":
             return universal_b_words_spec(
                 ctx,
-                int(data.get("max_radius", 1)),
-                int(data.get("start", 2)),
-                int(data.get("min_step", 4)),
+                _integer(data.get("max_radius", 1), "max_radius"),
+                _integer(data.get("start", 2), "start"),
+                _integer(data.get("min_step", 4), "min_step"),
             )
         raise ConfigError(f"unknown universal variant {variant!r}")
     # the remaining kind is "universal-all"

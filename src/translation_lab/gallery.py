@@ -8,7 +8,7 @@ numerically.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .geometry import boundary_check, deep_witness, factor_relation_words, prefix_products
 from .group_algebra import isolation_projection
@@ -681,11 +681,18 @@ def run_mu_nu_generation_check(max_syllables: int, radius: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-class Suite(NamedTuple):
-    """One ``gallery`` suite: its size flags and how it runs at given sizes."""
+class Suite:
+    """``Suite(sizes, run)``: one ``gallery`` suite.
 
-    sizes: dict[str, tuple[int, int]]  # flag -> (default, least value)
-    run: Callable[..., list[SuiteReport]]  # takes one keyword per flag
+    ``sizes`` maps each size flag to its (default, least value); ``run``
+    takes one keyword per flag and returns the suite's reports.
+    """
+
+    __slots__ = ("sizes", "run")
+
+    def __init__(self, sizes: dict[str, tuple[int, int]], run: Callable[..., list[SuiteReport]]):
+        self.sizes = sizes
+        self.run = run
 
     def at(self, **given: int) -> list[SuiteReport]:
         """Run at the given sizes; a flag not given takes its default."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .groups import AmalgamContext, FiniteGroupContext, FreeAbelianContext, GroupContext, GroupElement, HnnContext
@@ -408,14 +407,28 @@ def boundary_check(b_spec: SubsetSpec, expected: SubsetSpec, radius: int) -> Che
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Presentation:
-    """Alphabet with involution plus trivial-product relation words."""
+    """Alphabet with involution plus trivial-product relation words.
 
-    ctx: GroupContext
-    letters: tuple[GroupElement, ...]
-    relations: tuple[tuple[int, ...], ...]  # indices into letters
-    inverse: tuple[int, ...]  # inverse[i]: the index of letters[i]'s inverse
+    ``Presentation(ctx, letters, relations, inverse)``: the letters are
+    elements of ``ctx``, each relation is a tuple of indices into
+    ``letters``, and ``inverse[i]`` is the index of ``letters[i]``'s inverse.
+    Treat instances as immutable.
+    """
+
+    __slots__ = ("ctx", "letters", "relations", "inverse")
+
+    def __init__(
+        self,
+        ctx: GroupContext,
+        letters: tuple[GroupElement, ...],
+        relations: tuple[tuple[int, ...], ...],
+        inverse: tuple[int, ...],
+    ):
+        self.ctx = ctx
+        self.letters = letters
+        self.relations = relations
+        self.inverse = inverse
 
 
 def factor_relation_words(f: GroupContext, letters: Sequence[GroupElement]) -> list[list[GroupElement]]:

@@ -21,7 +21,6 @@ index, building no element per window point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -33,12 +32,21 @@ ZERO = 0
 ONE = 1
 
 
-@dataclass(frozen=True)
 class Window:
-    spec: SubsetSpec
-    radius: int
-    points: tuple[GroupElement, ...]
-    index: dict
+    """The members of a subset within a radius, in ball order.
+
+    ``Window(spec, radius, points, index)``: ``points`` are the window's
+    elements and ``index`` maps each point's word to its position in
+    ``points``.  Treat instances as immutable.
+    """
+
+    __slots__ = ("spec", "radius", "points", "index")
+
+    def __init__(self, spec: SubsetSpec, radius: int, points: tuple[GroupElement, ...], index: dict):
+        self.spec = spec
+        self.radius = radius
+        self.points = points
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.points)
@@ -296,11 +304,16 @@ def domain_projection(w: Window, g: GroupElement) -> TranslationOperator:
     return coset_projection(w, w.spec, g)
 
 
-@dataclass
 class MatchResult:
-    equal: bool
-    rows_compared: int
-    mismatch: dict | None = None
+    """``MatchResult(equal, rows_compared, mismatch=None)``: the outcome of
+    ``guarded_equal``, with the first mismatching entry when not equal."""
+
+    __slots__ = ("equal", "rows_compared", "mismatch")
+
+    def __init__(self, equal: bool, rows_compared: int, mismatch: dict | None = None):
+        self.equal = equal
+        self.rows_compared = rows_compared
+        self.mismatch = mismatch
 
     def report_form(self):
         out = {"equal": self.equal, "rows_compared": self.rows_compared}

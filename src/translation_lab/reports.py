@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 VERIFIED = "verified-at-scale"
@@ -46,15 +45,31 @@ def dumps(tree) -> str:
     return json.dumps(canonical_value(tree), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
 class CheckReport:
-    name: str
-    params: dict = field(default_factory=dict)
-    verdict: str = INCONCLUSIVE
-    witnesses: list = field(default_factory=list)
-    compared_count: int | None = None
-    details: dict = field(default_factory=dict)
+    """One check's verdict with the parameters, witnesses and details behind it.
+
+    ``params``, ``witnesses`` and ``details`` start empty, a new dict or list
+    for each report, when not given.  ``elapsed`` is the check's wall time,
+    set by ``SuiteReport.add``; it is emitted only with timings.
+    """
+
     elapsed: float = 0.0
+
+    def __init__(
+        self,
+        name: str,
+        params: dict | None = None,
+        verdict: str = INCONCLUSIVE,
+        witnesses: list | None = None,
+        compared_count: int | None = None,
+        details: dict | None = None,
+    ):
+        self.name = name
+        self.params = {} if params is None else params
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.compared_count = compared_count
+        self.details = {} if details is None else details
 
     @property
     def ok(self) -> bool:
@@ -77,12 +92,20 @@ class CheckReport:
         return self.to_dict()
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    params: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    _last_add: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
+    """A named list of check reports; its verdict is the worst of theirs.
+
+    ``params`` and ``checks`` start empty, a new dict or list for each suite,
+    when not given.  The clock that times each ``add`` starts at construction.
+    """
+
+    __slots__ = ("name", "params", "checks", "_last_add")
+
+    def __init__(self, name: str, params: dict | None = None, checks: list | None = None):
+        self.name = name
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
+        self._last_add = time.perf_counter()
 
     @property
     def verdict(self) -> str:

@@ -25,7 +25,6 @@ keeps its whole member list in ``elements``, and its windows filter that list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .groups import (
@@ -40,22 +39,48 @@ from .groups import (
 from .reports import FALSIFIED, VERIFIED, CheckReport
 
 
-@dataclass
 class SubsetSpec:
-    """Total membership predicate plus claimed stabiliser data."""
+    """Total membership predicate plus claimed stabiliser data.
 
-    ctx: GroupContext
-    name: str
-    predicate: Callable[[tuple], bool]  # reads a canonical word of ctx
-    left_stabiliser: SubsetSpec | None = None
-    right_stabiliser: SubsetSpec | None = None
-    params: dict = field(default_factory=dict)
-    # sphere_members(k): candidate words holding every member of word length k, in any order
-    sphere_members: Callable[[int], Iterable[tuple]] | None = None
-    # every member of a finite set, in ball order
-    elements: tuple[GroupElement, ...] | None = None
+    ``predicate`` reads a canonical word of ``ctx``.  ``params`` starts as a
+    new empty dict when not given.  ``sphere_members(k)``, when given, lists
+    candidate words holding every member of word length k, in any order;
+    ``elements``, when given, is every member of a finite set, in ball order.
+    A placed universal subset also carries its placements as ``placed``.
+    """
 
-    def __post_init__(self):
+    __slots__ = (
+        "ctx",
+        "name",
+        "predicate",
+        "left_stabiliser",
+        "right_stabiliser",
+        "params",
+        "sphere_members",
+        "elements",
+        "placed",
+        "_layers",
+    )
+
+    def __init__(
+        self,
+        ctx: GroupContext,
+        name: str,
+        predicate: Callable[[tuple], bool],
+        left_stabiliser: SubsetSpec | None = None,
+        right_stabiliser: SubsetSpec | None = None,
+        params: dict | None = None,
+        sphere_members: Callable[[int], Iterable[tuple]] | None = None,
+        elements: tuple[GroupElement, ...] | None = None,
+    ):
+        self.ctx = ctx
+        self.name = name
+        self.predicate = predicate
+        self.left_stabiliser = left_stabiliser
+        self.right_stabiliser = right_stabiliser
+        self.params = {} if params is None else params
+        self.sphere_members = sphere_members
+        self.elements = elements
         # _layers[k]: the members of ctx.sphere(k), in ball order
         self._layers: list[list[GroupElement]] = []
 

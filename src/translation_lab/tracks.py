@@ -14,17 +14,30 @@ are canonical, hashable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .groups import GroupContext, GroupElement
 from .subsets import SubsetSpec
 
 
-@dataclass(frozen=True)
 class Track:
-    total: GroupElement
-    visited: tuple[GroupElement, ...]
+    """``Track(total, visited)``: a product and its visited set, compared and
+    hashed by value.  Build tracks with the functions below, which sort
+    ``visited``; treat instances as immutable."""
+
+    __slots__ = ("total", "visited")
+
+    def __init__(self, total: GroupElement, visited: tuple[GroupElement, ...]):
+        self.total = total
+        self.visited = visited
+
+    def __eq__(self, other):
+        if other.__class__ is not Track:
+            return NotImplemented
+        return self.total == other.total and self.visited == other.visited
+
+    def __hash__(self):
+        return hash((self.total, self.visited))
 
     def report_form(self):
         ctx = self.total.ctx

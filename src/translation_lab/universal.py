@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import collections
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -73,12 +72,18 @@ def universal_z_spec(ctx: FreeAbelianContext) -> SubsetSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Placement:
-    center: GroupElement
-    exponent: int
-    radius: int
-    pattern: tuple[GroupElement, ...]  # offsets within Ball(e, radius)
+    """``Placement(center, exponent, radius, pattern)``: one pattern placed at
+    ``center``, the word b a^exponent; ``pattern`` holds its offsets within
+    Ball(e, radius).  Treat instances as immutable."""
+
+    __slots__ = ("center", "exponent", "radius", "pattern")
+
+    def __init__(self, center: GroupElement, exponent: int, radius: int, pattern: tuple[GroupElement, ...]):
+        self.center = center
+        self.exponent = exponent
+        self.radius = radius
+        self.pattern = pattern
 
 
 class PlacedUniversalWords:

@@ -207,13 +207,27 @@ def test_exit_code_one_only_with_a_falsified_verdict(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: cannot write report {invocations[-1][-1]}")
 
 
+def table_contents():
+    """What the command table holds, copied into plain values: each command's help,
+    each row's flags with their defaults, runner and rule, and each flag's help and type."""
+    return (
+        {name: command.help for name, command in cli.COMMANDS.items()},
+        {
+            (name, what): (dict(row.flags), row.run, row.rule)
+            for name, command in cli.COMMANDS.items()
+            for what, row in command.whats.items()
+        },
+        {name: (flag.help, flag.type) for name, flag in cli.FLAGS.items()},
+    )
+
+
 def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):
     """One command table serves the whole process; a usage error, or a caller
     that changes the namespace it got, must not spoil the next command."""
     subset = tmp_path / "nat.json"
     subset.write_text('{"kind": "interval", "lo": 0}')
     argv = ["op", "eq", "--group", "z", "--subset", str(subset), "--lhs", "track:(0,{0,1})", "--rhs", "id"]
-    table = repr(cli.COMMANDS), repr(cli.FLAGS)
+    table = table_contents()
     parsed = cli.parse_args(argv)
     before = run(capsys, *argv)
     assert before[0] == cli.EXIT_FALSIFIED
@@ -222,7 +236,7 @@ def test_a_usage_error_leaves_the_parser_usable(tmp_path, capsys):
         assert run(capsys, *argv) == before
     parsed.R = 99
     assert cli.parse_args(argv) == cli.parse_args(argv) != parsed
-    assert (repr(cli.COMMANDS), repr(cli.FLAGS)) == table
+    assert table_contents() == table
 
 
 # The flags without which each (command, what) cannot run, written out here rather
@@ -597,16 +611,23 @@ def test_help_prints_usage_and_flags(capsys, argv):
         assert "--R (default 12)" in build and "--R (default 5000)" in verify
 
 
-def test_dispatch_imports_no_argparse():
-    """A fresh process runs a command without importing argparse, or gettext and
-    locale, which argparse's first message lookup pulls in."""
+def test_dispatch_imports_no_argparse(tmp_path):
+    """A fresh process runs commands without importing argparse, or gettext and
+    locale, which argparse's first message lookup pulls in; nor dataclasses, or
+    inspect, ast, dis and tokenize, which it pulls in.  (typing is left out:
+    the interpreter's site may import it before any of the package.)"""
     src = str(Path(cli.__file__).resolve().parent.parent)
+    subset = tmp_path / "nat.json"
+    subset.write_text('{"kind": "interval", "lo": 0}')
+    unwanted = {"argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize"}
     code = (
         "import contextlib, io, sys\n"
         "from translation_lab import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.dispatch(['gallery', 'toeplitz', '--R', '3']) == 0\n"
-        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        f"    assert cli.dispatch(['check', 'deep', '--group', 'z', '--subset', {str(subset)!r},"
+        " '--r', '3', '--R', '10']) == 0\n"
+        f"print(sorted(set({sorted(unwanted)!r}) & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

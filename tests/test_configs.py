@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from translation_lab import cli
 from translation_lab.configs import ConfigError, load_group, load_subset
 
 
@@ -159,3 +162,50 @@ def test_subsets_the_group_cannot_carry_are_rejected(group, subset, message):
     ctx = load_group(group)
     with pytest.raises(ConfigError, match=message):
         load_subset(ctx, subset)
+
+
+Z_HNN = {"kind": "free-abelian", "rank": 1}
+B_WORDS = {"kind": "universal", "variant": "b-words"}
+
+
+# One value per config that is not a JSON integer where the loader reads an integer.
+# Read through int(), each was truncated or coerced and the line ran: lo 1.5 as lo 1
+# (Z from 1.5 starts at 2), residue 0.5 as the even numbers (the set is empty),
+# multiplier 2.5 as BS(1,2), rank 2.9 as F2, rank true as Z, generator 1.7 as 1.
+NOT_INTEGERS = [
+    ("z", {"kind": "interval", "lo": 1.5}, "lo"),
+    ("z", {"kind": "interval", "coord": 0.0}, "coord"),
+    ("z", {"kind": "congruence", "modulus": 2, "residue": 0.5}, "residue"),
+    ("z", {"kind": "congruence", "modulus": "2"}, "modulus"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": {"multiplier": 2.5}}, None, "multiplier"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": {"h_step": 1.0, "k_step": 2}}, None, "h_step"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": {"h_step": 1, "k_step": "2"}}, None, "k_step"),
+    ({"kind": "free", "rank": 2.9}, None, "rank"),
+    ({"kind": "free-abelian", "rank": True}, None, "rank"),
+    ({"kind": "finite", "table": [[0, 1], [1, 0]], "generators": [1.7]}, None, "generator"),
+    ({"kind": "finite", "table": [[0.0, 1], [1, 0]]}, None, "table entry"),
+    ("f2", {**B_WORDS, "max_radius": 1.0}, "max_radius"),
+    ("f2", {**B_WORDS, "start": 2.5}, "start"),
+    ("f2", {**B_WORDS, "min_step": True}, "min_step"),
+]
+
+
+@pytest.mark.parametrize("group,subset,key", NOT_INTEGERS, ids=[key for _, _, key in NOT_INTEGERS])
+def test_config_integers_must_be_json_integers(group, subset, key, tmp_path, capsys):
+    message = f"{key} must be an integer"
+    if subset is None:
+        with pytest.raises(ConfigError, match=message):
+            load_group(group)
+    else:
+        with pytest.raises(ConfigError, match=message):
+            load_subset(load_group(group), subset)
+    # the command line refuses the same config with exit 3
+    group_arg = group
+    if not isinstance(group, str):
+        group_arg = tmp_path / "group.json"
+        group_arg.write_text(json.dumps(group))
+    subset_file = tmp_path / "subset.json"
+    subset_file.write_text(json.dumps(subset or {"kind": "universal-all"}))
+    argv = ["check", "deep", "--group", str(group_arg), "--subset", str(subset_file), "--r", "1", "--R", "2"]
+    assert cli.dispatch(argv) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
