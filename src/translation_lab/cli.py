@@ -21,7 +21,7 @@ import time
 from types import SimpleNamespace
 from typing import Callable
 
-from .configs import ConfigError, load_group, load_subset
+from .configs import load_group, load_subset
 from .gallery import SUITES, run_all
 from .geometry import (
     SPLIT_RADIUS,
@@ -43,7 +43,7 @@ from .group_algebra import (
     module_inner_product,
     verify_ph_in_ideal,
 )
-from .groups import BallCapExceeded, BallCapInvalid, FreeAbelianContext, FreeGroupContext, MalformedWord, ball_cap
+from .groups import BallCapExceeded, BallCapInvalid, FreeGroupContext, MalformedWord, ball_cap
 from .operators import (
     adjoint,
     compose,
@@ -55,7 +55,7 @@ from .operators import (
     matrix_rank,
     track_operator,
 )
-from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, SuiteReport, dumps
+from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, ConfigError, SuiteReport, dumps
 from .subsets import trivial_subgroup, verify_stabilisers, whole_group
 from .tracks import make_track, track_of_sequence
 from .universal import (
@@ -151,8 +151,7 @@ def _projection(args):
     def finish(families):
         w = make_window(b, args.R)
         match = guarded_equal(isolation_projection(w, *families), coset_projection(w, h, args.group.identity()))
-        verdict = VERIFIED if match.equal else FALSIFIED
-        return CheckReport(name="isolation-projection", verdict=verdict, compared_count=match.rows_compared)
+        return match.report("isolation-projection")
 
     yield from _isolation(args, h, "isolation-projection", finish)
 
@@ -167,12 +166,6 @@ def _boundary(args):
     return _listing(args, "boundary-set", {"B": args.subset.name, "R": args.R}, boundary_set(args.subset, args.R))
 
 
-def _convexity(args):
-    if not args.subset.contains(args.group.identity()):
-        raise ConfigError("convexity needs the identity inside the subset")
-    return [convexity_bounded_check(args.subset, presentation_for(args.group), args.L)]
-
-
 def _op(check: Callable) -> Callable:
     """An ``op`` runner: its suite records R and holds ``check(args, window)``."""
     return _suite(lambda a: [check(a, make_window(a.subset, a.R))], "R")
@@ -185,23 +178,13 @@ def _operator(name: str, make: Callable, details=lambda op: {"operator": op.repo
 
 def _equality(args, w):
     match = guarded_equal(_operand(args, w), _operand(args, w, "rhs"))
-    return CheckReport(
-        name="equality",
-        params={"lhs": args.lhs, "rhs": args.rhs},
-        verdict=VERIFIED if match.equal else FALSIFIED,
-        witnesses=[] if match.equal else [match.mismatch],
-        compared_count=match.rows_compared,
-    )
+    return match.report("equality", {"lhs": args.lhs, "rhs": args.rhs})
 
 
 def _inner(args):
-    ctx, b, h = args.group, args.subset, _stabiliser(args.subset)
-    if h.elements is None:
-        raise ConfigError("inner products need a finite stabiliser subgroup")
-    lhs, rhs = ctx.parse(args.lhs), ctx.parse(args.rhs)
-    if not (b.contains(lhs) and b.contains(rhs)):
-        raise ConfigError("--lhs and --rhs must lie in the subset")
-    value = module_inner_product(h, SigmaVector.basis(b, lhs), SigmaVector.basis(b, rhs))
+    ctx, b = args.group, args.subset
+    lhs, rhs = SigmaVector.basis(b, ctx.parse(args.lhs)), SigmaVector.basis(b, ctx.parse(args.rhs))
+    value = module_inner_product(_stabiliser(b), lhs, rhs)
     params, details = {"lhs": args.lhs, "rhs": args.rhs}, {"value": value.report_form()}
     return [CheckReport(name="inner-product", params=params, verdict=VERIFIED, details=details)]
 
@@ -211,21 +194,9 @@ def _translate(args):
     return args.subset, args.ambient, _stabiliser(args.subset), args.group.parse(args.element), args.R
 
 
-def _ideal(args):
-    b, x, _h, g, _radius = translate = _translate(args)
-    g_inv = args.group.invert(g)
-    if not x.contains(g_inv) or b.contains(g_inv):
-        raise ConfigError("g^-1 (from --element) must lie in the ambient set but outside the subset")
-    return [verify_ph_in_ideal(*translate)]
-
-
 def _universal_set(args):
-    """``--subset``, or on Z the integer universal subset."""
-    if args.subset is not None:
-        return args.subset
-    if isinstance(args.group, FreeAbelianContext) and args.group.rank == 1:
-        return universal_z_spec(args.group)
-    raise ConfigError("the integer universal subset needs Z; pass --subset for other groups")
+    """``--subset``, or the integer universal subset, which needs Z."""
+    return universal_z_spec(args.group) if args.subset is None else args.subset
 
 
 def _universal_window(args):
@@ -365,7 +336,9 @@ COMMANDS = {
             ),
             "isolation": What(ON_B | SEARCH, _suite(_h_isolation)),
             "boundary": What(ON_B | {"R": 8}, _suite(_boundary)),
-            "convexity": What(ON_B | {"L": 3}, _suite(_convexity)),
+            "convexity": What(
+                ON_B | {"L": 3}, _suite(lambda a: [convexity_bounded_check(a.subset, presentation_for(a.group), a.L)])
+            ),
             "stabilisers": What(ON_B | {"r": 3}, _suite(lambda a: [verify_stabilisers(a.subset, a.r)])),
         },
     ),
@@ -390,7 +363,7 @@ COMMANDS = {
         {
             "inner": What(ON_B | {"lhs": REQUIRED, "rhs": REQUIRED}, _suite(_inner)),
             "ph": What(ON_B | SEARCH, _suite(_projection)),
-            "ideal": What(ON_B | TRANSLATE, _suite(_ideal)),
+            "ideal": What(ON_B | TRANSLATE, _suite(lambda a: [verify_ph_in_ideal(*_translate(a))])),
             "coset-decomp": What(ON_B | TRANSLATE, _suite(lambda a: [coset_decomposition_check(*_translate(a))])),
         },
     ),

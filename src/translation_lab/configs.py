@@ -20,6 +20,7 @@ from .groups import (
     free_group_as_hnn,
     free_product_of_two_integers,
 )
+from .reports import ConfigError
 from .subsets import (
     SubsetSpec,
     congruence_class,
@@ -31,10 +32,6 @@ from .subsets import (
     words_not_starting_with,
 )
 from .universal import universal_b_words_spec, universal_z_spec
-
-
-class ConfigError(ValueError):
-    pass
 
 
 BUILTIN_GROUPS = {
@@ -106,11 +103,19 @@ def load_group(source) -> GroupContext:
         return BUILTIN_GROUPS[source]()
     data = _as_dict(source)
     try:
-        return _group_from_dict(data)
+        ctx = _group_from_dict(data)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad group definition: {err}") from err
+    # a report names elements by their format, and parse reads "e" as the identity
+    seen = {"e"}
+    for g in ctx.generator_elements():
+        name = ctx.format(g)
+        if name in seen:
+            raise ConfigError(f"generator {name!r} formats like another generator or the identity 'e'")
+        seen.add(name)
+    return ctx
 
 
 def _group_from_dict(data: dict) -> GroupContext:

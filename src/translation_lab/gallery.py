@@ -56,16 +56,6 @@ from .subsets import (
 )
 
 
-def _identity_check(name: str, match, extra: dict | None = None) -> CheckReport:
-    return CheckReport(
-        name=name,
-        verdict=VERIFIED if match.equal else FALSIFIED,
-        witnesses=[] if match.equal else [match.mismatch],
-        compared_count=match.rows_compared,
-        details=extra or {},
-    )
-
-
 def _operator_cache(w: Window):
     """generator_operator on the window, built once per distinct element."""
     built: dict[tuple, TranslationOperator] = {}
@@ -93,16 +83,12 @@ def run_toeplitz_check(radius: int) -> SuiteReport:
     ident = identity_operator(w)
 
     suite = SuiteReport(name="toeplitz", params={"R": radius})
-    suite.add(_identity_check("shift-co-isometry", guarded_equal(compose(t_fwd, t_bwd), ident)))
+    suite.add(guarded_equal(compose(t_fwd, t_bwd), ident).report("shift-co-isometry"))
 
     p0 = isolation_projection(w, [ctx.integer(0)], [one])
     defect = guarded_equal(compose(t_bwd, t_fwd), subtract(ident, p0))
-    suite.add(_identity_check("shift-defect-projection", defect))
-    suite.add(
-        _identity_check(
-            "defect-is-idempotent", guarded_equal(compose(p0, p0), p0), {"rank": matrix_rank(p0)}
-        )
-    )
+    suite.add(defect.report("shift-defect-projection"))
+    suite.add(guarded_equal(compose(p0, p0), p0).report("defect-is-idempotent", details={"rank": matrix_rank(p0)}))
     suite.add(deep_witness(nat, 3, radius))
     return suite
 
@@ -121,14 +107,9 @@ def run_pv_check(n: int, radius: int) -> SuiteReport:
     suite = SuiteReport(name="pv", params={"n": n, "R": radius})
 
     t1 = generator_operator(w, s1)
-    suite.add(_identity_check("marked-generator-co-isometry", guarded_equal(compose(t1, adjoint(t1)), ident)))
+    suite.add(guarded_equal(compose(t1, adjoint(t1)), ident).report("marked-generator-co-isometry"))
     p_e = coset_projection(w, trivial_subgroup(ctx), ctx.identity())
-    suite.add(
-        _identity_check(
-            "marked-generator-defect",
-            guarded_equal(compose(adjoint(t1), t1), subtract(ident, p_e)),
-        )
-    )
+    suite.add(guarded_equal(compose(adjoint(t1), t1), subtract(ident, p_e)).report("marked-generator-defect"))
     defect = subtract(ident, compose(adjoint(t1), t1))
     rank = matrix_rank(mask_clipped_rows(defect))
     suite.add(
@@ -143,8 +124,8 @@ def run_pv_check(n: int, radius: int) -> SuiteReport:
         ti = generator_operator(w, si)
         unitary_fwd = guarded_equal(compose(ti, adjoint(ti)), ident)
         unitary_bwd = guarded_equal(compose(adjoint(ti), ti), ident)
-        suite.add(_identity_check(f"generator-{ctx.format(si)}-unitary-fwd", unitary_fwd))
-        suite.add(_identity_check(f"generator-{ctx.format(si)}-unitary-bwd", unitary_bwd))
+        suite.add(unitary_fwd.report(f"generator-{ctx.format(si)}-unitary-fwd"))
+        suite.add(unitary_bwd.report(f"generator-{ctx.format(si)}-unitary-bwd"))
     return suite
 
 
@@ -165,11 +146,7 @@ def run_cuntz_check(n: int, length: int) -> SuiteReport:
     for i in range(1, n + 1):
         v = generator_operator(w_cone, ctx.invert(ctx.generator(i)))
         isometries.append(v)
-        suite.add(
-            _identity_check(
-                f"letter-{i}-isometry", guarded_equal(compose(adjoint(v), v), ident)
-            )
-        )
+        suite.add(guarded_equal(compose(adjoint(v), v), ident).report(f"letter-{i}-isometry"))
     ranges = [compose(v, adjoint(v)) for v in isometries]
     for i in range(n):
         for j in range(i + 1, n):
@@ -182,11 +159,7 @@ def run_cuntz_check(n: int, length: int) -> SuiteReport:
                 )
             )
     total = combine([1] * n, ranges)
-    suite.add(
-        _identity_check(
-            "range-sum-misses-only-origin", guarded_equal(total, subtract(ident, p_e))
-        )
-    )
+    suite.add(guarded_equal(total, subtract(ident, p_e)).report("range-sum-misses-only-origin"))
 
     x_spec = cyclic_translates(cone, ctx.generator(1), name="translate-union")
     w_x = make_window(x_spec, length)
@@ -194,17 +167,9 @@ def run_cuntz_check(n: int, length: int) -> SuiteReport:
     range_x = []
     for i in range(1, n + 1):
         wi = generator_operator(w_x, ctx.invert(ctx.generator(i)))
-        suite.add(
-            _identity_check(
-                f"union-letter-{i}-isometry", guarded_equal(compose(adjoint(wi), wi), ident_x)
-            )
-        )
+        suite.add(guarded_equal(compose(adjoint(wi), wi), ident_x).report(f"union-letter-{i}-isometry"))
         range_x.append(compose(wi, adjoint(wi)))
-    suite.add(
-        _identity_check(
-            "union-range-sum-full", guarded_equal(combine([1] * n, range_x), ident_x)
-        )
-    )
+    suite.add(guarded_equal(combine([1] * n, range_x), ident_x).report("union-range-sum-full"))
     return suite
 
 
@@ -240,14 +205,7 @@ def run_relation_classification(radius: int) -> SuiteReport:
                 expected = "one-minus-subgroup-projection"
             if not match.equal:
                 word_name = "*".join(ctx.tags[side] + f.format(x) for x in word)
-                suite.add(
-                    CheckReport(
-                        name=f"relation-{word_name}",
-                        verdict=FALSIFIED,
-                        witnesses=[match.mismatch],
-                        details={"expected": expected},
-                    )
-                )
+                suite.add(match.report(f"relation-{word_name}", details={"expected": expected}))
     suite.add(
         CheckReport(
             name="all-relations-classified",
@@ -573,11 +531,7 @@ def run_quotient_consistency_check(which: str, radius: int) -> SuiteReport:
         t_x = generator_operator(w, g)
         compressed = compose(keep, compose(t_x, keep))
         t_b = generator_operator(w, g, b_spec)
-        suite.add(
-            _identity_check(
-                f"compression-{ctx.format(g)}", guarded_equal(compressed, t_b)
-            )
-        )
+        suite.add(guarded_equal(compressed, t_b).report(f"compression-{ctx.format(g)}"))
         diff = subtract(t_x, t_b)
         outside = [
             (r, c)
@@ -595,7 +549,7 @@ def run_quotient_consistency_check(which: str, radius: int) -> SuiteReport:
         )
     e = ctx.identity()
     p_match = guarded_equal(subtract(generator_operator(w, e), generator_operator(w, e, b_spec)), drop)
-    suite.add(_identity_check("identity-difference-is-complement-projection", p_match))
+    suite.add(p_match.report("identity-difference-is-complement-projection"))
     return suite
 
 
@@ -636,16 +590,8 @@ def run_mu_nu_generation_check(max_syllables: int, radius: int) -> SuiteReport:
         match = guarded_equal(direct, product)
         if not match.equal:
             failures += 1
-            suite.add(
-                CheckReport(
-                    name="reduced-word-factorization",
-                    verdict=FALSIFIED,
-                    witnesses=[match.mismatch],
-                    details={
-                        "word": [ctx.tags[s] + factors[s].format(x) for s, x in word]
-                    },
-                )
-            )
+            word_names = [ctx.tags[s] + factors[s].format(x) for s, x in word]
+            suite.add(match.report("reduced-word-factorization", details={"word": word_names}))
     suite.add(
         CheckReport(
             name="reduced-word-factorizations",
@@ -656,11 +602,7 @@ def run_mu_nu_generation_check(max_syllables: int, radius: int) -> SuiteReport:
 
     # the nonunital unit of the second representation
     t_op = operator_of(ctx.from_letters([off[1][0]]))
-    suite.add(
-        _identity_check(
-            "nonunital-unit", guarded_equal(compose(adjoint(t_op), t_op), subtract(ident, p_h))
-        )
-    )
+    suite.add(guarded_equal(compose(adjoint(t_op), t_op), subtract(ident, p_h)).report("nonunital-unit"))
 
     # second representation of subgroup elements: cut down by the unit
     off_subgroup = difference(b_spec, h_sub)
@@ -669,9 +611,9 @@ def run_mu_nu_generation_check(max_syllables: int, radius: int) -> SuiteReport:
         mu_h = operator_of(h_el)
         nu_h = generator_operator(w, h_el, off_subgroup)
         match = guarded_equal(nu_h, compose(mu_h, subtract(ident, p_h)))
-        suite.add(_identity_check(f"nu-mu-mesh-{ctx.format(h_el)}", match))
+        suite.add(match.report(f"nu-mu-mesh-{ctx.format(h_el)}"))
 
-    suite.add(_identity_check("unit-is-identity", guarded_equal(operator_of(ctx.identity()), ident)))
+    suite.add(guarded_equal(operator_of(ctx.identity()), ident).report("unit-is-identity"))
     suite.add(boundary_check(b_spec, h_sub, radius))
     return suite
 

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .groups import AmalgamContext, FiniteGroupContext, FreeAbelianContext, GroupContext, GroupElement, HnnContext
-from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
+from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, ConfigError
 from .subsets import SubsetSpec, coset_cover
 
 
@@ -647,7 +647,7 @@ def convexity_bounded_check(
         "relations": len(pres.relations),
     }
     if not b_spec.contains(ctx.identity()):
-        raise ValueError("convexity needs the identity inside the subset")
+        raise ConfigError("convexity needs the identity inside the subset")
     # each inside-word with its prefix products, the identity first
     frontier = [((), (ctx.identity(),))]
     all_words = list(frontier)

@@ -37,7 +37,7 @@ from .operators import (
     make_window,
     subtract,
 )
-from .reports import FALSIFIED, VERIFIED, CheckReport
+from .reports import CheckReport, ConfigError
 from .subsets import SubsetSpec
 
 ZERO = Fraction(0)
@@ -48,7 +48,7 @@ class HAlgebraElement:
 
     def __init__(self, subgroup: SubsetSpec, coeffs: dict | None = None):
         if subgroup.elements is None:
-            raise ValueError("group-algebra elements need a finite subgroup")
+            raise ConfigError("group-algebra elements need a finite subgroup")
         self.subgroup = subgroup
         self.coeffs: dict[tuple, Fraction] = {}
         for word, value in (coeffs or {}).items():
@@ -117,7 +117,7 @@ class SigmaVector:
             if value == 0:
                 continue
             if not spec.contains(GroupElement(spec.ctx, word)):
-                raise ValueError("sigma symbol outside the subset")
+                raise ConfigError("sigma symbol outside the subset")
             self.coeffs[word] = value
 
     @classmethod
@@ -177,7 +177,7 @@ def verify_ph_in_ideal(
     """Check p_H = p_H P^g on the ambient window for a crossing translate g.
 
     Precondition from the construction: g^-1 lies in the ambient set but not
-    in the subset.
+    in the subset; ``ConfigError`` otherwise.
     """
     ctx = x_spec.ctx
     g_inv = ctx.invert(g)
@@ -189,21 +189,13 @@ def verify_ph_in_ideal(
         "R": radius,
     }
     if not (x_spec.contains(g_inv) and not b_spec.contains(g_inv)):
-        raise ValueError("g^-1 must lie in the ambient set but outside the subset")
+        raise ConfigError("g^-1 must lie in the ambient set but outside the subset")
     w = make_window(x_spec, radius)
     t_g = generator_operator(w, g)
     p = diagonal(w, lambda x: not b_spec.contains(x))
     p_g = compose(adjoint(t_g), compose(p, t_g))
     p_h = coset_projection(w, h_sub, ctx.identity())
-    match = guarded_equal(compose(p_h, p_g), p_h)
-    return CheckReport(
-        name="ph-in-ideal",
-        params=params,
-        verdict=VERIFIED if match.equal else FALSIFIED,
-        witnesses=[] if match.equal else [match.mismatch],
-        compared_count=match.rows_compared,
-        details={"projection_size": len(p_h.entries)},
-    )
+    return guarded_equal(compose(p_h, p_g), p_h).report("ph-in-ideal", params, {"projection_size": len(p_h.entries)})
 
 
 def coset_decomposition_check(

@@ -86,21 +86,8 @@ class GroupElement:
     def __hash__(self) -> int:
         return hash((self.ctx, self.word))
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.ctx.multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return self.ctx.invert(self)
-
-    @property
-    def length(self) -> int:
-        return self.ctx.word_length(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.ctx.format(self)}>"
-
-    def report_form(self) -> str:
-        return self.ctx.format(self)
 
 
 class GroupContext:
@@ -283,6 +270,8 @@ class FreeGroupContext(GroupContext):
             raise ValueError("need one name per generator")
         if any(len(n) != 1 or not n.islower() for n in self.names):
             raise ValueError("generator names must be single lowercase letters")
+        if len(set(self.names)) != rank:
+            raise ValueError(f"generator names {list(self.names)} must be distinct")
         # shortlex tie-break: a, A, b, B, ... (letter i ranks 2i-2, its inverse 2i-1)
         self._letters = tuple(l for i in range(1, rank + 1) for l in (i, -i))
         self._letter_ranks = {l: k for k, l in enumerate(self._letters)}
@@ -394,6 +383,8 @@ class FreeAbelianContext(GroupContext):
         self.names = tuple(names) if names else None
         if self.names and len(self.names) != rank:
             raise ValueError("need one name per generator")
+        if self.names and len(set(self.names)) != rank:
+            raise ValueError(f"generator names {list(self.names)} must be distinct")
 
     def identity(self) -> GroupElement:
         return GroupElement(self, (0,) * self.rank)
@@ -504,6 +495,8 @@ class FiniteGroupContext(GroupContext):
         self.names = tuple(names) if names else tuple(f"g{i}" for i in range(n))
         if len(self.names) != n:
             raise ValueError("need one name per element")
+        if len(set(self.names)) != n:
+            raise ValueError(f"element names {list(self.names)} must be distinct")
         self._identity_index = self._find_identity()
         self._inverse = self._find_inverses()
         self._validate_associativity()

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .groups import GroupElement, MalformedWord
+from .reports import FALSIFIED, VERIFIED, CheckReport
 from .subsets import SubsetSpec
 from .tracks import Track, support
 
@@ -315,11 +316,13 @@ class MatchResult:
         self.rows_compared = rows_compared
         self.mismatch = mismatch
 
-    def report_form(self):
-        out = {"equal": self.equal, "rows_compared": self.rows_compared}
-        if self.mismatch is not None:
-            out["first_mismatch"] = self.mismatch
-        return out
+    def report(self, name: str, params: dict | None = None, details: dict | None = None) -> CheckReport:
+        """The check ``name`` of an operator identity: verified when the operators
+        are equal, else falsified with the mismatch as its one witness; either way
+        it compared ``rows_compared`` rows."""
+        if self.equal:
+            return CheckReport(name, params, VERIFIED, None, self.rows_compared, details)
+        return CheckReport(name, params, FALSIFIED, [self.mismatch], self.rows_compared, details)
 
 
 def guarded_equal(a: TranslationOperator, b: TranslationOperator) -> MatchResult:

@@ -17,11 +17,15 @@ FALSIFIED = "falsified"
 INCONCLUSIVE = "inconclusive-within-bound"
 
 
+class ConfigError(ValueError):
+    """An input that the loader or a check cannot take; the command line exits 3 on it."""
+
+
 def canonical_value(value):
     """Recursively convert a report value into canonical JSON-ready form.
 
-    Fractions become [numerator, denominator]; tuples and sets become sorted
-    or order-preserving lists; objects exposing ``report_form()`` delegate.
+    Fractions become [numerator, denominator]; tuples become lists in their
+    order; objects exposing ``report_form()`` delegate.
     """
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
@@ -33,8 +37,6 @@ def canonical_value(value):
         return {str(k): canonical_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [canonical_value(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(canonical_value(v) for v in value)
     if hasattr(value, "report_form"):
         return canonical_value(value.report_form())
     return str(value)
@@ -70,10 +72,6 @@ class CheckReport:
         self.witnesses = [] if witnesses is None else witnesses
         self.compared_count = compared_count
         self.details = {} if details is None else details
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict != FALSIFIED
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -116,10 +114,6 @@ class SuiteReport:
             return INCONCLUSIVE
         return VERIFIED
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != FALSIFIED
-
     def add(self, check: CheckReport) -> CheckReport:
         """Append ``check``, timed from the suite's start or the previous add."""
         now = time.perf_counter()
@@ -139,6 +133,3 @@ class SuiteReport:
             # the checks' times chain from the suite's start to its last add
             out["elapsed_seconds"] = round(sum(c.elapsed for c in self.checks), 6)
         return out
-
-    def report_form(self):
-        return self.to_dict()

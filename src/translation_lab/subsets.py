@@ -108,9 +108,6 @@ class SubsetSpec:
             out.extend(layer)
         return out
 
-    def report_form(self):
-        return {"name": self.name, "params": self.params}
-
 
 def finite_subgroup(ctx: GroupContext, elements: Iterable[GroupElement], name: str) -> SubsetSpec:
     """The subgroup listing these elements and the identity; raises if they are not closed."""

@@ -24,7 +24,7 @@ from .geometry import (
 )
 from .groups import FreeAbelianContext, FreeGroupContext, GroupElement
 from .operators import rank_of_vectors
-from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, SuiteReport
+from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, ConfigError, SuiteReport
 from .subsets import SubsetSpec, trivial_subgroup
 from .tracks import Track, support
 
@@ -57,7 +57,7 @@ def characteristic_prefix(n: int) -> str:
 def universal_z_spec(ctx: FreeAbelianContext) -> SubsetSpec:
     """The universal subset of the integers, supported on the nonnegatives."""
     if not isinstance(ctx, FreeAbelianContext) or ctx.rank != 1:
-        raise ValueError("the integer universal subset needs Z")
+        raise ConfigError("the integer universal subset needs Z")
     return SubsetSpec(
         ctx,
         "universal-z",

@@ -6,14 +6,20 @@ Run it by hand, never from pytest, and only for a deliberate change of the
 report format or the fix of a wrong answer; CHANGES.md then names each line
 whose entry changed.  The table maps each command line to its exit code and
 the sha256 of its stdout and of its stderr.  A line is written as typed at a
-shell, with the benchmark's inputs ``nat.json`` and ``half.json`` (files in
-``perfbench/inputs``) named by file name and an optional leading
-``NAME=value`` that sets the environment for that line.  It holds:
+shell, with its config files named by file name and an optional leading
+``NAME=value`` that sets the environment for that line.  The files are the
+benchmark's inputs ``nat.json`` and ``half.json`` (in ``perfbench/inputs``)
+and those in ``tests/inputs``.  The table holds:
 
 * the line of ``test_cli.REQUIRED_FLAGS`` for each (command, what), on
   ``nat.json`` in Z and on ``half.json`` in Z/4 * Z/6;
 * every command of the benchmark's ``corpus`` workload, each also in
   ``perfbench/reference.json`` under the same line;
+* the benchmark's ``convexity`` line at ``--L 3``;
+* one falsified and one inconclusive-within-bound line for each check
+  that gives such a verdict on valid input, where no line above does;
+* one config per group kind of the loader through ``check deep``,
+  ``check stabilisers`` and ``check convexity --L 2``, on the whole group;
 * one line each that exits 2, 3 and 4.
 """
 
@@ -30,10 +36,34 @@ from unittest import mock
 
 from translation_lab import cli
 
-ROOT = Path(__file__).resolve().parent.parent
-TABLE = Path(__file__).resolve().parent / "golden_reports.json"
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+TABLE = HERE / "golden_reports.json"
 REFERENCE = ROOT / "perfbench" / "reference.json"
-INPUTS = {name: str(ROOT / "perfbench" / "inputs" / name) for name in ("nat.json", "half.json")}
+INPUT_FOLDERS = (ROOT / "perfbench" / "inputs", HERE / "inputs")
+INPUTS = {path.name: str(path) for folder in INPUT_FOLDERS for path in folder.iterdir()}
+
+VERDICT_LINES = [
+    "check convexity --group z4*z6 --subset half.json --L 3",  # the benchmark's convexity line, at L 3
+    "check deep --group z --subset odd.json --r 1 --R 8",  # inconclusive: no ball of radius 1 in the odd numbers
+    "check almost-invariant --group f2 --subset cone.json --element A --R 3",  # inconclusive
+    "check coseparable --group z --subset nat.json --r 0",  # falsified: B and its translate by -1 agree on the ball of radius 0
+    "check coseparable --group z --subset nat.json --max-size 0",  # inconclusive
+    "check isolation --group z --subset nat.json --r 0",  # falsified
+    "check isolation --group z --subset all.json --r 0 --R 0",  # inconclusive: nothing splits
+    "check convexity --group bs13.json --subset all.json --L 3",  # inconclusive: t a t^-1 = a^3 is no relation word
+    "module ph --group z --subset nat.json --r 0",  # falsified
+    "module ph --group z --subset all.json --r 0 --R 0",  # inconclusive
+    "module coset-decomp --group f2 --subset cone.json --element a --R 3",  # inconclusive
+    "universal verify --r 2 --R 10",  # inconclusive: the scan bound is too small
+    "universal independence --r 1 --R 3",  # inconclusive
+]
+LOADER_KINDS = ("bs13.json", "klein-hnn.json", "z4-negation-hnn.json", "s3-z4.json", "c6.json", "z3.json")
+LOADER_ROWS = (
+    "check deep --group {} --subset all.json --r 1 --R 3",
+    "check stabilisers --group {} --subset all.json",
+    "check convexity --group {} --subset all.json --L 2",
+)
 
 ERROR_LINES = [
     "check deep --group z --subset nat.json --r 5 --R 3",  # usage: --r above --R
@@ -58,6 +88,7 @@ def golden_lines() -> list[str]:
                 continue  # a line without --subset is the same on either input
             lines.append(" ".join([name, what, *(token for item in flags.items() for token in item)]))
     lines += [command.label for command in workloads.COMMANDS["corpus"]]
+    lines += VERDICT_LINES + [row.format(kind) for kind in LOADER_KINDS for row in LOADER_ROWS]
     return list(dict.fromkeys(lines + ERROR_LINES))
 
 

@@ -632,3 +632,73 @@ def test_dispatch_imports_no_argparse(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _subset_files(tmp_path, **texts) -> dict[str, str]:
+    """Each subset definition written to NAME.json under ``tmp_path``, by name."""
+    paths = {}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.json")
+    return paths
+
+
+def test_operator_expressions(tmp_path, capsys):
+    """``adj:X`` is the adjoint of X; an expression that is no operator, or a
+    track without its visited part, is a config error."""
+    common = ["--group", "z", "--subset", _subset_files(tmp_path, nat='{"kind": "interval", "lo": 0}')["nat"]]
+    _, adjoint = run(capsys, "op", "adjoint", *common, "--lhs", "gen:1", "--R", "4")
+    code, product = run(capsys, "op", "mul", *common, "--lhs", "adj:gen:1", "--rhs", "id", "--R", "4")
+    assert code == 0
+    details = [json.loads(out)["suites"][0]["checks"][0]["details"] for out in (adjoint, product)]
+    assert details[0]["operator"] == details[1]["operator"]
+    assert run(capsys, "op", "eq", *common, "--lhs", "adj:gen:1", "--rhs", "gen:-1")[0] == cli.EXIT_OK
+    refusals = [("foo", "cannot parse operator expression 'foo'"), ("track:1", "track needs a {..} visited part")]
+    for lhs, message in refusals:
+        assert cli.dispatch(["op", "eq", *common, "--lhs", lhs, "--rhs", "id"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_universal_build_and_verify_on_a_b_words_subset(tmp_path, capsys):
+    subset = _subset_files(tmp_path, u='{"kind": "universal", "variant": "b-words"}')["u"]
+    code, out = run(capsys, "universal", "build", "--group", "f2", "--subset", subset, "--R", "12")
+    assert code == cli.EXIT_OK
+    check = json.loads(out)["suites"][0]["checks"][0]
+    assert check["witnesses"] == ["baaaaaa"]  # the one point within radius 12: the pattern {e} at b a^6
+    placements = check["details"]["placements"]
+    assert len(placements) == 2 + 2**5  # every subset of the balls of radius 0 and 1
+    assert placements[:2] == [
+        {"center": "baa", "pattern": [], "radius": 0},
+        {"center": "baaaaaa", "pattern": ["e"], "radius": 0},
+    ]
+    code, out = run(capsys, "universal", "verify", "--group", "f2", "--subset", subset, "--r", "1")
+    assert code == cli.EXIT_OK
+    check = json.loads(out)["suites"][0]["checks"][0]
+    assert (check["verdict"], check["compared_count"]) == ("verified-at-scale", 32)
+
+
+def test_a_check_refuses_an_input_it_cannot_take(tmp_path, capsys):
+    """Each refusal exits 3 with the message of the check that makes it."""
+    subsets = _subset_files(
+        tmp_path,
+        nat='{"kind": "interval", "lo": 0}',
+        odd='{"kind": "congruence", "modulus": 2, "residue": 1}',
+        even='{"kind": "congruence", "modulus": 2}',
+    )
+    on = {name: ["--group", "z", "--subset", path] for name, path in subsets.items()}
+    refusals = [
+        (["check", "convexity", *on["odd"]], "convexity needs the identity inside the subset"),
+        (["module", "ideal", *on["nat"], "-g", "-1"], "g^-1 must lie in the ambient set but outside the subset"),
+        (["universal", "build", "--group", "f2"], "the integer universal subset needs Z"),
+        (["universal", "verify", "--group", "z2"], "the integer universal subset needs Z"),
+        # the stabiliser of the even numbers is the infinite subgroup 2Z
+        (["module", "inner", *on["even"], "--lhs", "0", "--rhs", "2"], "group-algebra elements need a finite subgroup"),
+        (["module", "inner", *on["nat"], "--lhs", "-1", "--rhs", "0"], "sigma symbol outside the subset"),
+        (
+            ["module", "ph", *on["odd"]],
+            "the claimed stabiliser must lie inside the subset for the projection construction",
+        ),
+    ]
+    for argv, message in refusals:
+        assert cli.dispatch(argv) == cli.EXIT_CONFIG, argv
+        assert capsys.readouterr() == ("", f"config error: {message}\n"), argv

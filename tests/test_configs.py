@@ -209,3 +209,49 @@ def test_config_integers_must_be_json_integers(group, subset, key, tmp_path, cap
     argv = ["check", "deep", "--group", str(group_arg), "--subset", str(subset_file), "--r", "1", "--R", "2"]
     assert cli.dispatch(argv) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+Z_NAMED = {"kind": "free-abelian", "rank": 1}
+
+# Names the loader cannot tell apart; each of these loaded, and check deep exited 0 on it.
+NAME_CLASHES = [
+    ({"kind": "free", "rank": 2, "generators": ["a", "a"]}, "generator names \\['a', 'a'\\] must be distinct"),
+    ({"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["e", "e"]}, "element names \\['e', 'e'\\] must be distinct"),
+    # the base's generator formats as the stable letter t
+    ({"kind": "hnn", "base": {**Z_NAMED, "generators": ["t"]}, "theta": {"multiplier": 2}}, "generator 't' formats like"),
+    # with empty tags the two factors' generators both format as a
+    (
+        {
+            "kind": "amalgam",
+            "left": {**Z_NAMED, "generators": ["a"]},
+            "right": {"kind": "free", "rank": 1, "generators": ["a"]},
+            "tags": ["", ""],
+        },
+        "generator 'a' formats like",
+    ),
+    # a generator named e formats as the identity
+    ({"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["x", "e"]}, "generator 'e' formats like"),
+]
+
+
+@pytest.mark.parametrize("group,message", NAME_CLASHES, ids=["free", "finite", "hnn", "amalgam", "finite-e"])
+def test_names_that_cannot_be_told_apart_are_refused(group, message, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=message):
+        load_group(group)
+    (tmp_path / "group.json").write_text(json.dumps(group))
+    (tmp_path / "all.json").write_text('{"kind": "universal-all"}')
+    argv = ["check", "deep", "--group", str(tmp_path / "group.json"), "--subset", str(tmp_path / "all.json")]
+    assert cli.dispatch(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_universal_variants():
+    """Variant z is the default and needs Z; any other name is refused."""
+    z = load_group("z")
+    given, default = load_subset(z, {"kind": "universal", "variant": "z"}), load_subset(z, {"kind": "universal"})
+    assert given.name == default.name == "universal-z"
+    assert [x.word for x in given.elements_in_ball(20)] == [x.word for x in default.elements_in_ball(20)]
+    with pytest.raises(ConfigError, match="unknown universal variant 'q'"):
+        load_subset(z, {"kind": "universal", "variant": "q"})
+    with pytest.raises(ConfigError, match="the integer universal subset needs Z"):
+        load_subset(load_group("f2"), {"kind": "universal", "variant": "z"})

@@ -7,6 +7,7 @@ from conftest import bfs_distances, rng
 from translation_lab import (
     BallCapExceeded,
     FiniteGroupContext,
+    FreeAbelianContext,
     FreeGroupContext,
     GroupContext,
     MalformedWord,
@@ -118,6 +119,15 @@ def test_nongenerating_set_rejected():
         FiniteGroupContext(c4.table, generators=[2])
 
 
+def test_duplicate_names_rejected():
+    with pytest.raises(ValueError, match="must be distinct"):
+        FreeGroupContext(2, ["a", "a"])
+    with pytest.raises(ValueError, match="must be distinct"):
+        FreeAbelianContext(2, ["x", "x"])
+    with pytest.raises(ValueError, match="must be distinct"):
+        FiniteGroupContext(cyclic_group(2).table, ["e", "e"])
+
+
 # -- amalgams ---------------------------------------------------------------
 
 
@@ -150,6 +160,31 @@ def test_amalgam_transversal_splits_exactly(amalgam, s3_z4):
                 # the precomputed table agrees with the candidate loop
                 loop_rep, loop_h = ctx._split_search(side, x.word)
                 assert table[x.word] == (loop_rep, loop_h)
+
+
+def test_amalgam_parse_reads_its_format(amalgam):
+    """Every element of the radius-4 ball, h[..] parts included, parses back from its format."""
+    ball = amalgam.ball(4)
+    assert amalgam.format(amalgam.h_element(1)) == "h[2]"
+    assert amalgam.parse("h[2]") == amalgam.h_element(1)
+    assert sum("h[" in amalgam.format(x) for x in ball) > 1
+    for x in ball:
+        assert amalgam.parse(amalgam.format(x)) == x
+
+
+def test_amalgam_word_length_by_breadth_first_search():
+    """Z/4 * Z/6 glued along Z/2, Z/6 generated by 1 alone: S:2 is one syllable of
+    length 2, so word lengths come from the breadth-first layers, grown on demand."""
+    z = {n: {"kind": "finite", "table": cyclic_group(n).table, "names": [str(i) for i in range(n)]} for n in (4, 6)}
+    config = {"kind": "amalgam", "left": z[4], "right": {**z[6], "generators": [1]}, "pairs": [["2", "3"]]}
+    layered, fresh = load_group(config), load_group(config)
+    assert not fresh._syllable_counts_metric
+    lengths = {}
+    for r in range(5):
+        for x in layered.sphere(r):
+            lengths[x.word] = fresh.word_length(GroupElement(fresh, x.word))
+            assert lengths[x.word] == r
+    assert lengths[fresh.parse("S:2").word] == 2
 
 
 def test_amalgam_cross_factor_absorption(amalgam):
