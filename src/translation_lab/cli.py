@@ -29,7 +29,6 @@ from .geometry import (
     boundary_set,
     convexity_bounded_check,
     coseparability_search,
-    coseparability_witness,
     deep_witness,
     h_isolation_sets,
     presentation_for,
@@ -122,14 +121,14 @@ def _suite(make: Callable, *params: str) -> Callable:
 
 def _isolation(args, h, name: str, finish: Callable):
     """The co-separability search, then ``finish(families)`` on the F1 and F2 split
-    from its witness.  A split that fails gives an inconclusive ``name`` check
+    from its witnesses.  A split that fails gives an inconclusive ``name`` check
     naming the radius."""
     b = args.subset
     search = coseparability_search(b, h, args.r, args.R, args.max_size)
     yield search
     if search.verdict != VERIFIED:
         return
-    families = h_isolation_sets(b, coseparability_witness(search, b))
+    families = h_isolation_sets(b, search.witnesses)
     if families is None:
         note = f"no point within radius {SPLIT_RADIUS} splits the distinguishing set across the subset's boundary"
         yield CheckReport(name=name, params={"B": b.name, "H": h.name}, verdict=INCONCLUSIVE, details={"note": note})
@@ -156,14 +155,13 @@ def _projection(args):
     yield from _isolation(args, h, "isolation-projection", finish)
 
 
-def _listing(args, name: str, params: dict, points, details=None) -> list[CheckReport]:
+def _listing(name: str, params: dict, points: list, details=None) -> list[CheckReport]:
     """A verified check whose witnesses are ``points``."""
-    fields = {"witnesses": [args.group.format(x) for x in points], "compared_count": len(points)}
-    return [CheckReport(name=name, params=params, verdict=VERIFIED, details=details or {}, **fields)]
+    return [CheckReport(name, params, VERIFIED, points, len(points), details)]
 
 
 def _boundary(args):
-    return _listing(args, "boundary-set", {"B": args.subset.name, "R": args.R}, boundary_set(args.subset, args.R))
+    return _listing("boundary-set", {"B": args.subset.name, "R": args.R}, boundary_set(args.subset, args.R))
 
 
 def _op(check: Callable) -> Callable:
@@ -171,7 +169,7 @@ def _op(check: Callable) -> Callable:
     return _suite(lambda a: [check(a, make_window(a.subset, a.R))], "R")
 
 
-def _operator(name: str, make: Callable, details=lambda op: {"operator": op.report_form()}) -> Callable:
+def _operator(name: str, make: Callable, details=lambda op: {"operator": op}) -> Callable:
     """An ``op`` runner reporting ``details`` of the operator ``make(args, window)`` as the check ``name``."""
     return _op(lambda a, w: CheckReport(name=name, verdict=VERIFIED, details=details(make(a, w))))
 
@@ -185,7 +183,7 @@ def _inner(args):
     ctx, b = args.group, args.subset
     lhs, rhs = SigmaVector.basis(b, ctx.parse(args.lhs)), SigmaVector.basis(b, ctx.parse(args.rhs))
     value = module_inner_product(_stabiliser(b), lhs, rhs)
-    params, details = {"lhs": args.lhs, "rhs": args.rhs}, {"value": value.report_form()}
+    params, details = {"lhs": args.lhs, "rhs": args.rhs}, {"value": value}
     return [CheckReport(name="inner-product", params=params, verdict=VERIFIED, details=details)]
 
 
@@ -202,8 +200,8 @@ def _universal_set(args):
 def _universal_window(args):
     spec = _universal_set(args)
     window = spec.elements_in_ball(args.R)
-    details = {"placements": spec.placed.report_form()} if hasattr(spec, "placed") else {}
-    return _listing(args, "universal-window", {"R": args.R}, window, details)
+    details = {"placements": spec.placed} if hasattr(spec, "placed") else None
+    return _listing("universal-window", {"R": args.R}, window, details)
 
 
 def _independence(args):

@@ -22,6 +22,7 @@ from .groups import (
 )
 from .reports import ConfigError
 from .subsets import (
+    COSET_UNION_DECIDABLE,
     SubsetSpec,
     congruence_class,
     coordinate_halfspace,
@@ -109,12 +110,19 @@ def load_group(source) -> GroupContext:
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad group definition: {err}") from err
     # a report names elements by their format, and parse reads "e" as the identity
-    seen = {"e"}
+    names = {}
     for g in ctx.generator_elements():
         name = ctx.format(g)
-        if name in seen:
+        if name in names or name == "e":
             raise ConfigError(f"generator {name!r} formats like another generator or the identity 'e'")
-        seen.add(name)
+        names[name] = g
+    for name, g in names.items():
+        try:
+            named = ctx.parse(name)
+        except ValueError:
+            named = None
+        if named != g:
+            raise ConfigError(f"generator {name!r} does not parse back as itself")
     return ctx
 
 
@@ -188,7 +196,10 @@ def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
         return make_tree_halfspace(ctx, data["side"])
     if kind == "coset-union":
         base = _subset_from_dict(ctx, data["base"])
-        return cyclic_translates(base, _element(ctx, data["translator"]))
+        translator = _element(ctx, data["translator"])
+        if data["base"]["kind"] != "positive-cone":
+            raise ValueError(COSET_UNION_DECIDABLE)
+        return cyclic_translates(base, translator)
     if kind == "universal":
         variant = data.get("variant", "z")
         if variant == "z":

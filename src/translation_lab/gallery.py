@@ -440,7 +440,7 @@ def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
         else:
             alt = "R" if in_tb else "?"
         if alt != cls:
-            mismatches.append(ctx.format(GroupElement(ctx, gamma)))
+            mismatches.append(GroupElement(ctx, gamma))
     suite.add(
         CheckReport(
             name="partition-counts",
@@ -456,7 +456,7 @@ def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
             return CheckReport(
                 name=name,
                 verdict=FALSIFIED,
-                witnesses=[ctx.format(GroupElement(ctx, gamma))],
+                witnesses=[GroupElement(ctx, gamma)],
                 details={"reason": reason},
             )
 
@@ -636,9 +636,9 @@ class Suite:
         self.sizes = sizes
         self.run = run
 
-    def at(self, **given: int) -> list[SuiteReport]:
-        """Run at the given sizes; a flag not given takes its default."""
-        return self.run(**{flag: given.get(flag, default) for flag, (default, _) in self.sizes.items()})
+    def at(self) -> list[SuiteReport]:
+        """Run at every size's default."""
+        return self.run(**{flag: default for flag, (default, _) in self.sizes.items()})
 
 
 # Toeplitz searches for a deepness witness at radius 3, the free-group suites

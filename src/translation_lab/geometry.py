@@ -2,8 +2,8 @@
 
 Every check here quantifies over a whole group in its unbounded form, so all
 verdicts are explicitly scale-stamped: verified-at-scale, falsified (with a
-concrete witness), or inconclusive-within-bound.  Radii are parameters, never
-hidden constants.
+concrete witness), or inconclusive-within-bound.  Radii and budgets are
+parameters or named module constants, never hidden ones.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def deep_witness(spec: SubsetSpec, r: int, search_radius: int) -> CheckReport:
                 name="deep-witness",
                 params=params,
                 verdict=VERIFIED,
-                witnesses=[ctx.format(x)],
+                witnesses=[x],
                 compared_count=scanned,
             )
     return CheckReport(
@@ -73,7 +73,7 @@ def relatively_deep_check(
                 name="relatively-deep",
                 params=params,
                 verdict=FALSIFIED,
-                witnesses=[ctx.format(x)],
+                witnesses=[x],
                 details={"error": "subset is not contained in the ambient set"},
             )
     probes = ctx.ball(r)
@@ -102,11 +102,11 @@ def relatively_deep_check(
                 name="relatively-deep",
                 params=params,
                 verdict=FALSIFIED,
-                witnesses=[ctx.format(rep)],
+                witnesses=[rep],
                 compared_count=len(coset_reps),
-                details={"failing_coset": ctx.format(rep)},
+                details={"failing_coset": rep},
             )
-        found.append({"coset": ctx.format(rep), "point": ctx.format(witness)})
+        found.append({"coset": rep, "point": witness})
     return CheckReport(
         name="relatively-deep",
         params=params,
@@ -127,15 +127,18 @@ def _displaced(b_spec: SubsetSpec, x_spec: SubsetSpec, g: GroupElement, r: int) 
     ]
 
 
+# how far past R a coset count is taken again; equal counts verify at scale
+GROWTH = 2
+
+
 def almost_invariant_check(
     b_spec: SubsetSpec,
     x_spec: SubsetSpec,
     h_sub: SubsetSpec,
     g: GroupElement,
     radius: int,
-    growth: int = 2,
 ) -> CheckReport:
-    """Cover (Bg \\ B) n X by right H-cosets; stability under growth is the evidence.
+    """Cover (Bg \\ B) n X by right H-cosets at R and R + GROWTH; equal counts are the evidence.
 
     The condition quantifies over every g, so callers probing a single
     translate should test g together with g^-1: over a right-invariant
@@ -143,8 +146,8 @@ def almost_invariant_check(
     relative setting they are genuinely different sets.
     """
     small = _displaced(b_spec, x_spec, g, radius)
-    large = _displaced(b_spec, x_spec, g, radius + growth)
-    return coset_count_check("almost-invariant", b_spec, x_spec, h_sub, g, radius, growth, small, large)
+    large = _displaced(b_spec, x_spec, g, radius + GROWTH)
+    return coset_count_check("almost-invariant", b_spec, x_spec, h_sub, g, radius, small, large)
 
 
 def coset_count_check(
@@ -154,16 +157,14 @@ def coset_count_check(
     h_sub: SubsetSpec,
     g: GroupElement,
     radius: int,
-    growth: int,
     small: list[GroupElement],
     large: list[GroupElement],
 ) -> CheckReport:
     """Cover two supports by H-cosets; equal coset counts verify at scale.
 
-    ``small`` and ``large`` are a check's support at R and at R + growth; the
+    ``small`` and ``large`` are a check's support at R and at R + GROWTH; the
     witnesses are the coset representatives of ``small``.
     """
-    ctx = b_spec.ctx
     reps_small = coset_cover(h_sub, small)
     n_large = len(coset_cover(h_sub, large))
     return CheckReport(
@@ -172,12 +173,12 @@ def coset_count_check(
             "B": b_spec.name,
             "X": x_spec.name,
             "H": h_sub.name,
-            "g": ctx.format(g),
+            "g": g,
             "R": radius,
-            "growth": growth,
+            "growth": GROWTH,
         },
         verdict=VERIFIED if len(reps_small) == n_large else INCONCLUSIVE,
-        witnesses=[ctx.format(rep) for rep in reps_small],
+        witnesses=reps_small,
         compared_count=len(small),
         details={"coset_count_at_R": len(reps_small), "coset_count_at_R_plus": n_large},
     )
@@ -245,7 +246,7 @@ def coseparability_search(
                     name="coseparability",
                     params=params,
                     verdict=FALSIFIED,
-                    witnesses=[ctx.format(g)],
+                    witnesses=[g],
                     details={
                         "reason": "translate indistinguishable within the candidate ball",
                     },
@@ -260,19 +261,18 @@ def coseparability_search(
                 name="coseparability",
                 params=params,
                 verdict=FALSIFIED,
-                witnesses=[ctx.format(g)],
+                witnesses=[g],
                 details={"reason": "trace lies entirely in stabiliser traces"},
             )
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(allowed, size):
             chosen = set(combo)
             if all(chosen & t for t in targets):
-                witness = [ctx.format(pool[i]) for i in combo]
                 return CheckReport(
                     name="coseparability",
                     params=params,
                     verdict=VERIFIED,
-                    witnesses=witness,
+                    witnesses=[pool[i] for i in combo],
                     compared_count=len(must_hit),
                     details={"size": size},
                 )
@@ -285,12 +285,6 @@ def coseparability_search(
     )
 
 
-def coseparability_witness(report: CheckReport, spec: SubsetSpec) -> list[GroupElement]:
-    if report.verdict != VERIFIED:
-        raise ValueError("no witness on a non-verified co-separability report")
-    return [spec.ctx.parse(text) for text in report.witnesses]
-
-
 # radius within which h_isolation_sets looks for a point to split F' with
 SPLIT_RADIUS = 4
 
@@ -298,7 +292,6 @@ SPLIT_RADIUS = 4
 def h_isolation_sets(
     b_spec: SubsetSpec,
     f_prime: Sequence[GroupElement],
-    enlarge_radius: int = SPLIT_RADIUS,
 ) -> tuple[list[GroupElement], list[GroupElement]] | None:
     """Split a distinguishing set into inverse families isolating the stabiliser.
 
@@ -306,18 +299,18 @@ def h_isolation_sets(
     if not, F' is enlarged with the shortlex-least points of the subset and of
     the complement (enlarging preserves the distinguishing property).  The
     returned families are the inverse sets F1 = E1^-1, F2 = E2^-1, or None
-    when the ball of radius enlarge_radius holds no point for an empty side.
+    when the ball of radius SPLIT_RADIUS holds no point for an empty side.
     """
     ctx = b_spec.ctx
     inside = [x for x in f_prime if b_spec.contains(x)]
     outside = [x for x in f_prime if not b_spec.contains(x)]
     if not inside:
-        for x in ctx.ball(enlarge_radius):
+        for x in ctx.ball(SPLIT_RADIUS):
             if b_spec.contains(x):
                 inside.append(x)
                 break
     if not outside:
-        for x in ctx.ball(enlarge_radius):
+        for x in ctx.ball(SPLIT_RADIUS):
             if not b_spec.contains(x):
                 outside.append(x)
                 break
@@ -340,8 +333,8 @@ def verify_h_isolation(
     params = {
         "B": b_spec.name,
         "H": h_sub.name,
-        "F1": [ctx.format(g) for g in f1],
-        "F2": [ctx.format(g) for g in f2],
+        "F1": f1,
+        "F2": f2,
         "R": radius,
     }
     if not f1 or not f2:
@@ -360,7 +353,7 @@ def verify_h_isolation(
                 name="h-isolation",
                 params=params,
                 verdict=FALSIFIED,
-                witnesses=[ctx.format(x)],
+                witnesses=[x],
                 compared_count=compared,
                 details={"in_subgroup": lhs, "in_formula": rhs},
             )
@@ -390,8 +383,8 @@ def boundary_check(b_spec: SubsetSpec, expected: SubsetSpec, radius: int) -> Che
     got = {x.word for x in boundary}
     want = {x.word for x in expected_points}
     ok = got == want
-    extra = [ctx.format(x) for x in boundary if x.word not in want]
-    missing = [ctx.format(x) for x in expected_points if x.word not in got]
+    extra = [x for x in boundary if x.word not in want]
+    missing = [x for x in expected_points if x.word not in got]
     return CheckReport(
         name="boundary",
         params={"B": b_spec.name, "expected": expected.name, "R": radius},
@@ -619,18 +612,18 @@ def _connect_class(pres, b_spec, members, table, max_len, node_budget, allow_ins
     return seen, goal_set, False
 
 
-def convexity_bounded_check(
-    b_spec: SubsetSpec,
-    pres: Presentation,
-    max_word_len: int,
-    slack: int = 3,
-    node_budget: int = 30000,
-) -> CheckReport:
+# how far past the word length bound a rewrite may grow, and the most words
+# one class's breadth-first rewrite search visits
+SLACK = 3
+NODE_BUDGET = 30000
+
+
+def convexity_bounded_check(b_spec: SubsetSpec, pres: Presentation, max_word_len: int) -> CheckReport:
     """Connect equal-product inside-words by relation rewrites staying inside.
 
     Enumerates all words of length at most max_word_len staying in the subset,
     groups them by their product, and for each group checks rewrite
-    connectivity with word length capped at max_word_len + slack.  Rewrites
+    connectivity with word length capped at max_word_len + SLACK.  Rewrites
     that insert a whole relation are tried only in a second pass, since the
     splits and merges already derived from the relations connect the built-in
     examples without them.  A class left unreached is inconclusive, never
@@ -641,8 +634,8 @@ def convexity_bounded_check(
     params = {
         "B": b_spec.name,
         "L": max_word_len,
-        "slack": slack,
-        "node_budget": node_budget,
+        "slack": SLACK,
+        "node_budget": NODE_BUDGET,
         "letters": len(pres.letters),
         "relations": len(pres.relations),
     }
@@ -665,18 +658,18 @@ def convexity_bounded_check(
         groups.setdefault(prefixes[-1].word, []).append((word, prefixes))
 
     table = _rewrite_table(pres)
-    max_len = max_word_len + slack
+    max_len = max_word_len + SLACK
     checked_pairs = 0
     for target, members in sorted(groups.items()):
         if len(members) < 2:
             continue
         checked_pairs += len(members) - 1
         _, unreached, budget_hit = _connect_class(
-            pres, b_spec, members, table, max_len, node_budget, allow_insert=False
+            pres, b_spec, members, table, max_len, NODE_BUDGET, allow_insert=False
         )
         if unreached:
             _, unreached, budget_hit = _connect_class(
-                pres, b_spec, members, table, max_len, node_budget, allow_insert=True
+                pres, b_spec, members, table, max_len, NODE_BUDGET, allow_insert=True
             )
         if unreached:
             # rewrites capped at max_len never witness that no longer chain exists
@@ -685,10 +678,7 @@ def convexity_bounded_check(
                 name="convexity",
                 params=params,
                 verdict=INCONCLUSIVE,
-                witnesses=[
-                    [ctx.format(pres.letters[i]) for i in members[0][0]],
-                    [ctx.format(pres.letters[i]) for i in sample],
-                ],
+                witnesses=[[pres.letters[i] for i in members[0][0]], [pres.letters[i] for i in sample]],
                 compared_count=checked_pairs,
                 details={"budget_exceeded": budget_hit},
             )

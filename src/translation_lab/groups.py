@@ -69,7 +69,8 @@ class GroupElement:
     """A canonical word in its context.  Equality of words is group equality.
 
     Elements are values: equal exactly when they share the context object and
-    the word, and never reassigned after construction.
+    the word, and never reassigned after construction.  A report shows an
+    element by its context's ``format``.
     """
 
     __slots__ = ("ctx", "word")
@@ -85,6 +86,9 @@ class GroupElement:
 
     def __hash__(self) -> int:
         return hash((self.ctx, self.word))
+
+    def report_form(self) -> str:
+        return self.ctx.format(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.ctx.format(self)}>"

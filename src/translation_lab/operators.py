@@ -102,7 +102,7 @@ class TranslationOperator:
     def report_form(self):
         w = self.window
         return {
-            "window": w.report_form(),
+            "window": w,
             "entries": sorted(
                 [w.spec.ctx.format(w.points[r]), w.spec.ctx.format(w.points[c]), v.numerator, v.denominator]
                 for (r, c), v in self.entries.items()
@@ -342,13 +342,12 @@ def guarded_equal(a: TranslationOperator, b: TranslationOperator) -> MatchResult
         if ra != rb:
             cols = sorted(set(ra) | set(rb), key=lambda c: (ra.get(c, ZERO) == rb.get(c, ZERO), c))
             c = cols[0]
-            ctx = w.spec.ctx
             return MatchResult(
                 False,
                 compared,
                 {
-                    "row": ctx.format(w.points[i]),
-                    "col": ctx.format(w.points[c]),
+                    "row": w.points[i],
+                    "col": w.points[c],
                     # a Fraction emits as [numerator, denominator], an int would not
                     "lhs": Fraction(ra.get(c, ZERO)),
                     "rhs": Fraction(rb.get(c, ZERO)),

@@ -24,8 +24,11 @@ class ConfigError(ValueError):
 def canonical_value(value):
     """Recursively convert a report value into canonical JSON-ready form.
 
-    Fractions become [numerator, denominator]; tuples become lists in their
-    order; objects exposing ``report_form()`` delegate.
+    This is where a report's values become text: fractions become
+    [numerator, denominator], tuples become lists in their order, and objects
+    exposing ``report_form()`` (group elements, tracks, operators, reports)
+    delegate.  Any other object raises ``TypeError``, since its repr would
+    differ from run to run.
     """
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
@@ -39,7 +42,7 @@ def canonical_value(value):
         return [canonical_value(v) for v in value]
     if hasattr(value, "report_form"):
         return canonical_value(value.report_form())
-    return str(value)
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
 
 
 def dumps(tree) -> str:

@@ -42,11 +42,11 @@ from .reports import FALSIFIED, VERIFIED, CheckReport
 class SubsetSpec:
     """Total membership predicate plus claimed stabiliser data.
 
-    ``predicate`` reads a canonical word of ``ctx``.  ``params`` starts as a
-    new empty dict when not given.  ``sphere_members(k)``, when given, lists
-    candidate words holding every member of word length k, in any order;
-    ``elements``, when given, is every member of a finite set, in ball order.
-    A placed universal subset also carries its placements as ``placed``.
+    ``predicate`` reads a canonical word of ``ctx``.  ``sphere_members(k)``,
+    when given, lists candidate words holding every member of word length k,
+    in any order; ``elements``, when given, is every member of a finite set,
+    in ball order.  A placed universal subset also carries its placements as
+    ``placed``.
     """
 
     __slots__ = (
@@ -55,7 +55,6 @@ class SubsetSpec:
         "predicate",
         "left_stabiliser",
         "right_stabiliser",
-        "params",
         "sphere_members",
         "elements",
         "placed",
@@ -69,7 +68,6 @@ class SubsetSpec:
         predicate: Callable[[tuple], bool],
         left_stabiliser: SubsetSpec | None = None,
         right_stabiliser: SubsetSpec | None = None,
-        params: dict | None = None,
         sphere_members: Callable[[int], Iterable[tuple]] | None = None,
         elements: tuple[GroupElement, ...] | None = None,
     ):
@@ -78,7 +76,6 @@ class SubsetSpec:
         self.predicate = predicate
         self.left_stabiliser = left_stabiliser
         self.right_stabiliser = right_stabiliser
-        self.params = {} if params is None else params
         self.sphere_members = sphere_members
         self.elements = elements
         # _layers[k]: the members of ctx.sphere(k), in ball order
@@ -144,16 +141,13 @@ def coset_cover(subgroup: SubsetSpec, points: Iterable[GroupElement]) -> list[Gr
 
 
 def whole_group(ctx: GroupContext) -> SubsetSpec:
-    return SubsetSpec(ctx, "all", lambda w: True, params={"kind": "universal-all"})
+    return SubsetSpec(ctx, "all", lambda w: True)
 
 
-def difference(outer: SubsetSpec, inner: SubsetSpec, name: str | None = None) -> SubsetSpec:
+def difference(outer: SubsetSpec, inner: SubsetSpec) -> SubsetSpec:
     outer.ctx._check_all(inner)
     return SubsetSpec(
-        outer.ctx,
-        name or f"{outer.name}-minus-{inner.name}",
-        lambda w: outer.predicate(w) and not inner.predicate(w),
-        params={"kind": "difference", "outer": outer.name, "inner": inner.name},
+        outer.ctx, f"{outer.name}-minus-{inner.name}", lambda w: outer.predicate(w) and not inner.predicate(w)
     )
 
 
@@ -180,7 +174,6 @@ def coordinate_halfspace(ctx: FreeAbelianContext, coord: int = 0, lower: int = 0
         lambda w: w[coord] >= lower,
         left_stabiliser=axis,
         right_stabiliser=axis,
-        params={"kind": "interval", "coord": coord, "lo": lower, "hi": None},
     )
 
 
@@ -209,7 +202,6 @@ def congruence_class(ctx: FreeAbelianContext, modulus: int, residue: int = 0, co
         lambda w: w[coord] % modulus == residue % modulus,
         left_stabiliser=stab,
         right_stabiliser=stab,
-        params={"kind": "congruence", "coord": coord, "modulus": modulus, "residue": residue},
     )
 
 
@@ -228,7 +220,6 @@ def positive_cone(ctx: FreeGroupContext) -> SubsetSpec:
         lambda w: min(w, default=1) > 0,
         left_stabiliser=trivial_subgroup(ctx),
         right_stabiliser=trivial_subgroup(ctx),
-        params={"kind": "positive-cone"},
     )
 
 
@@ -242,8 +233,12 @@ def words_not_starting_with(ctx: FreeGroupContext, letter: GroupElement) -> Subs
         f"not-starting-{ctx.format(letter)}",
         lambda w: not w or w[0] != banned,
         left_stabiliser=trivial_subgroup(ctx),
-        params={"kind": "custom-first-letter", "exclude": ctx.format(letter)},
     )
+
+
+COSET_UNION_DECIDABLE = (
+    "coset-union membership is decidable here only for a positive-cone base with a one-letter translator"
+)
 
 
 def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None) -> SubsetSpec:
@@ -251,19 +246,13 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
 
     Membership is decided in closed form only for a positive-cone base P with
     a one-letter translator a^±1: x lies in the union iff x with its leading
-    run of a^±1 letters stripped is positive.  Every other base or translator
-    raises ValueError.
+    run of a^±1 letters stripped is positive.  The caller vouches that the
+    base is a positive cone; any other context or translator raises
+    ValueError.
     """
     ctx = base.ctx
-    if not (
-        base.params.get("kind") == "positive-cone"
-        and isinstance(ctx, FreeGroupContext)
-        and len(g.word) == 1
-    ):
-        raise ValueError(
-            "coset-union membership is decidable here only for a positive-cone base"
-            " with a one-letter translator"
-        )
+    if not (isinstance(ctx, FreeGroupContext) and len(g.word) == 1):
+        raise ValueError(COSET_UNION_DECIDABLE)
     letter = abs(g.word[0])
 
     def member(word: tuple) -> bool:
@@ -281,7 +270,6 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
         name or f"translates[{ctx.format(g)}]({base.name})",
         member,
         left_stabiliser=stab,
-        params={"kind": "coset-union", "base": base.name, "translator": ctx.format(g)},
     )
 
 
@@ -319,7 +307,6 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
             member,
             left_stabiliser=amalgam_subgroup(ctx),
             right_stabiliser=SubsetSpec(ctx, side, right_member),
-            params={"kind": "halfspace", "side": side},
         )
 
     if isinstance(ctx, HnnContext):
@@ -361,7 +348,6 @@ def make_tree_halfspace(ctx: GroupContext, side: str) -> SubsetSpec:
             predicate,
             left_stabiliser=SubsetSpec(ctx, left_name, left_member),
             right_stabiliser=SubsetSpec(ctx, "G", right_g),
-            params={"kind": "halfspace", "side": side},
         )
 
     raise ValueError(f"context kind {ctx.kind!r} has no tree half-spaces")
@@ -376,17 +362,16 @@ def amalgam_subgroup(ctx: AmalgamContext) -> SubsetSpec:
 # ---------------------------------------------------------------------------
 
 
-def verify_stabilisers(spec: SubsetSpec, r: int, search_radius: int | None = None) -> CheckReport:
+def verify_stabilisers(spec: SubsetSpec, r: int) -> CheckReport:
     """Check the claimed stabilisers on Ball(e, r) and hunt for unclaimed ones.
 
     Claimed elements h are tested via predicate(h*x) == predicate(x) (left)
     and predicate(x*h) == predicate(x) (right) for every x in the ball.  The
-    candidate search scans a smaller ball for elements that stabilise on the
-    whole test ball but are not claimed.
+    candidate search scans the ball of radius max(0, r - 2) for elements that
+    stabilise on the whole test ball but are not claimed.
     """
     ctx = spec.ctx
-    if search_radius is None:
-        search_radius = max(0, r - 2)
+    search_radius = max(0, r - 2)
     ball = ctx.ball(r)
     failures = []
     confirmed = {"left": [], "right": []}
@@ -405,18 +390,16 @@ def verify_stabilisers(spec: SubsetSpec, r: int, search_radius: int | None = Non
         for h in claimed:
             witness = test(h, side)
             if witness is None:
-                confirmed[side].append(ctx.format(h))
+                confirmed[side].append(h)
             else:
-                failures.append(
-                    {"side": side, "element": ctx.format(h), "witness": ctx.format(witness)}
-                )
+                failures.append({"side": side, "element": h, "witness": witness})
 
     unclaimed = []
     for g in ctx.ball(search_radius):
         if spec.left_stabiliser is not None and spec.left_stabiliser.contains(g):
             continue
         if test(g, "left") is None:
-            unclaimed.append(ctx.format(g))
+            unclaimed.append(g)
 
     verdict = FALSIFIED if failures else VERIFIED
     return CheckReport(

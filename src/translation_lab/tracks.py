@@ -40,11 +40,7 @@ class Track:
         return hash((self.total, self.visited))
 
     def report_form(self):
-        ctx = self.total.ctx
-        return {
-            "total": ctx.format(self.total),
-            "visited": [ctx.format(h) for h in self.visited],
-        }
+        return {"total": self.total, "visited": self.visited}
 
 
 def _canonical(ctx: GroupContext, total: GroupElement, visited: Iterable[GroupElement]) -> Track:

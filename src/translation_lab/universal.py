@@ -63,7 +63,6 @@ def universal_z_spec(ctx: FreeAbelianContext) -> SubsetSpec:
         "universal-z",
         lambda w: w[0] >= 0 and bit_at(w[0]) == 1,
         left_stabiliser=trivial_subgroup(ctx),
-        params={"kind": "universal", "variant": "z"},
     )
 
 
@@ -189,15 +188,7 @@ class PlacedUniversalWords:
         return out
 
     def report_form(self):
-        ctx = self.ctx
-        return [
-            {
-                "center": ctx.format(p.center),
-                "radius": p.radius,
-                "pattern": [ctx.format(f) for f in p.pattern],
-            }
-            for p in self.placements
-        ]
+        return [{"center": p.center, "radius": p.radius, "pattern": p.pattern} for p in self.placements]
 
 
 def universal_b_words_spec(
@@ -209,13 +200,6 @@ def universal_b_words_spec(
         "universal-b-words",
         placed.contains,
         left_stabiliser=trivial_subgroup(ctx),
-        params={
-            "kind": "universal",
-            "variant": "b-words",
-            "max_radius": max_radius,
-            "start": start,
-            "min_step": min_step,
-        },
         sphere_members=placed.sphere,
     )
     spec.placed = placed
@@ -305,7 +289,7 @@ def universality_check(spec: SubsetSpec, r: int, scan_bound: int = 5000) -> Chec
 
     missing_count = sum(v is None for v in patterns.values())
     found = {
-        "|".join(sorted(ctx.format(GroupElement(ctx, w)) for w in key)) or "(empty)": ctx.format(v)
+        "|".join(sorted(ctx.format(GroupElement(ctx, w)) for w in key)) or "(empty)": v
         for (_n, key), v in patterns.items()
         if v is not None
     }
@@ -369,7 +353,7 @@ def track_independence_check(
                 name="track-independence",
                 params={"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound},
                 verdict=INCONCLUSIVE,
-                details={"missing_pattern_for_track": tracks[i].report_form()},
+                details={"missing_pattern_for_track": tracks[i]},
             )
         witnesses[i] = first[goal]
 
@@ -386,7 +370,7 @@ def track_independence_check(
                         name="track-independence",
                         params={"subset": spec.name, "tracks": len(tracks)},
                         verdict=FALSIFIED,
-                        witnesses=[ctx.format(x)],
+                        witnesses=[x],
                         details={"note": "witness pattern is not exact"},
                     )
 
@@ -402,10 +386,7 @@ def track_independence_check(
         name="track-independence",
         params={"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound},
         verdict=VERIFIED if independent else FALSIFIED,
-        witnesses=[
-            {"track": tracks[i].report_form(), "center": ctx.format(x)}
-            for i, x in sorted(witnesses.items())
-        ],
+        witnesses=[{"track": tracks[i], "center": x} for i, x in sorted(witnesses.items())],
         compared_count=len(tracks),
         details={"rank": rank},
     )
@@ -416,15 +397,19 @@ def track_independence_check(
 # ---------------------------------------------------------------------------
 
 
+# the demo's radii: relative deepness at r within R, condition 1 at R - 3, and
+# the co-separability search over candidates of radius F for translates of radius G
+DEMO_DEEP_R = 2
+DEMO_DEEP_RADIUS = 9
+DEMO_F_RADIUS = 4
+DEMO_G_RADIUS = 3
+
+
 def appendix_contrast_demo(
     ctx: FreeGroupContext | None = None,
     max_radius: int = 1,
     start: int = 2,
     min_step: int = 4,
-    deep_r: int = 2,
-    deep_radius: int = 9,
-    f_radius: int = 4,
-    g_radius: int = 3,
 ) -> SuiteReport:
     """Relative deepness and condition-1 stability without co-separability.
 
@@ -453,7 +438,6 @@ def appendix_contrast_demo(
         "a-cone-of-universal",
         in_b,
         left_stabiliser=trivial,
-        params={"kind": "custom", "construction": "nonnegative a-translates of universal-b-words"},
         sphere_members=lambda k: placed.sphere(k, 0, None),
     )
     powers_of_a = SubsetSpec(
@@ -464,7 +448,6 @@ def appendix_contrast_demo(
         "a-translates-of-universal",
         in_x,
         left_stabiliser=powers_of_a,
-        params={"kind": "coset-union", "base": u_spec.name, "translator": "a"},
         sphere_members=lambda k: placed.sphere(k, None, None),
     )
     x_spec.placed = placed  # the ambient set realizes the same local patterns
@@ -475,23 +458,23 @@ def appendix_contrast_demo(
             "max_radius": max_radius,
             "start": start,
             "min_step": min_step,
-            "deep_r": deep_r,
-            "deep_R": deep_radius,
-            "f_radius": f_radius,
-            "g_radius": g_radius,
+            "deep_r": DEMO_DEEP_R,
+            "deep_R": DEMO_DEEP_RADIUS,
+            "f_radius": DEMO_F_RADIUS,
+            "g_radius": DEMO_G_RADIUS,
         },
     )
     suite.add(universality_check(u_spec, max_radius))
     suite.add(universality_check(x_spec, max_radius))
     rel_deep = suite.add(
-        relatively_deep_check(b_spec, x_spec, powers_of_a, deep_r, deep_radius)
+        relatively_deep_check(b_spec, x_spec, powers_of_a, DEMO_DEEP_R, DEMO_DEEP_RADIUS)
     )
     ai_reports = []
     for g in (a, b):
         ai_reports.append(
-            suite.add(almost_invariant_check(b_spec, x_spec, trivial, g, deep_radius - 3))
+            suite.add(almost_invariant_check(b_spec, x_spec, trivial, g, DEMO_DEEP_RADIUS - 3))
         )
-    cosep = coseparability_search(b_spec, trivial, f_radius, g_radius)
+    cosep = coseparability_search(b_spec, trivial, DEMO_F_RADIUS, DEMO_G_RADIUS)
     # the demo *expects* the search to fail: record it wrapped, so the suite
     # verdict reflects whether the expected contrast was reproduced
     suite.add(
@@ -500,7 +483,7 @@ def appendix_contrast_demo(
             params=cosep.params,
             verdict=VERIFIED if cosep.verdict == FALSIFIED else FALSIFIED,
             witnesses=cosep.witnesses,
-            details={"search_report": cosep.to_dict()},
+            details={"search_report": cosep},
         )
     )
     contrast_ok = (

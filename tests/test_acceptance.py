@@ -37,7 +37,6 @@ from translation_lab.gallery import (
 from translation_lab.geometry import (
     coset_count_profile,
     coseparability_search,
-    coseparability_witness,
     deep_witness,
     h_isolation_sets,
     verify_h_isolation,
@@ -225,7 +224,7 @@ def test_criterion_08_isolation_pipeline(z, z2, amalgam):
         if search.verdict != VERIFIED:
             ok = False
             continue
-        f1, f2_ = h_isolation_sets(spec, coseparability_witness(search, spec))
+        f1, f2_ = h_isolation_sets(spec, search.witnesses)
         if verify_h_isolation(spec, sub, f1, f2_, 8).verdict != VERIFIED:
             ok = False
         w = make_window(spec, 8)
@@ -311,7 +310,7 @@ def test_criterion_11_universal(z):
         and independence.verdict == VERIFIED
         and len(independence.witnesses) == 20
         and demo.verdict == VERIFIED
-        and cosep_wrapped.details["search_report"]["verdict"] == FALSIFIED,
+        and cosep_wrapped.details["search_report"].verdict == FALSIFIED,
     )
 
 

@@ -231,10 +231,22 @@ NAME_CLASHES = [
     ),
     # a generator named e formats as the identity
     ({"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["x", "e"]}, "generator 'e' formats like"),
+    # with empty tags the second factor's generator formats as a^2, which parses as the first factor's a^2
+    (
+        {
+            "kind": "amalgam",
+            "left": {**Z_NAMED, "generators": ["a"]},
+            "right": {"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["0", "a^2"]},
+            "tags": ["", ""],
+        },
+        "generator 'a\\^2' does not parse back as itself",
+    ),
 ]
 
 
-@pytest.mark.parametrize("group,message", NAME_CLASHES, ids=["free", "finite", "hnn", "amalgam", "finite-e"])
+@pytest.mark.parametrize(
+    "group,message", NAME_CLASHES, ids=["free", "finite", "hnn", "amalgam", "finite-e", "amalgam-power"]
+)
 def test_names_that_cannot_be_told_apart_are_refused(group, message, tmp_path, capsys):
     with pytest.raises(ConfigError, match=message):
         load_group(group)

@@ -33,7 +33,6 @@ from translation_lab.geometry import (
     convexity_bounded_check,
     coset_count_profile,
     coseparability_search,
-    coseparability_witness,
     deep_witness,
     h_isolation_sets,
     prefix_products,
@@ -50,7 +49,7 @@ from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED
 def test_deep_naturals(z):
     report = deep_witness(natural_numbers(z), 3, 10)
     assert report.verdict == VERIFIED
-    assert report.witnesses == ["3"]
+    assert report.witnesses == [z.integer(3)]
 
 
 def test_deep_evens_inconclusive(z):
@@ -99,7 +98,7 @@ def test_almost_invariant_naturals(z):
     bwd = almost_invariant_check(nat, whole_group(z), trivial_subgroup(z), z.integer(-3), 8)
     assert bwd.verdict == VERIFIED
     assert bwd.details["coset_count_at_R"] == 3  # the strip -3,-2,-1
-    assert sorted(bwd.witnesses) == ["-1", "-2", "-3"]
+    assert sorted(bwd.witnesses, key=z.sort_key) == [z.integer(-1), z.integer(-2), z.integer(-3)]
 
 
 def test_almost_invariant_halfplane(z2):
@@ -166,14 +165,14 @@ def test_coseparability_naturals(z):
     nat = natural_numbers(z)
     report = coseparability_search(nat, trivial_subgroup(z), 1, 10)
     assert report.verdict == VERIFIED
-    assert sorted(report.witnesses) == ["-1", "0"]
+    assert sorted(report.witnesses, key=z.sort_key) == [z.integer(0), z.integer(-1)]
 
 
 def test_coseparability_halfplane(z2):
     half = coordinate_halfspace(z2, 0, 0)
     report = coseparability_search(half, half.left_stabiliser, 1, 4)
     assert report.verdict == VERIFIED
-    assert sorted(report.witnesses) == ["(-1,0)", "(0,0)"]
+    assert sorted(report.witnesses, key=z2.sort_key) == [z2.vector(0, 0), z2.vector(-1, 0)]
 
 
 def test_coseparability_amalgam(amalgam):
@@ -181,9 +180,8 @@ def test_coseparability_amalgam(amalgam):
     h = amalgam_subgroup(amalgam)
     report = coseparability_search(b, h, 1, 3)
     assert report.verdict == VERIFIED
-    witnesses = coseparability_witness(report, b)
-    inside = [x for x in witnesses if b.contains(x)]
-    outside = [x for x in witnesses if not b.contains(x)]
+    inside = [x for x in report.witnesses if b.contains(x)]
+    outside = [x for x in report.witnesses if not b.contains(x)]
     assert inside and outside
 
 
@@ -306,7 +304,7 @@ def test_convexity_unreached_class_is_inconclusive_not_falsified():
     report = convexity_bounded_check(whole_group(ctx), presentation_for(ctx), 3)
     assert report.verdict == INCONCLUSIVE
     assert report.details == {"budget_exceeded": False}
-    assert report.witnesses == [["-2", "-2", "-2"], ["t", "-2", "t^-1"]]
+    assert report.witnesses == [[ctx.parse(x) for x in word] for word in (["-2"] * 3, ["t", "-2", "t^-1"])]
 
 
 def _presentation_by_scans(ctx, letter_bound=2):

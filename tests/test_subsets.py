@@ -16,8 +16,9 @@ from translation_lab import (
     verify_stabilisers,
     words_not_starting_with,
 )
+from translation_lab.configs import load_subset
 from translation_lab.groups import cyclic_group
-from translation_lab.reports import FALSIFIED, VERIFIED
+from translation_lab.reports import FALSIFIED, VERIFIED, ConfigError
 
 
 def test_naturals_membership_and_window(z):
@@ -169,8 +170,10 @@ def test_coset_union_matches_closed_form(rank, radius):
 def test_coset_union_refuses_unproven_bases_and_translators(z, f2):
     with pytest.raises(ValueError):
         cyclic_translates(coordinate_halfspace(z, 0, 5), z.integer(1))
-    with pytest.raises(ValueError):
-        cyclic_translates(words_not_starting_with(f2, f2.parse("A")), f2.generator(1))
+    # only the loader knows the base's kind, so it refuses a base other than the cone
+    not_a_cone = {"kind": "custom-first-letter", "exclude": "A"}
+    with pytest.raises(ConfigError, match="only for a positive-cone base"):
+        load_subset(f2, {"kind": "coset-union", "base": not_a_cone, "translator": "a"})
     for word in ("ab", "aa", "aB"):
         with pytest.raises(ValueError):
             cyclic_translates(positive_cone(f2), f2.parse(word))
@@ -192,14 +195,14 @@ def test_halfplane(z2):
 
 def test_verify_stabilisers_naturals(z):
     nat = natural_numbers(z)
-    report = verify_stabilisers(nat, 6, search_radius=6)
+    report = verify_stabilisers(nat, 8)
     assert report.verdict == VERIFIED
     assert report.details["unclaimed_left_candidates"] == []
 
 
 def test_verify_stabilisers_amalgam(amalgam):
     b = make_tree_halfspace(amalgam, "G")
-    report = verify_stabilisers(b, 5, search_radius=2)
+    report = verify_stabilisers(b, 4)
     assert report.verdict == VERIFIED
     confirmed = report.details["confirmed"]["left"]
     assert len(confirmed) == 2  # both subgroup elements

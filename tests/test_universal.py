@@ -85,7 +85,7 @@ def test_universality_radius_two(z):
     # cross-check the found centers against the plain string
     text = oracle_string(5010)
     for pattern, center in report.details["found"].items():
-        n = int(center)
+        (n,) = center.word
         offsets = [] if pattern == "(empty)" else [int(tok) for tok in pattern.split("|")]
         for d in range(-2, 3):
             bit = text[n + d] == "1" if 0 <= n + d < len(text) else False
@@ -222,9 +222,9 @@ def _check_witnesses_against_a_per_track_scan(z, tracks):
     for t in tracks:
         radius = max(z.word_length(h) for s in by_total[t.total.word] for h in s.visited)
         goal = frozenset(z.invert(h).word for h in t.visited)
-        expected.append(z.format(_per_goal_first_centre(u, z.ball(radius), goal, centres)))
+        expected.append(_per_goal_first_centre(u, z.ball(radius), goal, centres))
     assert [w["center"] for w in report.witnesses] == expected
-    assert [w["track"] for w in report.witnesses] == [t.report_form() for t in tracks]
+    assert [w["track"] for w in report.witnesses] == tracks
 
 
 def test_first_centres_check_the_context_of_the_ball_and_each_centre(z):
@@ -325,7 +325,7 @@ def test_placed_patterns_are_found_at_their_own_placements(f2):
     spec = universal_b_words_spec(f2, max_radius=1)
     found = universality_check(spec, 1).details["found"]
     own = {
-        "|".join(sorted(f2.format(f) for f in p.pattern)) or "(empty)": f2.format(p.center)
+        "|".join(sorted(f2.format(f) for f in p.pattern)) or "(empty)": p.center
         for p in spec.placed.placements
         if p.radius == 1
     }
@@ -467,5 +467,5 @@ def test_contrast_demo():
     assert by_name["relatively-deep"].verdict == VERIFIED
     assert by_name["coseparability-expected-to-fail"].verdict == VERIFIED
     inner = by_name["coseparability-expected-to-fail"].details["search_report"]
-    assert inner["verdict"] == FALSIFIED
+    assert inner.verdict == FALSIFIED
     assert by_name["contrast"].verdict == VERIFIED
