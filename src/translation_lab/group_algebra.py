@@ -56,7 +56,7 @@ class HAlgebraElement:
             if value != 0:
                 self.coeffs[word] = value
         for word in self.coeffs:
-            if not subgroup.contains(GroupElement(subgroup.ctx, word)):
+            if not subgroup.predicate(word):
                 raise ValueError("coefficient outside the subgroup")
 
     @classmethod
@@ -68,27 +68,24 @@ class HAlgebraElement:
         return cls(subgroup, {h.word: Fraction(value)})
 
     def __mul__(self, other: "HAlgebraElement") -> "HAlgebraElement":
-        ctx = self.subgroup.ctx
+        mul = self.subgroup.ctx._mul
         out: dict[tuple, Fraction] = {}
         for w1, v1 in self.coeffs.items():
             for w2, v2 in other.coeffs.items():
-                prod = ctx.multiply(GroupElement(ctx, w1), GroupElement(ctx, w2))
-                out[prod.word] = out.get(prod.word, ZERO) + v1 * v2
+                prod = mul(w1, w2)
+                out[prod] = out.get(prod, ZERO) + v1 * v2
         return HAlgebraElement(self.subgroup, out)
 
     def star(self) -> "HAlgebraElement":
-        ctx = self.subgroup.ctx
-        out = {}
-        for w, v in self.coeffs.items():
-            out[ctx.invert(GroupElement(ctx, w)).word] = v
-        return HAlgebraElement(self.subgroup, out)
+        inv = self.subgroup.ctx._inv
+        return HAlgebraElement(self.subgroup, {inv(w): v for w, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HAlgebraElement) and self.coeffs == other.coeffs
 
     def report_form(self):
-        ctx = self.subgroup.ctx
-        return {ctx.format(GroupElement(ctx, w)): v for w, v in self.coeffs.items()}
+        fmt = self.subgroup.ctx._format
+        return {fmt(w): v for w, v in self.coeffs.items()}
 
 
 class SigmaVector:
@@ -101,7 +98,7 @@ class SigmaVector:
             value = Fraction(value)
             if value == 0:
                 continue
-            if not spec.contains(GroupElement(spec.ctx, word)):
+            if not spec.predicate(word):
                 raise ConfigError("sigma symbol outside the subset")
             self.coeffs[word] = value
 
@@ -112,15 +109,13 @@ class SigmaVector:
 
 def module_inner_product(subgroup: SubsetSpec, x: SigmaVector, y: SigmaVector) -> HAlgebraElement:
     """Sesquilinear extension of <sigma_g, sigma_k> = rho(g k^-1) [g k^-1 in H]."""
-    ctx = subgroup.ctx
+    mul, inv = subgroup.ctx._mul, subgroup.ctx._inv
     out: dict[tuple, Fraction] = {}
     for wg, vg in x.coeffs.items():
-        g = GroupElement(ctx, wg)
         for wk, vk in y.coeffs.items():
-            k_inv = ctx.invert(GroupElement(ctx, wk))
-            d = ctx.multiply(g, k_inv)
-            if subgroup.contains(d):
-                out[d.word] = out.get(d.word, ZERO) + vg * vk
+            d = mul(wg, inv(wk))
+            if subgroup.predicate(d):
+                out[d] = out.get(d, ZERO) + vg * vk
     return HAlgebraElement(subgroup, out)
 
 

@@ -11,23 +11,25 @@ form:
 * HNN extensions of a base group with stable letter ``t``
   (pinch-free forms with coset-transversal letters after each ``t``-power).
 
-Each context's arithmetic is a word kernel: ``_mul`` and ``_inv`` take and
-return canonical words (tuples), and the composite contexts call their
-factors' or base's kernel directly, so no element is built between kernel
-calls.  ``GroupContext.multiply`` and ``invert`` are the one checked entry
-point: they check that the operands belong to the context and wrap the
-resulting word in one ``GroupElement``.
+A context supplies word hooks, which take and return canonical words
+(tuples): ``_mul`` and ``_inv`` for the arithmetic, ``_length`` for the word
+metric, ``structural_key`` for the order within a sphere and ``_format`` for
+the report form, with ``identity``, ``generator_elements`` and ``parse``.
+The composite contexts call their factors' or base's hooks directly, so no
+element is built between hook calls.  ``GroupContext`` is the one class that
+takes elements: its ``multiply``, ``invert``, ``word_length``, ``sort_key``
+and ``format`` check once that the operand belongs to the context and then
+call the hook.
 
 All contexts share the same metric machinery: the word metric of the stated
 generating set, enumerated by breadth-first search and ordered shortlex (free
 groups list each layer by prefix extension, in the same order).  A
 breadth-first layer multiplies raw words, dedupes each product once against
-the depth table, sorts the new words by ``structural_key`` (which reads a
-canonical word) and builds one element per member last.  Free, free-abelian
-and finite contexts give the sort key of a raw word in closed form
-(``_sort_word``), so the composite contexts order their words by their
-factors' or base's keys without building elements.  Contexts are immutable
-after construction and all operations are pure.
+the depth table, sorts the new words by ``structural_key`` and builds one
+element per member last.  The default ``_length`` reads that depth table,
+grown on demand (a finite group builds it whole at construction); free,
+free-abelian and amalgam contexts give ``_length`` in closed form where they
+can.  Contexts are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -88,17 +90,21 @@ class GroupElement:
         return hash((self.ctx, self.word))
 
     def report_form(self) -> str:
-        return self.ctx.format(self)
+        return self.ctx._format(self.word)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.ctx.format(self)}>"
+        return f"<{self.ctx._format(self.word)}>"
 
 
 class GroupContext:
-    """Shared metric/enumeration machinery; subclasses fix the arithmetic.
+    """Shared metric/enumeration machinery over a subclass's word hooks.
 
-    A subclass supplies the word kernel ``_mul``/``_inv``; ``multiply`` and
-    ``invert`` are written once, here, and no subclass overrides them.
+    This class alone takes elements: ``multiply``, ``invert``,
+    ``word_length``, ``sort_key`` and ``format`` check the context once and
+    call a word hook, and no subclass overrides them.  A subclass supplies
+    ``_mul``, ``_inv``, ``_length`` (the breadth-first default below serves a
+    context with no closed form), ``structural_key``, ``_format``,
+    ``identity``, ``generator_elements`` and ``parse``.
     """
 
     kind = "abstract"
@@ -108,7 +114,7 @@ class GroupContext:
         self._dist: dict[tuple, int] = {}
         self._generator_words: tuple[tuple, ...] = ()  # set with the identity layer
 
-    # -- arithmetic: checked entry points over the subclass's word kernel ----
+    # -- checked entry points over the subclass's word hooks -----------------
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         if x.ctx is not self or y.ctx is not self:
@@ -117,6 +123,18 @@ class GroupContext:
 
     def invert(self, x: GroupElement) -> GroupElement:
         return GroupElement(self, self._inv(self._check(x).word))
+
+    def word_length(self, x: GroupElement) -> int:
+        """Length of the shortest generator word equal to ``x``."""
+        return self._length(self._check(x).word)
+
+    def sort_key(self, x: GroupElement):
+        return self._sort_word(self._check(x).word)
+
+    def format(self, x: GroupElement) -> str:
+        return self._format(self._check(x).word)
+
+    # -- word hooks ---------------------------------------------------------
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         """The canonical word of the product of two canonical words."""
@@ -137,35 +155,26 @@ class GroupContext:
         """Deterministic tie-break among canonical words of equal length."""
         raise NotImplementedError
 
-    def format(self, x: GroupElement) -> str:
+    def _format(self, w: tuple) -> str:
+        """The report form of a canonical word, which ``parse`` reads back."""
         raise NotImplementedError
 
     def parse(self, text: str) -> GroupElement:
         raise NotImplementedError
 
-    # -- metric -----------------------------------------------------------
-
-    def word_length(self, x: GroupElement) -> int:
-        """Length of the shortest generator word equal to ``x``.
-
-        The default implementation grows the cached breadth-first layers until
-        ``x`` is seen; subclasses with closed forms override it.
-        """
-        self._check(x)
-        while x.word not in self._dist:
+    def _length(self, w: tuple) -> int:
+        """Word length of a canonical word: the depth table, grown by
+        breadth-first layers until ``w`` is seen."""
+        while w not in self._dist:
             before = len(self._dist)
             self._grow_layer()
             if len(self._dist) == before:
-                raise MalformedWord(f"element {self.format(x)} is not generated")
-        return self._dist[x.word]
-
-    def sort_key(self, x: GroupElement):
-        return (self.word_length(x), self.structural_key(x.word))
+                raise MalformedWord(f"element {self._format(w)} is not generated")
+        return self._dist[w]
 
     def _sort_word(self, w: tuple):
-        """``sort_key`` of a canonical word; free, free-abelian and finite
-        contexts give it in closed form, without building an element."""
-        return self.sort_key(GroupElement(self, w))
+        """``sort_key`` of a canonical word: shortlex by length, then structure."""
+        return (self._length(w), self.structural_key(w))
 
     # -- balls --------------------------------------------------------------
 
@@ -190,13 +199,13 @@ class GroupContext:
                 break
 
     def _grow_layer(self) -> bool:
-        cap = ball_cap()
         if not self._layers:
             e = self.identity()
             self._dist[e.word] = 0
             self._layers.append([e])
             self._generator_words = tuple(g.word for g in self.generator_elements())
             return True
+        cap = ball_cap()
         layer = self._next_layer(cap - sum(map(len, self._layers)))
         if layer is None:
             raise BallCapExceeded(
@@ -210,7 +219,7 @@ class GroupContext:
         """The unseen neighbours of the last layer, sorted by ``structural_key``.
 
         Each product word is looked up once in the depth table ``_dist``,
-        which this dedupe and the default ``word_length`` read, and a new one
+        which this dedupe and the default ``_length`` read, and a new one
         enters it at once; elements are built only for the sorted words.
         None once more than ``room`` new words are found: the search stops
         there and takes them out of ``_dist`` again.
@@ -309,18 +318,14 @@ class FreeGroupContext(GroupContext):
     def _inv(self, a: tuple) -> tuple:
         return tuple(map(neg, reversed(a)))
 
-    def word_length(self, x: GroupElement) -> int:
-        self._check(x)
-        return len(x.word)
+    def _length(self, w: tuple) -> int:
+        return len(w)
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(self, (l,)) for l in self._letters)
 
     def structural_key(self, w: tuple):
         return tuple(map(self._letter_ranks.__getitem__, w))
-
-    def _sort_word(self, w: tuple):
-        return (len(w), tuple(map(self._letter_ranks.__getitem__, w)))
 
     def _next_layer(self, room: int) -> list[GroupElement] | None:
         """Each word of the last layer followed by each letter in rank order.
@@ -341,11 +346,11 @@ class FreeGroupContext(GroupContext):
             out.extend([GroupElement(self, w + (l,)) for l in self._letters if l != cancel])
         return out
 
-    def format(self, x: GroupElement) -> str:
-        if not x.word:
+    def _format(self, w: tuple) -> str:
+        if not w:
             return "e"
         return "".join(
-            self.names[l - 1] if l > 0 else self.names[-l - 1].upper() for l in x.word
+            self.names[l - 1] if l > 0 else self.names[-l - 1].upper() for l in w
         )
 
     def parse(self, text: str) -> GroupElement:
@@ -413,9 +418,8 @@ class FreeAbelianContext(GroupContext):
             return (-a[0],)
         return tuple(map(neg, a))
 
-    def word_length(self, x: GroupElement) -> int:
-        self._check(x)
-        return sum(abs(a) for a in x.word)
+    def _length(self, w: tuple) -> int:
+        return sum(map(abs, w))
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
         out = []
@@ -432,11 +436,11 @@ class FreeAbelianContext(GroupContext):
     def _sort_word(self, w: tuple):
         if self.rank == 1:
             return (abs(w[0]), w)
-        return (sum(map(abs, w)), w)
+        return super()._sort_word(w)
 
-    def format(self, x: GroupElement) -> str:
+    def _format(self, w: tuple) -> str:
         if self.rank == 1:
-            n = x.word[0]
+            n = w[0]
             if self.names:
                 if n == 0:
                     return "e"
@@ -444,7 +448,7 @@ class FreeAbelianContext(GroupContext):
                     return self.names[0]
                 return f"{self.names[0]}^{n}"
             return str(n)
-        return "(" + ",".join(str(a) for a in x.word) + ")"
+        return "(" + ",".join(str(a) for a in w) + ")"
 
     def parse(self, text: str) -> GroupElement:
         text = text.strip()
@@ -478,8 +482,8 @@ class FiniteGroupContext(GroupContext):
     """Finite group from a row-major multiplication table.
 
     The table is validated exhaustively at construction (unit, inverses,
-    associativity); word lengths over the stated generating set are
-    precomputed by breadth-first search.
+    associativity), and the breadth-first layers over the stated generating
+    set are grown whole there too, so the depth table holds every length.
     """
 
     kind = "finite"
@@ -510,7 +514,12 @@ class FiniteGroupContext(GroupContext):
         bad = [g for g in self.generators if not 0 <= g < n or g == self._identity_index]
         if bad:
             raise ValueError(f"bad generator indices {bad}")
-        self._lengths = self._bfs_lengths()
+        # past the ball cap, which bounds infinite balls only
+        self._grow_layer()
+        while self._layers[-1]:
+            self._layers.append(self._next_layer(n))
+        if len(self._dist) != n:
+            raise ValueError("generators do not generate the group")
 
     def _find_identity(self) -> int:
         for i in range(self.order):
@@ -541,23 +550,6 @@ class FiniteGroupContext(GroupContext):
                     if t[ab][c] != t[a][row_b[c]]:
                         raise ValueError(f"table not associative at ({a},{b},{c})")
 
-    def _bfs_lengths(self) -> tuple[int, ...]:
-        closed_gens = set(self.generators) | {self._inverse[g] for g in self.generators}
-        dist = {self._identity_index: 0}
-        frontier = [self._identity_index]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in sorted(closed_gens):
-                    y = self.table[x][g]
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        if len(dist) != self.order:
-            raise ValueError("generators do not generate the group")
-        return tuple(dist[i] for i in range(self.order))
-
     def identity(self) -> GroupElement:
         return GroupElement(self, (self._identity_index,))
 
@@ -572,10 +564,6 @@ class FiniteGroupContext(GroupContext):
     def _inv(self, a: tuple) -> tuple:
         return (self._inverse[a[0]],)
 
-    def word_length(self, x: GroupElement) -> int:
-        self._check(x)
-        return self._lengths[x.word[0]]
-
     def generator_elements(self) -> tuple[GroupElement, ...]:
         seen: dict[int, None] = {}
         for g in self.generators:
@@ -586,11 +574,8 @@ class FiniteGroupContext(GroupContext):
     def structural_key(self, w: tuple):
         return w
 
-    def _sort_word(self, w: tuple):
-        return (self._lengths[w[0]], w)
-
-    def format(self, x: GroupElement) -> str:
-        return self.names[x.word[0]]
+    def _format(self, w: tuple) -> str:
+        return self.names[w[0]]
 
     def parse(self, text: str) -> GroupElement:
         text = text.strip()
@@ -663,7 +648,7 @@ class AmalgamContext(GroupContext):
         self._validate_gluing()
         self._h_inverse = tuple(self._h_index[0][left._inv(a)] for a, _ in self._h_words)
         self._h_lengths = tuple(
-            min(left.word_length(a), right.word_length(b)) for a, b in self.pairs
+            min(left._length(a), right._length(b)) for a, b in self._h_words
         )
         self._trivial_h = len(self.pairs) == 1
         self._split_tables = tuple(
@@ -677,19 +662,14 @@ class AmalgamContext(GroupContext):
     def _validate_gluing(self):
         """The pairing must be a subgroup isomorphism on both sides."""
         left, right = self.factors
-        n = len(self.pairs)
-        for i in range(n):
-            a_i, b_i = self.pairs[i]
-            if left.invert(a_i).word not in self._h_index[0]:
+        for a_i, b_i in self._h_words:
+            if left._inv(a_i) not in self._h_index[0]:
                 raise ValueError("gluing subgroup not closed under inverses (left)")
-            for j in range(n):
-                a_j, b_j = self.pairs[j]
-                prod_left = left.multiply(a_i, a_j)
-                prod_right = right.multiply(b_i, b_j)
-                k = self._h_index[0].get(prod_left.word)
+            for a_j, b_j in self._h_words:
+                k = self._h_index[0].get(left._mul(a_i, a_j))
                 if k is None:
                     raise ValueError("gluing subgroup not closed under products")
-                if self.pairs[k][1].word != prod_right.word:
+                if self._h_words[k][1] != right._mul(b_i, b_j):
                     raise ValueError("gluing pairing is not a homomorphism")
 
     def _all_factor_elements_generate(self) -> bool:
@@ -712,9 +692,6 @@ class AmalgamContext(GroupContext):
         """The trailing-part value ``h`` as a canonical element of the amalgam."""
         return GroupElement(self, ((), h))
 
-    def _h_lookup(self, side: int, w: tuple) -> int | None:
-        return self._h_index[side].get(w)
-
     def _split(self, side: int, w: tuple) -> tuple[tuple, int]:
         """Factor the factor word ``w = rep * h`` with rep shortlex-least in wH.
 
@@ -732,7 +709,7 @@ class AmalgamContext(GroupContext):
         f = self.factors[side]
         cands = [f._mul(w, pair[side]) for pair in self._h_words]
         best = min(cands, key=f._sort_word)
-        h = self._h_lookup(side, f._mul(f._inv(best), w))
+        h = self._h_index[side].get(f._mul(f._inv(best), w))
         if h is None:  # pragma: no cover - guarded by gluing validation
             raise MalformedWord("transversal split left the subgroup")
         return best, h
@@ -799,19 +776,15 @@ class AmalgamContext(GroupContext):
 
     # -- metric and order ----------------------------------------------------
 
-    def word_length(self, x: GroupElement) -> int:
-        self._check(x)
-        syllables, h = x.word
+    def _length(self, w: tuple) -> int:
+        syllables, h = w
         if not syllables:
             return 0 if h == 0 else self._h_lengths[h]
         if self._trivial_h:
-            return sum(
-                self.factors[side].word_length(GroupElement(self.factors[side], w))
-                for side, w in syllables
-            )
+            return sum(self.factors[side]._length(v) for side, v in syllables)
         if self._syllable_counts_metric:
             return len(syllables)
-        return super().word_length(x)
+        return super()._length(w)
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
         seen: dict[tuple, GroupElement] = {}
@@ -826,14 +799,11 @@ class AmalgamContext(GroupContext):
         body = tuple((side, self.factors[side]._sort_word(w)) for side, w in syllables)
         return (len(syllables), body, h)
 
-    def format(self, x: GroupElement) -> str:
-        syllables, h = x.word
-        parts = [
-            self.tags[side] + self.factors[side].format(GroupElement(self.factors[side], w))
-            for side, w in syllables
-        ]
+    def _format(self, w: tuple) -> str:
+        syllables, h = w
+        parts = [self.tags[side] + self.factors[side]._format(v) for side, v in syllables]
         if h:
-            parts.append("h[" + self.factors[0].format(self.pairs[h][0]) + "]")
+            parts.append("h[" + self.factors[0]._format(self._h_words[h][0]) + "]")
         return "*".join(parts) if parts else "e"
 
     def parse(self, text: str) -> GroupElement:
@@ -1107,15 +1077,16 @@ class HnnContext(GroupContext):
         body = tuple((0 if sign == 1 else 1, sort_word(w)) for sign, w in blocks)
         return (len(blocks), sort_word(head), body)
 
-    def format(self, x: GroupElement) -> str:
-        base = self.base
+    def _format(self, w: tuple) -> str:
+        fmt = self.base._format
+        head, blocks = w
         parts = []
-        if x.word[0] != self._e or not x.word[1]:
-            parts.append(base.format(GroupElement(base, x.word[0])))
-        for sign, w in x.word[1]:
+        if head != self._e or not blocks:
+            parts.append(fmt(head))
+        for sign, g in blocks:
             parts.append(self.t_name if sign == 1 else f"{self.t_name}^-1")
-            if w != self._e:
-                parts.append(base.format(GroupElement(base, w)))
+            if g != self._e:
+                parts.append(fmt(g))
         return "*".join(parts)
 
     def parse(self, text: str) -> GroupElement:

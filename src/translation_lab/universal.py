@@ -289,7 +289,7 @@ def universality_check(spec: SubsetSpec, r: int, scan_bound: int = 5000) -> Chec
 
     missing_count = sum(v is None for v in patterns.values())
     found = {
-        "|".join(sorted(ctx.format(GroupElement(ctx, w)) for w in key)) or "(empty)": v
+        "|".join(sorted(map(ctx._format, key))) or "(empty)": v
         for (_n, key), v in patterns.items()
         if v is not None
     }

@@ -385,6 +385,17 @@ def test_resource_cap(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_RESOURCE
 
 
+def test_resource_cap_does_not_bound_a_finite_group(tmp_path, capsys, monkeypatch):
+    """A finite group builds its whole depth table at construction, past the
+    cap: z4*z6 loads and answers with a cap below its factors' orders."""
+    monkeypatch.setenv(BALL_CAP_ENV, "5")
+    subset = tmp_path / "half.json"
+    subset.write_text('{"kind": "halfspace", "side": "G"}')
+    code, out = run(capsys, "check", "deep", "--group", "z4*z6", "--subset", str(subset), "--r", "0", "--R", "0")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["checks"][0]["verdict"] == "verified-at-scale"
+
+
 def test_byte_reproducibility(tmp_path, capsys):
     subset = tmp_path / "nat.json"
     subset.write_text('{"kind": "interval", "lo": 0}')

@@ -15,6 +15,7 @@ from translation_lab.gallery import (
     run_toeplitz_check,
 )
 from translation_lab.groups import GroupElement
+from translation_lab.operators import TranslationOperator
 from translation_lab.reports import FALSIFIED, VERIFIED
 
 
@@ -99,6 +100,31 @@ def test_lance_roundtrip_inverts_each_syllable_once(monkeypatch):
     assert run_lance_difference_check(4).verdict == VERIFIED
     # 9 syllables of S at radius 4 and a few inverses outside the grid; the grid has 729 points
     assert len(inverted) < 2 * 9
+
+
+def test_lance_first_factor_mismatch_names_grid_points(monkeypatch):
+    """A wrong action on B falsifies the first-factor check with the standard
+    mismatch, whose row and column are grid points of the group."""
+    build = gallery.generator_operator
+
+    def zero_on_b(w, g, domain=None):
+        op = build(w, g, domain)
+        if w.spec.name == "all" or domain is not None:  # the grid, or the second factor's action
+            return op
+        return TranslationOperator(w, {}, op.clipped_rows, op.clipped_cols)
+
+    monkeypatch.setattr(gallery, "generator_operator", zero_on_b)
+    check = _by_name(run_lance_difference_check(2))["first-factor-difference-vanishes"]
+    assert check.verdict == FALSIFIED
+    (mismatch,) = check.witnesses
+    row, col = mismatch["row"], mismatch["col"]
+    ctx = row.ctx
+    assert isinstance(ctx, AmalgamContext) and col.ctx is ctx
+    # right multiplication by the first factor's generator sends the row to the column
+    a = ctx.from_letters([(0, ctx.factors[0].integer(1))])
+    assert ctx.multiply(col, a) == row
+    assert (mismatch["lhs"], mismatch["rhs"]) == (1, 0)
+    assert check.to_dict()["witnesses"][0]["row"] == ctx.format(row)
 
 
 def test_lance_prefix_split_refuses_a_syllable_outside_s(zz):

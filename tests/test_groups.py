@@ -65,7 +65,7 @@ def test_free_ball_by_prefix_extension_matches_generic_bfs(rank):
         assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
         # the closed form against the breadth-first search's depth table
         for x in fast.sphere(r):
-            assert fast.word_length(x) == GroupContext.word_length(slow, GroupElement(slow, x.word)) == r
+            assert fast.word_length(x) == GroupContext._length(slow, x.word) == r
 
 
 def test_group_element_equality_and_hashing():
@@ -207,7 +207,7 @@ def _amalgam_rewrites(ctx, letters):
             out.append(letters[:i] + [(s1, merged)] + letters[i + 2 :])
     # rewrite a glued-subgroup letter into the other factor
     for i, (s, x) in enumerate(letters):
-        h = ctx._h_lookup(s, x.word)
+        h = ctx._h_index[s].get(x.word)
         if h is not None:
             other = 1 - s
             out.append(letters[:i] + [(other, ctx.pairs[h][other])] + letters[i + 1 :])
@@ -247,7 +247,7 @@ def test_amalgam_syllable_count_matches_reduction(amalgam):
             while len(reduced) >= 2:
                 s2, v2 = reduced[-1]
                 s1, v1 = reduced[-2]
-                h2 = amalgam._h_lookup(s2, v2.word)
+                h2 = amalgam._h_index[s2].get(v2.word)
                 if v2.word == factors[s2].identity().word or h2 is not None:
                     if h2 is not None and v2.word != factors[s2].identity().word:
                         reduced[-2:] = [(s1, factors[s1].multiply(v1, amalgam.pairs[h2][s1]))]
@@ -267,7 +267,7 @@ def test_amalgam_syllable_count_matches_reduction(amalgam):
         expected = sum(
             1
             for s, v in reduced
-            if amalgam._h_lookup(s, v.word) is None
+            if amalgam._h_index[s].get(v.word) is None
         )
         assert len(x.word[0]) == expected
 
@@ -498,10 +498,11 @@ def _context_classes(cls=GroupContext):
 
 
 def test_multiply_and_invert_are_written_once():
-    # every context supplies the word kernel _mul/_inv; the checked entry
-    # points live in GroupContext alone
+    # every context supplies word hooks; the checked entry points that take
+    # elements live in GroupContext alone
     subclasses = [cls for cls in _context_classes() if cls is not GroupContext]
     assert {cls.kind for cls in subclasses} >= {"free", "free-abelian", "finite", "amalgam", "hnn"}
     for cls in subclasses:
-        assert "multiply" not in vars(cls) and "invert" not in vars(cls), cls.__name__
-        assert cls._mul is not GroupContext._mul and cls._inv is not GroupContext._inv, cls.__name__
+        assert not {"multiply", "invert", "word_length", "sort_key", "format"} & set(vars(cls)), cls.__name__
+        for hook in ("_mul", "_inv", "_format", "structural_key"):
+            assert getattr(cls, hook) is not getattr(GroupContext, hook), (cls.__name__, hook)

@@ -7,19 +7,29 @@ subgroup.  Z^2 is built as ``z2`` and as the HNN extension of Z with
 the matching generator of another; extended to words it is an isomorphism, so
 on the radius-4 ball it must commute with each kernel's ``_mul`` and ``_inv``,
 keep word length and carry each sphere onto the sphere of the same radius.
-A subset carried across by the map, its predicate composed with the inverse
-map, must give the same translation operators: on the radius-4 window each
-``generator_operator`` has the same rows and clipping, read through the map.
-This is a differential oracle for the word kernels, the trivial-gluing
-amalgam kernel above all.
+A subset carried across by the map, its predicate and claimed stabilisers
+composed with the inverse map, must give the same translation operators: on
+the radius-4 window each ``generator_operator`` has the same rows, clipping
+and rank, read through the map.  The checks behind ``check deep`` and
+``check stabilisers`` must give the same verdicts, counts and witnesses, read
+through the map.  This is a differential oracle for the word kernels, the
+trivial-gluing amalgam kernel above all.
 """
 
 import pytest
 
 from translation_lab.configs import load_group
+from translation_lab.geometry import deep_witness
 from translation_lab.groups import GroupElement
-from translation_lab.operators import generator_operator, make_window
-from translation_lab.subsets import SubsetSpec, coordinate_halfspace, make_tree_halfspace, positive_cone
+from translation_lab.operators import generator_operator, make_window, matrix_rank
+from translation_lab.reports import VERIFIED
+from translation_lab.subsets import (
+    SubsetSpec,
+    coordinate_halfspace,
+    make_tree_halfspace,
+    positive_cone,
+    verify_stabilisers,
+)
 
 RADIUS = 4
 STEP = 2  # the operators translate by each element of the source's radius-2 ball
@@ -68,6 +78,34 @@ def letter_map(source, target, source_letters, target_letters, radius=RADIUS):
     return phi, letters
 
 
+def carried_pair(names):
+    """The source's subset, the target's subset carried across by φ (its
+    predicate composed with φ⁻¹, its claimed stabilisers carried the same
+    way), and φ on the source's ball of radius RADIUS + STEP, which holds
+    every point the checks below read."""
+    source, target = (context(name) for name in names)
+    phi, _ = letter_map(source, target, *(LETTERS[name] for name in names), radius=RADIUS + STEP)
+    phi_inv = {y: x for x, y in phi.items()}
+
+    def carry(spec):
+        if spec is None:
+            return None
+        elements = spec.elements and tuple(
+            sorted((GroupElement(target, phi[h.word]) for h in spec.elements), key=target.sort_key)
+        )
+        return SubsetSpec(
+            target,
+            f"phi({spec.name})",
+            lambda w: spec.predicate(phi_inv[w]),
+            carry(spec.left_stabiliser),
+            carry(spec.right_stabiliser),
+            elements=elements,
+        )
+
+    spec = SUBSETS[names[0]](source)
+    return spec, carry(spec), phi
+
+
 @pytest.mark.parametrize("names", PAIRS, ids="~".join)
 def test_a_letter_map_is_an_isomorphism_on_the_ball(names):
     source, target = (context(name) for name in names)
@@ -97,12 +135,8 @@ def test_a_letter_map_is_an_isomorphism_on_the_ball(names):
 
 @pytest.mark.parametrize("names", PAIRS, ids="~".join)
 def test_a_carried_subset_gives_the_same_operators(names):
-    source, target = (context(name) for name in names)
-    # a window point moved by a ball element stays within RADIUS + STEP
-    phi, _ = letter_map(source, target, *(LETTERS[name] for name in names), radius=RADIUS + STEP)
-    phi_inv = {y: x for x, y in phi.items()}
-    spec = SUBSETS[names[0]](source)
-    carried = SubsetSpec(target, f"phi({spec.name})", lambda w: spec.predicate(phi_inv[w]))
+    spec, carried, phi = carried_pair(names)
+    source, target = spec.ctx, carried.ctx
     w_source, w_target = make_window(spec, RADIUS), make_window(carried, RADIUS)
     assert {phi[x.word] for x in w_source.points} == {y.word for y in w_target.points}
     assert len(w_source) == len(w_target)
@@ -118,5 +152,40 @@ def test_a_carried_subset_gives_the_same_operators(names):
         op_source = generator_operator(w_source, g)
         op_target = generator_operator(w_target, GroupElement(target, phi[g.word]))
         assert read(op_source, phi.__getitem__) == read(op_target, lambda w: w), source.format(g)
+        assert matrix_rank(op_source) == matrix_rank(op_target), source.format(g)  # op rank
         clipped += len(op_source.clipped_rows)
     assert clipped  # the windows are small enough that some rows leave them
+
+
+@pytest.mark.parametrize("names", PAIRS, ids="~".join)
+def test_a_carried_subset_gives_the_same_verdicts(names):
+    """``check deep`` and ``check stabilisers`` on both sides of φ.
+
+    A verified deep-witness scan stops at its witness, so its count is the
+    witness's place in each context's own ball order, which φ need not keep;
+    there the witnesses are compared instead.  An exhaustive scan counts the
+    subset's points in the window, which φ keeps.
+    """
+    spec, carried, phi = carried_pair(names)
+
+    def words(elements, to=lambda w: w):
+        return sorted(to(x.word) for x in elements)
+
+    verdicts = set()
+    for r in range(STEP + 1):
+        deep_source, deep_target = deep_witness(spec, r, RADIUS), deep_witness(carried, r, RADIUS)
+        assert deep_source.verdict == deep_target.verdict, r
+        assert words(deep_source.witnesses, phi.__getitem__) == words(deep_target.witnesses), r
+        if deep_source.verdict != VERIFIED:
+            assert deep_source.compared_count == deep_target.compared_count, r
+        verdicts.add(deep_source.verdict)
+    for r in range(STEP + 2):
+        stab_source, stab_target = verify_stabilisers(spec, r), verify_stabilisers(carried, r)
+        assert stab_source.verdict == stab_target.verdict == VERIFIED, r
+        assert stab_source.compared_count == stab_target.compared_count, r
+        for key in ("left", "right"):
+            confirmed = (stab_source.details["confirmed"][key], stab_target.details["confirmed"][key])
+            assert words(confirmed[0], phi.__getitem__) == words(confirmed[1]), (r, key)
+        unclaimed = (stab_source.details["unclaimed_left_candidates"], stab_target.details["unclaimed_left_candidates"])
+        assert words(unclaimed[0], phi.__getitem__) == words(unclaimed[1]), r
+    assert VERIFIED in verdicts  # some deep ball is found on every pair

@@ -1,4 +1,4 @@
-"""Membership predicates against brute-force definitions, and ball order against ``sort_key``.
+"""Membership predicates against brute-force definitions; ball order, word length and report form.
 
 Each subset kind is checked against a definition that does not read the
 canonical form the way its predicate does:
@@ -19,6 +19,8 @@ Every membership read also checks ``contains(x) == bool(predicate(x.word))``.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from translation_lab import (
     natural_numbers,
     positive_cone,
 )
-from translation_lab.configs import BUILTIN_GROUPS, load_group
+from translation_lab.configs import BUILTIN_GROUPS, GROUP_KEYS, load_group
 from translation_lab.groups import AmalgamContext, GroupElement, HnnContext
 from translation_lab.universal import universal_b_words_spec, universal_z_spec
 
@@ -249,12 +251,20 @@ LOADER_CONFIGS = {
 }
 
 
+INPUTS = Path(__file__).parent / "inputs"
+INPUT_GROUPS = sorted(p.name for p in INPUTS.glob("*.json") if json.loads(p.read_text())["kind"] in GROUP_KEYS)
+
+
 @pytest.fixture(
     scope="module",
-    params=[f"builtin:{name}" for name in BUILTIN_GROUPS] + [f"config:{kind}" for kind in LOADER_CONFIGS],
+    params=[f"builtin:{name}" for name in BUILTIN_GROUPS]
+    + [f"config:{kind}" for kind in LOADER_CONFIGS]
+    + [f"input:{name}" for name in INPUT_GROUPS],
 )
 def any_ctx(request):
     source, name = request.param.split(":", 1)
+    if source == "input":
+        return load_group(str(INPUTS / name))
     return load_group(name if source == "builtin" else LOADER_CONFIGS[name])
 
 
@@ -270,10 +280,19 @@ def _element_structural_key(ctx, x):
 
 
 def test_sort_word_is_sort_key_and_balls_come_sorted(any_ctx):
+    """Each closed-form ``_length`` (free, free-abelian, the amalgam's sum and
+    syllable count) against the breadth-first layers, then the ball order."""
     ctx = any_ctx
+    for r in range(5):
+        assert {ctx._length(x.word) for x in ctx.sphere(r)} <= {r}, r
     ball = ctx.ball(4)
-    assert [ctx._sort_word(x.word) for x in ball] == [ctx.sort_key(x) for x in ball]
     if isinstance(ctx, (AmalgamContext, HnnContext)):
         assert [ctx.structural_key(x.word) for x in ball] == [_element_structural_key(ctx, x) for x in ball]
     for r in range(5):
         assert ctx.ball(r) == sorted(ctx.ball(r), key=ctx.sort_key)
+
+
+def test_parse_reads_format(any_ctx):
+    ctx = any_ctx
+    for x in ctx.ball(3):
+        assert ctx.parse(ctx.format(x)) == x, x.word
