@@ -141,6 +141,9 @@ def _group_from_dict(data: dict) -> GroupContext:
     if kind == "amalgam":
         left = _group_from_dict(data["left"])
         right = _group_from_dict(data["right"])
+        if _holds_amalgam(left) or _holds_amalgam(right):
+            # its syllables would print with the same "*" and tags as the outer ones
+            raise ConfigError("an amalgam factor cannot be an amalgam or an HNN extension over one")
         pairs = [
             (left.parse(str(a)), right.parse(str(b))) for a, b in data.get("pairs", [])
         ]
@@ -158,6 +161,13 @@ def _group_from_dict(data: dict) -> GroupContext:
         pairs = [(base.parse(str(a)), base.parse(str(b))) for a, b in theta]
         sub = FiniteHnnSubgroup(base, pairs)
     return HnnContext(base, sub, data.get("stable_letter", "t"))
+
+
+def _holds_amalgam(ctx: GroupContext) -> bool:
+    """Whether ``ctx`` is an amalgam, or an HNN extension over one at any depth."""
+    while isinstance(ctx, HnnContext):
+        ctx = ctx.base
+    return isinstance(ctx, AmalgamContext)
 
 
 def load_subset(ctx: GroupContext, source) -> SubsetSpec:

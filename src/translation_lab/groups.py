@@ -613,9 +613,15 @@ class AmalgamContext(GroupContext):
     already canonical and are joined on unchanged.  ``_inv`` starts from the
     inverse of the trailing part and takes the syllables in reverse order,
     each inverted in its factor, so the carry runs once.  Coset splits come
-    from a table built at construction for finite factors, are the identity
-    split when the gluing subgroup is trivial, and otherwise come from a
-    search over the subgroup.
+    from a table built at construction for finite factors and otherwise from
+    a search over the subgroup.
+
+    With trivial gluing (H = {e}) the context is a free product, and
+    ``__init__`` binds ``_mul``, ``_inv`` and ``_append_letter`` to the
+    free-product hooks once: a merge at the seam is one factor product and one
+    test against the factor's identity word, an identity drops the syllable,
+    and the trailing part stays 0.  They never split a syllable or look up
+    the subgroup, and the nontrivial kernel pays no test for them.
     """
 
     kind = "amalgam"
@@ -651,12 +657,17 @@ class AmalgamContext(GroupContext):
             min(left._length(a), right._length(b)) for a, b in self._h_words
         )
         self._trivial_h = len(self.pairs) == 1
-        self._split_tables = tuple(
-            {x.word: self._split_search(side, x.word) for x in f.all_elements()}
-            if isinstance(f, FiniteGroupContext) and not self._trivial_h
-            else None
-            for side, f in enumerate(self.factors)
-        )
+        if self._trivial_h:
+            self._factor_ids = tuple(f.identity().word for f in self.factors)
+            self._mul, self._inv = self._free_mul, self._free_inv
+            self._append_letter = self._free_append
+        else:
+            self._split_tables = tuple(
+                {x.word: self._split_search(side, x.word) for x in f.all_elements()}
+                if isinstance(f, FiniteGroupContext)
+                else None
+                for side, f in enumerate(self.factors)
+            )
         self._syllable_counts_metric = self._all_factor_elements_generate()
 
     def _validate_gluing(self):
@@ -697,8 +708,6 @@ class AmalgamContext(GroupContext):
 
         Returns ``(rep word, h)``.
         """
-        if self._trivial_h:
-            return w, 0
         table = self._split_tables[side]
         if table is not None:
             return table[w]
@@ -773,6 +782,37 @@ class AmalgamContext(GroupContext):
             rep, h = self._split(side, f._mul(self._h_words[h][side], y) if h else y)
             out.append((side, rep))
         return tuple(out), h
+
+    # -- the free-product hooks, bound in __init__ when H = {e} ----------------
+
+    def _free_append(self, state: tuple, side: int, w: tuple) -> tuple:
+        syllables = state[0]
+        if syllables and syllables[-1][0] == side:
+            w = self.factors[side]._mul(syllables[-1][1], w)
+            syllables = syllables[:-1]
+        if w == self._factor_ids[side]:
+            return syllables, 0
+        return syllables + ((side, w),), 0
+
+    def _free_mul(self, a: tuple, b: tuple) -> tuple:
+        left, right = a[0], b[0]
+        if not left or not right or left[-1][0] != right[0][0]:
+            return left + right, 0
+        i, j = len(left), 0
+        # Merge across the seam; a merge that gives the identity exposes the
+        # next pair, which lies in one factor again since both sides alternate.
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            side = right[j][0]
+            z = self.factors[side]._mul(left[i - 1][1], right[j][1])
+            if z != self._factor_ids[side]:
+                return left[: i - 1] + ((side, z),) + right[j + 1 :], 0
+            i -= 1
+            j += 1
+        return left[:i] + right[j:], 0
+
+    def _free_inv(self, a: tuple) -> tuple:
+        factors = self.factors
+        return tuple([(side, factors[side]._inv(w)) for side, w in reversed(a[0])]), 0
 
     # -- metric and order ----------------------------------------------------
 

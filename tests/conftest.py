@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,12 @@ def s3_z4():
 @pytest.fixture(scope="session")
 def zz():
     return free_product_of_two_integers()
+
+
+@pytest.fixture(scope="session")
+def c2_c3():
+    """PSL(2, Z) as the free product Z/2 * Z/3: trivial gluing of two finite factors."""
+    return load_group(str(Path(__file__).parent / "inputs" / "c2-c3.json"))
 
 
 @pytest.fixture(scope="session")

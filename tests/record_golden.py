@@ -19,7 +19,10 @@ and those in ``tests/inputs``.  The table holds:
 * one falsified and one inconclusive-within-bound line for each check
   that gives such a verdict on valid input, where no line above does;
 * one config per group kind of the loader through ``check deep``,
-  ``check stabilisers`` and ``check convexity --L 2``, on the whole group;
+  ``check stabilisers`` and ``check convexity --L 2``, on the whole group,
+  with two amalgams: ``s3-z4.json`` glued over Z/2, and ``c2-c3.json``
+  (Z/2 * Z/3 with ``"pairs": []``), whose trivial gluing runs the
+  free-product kernel;
 * one line each that exits 2, 3 and 4.
 """
 
@@ -58,7 +61,7 @@ VERDICT_LINES = [
     "universal verify --r 2 --R 10",  # inconclusive: the scan bound is too small
     "universal independence --r 1 --R 3",  # inconclusive
 ]
-LOADER_KINDS = ("bs13.json", "klein-hnn.json", "z4-negation-hnn.json", "s3-z4.json", "c6.json", "z3.json")
+LOADER_KINDS = ("bs13.json", "klein-hnn.json", "z4-negation-hnn.json", "s3-z4.json", "c2-c3.json", "c6.json", "z3.json")
 LOADER_ROWS = (
     "check deep --group {} --subset all.json --r 1 --R 3",
     "check stabilisers --group {} --subset all.json",

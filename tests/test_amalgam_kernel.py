@@ -3,22 +3,32 @@
 ``multiply`` reduces only at the seam between its operands and takes coset
 splits from a table for finite factors.  The reference is the letter-by-letter
 construction: ``from_letters`` applied to the letters of both canonical forms.
-The contexts cover trivial gluing (``z*z``), cyclic finite factors glued over
-Z/2 (``z4*z6``) and a non-abelian factor glued over Z/2 (S3 with Z/4).
+The contexts cover trivial gluing of infinite factors (``z*z``) and of finite
+ones (Z/2 * Z/3), cyclic finite factors glued over Z/2 (``z4*z6``) and a
+non-abelian factor glued over Z/2 (S3 with Z/4).
+
+With trivial gluing the context runs its free-product hooks, ``from_letters``
+included, so those contexts are also checked against a brute-force reducer
+that shares no code with the kernel.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translation_lab import FiniteGroupContext
+from translation_lab import AmalgamContext, FiniteGroupContext, cli
 from translation_lab.groups import GroupElement
 
 KERNEL_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
 
-@pytest.fixture(scope="module", params=["zz", "amalgam", "s3_z4"])
+@pytest.fixture(scope="module", params=["zz", "c2_c3", "amalgam", "s3_z4"])
 def ctx(request):
+    return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(scope="module", params=["zz", "c2_c3"])
+def free_ctx(request):
     return request.getfixturevalue(request.param)
 
 
@@ -73,3 +83,65 @@ def test_multiply_by_inverse_is_identity(ctx, data):
     e = ctx.identity().word
     assert ctx.multiply(x, ctx.invert(x)).word == e
     assert ctx.multiply(ctx.invert(x), x).word == e
+
+
+# -- trivial gluing: a free product --------------------------------------------
+
+
+def _letter_lists(ctx):
+    """Raw tagged factor elements, identities and same-factor neighbours included."""
+    letter = st.one_of(
+        *(st.tuples(st.just(side), _factor_elements(f)) for side, f in enumerate(ctx.factors))
+    )
+    return st.lists(letter, max_size=8)
+
+
+def _free_reduce(ctx, letters):
+    """The free-product normal form by brute force, through the factors' public API.
+
+    Merge two neighbours of one factor by its ``multiply`` and drop a factor
+    identity, one step at a time, until neither applies.
+    """
+    out = list(letters)
+    while True:
+        drop = [i for i, (side, x) in enumerate(out) if x == ctx.factors[side].identity()]
+        merge = [i for i in range(len(out) - 1) if out[i][0] == out[i + 1][0]]
+        if drop:
+            del out[drop[0]]
+        elif merge:
+            i = merge[0]
+            side = out[i][0]
+            out[i : i + 2] = [(side, ctx.factors[side].multiply(out[i][1], out[i + 1][1]))]
+        else:
+            return tuple((side, x.word) for side, x in out), 0
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_free_product_kernel_matches_brute_force_reduction(free_ctx, data):
+    ctx = free_ctx
+    u = data.draw(_letter_lists(ctx))
+    inverse_letters = [(side, ctx.factors[side].invert(g)) for side, g in reversed(u)]
+    # y often starts by cancelling a tail of x, so merges cascade across the seam
+    v = inverse_letters[: data.draw(st.integers(0, len(u)))] + data.draw(_letter_lists(ctx))
+    x, y = ctx.from_letters(u), ctx.from_letters(v)
+    assert x.word == _free_reduce(ctx, u)
+    assert ctx.multiply(x, y).word == _free_reduce(ctx, u + v)
+    assert ctx.invert(x).word == _free_reduce(ctx, inverse_letters)
+
+
+def test_trivial_gluing_does_no_subgroup_work(zz, monkeypatch, capsys):
+    """Neither the Lance suite on z*z nor the z*z kernel splits a syllable."""
+
+    def refuse(self, side, w):
+        raise AssertionError("a trivial-gluing kernel split a syllable")
+
+    monkeypatch.setattr(AmalgamContext, "_split", refuse)
+    monkeypatch.setattr(AmalgamContext, "_split_search", refuse)
+    assert cli.dispatch(["gallery", "lance", "--R", "2"]) == 0
+    assert '"verdict":"verified-at-scale"' in capsys.readouterr().out
+    ball = zz.ball(3)
+    for x in ball:
+        assert zz.multiply(x, zz.invert(x)) == zz.identity()
+        for y in ball[:9]:
+            assert zz.parse(zz.format(zz.multiply(x, y))) == zz.multiply(x, y)

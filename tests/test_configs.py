@@ -257,6 +257,46 @@ def test_names_that_cannot_be_told_apart_are_refused(group, message, tmp_path, c
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+# One amalgam as a factor of another: the left-factor element G:-1*S:a and the
+# product of G:(G:-1) with S:a both printed as G:G:-1*S:a, and 44 elements of
+# the radius-3 ball did not parse back as themselves.  With an HNN extension
+# in between, 120 of 457 did not.
+NESTED_AMALGAM = {
+    "kind": "amalgam",
+    "left": {
+        "kind": "amalgam",
+        "left": {"kind": "free-abelian", "rank": 1},
+        "right": {"kind": "free", "rank": 1},
+        "pairs": [],
+    },
+    "right": {"kind": "free", "rank": 1, "generators": ["a"]},
+    "pairs": [],
+}
+INNER, FREE_A = NESTED_AMALGAM["left"], NESTED_AMALGAM["right"]
+NESTED_AMALGAMS = {
+    "left": NESTED_AMALGAM,
+    "right": {**NESTED_AMALGAM, "left": FREE_A, "right": INNER},
+    "hnn-between": {**NESTED_AMALGAM, "left": {"kind": "hnn", "base": INNER, "theta": []}},
+}
+
+
+@pytest.mark.parametrize("group", NESTED_AMALGAMS.values(), ids=NESTED_AMALGAMS)
+def test_an_amalgam_below_an_amalgam_factor_is_refused(group, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="an amalgam factor cannot be an amalgam"):
+        load_group(group)
+    (tmp_path / "group.json").write_text(json.dumps(group))
+    (tmp_path / "all.json").write_text('{"kind": "universal-all"}')
+    argv = ["check", "deep", "--group", str(tmp_path / "group.json"), "--subset", str(tmp_path / "all.json")]
+    assert cli.dispatch(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_amalgams_and_hnn_extensions_still_nest_in_each_other():
+    assert load_group({"kind": "hnn", "base": INNER, "theta": []}).kind == "hnn"
+    z_hnn = {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"multiplier": 2}}
+    assert load_group({**NESTED_AMALGAM, "left": z_hnn}).kind == "amalgam"
+
+
 def test_universal_variants():
     """Variant z is the default and needs Z; any other name is refused."""
     z = load_group("z")

@@ -81,22 +81,27 @@ def test_lance_suite():
 def test_lance_roundtrip_inverts_each_syllable_once(monkeypatch):
     """The grid roundtrip inverts the letter of each s in S once, not once per grid point.
 
-    Both ``invert`` and the raw-word ``_inv`` are counted, so an inverse taken
-    either way shows.
+    Both ``invert`` and the raw-word hooks ``_inv`` and ``_free_inv`` (which
+    trivial gluing binds as ``_inv``) are counted, so an inverse taken either
+    way shows.
     """
     inverted = []
-    invert, inv = AmalgamContext.invert, AmalgamContext._inv
+    invert = AmalgamContext.invert
 
     def counting(self, x):
         inverted.append(x.word)
         return invert(self, x)
 
-    def counting_raw(self, a):
-        inverted.append(a)
-        return inv(self, a)
+    def counting_raw(inv):
+        def count(self, a):
+            inverted.append(a)
+            return inv(self, a)
+
+        return count
 
     monkeypatch.setattr(AmalgamContext, "invert", counting)
-    monkeypatch.setattr(AmalgamContext, "_inv", counting_raw)
+    for hook in ("_inv", "_free_inv"):
+        monkeypatch.setattr(AmalgamContext, hook, counting_raw(getattr(AmalgamContext, hook)))
     assert run_lance_difference_check(4).verdict == VERIFIED
     # 9 syllables of S at radius 4 and a few inverses outside the grid; the grid has 729 points
     assert len(inverted) < 2 * 9
