@@ -24,6 +24,7 @@ from typing import Callable
 from .configs import load_group, load_subset
 from .gallery import SUITES, run_all
 from .geometry import (
+    SLACK,
     SPLIT_RADIUS,
     almost_invariant_check,
     boundary_set,
@@ -42,7 +43,7 @@ from .group_algebra import (
     module_inner_product,
     verify_ph_in_ideal,
 )
-from .groups import BallCapExceeded, BallCapInvalid, FreeGroupContext, MalformedWord, ball_cap
+from .groups import BALL_CAP_ENV, BallCapExceeded, BallCapInvalid, FreeGroupContext, MalformedWord, ball_cap
 from .operators import (
     adjoint,
     compose,
@@ -162,6 +163,12 @@ def _listing(name: str, params: dict, points: list, details=None) -> list[CheckR
 
 def _boundary(args):
     return _listing("boundary-set", {"B": args.subset.name, "R": args.R}, boundary_set(args.subset, args.R))
+
+
+def _convexity(args):
+    # words grow to L + SLACK, so no longer twist relation is ever applied
+    pres = presentation_for(args.group, max_relation_len=2 * (args.L + SLACK))
+    return [convexity_bounded_check(args.subset, pres, args.L)]
 
 
 def _op(check: Callable) -> Callable:
@@ -334,9 +341,7 @@ COMMANDS = {
             ),
             "isolation": What(ON_B | SEARCH, _suite(_h_isolation)),
             "boundary": What(ON_B | {"R": 8}, _suite(_boundary)),
-            "convexity": What(
-                ON_B | {"L": 3}, _suite(lambda a: [convexity_bounded_check(a.subset, presentation_for(a.group), a.L)])
-            ),
+            "convexity": What(ON_B | {"L": 3}, _suite(_convexity)),
             "stabilisers": What(ON_B | {"r": 3}, _suite(lambda a: [verify_stabilisers(a.subset, a.r)])),
         },
     ),
@@ -499,6 +504,10 @@ def dispatch(argv) -> int:
         return EXIT_CONFIG
     except BallCapExceeded as err:
         print(f"resource cap: {err}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        cap = f"{BALL_CAP_ENV}={ball_cap()}"
+        print(f"resource cap: out of memory at {cap} (set it lower to stop sooner)", file=sys.stderr)
         return EXIT_RESOURCE
 
     started = time.perf_counter()

@@ -12,7 +12,17 @@ import itertools
 from collections import deque
 from typing import Iterable, Sequence
 
-from .groups import AmalgamContext, FiniteGroupContext, FreeAbelianContext, GroupContext, GroupElement, HnnContext
+from .groups import (
+    BALL_CAP_ENV,
+    AmalgamContext,
+    BallCapExceeded,
+    FiniteGroupContext,
+    FreeAbelianContext,
+    GroupContext,
+    GroupElement,
+    HnnContext,
+    ball_cap,
+)
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, ConfigError
 from .subsets import SubsetSpec, coset_cover
 
@@ -447,18 +457,62 @@ def _nontrivial(f: GroupContext, elems: Iterable[GroupElement]) -> list[GroupEle
     return sorted((x for x in elems if x.word != e), key=f.sort_key)
 
 
-def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
+def _own_letters(f: GroupContext, letter_bound: int) -> list[GroupElement]:
+    """A factor's or base's letters: every nontrivial element of a finite
+    group, else the nontrivial elements of the ball of radius ``letter_bound``."""
+    return _nontrivial(f, f.all_elements() if isinstance(f, FiniteGroupContext) else f.ball(letter_bound))
+
+
+def _spelling(
+    base: GroupContext, own: list[GroupElement], target: tuple, max_len: int | None
+) -> tuple[int, ...] | None:
+    """The first in letter order of the shortest words in the letters ``own``
+    with product ``target``, as positions in ``own``; None when each is longer
+    than ``max_len``.
+
+    The search runs breadth first, trying the letters in order, and raises
+    ``BallCapExceeded`` once it has seen more elements than the ball cap; a
+    finite base needs none, as every nontrivial element is a letter.
+    """
+    cap, mul = ball_cap(), base._mul
+    letters = [x.word for x in own]
+    spelled = {base.identity().word: ()}
+    layer = list(spelled)
+    while target not in spelled:
+        if len(spelled[layer[0]]) == max_len:
+            return None
+        nxt = []
+        for x in layer:
+            for i, letter in enumerate(letters):
+                y = mul(x, letter)
+                if y not in spelled:
+                    spelled[y] = spelled[x] + (i,)
+                    nxt.append(y)
+                    if len(spelled) > cap:
+                        raise BallCapExceeded(
+                            f"spelling a twist image visits more than {cap} elements "
+                            f"(set {BALL_CAP_ENV} to raise the cap)"
+                        )
+        layer = nxt
+    return spelled[target]
+
+
+def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len: int | None = None) -> Presentation:
     """Built-in presentations: factor letters with short trivial-product words.
 
     Amalgams use every nontrivial factor element as a letter (factors of
     infinite order contribute powers up to the bound) and all within-factor
     relation words of length at most 3; a finite group is presented the same
-    way, as one such factor.  HNN extensions add the stable letter and the
-    twisting relations t h t^-1 k^-1 as words, with h running over base
-    letters inside the subgroup (a twist whose image k lies beyond the bound
-    gives no word).  Free abelian groups use their generators with
-    cancellation and the commutators [x_i, x_j]; free groups use their
-    generators with cancellation only.
+    way, as one such factor.  HNN extensions take the base letters the same
+    way (every nontrivial element of a finite base) and add the stable letter
+    and the twisting relations: t h t^-1 k^-1 for each base letter h in the
+    subgroup and t^-1 k t h^-1 for each base letter k in its image, with the
+    other side spelled as a shortest word in base letters (``_spelling``).
+    A twist relation longer than ``max_relation_len`` is left out: a rewrite
+    search capped at words of length n applies no relation longer than 2n.
+    Free abelian groups use their generators with cancellation and the
+    commutators [x_i, x_j]; free groups use their generators with
+    cancellation only.
     """
     letters: list[GroupElement] = []
     index: dict[tuple, int] = {}  # letter word -> position in letters
@@ -472,7 +526,7 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
     if isinstance(ctx, AmalgamContext):
         owns = []
         for side, f in enumerate(ctx.factors):
-            own = _nontrivial(f, f.all_elements() if hasattr(f, "all_elements") else f.ball(letter_bound))
+            own = _own_letters(f, letter_bound)
             add_letters(ctx.from_letters([(side, x)]) for x in own)
             owns.append(own)
         # a factor's words run over its own letters and over its copy of each
@@ -489,19 +543,24 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2) -> Presentation:
             words += [tuple(at[x.word] for x in word) for word in factor_relation_words(f, own + glued)]
     elif isinstance(ctx, HnnContext):
         base = ctx.base
-        own = _nontrivial(base, base.ball(letter_bound))
+        own = _own_letters(base, letter_bound)
         add_letters([*(ctx.from_base(x) for x in own), ctx.stable_letter(1), ctx.stable_letter(-1)])
         at = {x.word: i for i, x in enumerate(own)}
         t, t_inv = len(own), len(own) + 1
         words = [tuple(at[x.word] for x in word) for word in factor_relation_words(base, own)]
         words += [(t, t_inv), (t_inv, t)]
-        for h in own:
-            if ctx.data.member(1, h.word):
-                k_inv = at.get(ctx.data.image(1, base.invert(h).word))  # None for k = e or beyond the bound
-                if k_inv is not None:
-                    words.append((t, at[h.word], t_inv, k_inv))
+        # where h and k are both letters, the two words agree up to rotation
+        # and inversion; a spelled side follows t h t^-1, three letters
+        spell_len = None if max_relation_len is None else max_relation_len - 3
+        for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
+            for h in own:
+                if ctx.data.member(sign, h.word):
+                    k_inv = ctx.data.image(sign, base.invert(h).word)
+                    spelled = (at[k_inv],) if k_inv in at else _spelling(base, own, k_inv, spell_len)
+                    if spelled is not None:
+                        words.append((s, at[h.word], s_inv) + spelled)
     elif isinstance(ctx, FiniteGroupContext):
-        own = _nontrivial(ctx, ctx.all_elements())
+        own = _own_letters(ctx, letter_bound)
         add_letters(own)
         words = [tuple(index[x.word] for x in word) for word in factor_relation_words(ctx, own)]
     else:

@@ -16,7 +16,12 @@ track operator, and ``coset_projection``) run on canonical words: they check
 once at their entry that the window, the domain and the translating elements
 share one group context (``MalformedWord`` otherwise), then multiply with the
 context's ``_mul`` and ask the domain's ``predicate`` and the window's word
-index, building no element per window point.
+index, building no element per window point.  On the whole group G, the
+domain whose predicate is ``subsets.everything``, a partial translation asks
+no predicate and multiplies each window point once: every point lies in G and
+stays there, so a row is clipped exactly when its image misses the window,
+and a column holding y exactly when no row reaches y's indexed position (were
+y * t a window point, its row would reach it).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 from .groups import GroupElement, MalformedWord
 from .reports import FALSIFIED, VERIFIED, CheckReport
-from .subsets import SubsetSpec
+from .subsets import SubsetSpec, everything
 from .tracks import Track, support
 
 ZERO = 0
@@ -73,6 +78,10 @@ class TranslationOperator:
     are sources whose true image leaves the window; ``clipped_cols`` are
     targets that the true operator reaches from outside the window.  Treat
     instances as immutable.
+
+    The operator keeps the ``entries`` dict it is given, unfiltered: every
+    builder holds no zero in it (sums that cancel are popped) and hands it
+    over, changing it no more.
     """
 
     __slots__ = ("window", "entries", "clipped_rows", "clipped_cols", "_rows")
@@ -85,7 +94,7 @@ class TranslationOperator:
         clipped_cols: Iterable[int] = (),
     ):
         self.window = window
-        self.entries = {k: v for k, v in entries.items() if v != 0}
+        self.entries = entries
         self.clipped_rows = frozenset(clipped_rows)
         self.clipped_cols = frozenset(clipped_cols)
         self._rows: dict[int, dict[int, int | Fraction]] | None = None
@@ -136,18 +145,42 @@ def _partial_translation(
     clipped and the column pass skips it.  A translation by e moves nothing:
     each row is its own image, found with no kernel call, and no column is
     reached from beyond the window, so there is no column pass.
+
+    On the whole group G (``domain.predicate is everything``) every point lies
+    in the domain and stays there, so the middle changes nothing and one pass
+    decides both clip sets: row i maps to the position of x * total^-1, a miss
+    clips the row, and column j, holding y, is clipped exactly when no row
+    reached ``index[y]`` (j itself unless the window repeats y), for were
+    y * total a window point, its row would reach ``index[y]``.
     """
     spec = w.spec
     ctx = spec.ctx
-    ctx._check_all(domain, total)
-    # window points lie in the window's subset by construction
-    test_source = domain is not spec
-    # the rule of tracks.support, on the middle points alone; it checks their context
-    stays = support(Track(total, tuple(middle)), domain)
+    ctx._check_all(domain, total, *middle)
     mul, inside, index = ctx._mul, domain.predicate, w.index
     t = total.word
     moves = t != ctx.identity().word
     t_inv = ctx._inv(t) if moves else t
+    if inside is everything:
+        # at[j]: the position the index gives column j's point, j itself
+        # unless the window repeats the point
+        at = range(len(w)) if len(index) == len(w) else [index[x.word] for x in w.points]
+        if not moves:  # each point is its own image, so every column is reached
+            return TranslationOperator(w, {(i, j): ONE for i, j in enumerate(at)})
+        entries = {}
+        clipped_rows = []
+        for i, x in enumerate(w.points):
+            j = index.get(mul(x.word, t_inv))
+            if j is None:
+                clipped_rows.append(i)
+            else:
+                entries[(i, j)] = ONE
+        reached = {j for _, j in entries}
+        clipped_cols = [j for j, k in enumerate(at) if k not in reached]
+        return TranslationOperator(w, entries, clipped_rows, clipped_cols)
+    # window points lie in the window's subset by construction
+    test_source = domain is not spec
+    # the rule of tracks.support, on the middle points alone
+    stays = support(Track(total, tuple(middle)), domain)
     entries = {}
     reached = set()
     clipped_rows = set()

@@ -140,8 +140,14 @@ def coset_cover(subgroup: SubsetSpec, points: Iterable[GroupElement]) -> list[Gr
     return reps
 
 
+def everything(word: tuple) -> bool:
+    """The predicate of the whole group, which every word satisfies."""
+    return True
+
+
 def whole_group(ctx: GroupContext) -> SubsetSpec:
-    return SubsetSpec(ctx, "all", lambda w: True)
+    """G itself; ``_partial_translation`` recognises it by its predicate ``everything``."""
+    return SubsetSpec(ctx, "all", everything)
 
 
 def difference(outer: SubsetSpec, inner: SubsetSpec) -> SubsetSpec:

@@ -396,6 +396,46 @@ def test_resource_cap_does_not_bound_a_finite_group(tmp_path, capsys, monkeypatc
     assert json.loads(out)["suites"][0]["checks"][0]["verdict"] == "verified-at-scale"
 
 
+def test_running_out_of_memory_is_the_resource_exit(capsys, monkeypatch):
+    """A MemoryError while a ball grows exits 4 with a message naming the cap, not 1 with a traceback."""
+    from translation_lab.groups import AmalgamContext, GroupContext
+
+    grow = GroupContext._next_layer
+
+    def exhausted(self, room):
+        if isinstance(self, AmalgamContext):
+            raise MemoryError
+        return grow(self, room)  # the finite factors still build their depth tables
+
+    monkeypatch.setattr(GroupContext, "_next_layer", exhausted)
+    monkeypatch.delenv(BALL_CAP_ENV, raising=False)
+    half = str(Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "half.json")
+    code = cli.dispatch(["check", "deep", "--group", "z4*z6", "--subset", half, "--r", "1", "--R", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_RESOURCE
+    assert captured.out == ""
+    assert captured.err == f"resource cap: out of memory at {BALL_CAP_ENV}=2000000 (set it lower to stop sooner)\n"
+
+
+def test_a_long_twist_image_costs_the_convexity_check_nothing(tmp_path, capsys):
+    """BS(1, 10^4): the twist relation t a t^-1 a^-10000 could never be
+    applied by a search whose words stay within L + SLACK letters, so it is
+    not spelled; the check answers at once, with the 12 base relations."""
+    group = tmp_path / "bs-1-10000.json"
+    group.write_text('{"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"multiplier": 10000}}')
+    whole = str(Path(__file__).resolve().parent / "inputs" / "all.json")
+    code, out = run(capsys, "check", "convexity", "--group", str(group), "--subset", whole, "--L", "2")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["checks"][0] == {
+        "compared_count": 14,
+        "details": {"classes": 29, "word_count": 43},
+        "name": "convexity",
+        "params": {"B": "all", "L": 2, "letters": 6, "node_budget": 30000, "relations": 12, "slack": 3},
+        "verdict": "verified-at-scale",
+        "witnesses": [],
+    }
+
+
 def test_byte_reproducibility(tmp_path, capsys):
     subset = tmp_path / "nat.json"
     subset.write_text('{"kind": "interval", "lo": 0}')

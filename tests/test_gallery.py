@@ -78,6 +78,32 @@ def test_lance_suite():
     assert checks["product-map-bijective-on-grid"].verdict == VERIFIED
 
 
+def test_lance_grid_translations_ask_g_nothing(monkeypatch):
+    """The grid S x B is a window of the whole group, so its partial
+    translations ask no membership question and multiply each grid point once:
+    one pass at radius 4 makes at most 3,291 free-product multiplies (4,021
+    with a predicate pass and a column pass) and no whole-group predicate call."""
+    from translation_lab import operators, subsets
+
+    multiplied, asked = [], []
+    free_mul = AmalgamContext._free_mul
+
+    def counting_mul(self, a, b):
+        multiplied.append(a)
+        return free_mul(self, a, b)
+
+    def everything(word):
+        asked.append(word)
+        return True
+
+    monkeypatch.setattr(AmalgamContext, "_free_mul", counting_mul)  # bound as _mul when the context is built
+    for module in (subsets, operators):
+        monkeypatch.setattr(module, "everything", everything)
+    assert run_lance_difference_check(4).verdict == VERIFIED
+    assert len(multiplied) <= 3291
+    assert asked == []
+
+
 def test_lance_roundtrip_inverts_each_syllable_once(monkeypatch):
     """The grid roundtrip inverts the letter of each s in S once, not once per grid point.
 

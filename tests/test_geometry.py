@@ -1,6 +1,7 @@
 import functools
 import itertools
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,9 @@ from translation_lab import (
     words_not_starting_with,
 )
 from translation_lab.configs import load_group
-from translation_lab.groups import GroupElement
+from translation_lab.groups import BALL_CAP_ENV, BallCapExceeded, GroupElement
 from translation_lab.geometry import (
+    Presentation,
     factor_relation_words,
     _connect_class,
     _displaced,
@@ -299,19 +301,97 @@ def test_finite_presentation_is_the_finite_factor_rule():
 
 
 def test_convexity_unreached_class_is_inconclusive_not_falsified():
-    """BS(1,3)'s twist image a^3 is beyond the letter bound, so t a t^-1 = a^3 is no relation word."""
+    """BS(1,3) presented without its twist relations t h t^-1 k^-1 (the words
+    longer than 3) cannot join t a^-2 t^-1 to a^-6, so a class stays unreached."""
     ctx = load_group(BS13)
-    report = convexity_bounded_check(whole_group(ctx), presentation_for(ctx), 3)
+    pres = presentation_for(ctx)
+    untwisted = Presentation(ctx, pres.letters, tuple(r for r in pres.relations if len(r) <= 3), pres.inverse)
+    report = convexity_bounded_check(whole_group(ctx), untwisted, 3)
     assert report.verdict == INCONCLUSIVE
     assert report.details == {"budget_exceeded": False}
     assert report.witnesses == [[ctx.parse(x) for x in word] for word in (["-2"] * 3, ["t", "-2", "t^-1"])]
+
+
+def test_twist_relations_past_the_length_bound_are_left_out(monkeypatch):
+    """A twist relation longer than ``max_relation_len`` is not written, and
+    its spelling search stops at the bound; unbounded, spelling a^-10000
+    passes the ball cap and says so."""
+    ctx = load_group(BS13)
+    full = presentation_for(ctx)
+    assert max(map(len, full.relations)) == 6  # t a^2 t^-1 a^-2 a^-2 a^-2
+    for n in range(3, 8):
+        assert presentation_for(ctx, max_relation_len=n).relations == tuple(r for r in full.relations if len(r) <= n)
+    big = load_group({"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"multiplier": 10000}})
+    assert max(map(len, presentation_for(big, max_relation_len=10).relations)) == 3
+    monkeypatch.setenv(BALL_CAP_ENV, "1000")
+    with pytest.raises(BallCapExceeded, match=f"more than 1000 elements .set {BALL_CAP_ENV}"):
+        presentation_for(big)
+
+
+def _z_mod(n, generators=None):
+    """Z/n as a finite table named 0 .. n-1, with the given generators (every element by default)."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    group = {"kind": "finite", "table": table, "names": [str(i) for i in range(n)]}
+    if generators is not None:
+        group["generators"] = generators
+    return group
+
+
+INPUTS = Path(__file__).resolve().parent / "inputs"
+GROUP_FILES = ("bs13.json", "c2-c3.json", "c6.json", "klein-hnn.json", "s3-z4.json", "z3.json", "z4-negation-hnn.json")
+PRESENTED = {
+    **{name: name for name in ("z", "z2", "f2", "f3", "z4*z6", "z*z", "bs12", "f2-hnn")},
+    **{name: str(INPUTS / name) for name in GROUP_FILES},
+    "free-rank-2": {"kind": "free", "rank": 2},
+    **{f"free-abelian-rank-{r}": {"kind": "free-abelian", "rank": r} for r in (1, 2, 3)},
+    "c3-table": C3,
+    "hnn-2z-3z": {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"h_step": 2, "k_step": 3}},
+    "bs31": {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"h_step": 3, "k_step": 1}},
+    # Z/6 generated by 1 alone: 3 lies beyond the letter bound of a ball
+    "hnn-z6-at-3": {"kind": "hnn", "base": _z_mod(6, [1]), "theta": [["3", "3"]]},
+}
+
+
+@pytest.mark.parametrize("group", sorted(PRESENTED))
+def test_every_loader_kind_is_presented(group):
+    """Every relation word multiplies to e, and whole-group convexity at L 3
+    verifies: the relations present the group, twists included."""
+    ctx = load_group(PRESENTED[group])
+    pres = presentation_for(ctx)
+    e = ctx.identity()
+    for rel in pres.relations:
+        assert functools.reduce(ctx.multiply, (pres.letters[i] for i in rel), e) == e
+    report = convexity_bounded_check(whole_group(ctx), pres, 3)
+    assert report.verdict == VERIFIED, report.witnesses
+
+
+def test_a_twist_image_beyond_the_letters_is_spelled_by_search():
+    """An HNN extension of Z/4 *_{Z/2} Z/6 twisting G:1 to its conjugate by S:1:
+    the image is no letter, so its twist relations end in a searched word."""
+    base_dict = {"kind": "amalgam", "left": _z_mod(4), "right": _z_mod(6), "pairs": [["2", "3"]]}
+    base = load_group(base_dict)
+    a, s = base.parse("G:1"), base.parse("S:1")
+    x = base.multiply(base.multiply(s, a), base.invert(s))
+    powers = [(a, x), (base.multiply(a, a), base.multiply(x, x))]
+    powers.append((base.multiply(powers[1][0], a), base.multiply(powers[1][1], x)))
+    ctx = load_group({"kind": "hnn", "base": base_dict, "theta": [[base.format(h), base.format(k)] for h, k in powers]})
+    pres = presentation_for(ctx)
+    e = ctx.identity()
+    for rel in pres.relations:
+        assert functools.reduce(ctx.multiply, (pres.letters[i] for i in rel), e) == e
+    assert base.word_length(x) == 3  # the letters are the ball of radius 2
+    t = pres.letters.index(ctx.stable_letter(1))
+    assert max(len(rel) for rel in pres.relations if t in rel) == 5  # t h t^-1, then two base letters
+    assert convexity_bounded_check(whole_group(ctx), pres, 2).verdict == VERIFIED
 
 
 def _presentation_by_scans(ctx, letter_bound=2):
     """Letters and closed relations of an amalgam or HNN presentation, built as
     two separate branches with a linear letter scan: every pair and triple of
     factor letters is tried, and a word is kept only when all its letters are
-    in the alphabet."""
+    in the alphabet.  An HNN twist image that is not a letter is spelled by
+    the first word in letter order, of the least length, whose product it
+    is."""
     letters, relations = [], []
 
     def letter_index(x):
@@ -345,7 +425,8 @@ def _presentation_by_scans(ctx, letter_bound=2):
                         add_relation_word([x, y, z])
     else:
         base = ctx.base
-        raw = [x for x in base.ball(letter_bound) if x.word != base.identity().word]
+        listed = base.all_elements() if hasattr(base, "all_elements") else base.ball(letter_bound)
+        raw = [x for x in listed if x.word != base.identity().word]
         for x in sorted(raw, key=base.sort_key):
             letters.append(ctx.from_base(x))
         t, t_inv = ctx.stable_letter(1), ctx.stable_letter(-1)
@@ -359,11 +440,20 @@ def _presentation_by_scans(ctx, letter_bound=2):
                 z = base.invert(base.multiply(x, y))
                 if z.word != base.identity().word:
                     add_relation_word([ctx.from_base(x), ctx.from_base(y), ctx.from_base(z)])
-        for h in raw:
-            if ctx.data.member(1, h.word):
-                k = GroupElement(base, ctx.data.image(1, h.word))
-                if k.word != base.identity().word:
-                    add_relation_word([t, ctx.from_base(h), t_inv, ctx.from_base(base.invert(k))])
+        base_letters = sorted(raw, key=base.sort_key)
+        # t h t^-1 k^-1 for h in the subgroup, then t^-1 k t h^-1 for k in its image
+        for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
+            for h in raw:
+                if ctx.data.member(sign, h.word):
+                    k = GroupElement(base, ctx.data.image(sign, h.word))
+                    if k.word != base.identity().word:
+                        spelled = next(
+                            word
+                            for n in itertools.count(1)
+                            for word in itertools.product(base_letters, repeat=n)
+                            if functools.reduce(base.multiply, word) == base.invert(k)
+                        )
+                        add_relation_word([s, ctx.from_base(h), s_inv] + [ctx.from_base(x) for x in spelled])
 
     def inverse(i):
         return letter_index(ctx.invert(letters[i]))

@@ -38,10 +38,17 @@ from translation_lab import (
     words_not_starting_with,
     zero_operator,
 )
+from translation_lab import operators as operators_module
 from translation_lab.configs import load_subset
 from translation_lab.groups import GroupElement, MalformedWord, integers
-from translation_lab.operators import rank_of_vectors
-from translation_lab.tracks import compose_tracks, support
+from translation_lab.operators import (
+    TranslationOperator,
+    Window,
+    _partial_translation,
+    mask_clipped_rows,
+    rank_of_vectors,
+)
+from translation_lab.tracks import Track, compose_tracks, support
 
 
 def is_partial_permutation(a) -> bool:
@@ -632,3 +639,137 @@ def test_coset_cover_is_a_set_of_distinct_cosets_covering_every_point(case, z, f
     positions = [next(k for k, x in enumerate(points) if x.word == r.word) for r in reps]
     assert positions == sorted(positions)
     assert all(not any(same_coset(x, r) for x in points[:k]) for k, r in zip(positions, reps))
+
+
+def generic_translation(w, total, middle, domain):
+    """The partial translation by the loop that serves every domain but G: the
+    domain's predicate asked of each source, image and middle point, then a
+    column pass multiplying each unreached window point by ``total``."""
+    ctx = w.spec.ctx
+    test_source = domain is not w.spec
+    stays = support(Track(total, tuple(middle)), domain)
+    mul, inside, index = ctx._mul, domain.predicate, w.index
+    t = total.word
+    moves = t != ctx.identity().word
+    t_inv = ctx._inv(t) if moves else t
+    entries, reached, rows, cols = {}, set(), set(), set()
+    for i, x in enumerate(w.points):
+        x = x.word
+        if test_source and not inside(x):
+            continue
+        y = mul(x, t_inv) if moves else x
+        if inside(y) and (not middle or stays(x)):
+            j = index.get(y)
+            if j is None:
+                rows.add(i)
+            else:
+                entries[(i, j)] = 1
+                reached.add(j)
+    for j, y in enumerate(w.points if moves else ()):
+        y = y.word
+        if j in reached or (test_source and not inside(y)):
+            continue
+        x = mul(y, t)
+        if x not in index and inside(x) and (not middle or stays(x)):
+            cols.add(j)
+    return entries, rows, cols
+
+
+# (fixture, the subset of the half-space window)
+WHOLE_GROUP_CASES = {
+    "z": ("z", natural_numbers),
+    "f2": ("f2", positive_cone),
+    "z*z": ("zz", lambda c: make_tree_halfspace(c, "G")),
+    "z4*z6": ("amalgam", lambda c: make_tree_halfspace(c, "G")),
+    "bs12": ("bs12", lambda c: make_tree_halfspace(c, "B")),
+    "f2-as-hnn": ("f2_hnn", lambda c: make_tree_halfspace(c, "B")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_GROUP_CASES))
+def test_the_whole_group_pass_matches_the_generic_loop(case, request, monkeypatch):
+    """On a whole-group domain one pass over the window, asking no predicate,
+    gives the entries and clip sets of the generic loop: on a ball window, on
+    a shuffled part of a ball (no ball, as Lance's grid is none), on a
+    half-space window and on that shuffled part with some points repeated (as
+    Lance's grid repeats a point when its product map is not bijective), for
+    every t in the ball of radius 2, with and without a middle."""
+    fixture, build_half = WHOLE_GROUP_CASES[case]
+    ctx = request.getfixturevalue(fixture)
+    whole = whole_group(ctx)
+    points = ctx.ball(4)
+    rng(27).shuffle(points)
+    points = tuple(points[: 2 * len(points) // 3])
+    # every seventh point again, indexed at its last position as the grid indexes a repeat
+    repeated = points + points[::7]
+    windows = [
+        make_window(whole, 3),
+        Window(whole, 4, points, {x.word: i for i, x in enumerate(points)}),
+        make_window(build_half(ctx), 3),
+        Window(whole, 4, repeated, {x.word: i for i, x in enumerate(repeated)}),
+    ]
+    middle = [g for g in ctx.ball(1) if g != ctx.identity()][:2]
+    expected = {
+        (k, t.word, bool(m)): generic_translation(w, t, m, whole)
+        for k, w in enumerate(windows)
+        for t in ctx.ball(2)
+        for m in ([], middle)
+    }
+    # a whole-group predicate that counts its calls, recognised as G's
+    asked = []
+    monkeypatch.setattr(whole, "predicate", lambda word: asked.append(word) or True)
+    monkeypatch.setattr(operators_module, "everything", whole.predicate)
+    clipped_cols = 0
+    for (k, t, with_middle), (entries, rows, cols) in expected.items():
+        op = _partial_translation(windows[k], GroupElement(ctx, t), middle if with_middle else [], whole)
+        label = (k, ctx.format(GroupElement(ctx, t)), with_middle)
+        assert op.entries == entries, label
+        assert op.clipped_rows == rows, label
+        assert op.clipped_cols == cols, label
+        clipped_cols += len(cols)
+    assert asked == [] and clipped_cols
+
+
+COEFFICIENTS = (1, -1, 2, -3, 0, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_operator_holds_a_zero(seed, z, f2, amalgam):
+    """The constructor keeps the dict it is given, so each builder must drop the
+    zeros itself: random chains of compose, subtract, combine (int and
+    Fraction coefficients, cancelling pairs included), adjoint, diagonal and
+    mask_clipped_rows hold no zero entry, and each operator compares and
+    ranks as a copy filtered of zeros would."""
+    random = rng(seed)
+    cases = [(z, natural_numbers(z), 6), (f2, positive_cone(f2), 2), (amalgam, make_tree_halfspace(amalgam, "G"), 2)]
+    ctx, spec, radius = cases[seed % 3]
+    w = make_window(spec, radius)
+    pool = [identity_operator(w), zero_operator(w)]
+    pool += [generator_operator(w, g) for g in ctx.ball(1)]
+    pool += [generator_operator(w, g, whole_group(ctx)) for g in ctx.generator_elements()[:2]]
+    builders = [
+        lambda a, b: compose(a, b),
+        lambda a, b: subtract(a, b),
+        lambda a, b: subtract(a, a),
+        lambda a, b: combine([random.choice(COEFFICIENTS), random.choice(COEFFICIENTS)], [a, b]),
+        lambda a, b: combine([1, -1], [a, a]),
+        lambda a, b: combine([Fraction(1, 3), Fraction(-1, 3), random.choice(COEFFICIENTS)], [a, a, b]),
+        lambda a, b: compose(subtract(a, b), combine([2, Fraction(1, 2)], [b, a])),
+        lambda a, b: adjoint(a),
+        lambda a, b: diagonal(w, lambda x: random.random() < 0.5),
+        lambda a, b: mask_clipped_rows(a),
+    ]
+    for _ in range(120):
+        a, b = random.choice(pool), random.choice(pool)
+        pool.append(random.choice(builders)(a, b))
+    cancelled = combine([1, -1], [pool[2], pool[2]])
+    assert cancelled.entries == {} and subtract(pool[3], pool[3]).entries == {}
+    assert any(op.entries and any(isinstance(v, Fraction) for v in op.entries.values()) for op in pool)
+    for op in pool:
+        assert 0 not in op.entries.values()
+        nonzero = {k: v for k, v in op.entries.items() if v != 0}
+        filtered = TranslationOperator(w, nonzero, op.clipped_rows, op.clipped_cols)
+        assert matrix_rank(op) == matrix_rank(filtered)
+        for other in random.sample(pool, 3):
+            got, want = guarded_equal(op, other), guarded_equal(filtered, other)
+            assert (got.equal, got.rows_compared, got.mismatch) == (want.equal, want.rows_compared, want.mismatch)
