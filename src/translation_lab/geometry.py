@@ -442,13 +442,8 @@ def factor_relation_words(f: GroupContext, letters: Sequence[GroupElement]) -> l
     so no pair with xy = e gives a word.
     """
     by_word = {x.word: x for x in letters}
-    words = [[x, f.invert(x)] for x in letters]
-    for x in letters:
-        for y in letters:
-            z = by_word.get(f.invert(f.multiply(x, y)).word)
-            if z is not None:
-                words.append([x, y, z])
-    return words
+    triples = ((x, y, by_word.get(f.invert(f.multiply(x, y)).word)) for x in letters for y in letters)
+    return [[x, f.invert(x)] for x in letters] + [[x, y, z] for x, y, z in triples if z is not None]
 
 
 def _nontrivial(f: GroupContext, elems: Iterable[GroupElement]) -> list[GroupElement]:
@@ -508,6 +503,8 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len:
     and the twisting relations: t h t^-1 k^-1 for each base letter h in the
     subgroup and t^-1 k t h^-1 for each base letter k in its image, with the
     other side spelled as a shortest word in base letters (``_spelling``).
+    When no base letter lies in either subgroup, h and k run over the
+    subgroups' generators instead, both sides spelled.
     A twist relation longer than ``max_relation_len`` is left out: a rewrite
     search capped at words of length n applies no relation longer than 2n.
     Free abelian groups use their generators with cancellation and the
@@ -524,11 +521,9 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len:
                 letters.append(x)
 
     if isinstance(ctx, AmalgamContext):
-        owns = []
-        for side, f in enumerate(ctx.factors):
-            own = _own_letters(f, letter_bound)
+        owns = [_own_letters(f, letter_bound) for f in ctx.factors]
+        for side, own in enumerate(owns):
             add_letters(ctx.from_letters([(side, x)]) for x in own)
-            owns.append(own)
         # a factor's words run over its own letters and over its copy of each
         # glued element that only the other factor lists (beyond the bound here)
         words = []
@@ -549,16 +544,22 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len:
         t, t_inv = len(own), len(own) + 1
         words = [tuple(at[x.word] for x in word) for word in factor_relation_words(base, own)]
         words += [(t, t_inv), (t_inv, t)]
+
+        def spell(g: tuple, rest: int):  # a letter as is, else a searched word beside ``rest`` letters
+            room = None if max_relation_len is None else max_relation_len - rest
+            return (at[g],) if g in at else _spelling(base, own, g, room)
+
         # where h and k are both letters, the two words agree up to rotation
-        # and inversion; a spelled side follows t h t^-1, three letters
-        spell_len = None if max_relation_len is None else max_relation_len - 3
+        # and inversion; with no letter in H or K, their generators are twisted
+        twisted = {sign: [h.word for h in own if ctx.data.member(sign, h.word)] for sign in (1, -1)}
+        if not any(twisted.values()):
+            twisted = {sign: ctx.data.generators(sign) for sign in (1, -1)}
         for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
-            for h in own:
-                if ctx.data.member(sign, h.word):
-                    k_inv = ctx.data.image(sign, base.invert(h).word)
-                    spelled = (at[k_inv],) if k_inv in at else _spelling(base, own, k_inv, spell_len)
-                    if spelled is not None:
-                        words.append((s, at[h.word], s_inv) + spelled)
+            for h in twisted[sign]:
+                h_side = spell(h, 3)
+                k_side = h_side and spell(ctx.data.image(sign, base._inv(h)), 2 + len(h_side))
+                if k_side:
+                    words.append((s, *h_side, s_inv, *k_side))
     elif isinstance(ctx, FiniteGroupContext):
         own = _own_letters(ctx, letter_bound)
         add_letters(own)
@@ -572,28 +573,9 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len:
     # close relations under cyclic permutation and inversion; every letter
     # has its inverse among the letters
     inverse = tuple(index[ctx.invert(x).word] for x in letters)
-    closed: set[tuple[int, ...]] = set()
-    for rel in words:
-        for s in range(len(rel)):
-            rot = rel[s:] + rel[:s]
-            closed.add(rot)
-            closed.add(tuple(inverse[i] for i in reversed(rot)))
+    rotations = {rel[s:] + rel[:s] for rel in words for s in range(len(rel))}
+    closed = rotations | {tuple(inverse[i] for i in reversed(rot)) for rot in rotations}
     return Presentation(ctx, tuple(letters), tuple(sorted(closed)), inverse)
-
-
-def prefix_products(
-    spec: SubsetSpec, start: GroupElement, letters: Iterable[GroupElement]
-) -> tuple[GroupElement, ...] | None:
-    """The products start*l1, start*l1*l2, ... along the letters, or None at the first outside the subset."""
-    ctx = spec.ctx
-    acc = start
-    out = []
-    for letter in letters:
-        acc = ctx.multiply(acc, letter)
-        if not spec.contains(acc):
-            return None
-        out.append(acc)
-    return tuple(out)
 
 
 def _rewrite_table(pres: Presentation) -> dict:
@@ -601,73 +583,88 @@ def _rewrite_table(pres: Presentation) -> dict:
     table: dict[int, dict[tuple, set[tuple]]] = {}
     inverse = pres.inverse
     for rel in pres.relations:
-        n = len(rel)
-        for cut in range(n + 1):
-            u = rel[:cut]
-            v = rel[cut:]
-            repl = tuple(inverse[i] for i in reversed(v))
-            if repl == u:
-                continue
-            table.setdefault(len(u), {}).setdefault(u, set()).add(repl)
+        for cut in range(len(rel) + 1):
+            u, repl = rel[:cut], tuple(inverse[i] for i in reversed(rel[cut:]))
+            if repl != u:
+                table.setdefault(len(u), {}).setdefault(u, set()).add(repl)
     return table
 
 
 def _rewrites(word: tuple[int, ...], table: dict, max_len: int, allow_insert: bool):
     """Yield (pos, length, repl): replace word[pos:pos + length] by repl."""
+    n = len(word)
     for length, entries in table.items():
-        if length == 0:
-            if not allow_insert:
-                continue
-            for repls in entries.values():
-                for repl in repls:
-                    if len(word) + len(repl) > max_len:
-                        continue
-                    for pos in range(len(word) + 1):
-                        yield pos, 0, repl
+        if length == 0:  # inserting a whole relation, at every position
+            if allow_insert:
+                for repls in entries.values():
+                    for repl in repls:
+                        if n + len(repl) <= max_len:
+                            yield from ((pos, 0, repl) for pos in range(n + 1))
             continue
-        for pos in range(len(word) - length + 1):
-            repls = entries.get(word[pos : pos + length])
-            if not repls:
-                continue
-            for repl in repls:
-                if len(word) - length + len(repl) > max_len:
-                    continue
-                yield pos, length, repl
+        for pos in range(n - length + 1):
+            for repl in entries.get(word[pos : pos + length], ()):
+                if n - length + len(repl) <= max_len:
+                    yield pos, length, repl
 
 
-def _connect_class(pres, b_spec, members, table, max_len, node_budget, allow_insert):
+def _cayley_piece(b_spec: SubsetSpec, pres: Presentation):
+    """B's Cayley graph over the letters, built one edge at a time: ``end`` and ``vertices``.
+
+    ``end(word)`` walks a word of letter indices from e (vertex 0) to the id
+    of its product, or None once a prefix leaves B; ``vertices[v]`` is the
+    canonical word of vertex v.  An edge (v, letter) costs one ``_mul`` and
+    one predicate call on its first walk, and a dict lookup after that.
+    """
+    ctx = b_spec.ctx
+    ctx._check_all(b_spec, *pres.letters)
+    mul, inside = ctx._mul, b_spec.predicate
+    letters = [x.word for x in pres.letters]
+    vertices = [ctx.identity().word]
+    ids = {vertices[0]: 0}
+    edges: dict[tuple[int, int], int | None] = {}
+
+    def end(word: tuple[int, ...]) -> int | None:
+        v = 0
+        for i in word:
+            key = (v, i)
+            if key not in edges:
+                y = mul(vertices[v], letters[i])
+                edges[key] = ids.setdefault(y, len(ids)) if inside(y) else None
+                if len(ids) > len(vertices):  # y is a new vertex
+                    vertices.append(y)
+            v = edges[key]
+            if v is None:
+                return None
+        return v
+
+    return end, vertices
+
+
+def _connect_class(end, members, table, max_len, node_budget, allow_insert):
     """Breadth-first rewrites from the first member that keep every prefix inside.
 
-    Members are (word, prefixes) pairs, prefixes[k] being the product of
-    word[:k].  A replacement equals the subword it replaces in G, so only its
-    own prefixes are new: a candidate walks just the replacement.  Walked
-    products are interned, one element per product word in the class, so
-    queued prefix tuples share them.  Returns the words visited in visit
+    A candidate is accepted when ``end`` walks it from the identity without
+    leaving B (``_cayley_piece``).  Returns the words visited in visit
     order, the members left unreached, and whether the node budget stopped
     the search.
     """
-    root, root_prefixes = members[0]
-    interned: dict[tuple, GroupElement] = {}
-    goal_set = {word for word, _ in members[1:]}
+    root = members[0]
+    goal_set = set(members[1:])
     seen = {root: None}  # an ordered set: the visit order
-    queue = deque([(root, root_prefixes)])
+    queue = deque([root])
     nodes = 0
     while queue and goal_set:
         if nodes > node_budget:
             return seen, goal_set, True
-        current, prefixes = queue.popleft()
+        current = queue.popleft()
         nodes += 1
         for pos, length, repl in _rewrites(current, table, max_len, allow_insert):
             nxt = current[:pos] + repl + current[pos + length :]
-            if nxt in seen:
-                continue
-            walked = prefix_products(b_spec, prefixes[pos], (pres.letters[i] for i in repl))
-            if walked is None:
+            if nxt in seen or end(nxt) is None:
                 continue
             seen[nxt] = None
             goal_set.discard(nxt)
-            walked = tuple([interned.setdefault(p.word, p) for p in walked])
-            queue.append((nxt, prefixes[: pos + 1] + walked + prefixes[pos + length + 1 :]))
+            queue.append(nxt)
     return seen, goal_set, False
 
 
@@ -685,11 +682,12 @@ def convexity_bounded_check(b_spec: SubsetSpec, pres: Presentation, max_word_len
     connectivity with word length capped at max_word_len + SLACK.  Rewrites
     that insert a whole relation are tried only in a second pass, since the
     splits and merges already derived from the relations connect the built-in
-    examples without them.  A class left unreached is inconclusive, never
-    falsified: a search capped in length is no witness against the unbounded
-    statement.
+    examples without them.  Every word, enumerated or rewritten, is walked
+    on one lazily built edge table (``_cayley_piece``), so each product of a
+    vertex and a letter is computed once.  A class left unreached is
+    inconclusive, never falsified: a search capped in length is no witness
+    against the unbounded statement.
     """
-    ctx = b_spec.ctx
     params = {
         "B": b_spec.name,
         "L": max_word_len,
@@ -698,23 +696,16 @@ def convexity_bounded_check(b_spec: SubsetSpec, pres: Presentation, max_word_len
         "letters": len(pres.letters),
         "relations": len(pres.relations),
     }
-    if not b_spec.contains(ctx.identity()):
+    end, vertices = _cayley_piece(b_spec, pres)
+    if not b_spec.predicate(vertices[0]):
         raise ConfigError("convexity needs the identity inside the subset")
-    # each inside-word with its prefix products, the identity first
-    frontier = [((), (ctx.identity(),))]
-    all_words = list(frontier)
-    for _ in range(max_word_len):
-        nxt = []
-        for word, prefixes in frontier:
-            for i, letter in enumerate(pres.letters):
-                step = prefix_products(b_spec, prefixes[-1], (letter,))
-                if step is not None:
-                    nxt.append((word + (i,), prefixes + step))
-        all_words.extend(nxt)
-        frontier = nxt
+    all_words: list[tuple[int, ...]] = [()]  # the inside-words, shortest first
+    for n in range(max_word_len):
+        grown = (w + (i,) for w in all_words if len(w) == n for i in range(len(pres.letters)))
+        all_words += [w for w in grown if end(w) is not None]
     groups: dict[tuple, list] = {}
-    for word, prefixes in all_words:
-        groups.setdefault(prefixes[-1].word, []).append((word, prefixes))
+    for word in all_words:
+        groups.setdefault(vertices[end(word)], []).append(word)
 
     table = _rewrite_table(pres)
     max_len = max_word_len + SLACK
@@ -723,13 +714,9 @@ def convexity_bounded_check(b_spec: SubsetSpec, pres: Presentation, max_word_len
         if len(members) < 2:
             continue
         checked_pairs += len(members) - 1
-        _, unreached, budget_hit = _connect_class(
-            pres, b_spec, members, table, max_len, NODE_BUDGET, allow_insert=False
-        )
+        _, unreached, budget_hit = _connect_class(end, members, table, max_len, NODE_BUDGET, allow_insert=False)
         if unreached:
-            _, unreached, budget_hit = _connect_class(
-                pres, b_spec, members, table, max_len, NODE_BUDGET, allow_insert=True
-            )
+            _, unreached, budget_hit = _connect_class(end, members, table, max_len, NODE_BUDGET, allow_insert=True)
         if unreached:
             # rewrites capped at max_len never witness that no longer chain exists
             sample = sorted(unreached)[0]
@@ -737,7 +724,7 @@ def convexity_bounded_check(b_spec: SubsetSpec, pres: Presentation, max_word_len
                 name="convexity",
                 params=params,
                 verdict=INCONCLUSIVE,
-                witnesses=[[pres.letters[i] for i in members[0][0]], [pres.letters[i] for i in sample]],
+                witnesses=[[pres.letters[i] for i in members[0]], [pres.letters[i] for i in sample]],
                 compared_count=checked_pairs,
                 details={"budget_exceeded": budget_hit},
             )

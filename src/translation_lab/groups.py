@@ -898,6 +898,10 @@ class HnnSubgroupData:
         """g = h * rep with h in the sign's subgroup, rep shortlex-least in its coset."""
         raise NotImplementedError
 
+    def generators(self, sign: int) -> list[tuple]:
+        """Words that generate the sign's subgroup, none for the trivial one."""
+        raise NotImplementedError
+
 
 class IntegerScaledSubgroup(HnnSubgroupData):
     """Subgroups m*Z and n*Z of Z with the twist m*j -> n*j.
@@ -921,6 +925,9 @@ class IntegerScaledSubgroup(HnnSubgroupData):
     def image(self, sign: int, h: tuple) -> tuple:
         step = self.steps[sign]
         return (h[0] // step * self.steps[-sign] if step else 0,)
+
+    def generators(self, sign: int) -> list[tuple]:
+        return [(self.steps[sign],)] if self.steps[sign] else []
 
     def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         step = self.steps[sign]
@@ -955,6 +962,9 @@ class FiniteHnnSubgroup(HnnSubgroupData):
 
     def image(self, sign: int, h: tuple) -> tuple:
         return self._images[sign][h]
+
+    def generators(self, sign: int) -> list[tuple]:
+        return [h for h in self._members[sign] if h != self.base.identity().word]
 
     def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         base = self.base

@@ -18,10 +18,15 @@ and those in ``tests/inputs``.  The table holds:
 * the benchmark's ``convexity`` line at ``--L 3``, and BS(1,3)'s whole-group
   convexity at ``--L 3``, which its twist relations, spelled in the letters
   a^±1, a^±2, verify;
+* BS(3,5)'s whole-group convexity at ``--L 4`` (``bs35.json``): no letter
+  a^±1, a^±2 lies in 3Z or 5Z, so the twist relations are written for the
+  generators a^3 and a^5, spelled on both sides, and they verify;
 * one falsified and one inconclusive-within-bound line for each check
-  that gives such a verdict on valid input, where no line above does;
-  convexity's is BS(3,5) at ``--L 4`` (``bs35.json``), whose presentation
-  has no twist relation, since no letter a^±1, a^±2 lies in 3Z or 5Z;
+  that gives such a verdict on valid input, where no line above does.
+  Convexity has none: no loader subset that holds e was found
+  inconclusive on the built-in groups or those in ``tests/inputs`` at
+  ``--L 4``, so its inconclusive verdict is tested in
+  ``tests/test_geometry.py``, on a presentation with relations taken out;
 * one config per group kind of the loader through ``check deep``,
   ``check stabilisers`` and ``check convexity --L 2``, on the whole group,
   with two amalgams: ``s3-z4.json`` glued over Z/2, and ``c2-c3.json``
@@ -59,7 +64,7 @@ VERDICT_LINES = [
     "check isolation --group z --subset nat.json --r 0",  # falsified
     "check isolation --group z --subset all.json --r 0 --R 0",  # inconclusive: nothing splits
     "check convexity --group bs13.json --subset all.json --L 3",  # verified: t a t^-1 a^-3 is written with a^-1 a^-2
-    "check convexity --group bs35.json --subset all.json --L 4",  # inconclusive: neither a^3 nor a^5 is a letter
+    "check convexity --group bs35.json --subset all.json --L 4",  # verified: a^3 and a^5 are twisted, though no letter
     "module ph --group z --subset nat.json --r 0",  # falsified
     "module ph --group z --subset all.json --r 0 --R 0",  # inconclusive
     "module coset-decomp --group f2 --subset cone.json --element a --R 3",  # inconclusive

@@ -21,10 +21,12 @@ from translation_lab import (
     words_not_starting_with,
 )
 from translation_lab.configs import load_group
-from translation_lab.groups import BALL_CAP_ENV, BallCapExceeded, GroupElement
+from translation_lab.groups import BALL_CAP_ENV, BallCapExceeded, FreeAbelianContext, GroupElement
 from translation_lab.geometry import (
+    SLACK,
     Presentation,
     factor_relation_words,
+    _cayley_piece,
     _connect_class,
     _displaced,
     _rewrite_table,
@@ -37,7 +39,6 @@ from translation_lab.geometry import (
     coseparability_search,
     deep_witness,
     h_isolation_sets,
-    prefix_products,
     presentation_for,
     relatively_deep_check,
     verify_h_isolation,
@@ -338,7 +339,10 @@ def _z_mod(n, generators=None):
 
 
 INPUTS = Path(__file__).resolve().parent / "inputs"
-GROUP_FILES = ("bs13.json", "c2-c3.json", "c6.json", "klein-hnn.json", "s3-z4.json", "z3.json", "z4-negation-hnn.json")
+GROUP_FILES = (
+    *("bs13.json", "bs35.json", "c2-c3.json", "c6.json"),
+    *("klein-hnn.json", "s3-z4.json", "z3.json", "z4-negation-hnn.json"),
+)
 PRESENTED = {
     **{name: name for name in ("z", "z2", "f2", "f3", "z4*z6", "z*z", "bs12", "f2-hnn")},
     **{name: str(INPUTS / name) for name in GROUP_FILES},
@@ -363,6 +367,20 @@ def test_every_loader_kind_is_presented(group):
         assert functools.reduce(ctx.multiply, (pres.letters[i] for i in rel), e) == e
     report = convexity_bounded_check(whole_group(ctx), pres, 3)
     assert report.verdict == VERIFIED, report.witnesses
+
+
+def test_with_no_letter_in_either_subgroup_the_generators_are_twisted():
+    """BS(3,5): neither a^3 nor a^5 is a letter, so t a^3 t^-1 a^-5 and
+    t^-1 a^5 t a^-3 are written with both sides spelled, and whole-group
+    convexity verifies at L 4, where a class needs the twist."""
+    ctx = load_group(str(INPUTS / "bs35.json"))
+    pres = presentation_for(ctx, max_relation_len=2 * (4 + SLACK))
+    names = [ctx.format(x) for x in pres.letters]
+    for word in (["t", "1", "2", "t^-1", "-1", "-2", "-2"], ["t^-1", "1", "2", "2", "t", "-1", "-2"]):
+        assert tuple(map(names.index, word)) in pres.relations
+    assert len(pres.relations) == 40
+    assert convexity_bounded_check(whole_group(ctx), pres, 4).verdict == VERIFIED
+    assert len(presentation_for(ctx, max_relation_len=6).relations) == 12  # seven letters, left out
 
 
 def test_a_twist_image_beyond_the_letters_is_spelled_by_search():
@@ -391,7 +409,8 @@ def _presentation_by_scans(ctx, letter_bound=2):
     factor letters is tried, and a word is kept only when all its letters are
     in the alphabet.  An HNN twist image that is not a letter is spelled by
     the first word in letter order, of the least length, whose product it
-    is."""
+    is.  When no letter lies in H or K, the generators of each are twisted
+    instead, spelled on both sides the same way."""
     letters, relations = [], []
 
     def letter_index(x):
@@ -441,19 +460,30 @@ def _presentation_by_scans(ctx, letter_bound=2):
                 if z.word != base.identity().word:
                     add_relation_word([ctx.from_base(x), ctx.from_base(y), ctx.from_base(z)])
         base_letters = sorted(raw, key=base.sort_key)
-        # t h t^-1 k^-1 for h in the subgroup, then t^-1 k t h^-1 for k in its image
+
+        def spelled(g):
+            return next(
+                word
+                for n in itertools.count(1)
+                for word in itertools.product(base_letters, repeat=n)
+                if functools.reduce(base.multiply, word) == g
+            )
+
+        # t h t^-1 k^-1 for h in the subgroup, then t^-1 k t h^-1 for k in its image;
+        # with no letter in either, h runs over the subgroup's generators instead:
+        # the least positive member in Z, else every nontrivial member (within radius 4)
+        twisted = {sign: [h for h in raw if ctx.data.member(sign, h.word)] for sign in (1, -1)}
+        if not any(twisted.values()):
+            in_z = isinstance(base, FreeAbelianContext) and base.rank == 1
+            candidates = [GroupElement(base, (j,)) for j in range(1, 50)] if in_z else base.ball(4)[1:]
+            for sign in (1, -1):
+                members = [h for h in candidates if ctx.data.member(sign, h.word)]
+                twisted[sign] = members[:1] if in_z else members
         for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
-            for h in raw:
-                if ctx.data.member(sign, h.word):
-                    k = GroupElement(base, ctx.data.image(sign, h.word))
-                    if k.word != base.identity().word:
-                        spelled = next(
-                            word
-                            for n in itertools.count(1)
-                            for word in itertools.product(base_letters, repeat=n)
-                            if functools.reduce(base.multiply, word) == base.invert(k)
-                        )
-                        add_relation_word([s, ctx.from_base(h), s_inv] + [ctx.from_base(x) for x in spelled])
+            for h in twisted[sign]:
+                k = GroupElement(base, ctx.data.image(sign, h.word))
+                sides = [ctx.from_base(x) for x in spelled(h)], [ctx.from_base(x) for x in spelled(base.invert(k))]
+                add_relation_word([s, *sides[0], s_inv, *sides[1]])
 
     def inverse(i):
         return letter_index(ctx.invert(letters[i]))
@@ -509,13 +539,7 @@ def test_factor_relation_words_list_pairs_then_triples(amalgam):
 
 def _stays_inside(pres, spec, word):
     """Walk the whole word from the identity, testing every prefix."""
-    ctx = pres.ctx
-    acc = ctx.identity()
-    for i in word:
-        acc = ctx.multiply(acc, pres.letters[i])
-        if not spec.contains(acc):
-            return False
-    return True
+    return all(map(spec.contains, itertools.accumulate((pres.letters[i] for i in word), pres.ctx.multiply)))
 
 
 def _scratch_connect_class(pres, spec, members, table, max_len, node_budget, allow_insert):
@@ -541,7 +565,9 @@ def _scratch_connect_class(pres, spec, members, table, max_len, node_budget, all
 
 
 @pytest.mark.parametrize("group,side,length", [("amalgam", "G", 3), ("bs12", "B", 2)])
-def test_rewrites_with_carried_prefixes_match_a_walk_from_scratch(request, group, side, length):
+def test_rewrites_on_the_edge_table_match_an_element_walk(request, group, side, length):
+    """Visit order, unreached members and budget flag agree with the search
+    that walks every candidate on checked elements, in both passes."""
     ctx = request.getfixturevalue(group)
     spec = make_tree_halfspace(ctx, side)
     pres = presentation_for(ctx)
@@ -559,14 +585,34 @@ def test_rewrites_with_carried_prefixes_match_a_walk_from_scratch(request, group
         product = functools.reduce(ctx.multiply, (pres.letters[i] for i in w), e)
         classes.setdefault(product.word, []).append(w)
     table = _rewrite_table(pres)
+    end, vertices = _cayley_piece(spec, pres)
     compared = 0
-    for members in classes.values():
+    for word, members in classes.items():
         if len(members) < 2:
             continue
-        carried = [(w, (e,) + prefix_products(spec, e, [pres.letters[i] for i in w])) for w in members]
+        assert {vertices[end(w)] for w in members} == {word}
         for allow_insert, budget in ((False, 30000), (True, 40)):
             args = (table, length + 3, budget, allow_insert)
-            seen, unreached, hit = _connect_class(pres, spec, carried, *args)
+            seen, unreached, hit = _connect_class(end, members, *args)
             assert (list(seen), unreached, hit) == _scratch_connect_class(pres, spec, members, *args)
             compared += 1
     assert compared > 0
+
+
+@pytest.mark.parametrize("length,calls", [(3, 124), (4, 164)])
+def test_the_convexity_search_multiplies_once_per_edge(monkeypatch, length, calls):
+    """Each (vertex, letter) product of z4*z6's G half-space is computed once,
+    however many enumerated or rewritten words walk that edge."""
+    ctx = load_group("z4*z6")
+    spec = make_tree_halfspace(ctx, "G")
+    pres = presentation_for(ctx)
+    operands = []
+    mul = ctx._mul
+
+    def counting_mul(a, b):
+        operands.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ctx, "_mul", counting_mul)
+    assert convexity_bounded_check(spec, pres, length).verdict == VERIFIED
+    assert len(operands) == len(set(operands)) == calls
