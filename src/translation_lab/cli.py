@@ -78,14 +78,15 @@ def _stabiliser(spec):
     return spec.left_stabiliser or trivial_subgroup(spec.ctx)
 
 
-def _parse_operator(ctx, w, text: str):
-    text = text.strip()
+def _parse_operator(w, text: str):
+    """The operator that ``text`` names on the window ``w``, over the window's group."""
+    ctx, text = w.spec.ctx, text.strip()
     if text == "id":
         return identity_operator(w)
     if text.startswith("gen:"):
         return generator_operator(w, ctx.parse(text[4:]))
     if text.startswith("adj:"):
-        return adjoint(_parse_operator(ctx, w, text[4:]))
+        return adjoint(_parse_operator(w, text[4:]))
     if text.startswith("track:"):
         body = text[6:].strip()
         if body.startswith("(") and body.endswith(")"):
@@ -100,11 +101,6 @@ def _parse_operator(ctx, w, text: str):
         visited = [ctx.parse(tok) for tok in visited_text.split(",") if tok.strip()]
         return track_operator(w, make_track(ctx, total, visited))
     raise ConfigError(f"cannot parse operator expression {text!r}")
-
-
-def _operand(args, w, flag: str = "lhs"):
-    """The operator that ``--lhs`` (or ``--rhs``) names, on the window ``w``."""
-    return _parse_operator(args.group, w, getattr(args, flag))
 
 
 def _suite(make: Callable, *params: str) -> Callable:
@@ -182,7 +178,7 @@ def _operator(name: str, make: Callable, details=lambda op: {"operator": op}) ->
 
 
 def _equality(args, w):
-    match = guarded_equal(_operand(args, w), _operand(args, w, "rhs"))
+    match = guarded_equal(_parse_operator(w, args.lhs), _parse_operator(w, args.rhs))
     return match.report("equality", {"lhs": args.lhs, "rhs": args.rhs})
 
 
@@ -354,11 +350,16 @@ COMMANDS = {
             ),
             "mul": What(
                 OP | {"lhs": REQUIRED, "rhs": REQUIRED},
-                _operator("product", lambda a, w: compose(_operand(a, w), _operand(a, w, "rhs"))),
+                _operator("product", lambda a, w: compose(_parse_operator(w, a.lhs), _parse_operator(w, a.rhs))),
             ),
-            "adjoint": What(OP | {"lhs": REQUIRED}, _operator("adjoint", lambda a, w: adjoint(_operand(a, w)))),
+            "adjoint": What(
+                OP | {"lhs": REQUIRED}, _operator("adjoint", lambda a, w: adjoint(_parse_operator(w, a.lhs)))
+            ),
             "eq": What(OP | {"lhs": REQUIRED, "rhs": REQUIRED}, _op(_equality)),
-            "rank": What(OP | {"lhs": REQUIRED}, _operator("rank", _operand, lambda op: {"rank": matrix_rank(op)})),
+            "rank": What(
+                OP | {"lhs": REQUIRED},
+                _operator("rank", lambda a, w: _parse_operator(w, a.lhs), lambda op: {"rank": matrix_rank(op)}),
+            ),
         },
     ),
     "module": Command(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .geometry import boundary_check, deep_witness, factor_relation_words
+from .geometry import boundary_check, deep_witness, factor_relation_words, own_letters
 from .group_algebra import isolation_projection
 from .groups import (
     AmalgamContext,
@@ -191,7 +191,7 @@ def run_relation_classification(radius: int) -> SuiteReport:
     operator_of = _operator_cache(w)
     staying = crossing = 0
     for side, f in enumerate(ctx.factors):
-        letters = [x for x in f.all_elements() if x.word != f.identity().word]
+        letters = own_letters(f)
         embedded = {x.word: ctx.from_letters([(side, x)]) for x in letters}
         for word in factor_relation_words(f, letters):
             elems = [embedded[x.word] for x in word]
@@ -560,7 +560,7 @@ def run_mu_nu_generation_check(max_syllables: int, radius: int) -> SuiteReport:
     # per factor: its nontrivial syllables, and those off the glued subgroup
     nontrivial, off = [], []
     for side, f in enumerate(factors):
-        nontrivial.append([(side, x) for x in f.all_elements() if x.word != f.identity().word])
+        nontrivial.append([(side, x) for x in own_letters(f)])
         off.append([letter for letter in nontrivial[side] if not h_sub.contains(ctx.from_letters([letter]))])
 
     reduced_words = [[letter] for side in (0, 1) for letter in nontrivial[side]]

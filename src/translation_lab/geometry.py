@@ -446,16 +446,16 @@ def factor_relation_words(f: GroupContext, letters: Sequence[GroupElement]) -> l
     return [[x, f.invert(x)] for x in letters] + [[x, y, z] for x, y, z in triples if z is not None]
 
 
-def _nontrivial(f: GroupContext, elems: Iterable[GroupElement]) -> list[GroupElement]:
-    """The elements other than the identity, in the group's order."""
+# an infinite group's letters reach radius 2, the least at which two letters multiply to a third
+LETTER_BOUND = 2
+
+
+def own_letters(f: GroupContext) -> list[GroupElement]:
+    """A factor's or base's letters, in the group's order: every nontrivial
+    element of a finite group, else those of the ball of radius ``LETTER_BOUND``."""
     e = f.identity().word
+    elems = f.all_elements() if isinstance(f, FiniteGroupContext) else f.ball(LETTER_BOUND)
     return sorted((x for x in elems if x.word != e), key=f.sort_key)
-
-
-def _own_letters(f: GroupContext, letter_bound: int) -> list[GroupElement]:
-    """A factor's or base's letters: every nontrivial element of a finite
-    group, else the nontrivial elements of the ball of radius ``letter_bound``."""
-    return _nontrivial(f, f.all_elements() if isinstance(f, FiniteGroupContext) else f.ball(letter_bound))
 
 
 def _spelling(
@@ -492,17 +492,17 @@ def _spelling(
     return spelled[target]
 
 
-def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len: int | None = None) -> Presentation:
+def presentation_for(ctx: GroupContext, max_relation_len: int | None = None) -> Presentation:
     """Built-in presentations: factor letters with short trivial-product words.
 
-    Amalgams use every nontrivial factor element as a letter (factors of
-    infinite order contribute powers up to the bound) and all within-factor
-    relation words of length at most 3; a finite group is presented the same
-    way, as one such factor.  HNN extensions take the base letters the same
-    way (every nontrivial element of a finite base) and add the stable letter
-    and the twisting relations: t h t^-1 k^-1 for each base letter h in the
-    subgroup and t^-1 k t h^-1 for each base letter k in its image, with the
-    other side spelled as a shortest word in base letters (``_spelling``).
+    Amalgams take each factor's ``own_letters`` (every nontrivial element of
+    a finite factor, the ball of radius ``LETTER_BOUND`` of an infinite one)
+    and all within-factor relation words of length at most 3; a finite group
+    is presented the same way, as one such factor.  HNN extensions take the
+    base letters the same way and add the stable letter and the twisting
+    relations: t h t^-1 k^-1 for each base letter h in the subgroup and
+    t^-1 k t h^-1 for each base letter k in its image, with the other side
+    spelled as a shortest word in base letters (``_spelling``).
     When no base letter lies in either subgroup, h and k run over the
     subgroups' generators instead, both sides spelled.
     A twist relation longer than ``max_relation_len`` is left out: a rewrite
@@ -521,7 +521,7 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len:
                 letters.append(x)
 
     if isinstance(ctx, AmalgamContext):
-        owns = [_own_letters(f, letter_bound) for f in ctx.factors]
+        owns = [own_letters(f) for f in ctx.factors]
         for side, own in enumerate(owns):
             add_letters(ctx.from_letters([(side, x)]) for x in own)
         # a factor's words run over its own letters and over its copy of each
@@ -538,7 +538,7 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len:
             words += [tuple(at[x.word] for x in word) for word in factor_relation_words(f, own + glued)]
     elif isinstance(ctx, HnnContext):
         base = ctx.base
-        own = _own_letters(base, letter_bound)
+        own = own_letters(base)
         add_letters([*(ctx.from_base(x) for x in own), ctx.stable_letter(1), ctx.stable_letter(-1)])
         at = {x.word: i for i, x in enumerate(own)}
         t, t_inv = len(own), len(own) + 1
@@ -561,7 +561,7 @@ def presentation_for(ctx: GroupContext, letter_bound: int = 2, max_relation_len:
                 if k_side:
                     words.append((s, *h_side, s_inv, *k_side))
     elif isinstance(ctx, FiniteGroupContext):
-        own = _own_letters(ctx, letter_bound)
+        own = own_letters(ctx)
         add_letters(own)
         words = [tuple(index[x.word] for x in word) for word in factor_relation_words(ctx, own)]
     else:

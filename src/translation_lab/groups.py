@@ -622,6 +622,15 @@ class AmalgamContext(GroupContext):
     test against the factor's identity word, an identity drops the syllable,
     and the trailing part stays 0.  They never split a syllable or look up
     the subgroup, and the nontrivial kernel pays no test for them.
+
+    Word length is the sum of the syllables' factor lengths with trivial
+    gluing, the syllable count (1 for a nontrivial glued element alone) when
+    every nontrivial element of both finite factors is a letter, and the
+    depth table's otherwise.  A glued element has no rule of its own: it can
+    be shorter over both factors' letters than in either factor.  A report
+    form tags only a syllable's first token, so ``parse`` reads a token with
+    no tag in the factor of the syllable it continues first, then in the
+    other (an HNN factor's ``S:t*1`` is one syllable).
     """
 
     kind = "amalgam"
@@ -653,9 +662,6 @@ class AmalgamContext(GroupContext):
             raise ValueError("gluing data is not a bijection")
         self._validate_gluing()
         self._h_inverse = tuple(self._h_index[0][left._inv(a)] for a, _ in self._h_words)
-        self._h_lengths = tuple(
-            min(left._length(a), right._length(b)) for a, b in self._h_words
-        )
         self._trivial_h = len(self.pairs) == 1
         if self._trivial_h:
             self._factor_ids = tuple(f.identity().word for f in self.factors)
@@ -668,7 +674,10 @@ class AmalgamContext(GroupContext):
                 else None
                 for side, f in enumerate(self.factors)
             )
-        self._syllable_counts_metric = self._all_factor_elements_generate()
+            # a finite factor with an empty sphere of radius 2 has every nontrivial element as a letter
+            self._syllables_are_letters = all(
+                isinstance(f, FiniteGroupContext) and not f.sphere(2) for f in self.factors
+            )
 
     def _validate_gluing(self):
         """The pairing must be a subgroup isomorphism on both sides."""
@@ -682,17 +691,6 @@ class AmalgamContext(GroupContext):
                     raise ValueError("gluing subgroup not closed under products")
                 if self._h_words[k][1] != right._mul(b_i, b_j):
                     raise ValueError("gluing pairing is not a homomorphism")
-
-    def _all_factor_elements_generate(self) -> bool:
-        # Syllable count equals word length only when every nontrivial factor
-        # element is a single letter of the metric.
-        for f in self.factors:
-            if isinstance(f, FiniteGroupContext):
-                if any(f.word_length(x) > 1 for x in f.all_elements()):
-                    return False
-            elif not self._trivial_h:
-                return False
-        return True
 
     # -- subgroup helpers ---------------------------------------------------
 
@@ -818,12 +816,10 @@ class AmalgamContext(GroupContext):
 
     def _length(self, w: tuple) -> int:
         syllables, h = w
-        if not syllables:
-            return 0 if h == 0 else self._h_lengths[h]
         if self._trivial_h:
             return sum(self.factors[side]._length(v) for side, v in syllables)
-        if self._syllable_counts_metric:
-            return len(syllables)
+        if self._syllables_are_letters:
+            return len(syllables) or (1 if h else 0)
         return super()._length(w)
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
@@ -862,8 +858,9 @@ class AmalgamContext(GroupContext):
                     letters.append((side, self.factors[side].parse(token[len(tag):])))
                     break
             else:
-                # untagged: try each factor in order
-                for side in (0, 1):
+                # untagged: first in the factor of the syllable it continues
+                last = letters[-1][0] if letters else 0
+                for side in (last, 1 - last):
                     try:
                         letters.append((side, self.factors[side].parse(token)))
                         break
@@ -915,7 +912,6 @@ class IntegerScaledSubgroup(HnnSubgroupData):
             raise ValueError("integer subgroup data needs the base Z (free abelian of rank 1)")
         if (h_step == 0) != (k_step == 0):
             raise ValueError("steps must be both zero or both nonzero")
-        self.base = base
         self.steps = {1: abs(int(h_step)), -1: abs(int(k_step))}
 
     def member(self, sign: int, g: tuple) -> bool:
@@ -951,7 +947,6 @@ class FiniteHnnSubgroup(HnnSubgroupData):
         self._images = {1: dict(pairs), -1: {b: a for a, b in pairs}}
         if any(len(table) != len(pairs) for table in self._images.values()):
             raise ValueError("twist table must be a bijection")
-        self._members = {1: tuple(a for a, _ in pairs), -1: tuple(b for _, b in pairs)}
         for a1, b1 in pairs:  # homomorphism check
             for a2, b2 in pairs:
                 if self._images[1].get(base._mul(a1, a2)) != base._mul(b1, b2):
@@ -964,11 +959,11 @@ class FiniteHnnSubgroup(HnnSubgroupData):
         return self._images[sign][h]
 
     def generators(self, sign: int) -> list[tuple]:
-        return [h for h in self._members[sign] if h != self.base.identity().word]
+        return [h for h in self._images[sign] if h != self.base.identity().word]
 
     def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         base = self.base
-        cands = {h: base._mul(base._inv(h), g) for h in self._members[sign]}
+        cands = {h: base._mul(base._inv(h), g) for h in self._images[sign]}
         h = min(cands, key=lambda h: base._sort_word(cands[h]))
         return h, cands[h]
 

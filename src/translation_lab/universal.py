@@ -346,12 +346,13 @@ def track_independence_check(
     ball = ctx.ball(radius)
     first = _first_centres(spec, ball, goals.values(), _centres(spec, scan_bound))
 
+    params = {"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound}
     witnesses: dict[int, GroupElement] = {}
     for i, goal in goals.items():
         if first[goal] is None:
             return CheckReport(
                 name="track-independence",
-                params={"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound},
+                params=params,
                 verdict=INCONCLUSIVE,
                 details={"missing_pattern_for_track": tracks[i]},
             )
@@ -368,7 +369,7 @@ def track_independence_check(
                 if fires[j](x.word) != included:
                     return CheckReport(
                         name="track-independence",
-                        params={"subset": spec.name, "tracks": len(tracks)},
+                        params=params,
                         verdict=FALSIFIED,
                         witnesses=[x],
                         details={"note": "witness pattern is not exact"},
@@ -384,7 +385,7 @@ def track_independence_check(
     independent = rank == len(tracks)
     return CheckReport(
         name="track-independence",
-        params={"subset": spec.name, "tracks": len(tracks), "scan_bound": scan_bound},
+        params=params,
         verdict=VERIFIED if independent else FALSIFIED,
         witnesses=[{"track": tracks[i], "center": x} for i, x in sorted(witnesses.items())],
         compared_count=len(tracks),
@@ -405,25 +406,10 @@ DEMO_F_RADIUS = 4
 DEMO_G_RADIUS = 3
 
 
-def appendix_contrast_demo(
-    ctx: FreeGroupContext | None = None,
-    max_radius: int = 1,
-    start: int = 2,
-    min_step: int = 4,
-) -> SuiteReport:
-    """Relative deepness and condition-1 stability without co-separability.
-
-    Builds the placed universal set U inside the b-initial words, the cone
-    B of nonnegative a-translates of U, and the full translate union X; then
-    verifies that B is relatively deep in X and condition-1-stable while the
-    co-separability search is falsified within its radius.
-    """
-    if ctx is None:
-        ctx = FreeGroupContext(2)
-    u_spec = universal_b_words_spec(ctx, max_radius, start, min_step)
-    placed = u_spec.placed
-    a = ctx.generator(1)
-    b = ctx.generator(2)
+def cone_and_union(placed: PlacedUniversalWords) -> tuple[SubsetSpec, SubsetSpec]:
+    """The cone B of the nonnegative a-translates of the placed set U, and the
+    union X of all its a-translates, each listing its members by sphere."""
+    ctx = placed.ctx
 
     def in_b(w: tuple) -> bool:
         k = placed.a_shift(w)
@@ -432,17 +418,14 @@ def appendix_contrast_demo(
     def in_x(w: tuple) -> bool:
         return placed.a_shift(w) is not None
 
-    trivial = trivial_subgroup(ctx)
     b_spec = SubsetSpec(
         ctx,
         "a-cone-of-universal",
         in_b,
-        left_stabiliser=trivial,
+        left_stabiliser=trivial_subgroup(ctx),
         sphere_members=lambda k: placed.sphere(k, 0, None),
     )
-    powers_of_a = SubsetSpec(
-        ctx, "<a>", lambda w: all(l in (1, -1) for l in w)
-    )
+    powers_of_a = SubsetSpec(ctx, "<a>", lambda w: all(l in (1, -1) for l in w))
     x_spec = SubsetSpec(
         ctx,
         "a-translates-of-universal",
@@ -451,29 +434,43 @@ def appendix_contrast_demo(
         sphere_members=lambda k: placed.sphere(k, None, None),
     )
     x_spec.placed = placed  # the ambient set realizes the same local patterns
+    return b_spec, x_spec
+
+
+def appendix_contrast_demo() -> SuiteReport:
+    """Relative deepness and condition-1 stability without co-separability.
+
+    Builds the placed universal set U inside the b-initial words of F2 (the
+    placement ``universal_b_words_spec`` makes by default), the cone B of
+    nonnegative a-translates of U, and the full translate union X; then
+    verifies that B is relatively deep in X and condition-1-stable while the
+    co-separability search is falsified within its radius.
+    """
+    ctx = FreeGroupContext(2)
+    u_spec = universal_b_words_spec(ctx)
+    placed = u_spec.placed
+    b_spec, x_spec = cone_and_union(placed)
+    trivial, powers_of_a = b_spec.left_stabiliser, x_spec.left_stabiliser
 
     suite = SuiteReport(
         name="universal-contrast-demo",
         params={
-            "max_radius": max_radius,
-            "start": start,
-            "min_step": min_step,
+            "max_radius": placed.max_radius,
+            "start": placed.start,
+            "min_step": placed.min_step,
             "deep_r": DEMO_DEEP_R,
             "deep_R": DEMO_DEEP_RADIUS,
             "f_radius": DEMO_F_RADIUS,
             "g_radius": DEMO_G_RADIUS,
         },
     )
-    suite.add(universality_check(u_spec, max_radius))
-    suite.add(universality_check(x_spec, max_radius))
-    rel_deep = suite.add(
-        relatively_deep_check(b_spec, x_spec, powers_of_a, DEMO_DEEP_R, DEMO_DEEP_RADIUS)
-    )
-    ai_reports = []
-    for g in (a, b):
-        ai_reports.append(
-            suite.add(almost_invariant_check(b_spec, x_spec, trivial, g, DEMO_DEEP_RADIUS - 3))
-        )
+    suite.add(universality_check(u_spec, placed.max_radius))
+    suite.add(universality_check(x_spec, placed.max_radius))
+    rel_deep = suite.add(relatively_deep_check(b_spec, x_spec, powers_of_a, DEMO_DEEP_R, DEMO_DEEP_RADIUS))
+    ai_reports = [
+        suite.add(almost_invariant_check(b_spec, x_spec, trivial, g, DEMO_DEEP_RADIUS - 3))
+        for g in map(ctx.generator, (1, 2))  # a and b
+    ]
     cosep = coseparability_search(b_spec, trivial, DEMO_F_RADIUS, DEMO_G_RADIUS)
     # the demo *expects* the search to fail: record it wrapped, so the suite
     # verdict reflects whether the expected contrast was reproduced

@@ -21,6 +21,9 @@ and those in ``tests/inputs``.  The table holds:
 * BS(3,5)'s whole-group convexity at ``--L 4`` (``bs35.json``): no letter
   a^±1, a^±2 lies in 3Z or 5Z, so the twist relations are written for the
   generators a^3 and a^5, spelled on both sides, and they verify;
+* the left stabilisers of the G half-space of ``k8-amalgam.json`` at
+  ``--r 2``: Z/2^3 glued to Z/2^3 along {e, x, y, xy}, where the glued xy
+  has length 3 in either factor but 2 as x times y across them;
 * one falsified and one inconclusive-within-bound line for each check
   that gives such a verdict on valid input, where no line above does.
   Convexity has none: no loader subset that holds e was found
@@ -65,6 +68,7 @@ VERDICT_LINES = [
     "check isolation --group z --subset all.json --r 0 --R 0",  # inconclusive: nothing splits
     "check convexity --group bs13.json --subset all.json --L 3",  # verified: t a t^-1 a^-3 is written with a^-1 a^-2
     "check convexity --group bs35.json --subset all.json --L 4",  # verified: a^3 and a^5 are twisted, though no letter
+    "check stabilisers --group k8-amalgam.json --subset half.json --r 2",  # confirms e, h[x], h[y] and h[xy]
     "module ph --group z --subset nat.json --r 0",  # falsified
     "module ph --group z --subset all.json --r 0 --R 0",  # inconclusive
     "module coset-decomp --group f2 --subset cone.json --element a --R 3",  # inconclusive

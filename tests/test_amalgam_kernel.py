@@ -4,27 +4,39 @@
 splits from a table for finite factors.  The reference is the letter-by-letter
 construction: ``from_letters`` applied to the letters of both canonical forms.
 The contexts cover trivial gluing of infinite factors (``z*z``) and of finite
-ones (Z/2 * Z/3), cyclic finite factors glued over Z/2 (``z4*z6``) and a
-non-abelian factor glued over Z/2 (S3 with Z/4).
+ones (Z/2 * Z/3), cyclic finite factors glued over Z/2 (``z4*z6``), a
+non-abelian factor glued over Z/2 (S3 with Z/4), and an HNN factor glued over
+Z/2 (HNN(Z/4, 2 -> 2) with Z/6), the one loader shape whose arithmetic splits
+a syllable by a search over its coset rather than from a table.
 
 With trivial gluing the context runs its free-product hooks, ``from_letters``
 included, so those contexts are also checked against a brute-force reducer
 that shares no code with the kernel.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_predicate_oracles import LOADER_CONFIGS
 
-from translation_lab import AmalgamContext, FiniteGroupContext, cli
+from translation_lab import AmalgamContext, FiniteGroupContext, HnnContext, cli
+from translation_lab.configs import load_group
 from translation_lab.groups import GroupElement
 
 KERNEL_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
 
-@pytest.fixture(scope="module", params=["zz", "c2_c3", "amalgam", "s3_z4"])
+@pytest.fixture(scope="module", params=["zz", "c2_c3", "amalgam", "s3_z4", "hnn_z6"])
 def ctx(request):
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(scope="module")
+def hnn_z6():
+    """HNN(Z/4, 2 -> 2) glued to Z/6 along 2 ~ 3."""
+    return load_group(LOADER_CONFIGS["amalgam-hnn-left"])
 
 
 @pytest.fixture(scope="module", params=["zz", "c2_c3"])
@@ -35,6 +47,11 @@ def free_ctx(request):
 def _factor_elements(f):
     if isinstance(f, FiniteGroupContext):
         return st.integers(0, f.order - 1).map(f.element)
+    if isinstance(f, HnnContext):
+        # at most 3 letters: the coset search orders by word length, so a long
+        # syllable grows the factor's ball far (radius 16 for 8 letters)
+        letters = st.lists(st.sampled_from(f.ball(1)), max_size=3)
+        return letters.map(lambda xs: functools.reduce(f.multiply, xs, f.identity()))
     return st.integers(-3, 3).map(f.integer)
 
 

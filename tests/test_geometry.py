@@ -341,7 +341,7 @@ def _z_mod(n, generators=None):
 INPUTS = Path(__file__).resolve().parent / "inputs"
 GROUP_FILES = (
     *("bs13.json", "bs35.json", "c2-c3.json", "c6.json"),
-    *("klein-hnn.json", "s3-z4.json", "z3.json", "z4-negation-hnn.json"),
+    *("k8-amalgam.json", "klein-hnn.json", "s3-z4.json", "z3.json", "z4-negation-hnn.json"),
 )
 PRESENTED = {
     **{name: name for name in ("z", "z2", "f2", "f3", "z4*z6", "z*z", "bs12", "f2-hnn")},

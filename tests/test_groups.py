@@ -178,7 +178,7 @@ def test_amalgam_word_length_by_breadth_first_search():
     z = {n: {"kind": "finite", "table": cyclic_group(n).table, "names": [str(i) for i in range(n)]} for n in (4, 6)}
     config = {"kind": "amalgam", "left": z[4], "right": {**z[6], "generators": [1]}, "pairs": [["2", "3"]]}
     layered, fresh = load_group(config), load_group(config)
-    assert not fresh._syllable_counts_metric
+    assert not fresh._syllables_are_letters
     lengths = {}
     for r in range(5):
         for x in layered.sphere(r):

@@ -233,6 +233,13 @@ def test_placed_universal_words_are_their_patterns_bit_strings(f2, max_radius, s
 
 # -- ball order -----------------------------------------------------------------------
 
+Z6 = {"kind": "finite", "table": [[(i + j) % 6 for j in range(6)] for i in range(6)], "names": [str(i) for i in range(6)]}
+# HNN(Z/4, 2 -> 2): as an amalgam factor it formats one syllable as several tokens (S:t*1), the first tagged
+HNN_Z4 = {
+    "kind": "hnn",
+    "base": {"kind": "finite", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)], "names": ["0", "1", "2", "3"]},
+    "theta": [["2", "2"]],
+}
 LOADER_CONFIGS = {
     "free": {"kind": "free", "rank": 3, "generators": ["x", "y", "z"]},
     "free-abelian": {"kind": "free-abelian", "rank": 3},
@@ -248,6 +255,8 @@ LOADER_CONFIGS = {
         "theta": [],
     },
     "hnn-steps": {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"h_step": 2, "k_step": 3}},
+    "amalgam-hnn-left": {"kind": "amalgam", "left": HNN_Z4, "right": Z6, "pairs": [["2", "3"]]},
+    "amalgam-hnn-right": {"kind": "amalgam", "left": Z6, "right": HNN_Z4, "pairs": [["3", "2"]]},
 }
 
 

@@ -11,7 +11,7 @@ from translation_lab import (
     positive_cone,
     track_of_sequence,
 )
-from translation_lab import universal
+from translation_lab import cli
 from translation_lab.groups import BALL_CAP_ENV, MalformedWord, integers
 from translation_lab.operators import rank_of_vectors
 from translation_lab.reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport
@@ -24,6 +24,7 @@ from translation_lab.universal import (
     appendix_contrast_demo,
     bit_at,
     characteristic_prefix,
+    cone_and_union,
     track_independence_check,
     universal_b_words_spec,
     universal_z_spec,
@@ -357,7 +358,7 @@ def test_placed_contains_matches_a_loop_over_placements(f2, max_radius, start, m
 
 
 @pytest.mark.parametrize("max_radius,start,min_step", [(0, 2, 4), (1, 2, 4), (1, 3, 9)])
-def test_a_shift_matches_stripping_the_run_and_multiplying(monkeypatch, f2, max_radius, start, min_step):
+def test_a_shift_matches_stripping_the_run_and_multiplying(f2, max_radius, start, min_step):
     placed = PlacedUniversalWords(f2, max_radius, start, min_step)
     u_words = {f2.multiply(p.center, f).word for p in placed.placements for f in p.pattern}
 
@@ -374,33 +375,17 @@ def test_a_shift_matches_stripping_the_run_and_multiplying(monkeypatch, f2, max_
     assert {k for k in want if k is not None} >= {-3, 0, 2}
     assert [placed.contains(x.word) for x in points] == [k == 0 for k in want]
 
-    b_spec, x_spec = _demo_cone_and_union(monkeypatch, f2, max_radius, start, min_step)
+    b_spec, x_spec = cone_and_union(placed)
     assert [b_spec.contains(x) for x in points] == [k is not None and k >= 0 for k in want]
     assert [x_spec.contains(x) for x in points] == [k is not None for k in want]
 
 
-def _demo_cone_and_union(monkeypatch, f2, max_radius, start, min_step):
-    """The contrast demo's nonnegative cone B and translate union X, caught at their first use."""
-
-    class Caught(Exception):
-        pass
-
-    def catch(b_spec, x_spec, *_args):
-        raise Caught(b_spec, x_spec)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(universal, "relatively_deep_check", catch)
-        with pytest.raises(Caught) as caught:
-            appendix_contrast_demo(f2, max_radius, start, min_step)
-    return caught.value.args
-
-
 @pytest.mark.parametrize("max_radius,start,min_step", [(0, 2, 4), (1, 2, 4), (1, 3, 5)])
-def test_listed_spheres_match_the_filtered_ball(monkeypatch, max_radius, start, min_step):
+def test_listed_spheres_match_the_filtered_ball(max_radius, start, min_step):
     """U, B and X list their members by sphere: the windows equal the filtered ball, unbuilt."""
     f2 = free_group(2)  # a fresh context, so the layers it grows can be counted
     u_spec = universal_b_words_spec(f2, max_radius, start, min_step)
-    b_spec, x_spec = _demo_cone_and_union(monkeypatch, f2, max_radius, start, min_step)
+    b_spec, x_spec = cone_and_union(u_spec.placed)
     rng = random.Random(f"{max_radius},{start},{min_step}")
     windows = {}
     for spec in (u_spec, b_spec, x_spec):
@@ -458,14 +443,17 @@ def test_placed_membership_is_local(f2):
         assert inside == any(offset.word == f.word for f in sample.pattern)
 
 
-def test_contrast_demo():
-    f2 = free_group(2)
-    suite = appendix_contrast_demo(f2)
+def test_contrast_demo(monkeypatch, capsys):
+    # U, B and X list their members, so no ball grows beyond the search's radius 4: 161 elements of F2
+    monkeypatch.setenv(BALL_CAP_ENV, "161")
+    suite = appendix_contrast_demo()
     assert suite.verdict == VERIFIED
-    assert len(f2._layers) == 5  # U, B and X list their members: no ball beyond the search's radius 4
     by_name = {c.name: c for c in suite.checks}
     assert by_name["relatively-deep"].verdict == VERIFIED
     assert by_name["coseparability-expected-to-fail"].verdict == VERIFIED
     inner = by_name["coseparability-expected-to-fail"].details["search_report"]
     assert inner.verdict == FALSIFIED
     assert by_name["contrast"].verdict == VERIFIED
+    monkeypatch.setenv(BALL_CAP_ENV, "160")
+    assert cli.dispatch(["universal", "demo"]) == 4
+    assert "needs more than 160 elements" in capsys.readouterr().err
