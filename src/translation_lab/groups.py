@@ -627,10 +627,11 @@ class AmalgamContext(GroupContext):
     gluing, the syllable count (1 for a nontrivial glued element alone) when
     every nontrivial element of both finite factors is a letter, and the
     depth table's otherwise.  A glued element has no rule of its own: it can
-    be shorter over both factors' letters than in either factor.  A report
-    form tags only a syllable's first token, so ``parse`` reads a token with
-    no tag in the factor of the syllable it continues first, then in the
-    other (an HNN factor's ``S:t*1`` is one syllable).
+    be shorter over both factors' letters than in either factor.  With both
+    tags non-empty a token with no tag continues the syllable before it (an
+    HNN factor's ``S:t*1`` is one syllable), but it may start a syllable of a
+    factor whose tag is empty, so ``parse`` reads it first in a factor with
+    the empty tag, then in the factor of the syllable it continues.
     """
 
     kind = "amalgam"
@@ -858,9 +859,9 @@ class AmalgamContext(GroupContext):
                     letters.append((side, self.factors[side].parse(token[len(tag):])))
                     break
             else:
-                # untagged: first in the factor of the syllable it continues
+                # untagged: first in a factor with the empty tag, then the one it continues
                 last = letters[-1][0] if letters else 0
-                for side in (last, 1 - last):
+                for side in sorted((last, 1 - last), key=lambda s: bool(self.tags[s])):
                     try:
                         letters.append((side, self.factors[side].parse(token)))
                         break

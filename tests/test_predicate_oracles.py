@@ -234,10 +234,11 @@ def test_placed_universal_words_are_their_patterns_bit_strings(f2, max_radius, s
 # -- ball order -----------------------------------------------------------------------
 
 Z6 = {"kind": "finite", "table": [[(i + j) % 6 for j in range(6)] for i in range(6)], "names": [str(i) for i in range(6)]}
+Z4 = {"kind": "finite", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)], "names": ["0", "1", "2", "3"]}
 # HNN(Z/4, 2 -> 2): as an amalgam factor it formats one syllable as several tokens (S:t*1), the first tagged
 HNN_Z4 = {
     "kind": "hnn",
-    "base": {"kind": "finite", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)], "names": ["0", "1", "2", "3"]},
+    "base": Z4,
     "theta": [["2", "2"]],
 }
 LOADER_CONFIGS = {
@@ -257,6 +258,9 @@ LOADER_CONFIGS = {
     "hnn-steps": {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"h_step": 2, "k_step": 3}},
     "amalgam-hnn-left": {"kind": "amalgam", "left": HNN_Z4, "right": Z6, "pairs": [["2", "3"]]},
     "amalgam-hnn-right": {"kind": "amalgam", "left": Z6, "right": HNN_Z4, "pairs": [["3", "2"]]},
+    # an empty tag: a token with no tag after S:1 starts a left syllable (1*S:1*1)
+    "amalgam-empty-tag": {"kind": "amalgam", "left": Z4, "right": Z6, "pairs": [["2", "3"]], "tags": ["", "S:"]},
+    "amalgam-empty-right-tag": {"kind": "amalgam", "left": Z4, "right": Z6, "pairs": [["2", "3"]], "tags": ["G:", ""]},
 }
 
 
