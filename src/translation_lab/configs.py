@@ -144,10 +144,16 @@ def _group_from_dict(data: dict) -> GroupContext:
         if _holds_amalgam(left) or _holds_amalgam(right):
             # its syllables would print with the same "*" and tags as the outer ones
             raise ConfigError("an amalgam factor cannot be an amalgam or an HNN extension over one")
+        tags = data.get("tags", ["G:", "S:"])
+        if not (isinstance(tags, list) and len(tags) == 2 and all(isinstance(t, str) for t in tags)):
+            raise ConfigError("amalgam tags must be a list of two strings")
+        if any(not tags[side] and isinstance(factor, HnnContext) for side, factor in ((0, right), (1, left))):
+            # an untagged token after an HNN syllable's "*" could also start a syllable of the other factor
+            raise ConfigError("an empty amalgam tag cannot stand beside an HNN factor, whose syllables print with '*'")
         pairs = [
             (left.parse(str(a)), right.parse(str(b))) for a, b in data.get("pairs", [])
         ]
-        return AmalgamContext(left, right, pairs, tuple(data.get("tags", ("G:", "S:"))))
+        return AmalgamContext(left, right, pairs, tuple(tags))
     # the remaining kind is "hnn"
     base = _group_from_dict(data["base"])
     theta = data["theta"]
@@ -217,12 +223,8 @@ def _subset_from_dict(ctx: GroupContext, data: dict) -> SubsetSpec:
                 raise ConfigError("the universal variant 'z' takes no parameters")
             return universal_z_spec(ctx)
         if variant == "b-words":
-            return universal_b_words_spec(
-                ctx,
-                _integer(data.get("max_radius", 1), "max_radius"),
-                _integer(data.get("start", 2), "start"),
-                _integer(data.get("min_step", 4), "min_step"),
-            )
+            placement = {key: _integer(data[key], key) for key in ("max_radius", "start", "min_step") if key in data}
+            return universal_b_words_spec(ctx, **placement)
         raise ConfigError(f"unknown universal variant {variant!r}")
     # the remaining kind is "universal-all"
     return whole_group(ctx)

@@ -22,14 +22,16 @@ and ``format`` check once that the operand belongs to the context and then
 call the hook.
 
 All contexts share the same metric machinery: the word metric of the stated
-generating set, enumerated by breadth-first search and ordered shortlex (free
-groups list each layer by prefix extension, in the same order).  A
-breadth-first layer multiplies raw words, dedupes each product once against
-the depth table, sorts the new words by ``structural_key`` and builds one
-element per member last.  The default ``_length`` reads that depth table,
-grown on demand (a finite group builds it whole at construction); free,
-free-abelian and amalgam contexts give ``_length`` in closed form where they
-can.  Contexts are immutable after construction and all operations are pure.
+generating set, enumerated layer by layer and ordered shortlex.  Free groups
+list each layer by prefix extension, and amalgams whose length adds over
+syllables list it from their factors' spheres, in the same order; the other
+contexts search it.  A breadth-first layer multiplies raw words, dedupes each
+product once against the depth table, sorts the new words by
+``structural_key`` and builds one element per member last.  The default
+``_length`` reads that depth table, grown on demand (a finite group builds it
+whole at construction); free, free-abelian and amalgam contexts give
+``_length`` in closed form where they can.  Contexts are immutable after
+construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -623,15 +625,21 @@ class AmalgamContext(GroupContext):
     and the trailing part stays 0.  They never split a syllable or look up
     the subgroup, and the nontrivial kernel pays no test for them.
 
-    Word length is the sum of the syllables' factor lengths with trivial
-    gluing, the syllable count (1 for a nontrivial glued element alone) when
-    every nontrivial element of both finite factors is a letter, and the
-    depth table's otherwise.  A glued element has no rule of its own: it can
-    be shorter over both factors' letters than in either factor.  With both
-    tags non-empty a token with no tag continues the syllable before it (an
-    HNN factor's ``S:t*1`` is one syllable), but it may start a syllable of a
-    factor whose tag is empty, so ``parse`` reads it first in a factor with
-    the empty tag, then in the factor of the syllable it continues.
+    Word length adds over syllables, each counted by its factor's length (1
+    for a nontrivial glued element alone), with trivial gluing and when every
+    nontrivial element of both finite factors is a letter.  There
+    ``_next_layer`` lists each sphere in ball order from the factors' spheres
+    and the shorter spheres' runs of syllables.  Otherwise the length is the
+    depth table's and the layers are searched: a glued element has no rule of
+    its own, since it can be shorter over both factors' letters than in
+    either factor.
+
+    With both tags non-empty a token with no tag continues the syllable
+    before it (an HNN factor's ``S:t*1`` is one syllable), but it may start a
+    syllable of a factor whose tag is empty, so ``parse`` reads it first in a
+    factor with the empty tag, then in the factor of the syllable it
+    continues.  The loader refuses an empty tag beside an HNN factor, where
+    that reading is ambiguous.
     """
 
     kind = "amalgam"
@@ -675,10 +683,17 @@ class AmalgamContext(GroupContext):
                 else None
                 for side, f in enumerate(self.factors)
             )
-            # a finite factor with an empty sphere of radius 2 has every nontrivial element as a letter
-            self._syllables_are_letters = all(
-                isinstance(f, FiniteGroupContext) and not f.sphere(2) for f in self.factors
-            )
+        # length adds over syllables with trivial gluing, or when every nontrivial
+        # element of both finite factors is a letter (an empty sphere of radius 2)
+        self._length_adds = self._trivial_h or all(
+            isinstance(f, FiniteGroupContext) and not f.sphere(2) for f in self.factors
+        )
+        # for the listed spheres: _runs[n][k, side] holds the syllables of sphere
+        # n's k-syllable words whose first syllable lies in factor side, each
+        # once, in ball order (sphere 0's empty run under both sides), and
+        # _heads[side][m] factor side's syllables of length m as one-syllable runs
+        self._runs: list[dict] = [{(0, 0): [()], (0, 1): [()]}]
+        self._heads: tuple[list, list] = ([[]], [[]])
 
     def _validate_gluing(self):
         """The pairing must be a subgroup isomorphism on both sides."""
@@ -816,12 +831,48 @@ class AmalgamContext(GroupContext):
     # -- metric and order ----------------------------------------------------
 
     def _length(self, w: tuple) -> int:
+        if not self._length_adds:
+            return super()._length(w)
         syllables, h = w
-        if self._trivial_h:
-            return sum(self.factors[side]._length(v) for side, v in syllables)
-        if self._syllables_are_letters:
-            return len(syllables) or (1 if h else 0)
-        return super()._length(w)
+        return sum(self.factors[side]._length(v) for side, v in syllables) or (1 if h else 0)
+
+    def _next_layer(self, room: int) -> list[GroupElement] | None:
+        """Sphere n listed in ball order where length adds over syllables.
+
+        First the bare glued elements (n = 1), then for each syllable count
+        and first factor (0 before 1) the alternating runs whose syllables'
+        factor lengths sum to n: each is a first syllable of length m joined
+        to a run of sphere n - m, in lexicographic order of the syllables'
+        sort words, and each is followed by every trailing part in index
+        order.  That is ``structural_key``'s order, so nothing is multiplied,
+        deduped or sorted, and a layer larger than ``room`` is refused (None)
+        before any of it is built.  Other amalgams search.
+        """
+        if not self._length_adds:
+            return super()._next_layer(room)
+        n, runs, heads = len(self._layers), self._runs, self._heads
+        for side, f in enumerate(self.factors):
+            while len(heads[side]) <= n:
+                words = [x.word for x in f.sphere(len(heads[side]))]
+                if not self._trivial_h:  # the coset representatives outside H
+                    words = [w for w in words if self._split(side, w) == (w, 0)]
+                heads[side].append([((side, w),) for w in words])
+        parts = len(self.pairs)
+        # (k, side, m): k-syllable runs from factor side, the first syllable of length m
+        splits = [(k, side, m) for k in range(1, n + 1) for side in (0, 1) for m in range(1, n + 1)]
+        size = sum(len(heads[side][m]) * len(runs[n - m].get((k - 1, 1 - side), ())) for k, side, m in splits)
+        if parts * size + (parts - 1 if n == 1 else 0) > room:
+            return None
+        out = [GroupElement(self, ((), h)) for h in range(1, parts)] if n == 1 else []
+        table: dict = {}
+        for k, side, m in splits:
+            rests = runs[n - m].get((k - 1, 1 - side), ())
+            listed = [head + rest for head in heads[side][m] for rest in rests]
+            if listed:
+                table.setdefault((k, side), []).extend(listed)
+                out.extend([GroupElement(self, (run, h)) for run in listed for h in range(parts)])
+        runs.append(table)
+        return out
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
         seen: dict[tuple, GroupElement] = {}

@@ -191,10 +191,9 @@ class PlacedUniversalWords:
         return [{"center": p.center, "radius": p.radius, "pattern": p.pattern} for p in self.placements]
 
 
-def universal_b_words_spec(
-    ctx: FreeGroupContext, max_radius: int = 1, start: int = 2, min_step: int = 4
-) -> SubsetSpec:
-    placed = PlacedUniversalWords(ctx, max_radius, start, min_step)
+def universal_b_words_spec(ctx: FreeGroupContext, *placement: int, **named: int) -> SubsetSpec:
+    """The set U; the placement arguments and their defaults are ``PlacedUniversalWords``'s."""
+    placed = PlacedUniversalWords(ctx, *placement, **named)
     spec = SubsetSpec(
         ctx,
         "universal-b-words",

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from test_predicate_oracles import LOADER_CONFIGS
+
 from translation_lab import cli
 from translation_lab.configs import ConfigError, load_group, load_subset
 
@@ -289,6 +291,39 @@ def test_an_amalgam_below_an_amalgam_factor_is_refused(group, tmp_path, capsys):
     argv = ["check", "deep", "--group", str(tmp_path / "group.json"), "--subset", str(tmp_path / "all.json")]
     assert cli.dispatch(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+# An empty tag beside an HNN factor: with tags ["", "S:"], Z/6 on the left and
+# HNN(Z/4, 2 -> 2) on the right, S:t*1 is both the right syllable t*1 and S:t
+# followed by the left factor's 1; 36 of the 178 elements of the radius-3 ball
+# did not parse back as themselves, and the mirror config did the same.
+EMPTY_TAG = "an empty amalgam tag cannot stand beside an HNN factor"
+NOT_TWO_STRINGS = "amalgam tags must be a list of two strings"
+REFUSED_TAGS = {
+    "left-empty": ({**LOADER_CONFIGS["amalgam-hnn-right"], "tags": ["", "S:"]}, EMPTY_TAG),
+    "right-empty": ({**LOADER_CONFIGS["amalgam-hnn-left"], "tags": ["G:", ""]}, EMPTY_TAG),
+    # one tag ended every report in an IndexError traceback
+    "one-tag": ({**LOADER_CONFIGS["amalgam"], "tags": ["G:"]}, NOT_TWO_STRINGS),
+    "numbers": ({**LOADER_CONFIGS["amalgam"], "tags": [1, 2]}, NOT_TWO_STRINGS),
+    "string": ({**LOADER_CONFIGS["amalgam"], "tags": "GS"}, NOT_TWO_STRINGS),
+}
+
+
+@pytest.mark.parametrize("group,message", REFUSED_TAGS.values(), ids=REFUSED_TAGS)
+def test_tags_a_report_cannot_read_back_are_refused(group, message, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=message):
+        load_group(group)
+    (tmp_path / "group.json").write_text(json.dumps(group))
+    (tmp_path / "all.json").write_text('{"kind": "universal-all"}')
+    argv = ["check", "deep", "--group", str(tmp_path / "group.json"), "--subset", str(tmp_path / "all.json")]
+    assert cli.dispatch(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_an_empty_tag_beside_finite_factors_still_loads():
+    for name in ("amalgam-empty-tag", "amalgam-empty-right-tag"):
+        ctx = load_group(LOADER_CONFIGS[name])
+        assert all(ctx.parse(ctx.format(x)) == x for x in ctx.ball(3))
 
 
 def test_amalgams_and_hnn_extensions_still_nest_in_each_other():

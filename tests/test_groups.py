@@ -1,8 +1,12 @@
+import functools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_distances, rng
+from test_predicate_oracles import INPUT_GROUPS, INPUTS, LOADER_CONFIGS
 
 from translation_lab import (
     BallCapExceeded,
@@ -18,8 +22,8 @@ from translation_lab import (
     free_product_of_two_integers,
     integer_lattice,
 )
-from translation_lab.configs import load_group
-from translation_lab.groups import BALL_CAP_ENV, GroupElement, HnnContext
+from translation_lab.configs import BUILTIN_GROUPS, load_group
+from translation_lab.groups import BALL_CAP_ENV, AmalgamContext, GroupElement, HnnContext
 
 
 # -- free groups -------------------------------------------------------------
@@ -66,6 +70,75 @@ def test_free_ball_by_prefix_extension_matches_generic_bfs(rank):
         # the closed form against the breadth-first search's depth table
         for x in fast.sphere(r):
             assert fast.word_length(x) == GroupContext._length(slow, x.word) == r
+
+
+def _amalgam_in(source):
+    """The amalgam a group source loads, or the amalgam below its HNN extensions; else None."""
+    ctx = load_group(source)
+    while isinstance(ctx, HnnContext):
+        ctx = ctx.base
+    return ctx if isinstance(ctx, AmalgamContext) else None
+
+
+GROUP_SOURCES = {
+    **{f"builtin:{name}": name for name in BUILTIN_GROUPS},
+    **{f"config:{name}": config for name, config in LOADER_CONFIGS.items()},
+    **{f"input:{name}": str(INPUTS / name) for name in INPUT_GROUPS},
+}
+AMALGAM_SOURCES = sorted(name for name, source in GROUP_SOURCES.items() if _amalgam_in(source))
+
+
+@pytest.mark.parametrize("name", AMALGAM_SOURCES)
+def test_amalgam_spheres_listed_in_closed_form_match_generic_bfs(name):
+    """Where length adds over syllables the spheres are listed, not searched:
+    word for word as the breadth-first search orders them, with its lengths."""
+    fast, slow = _amalgam_in(GROUP_SOURCES[name]), _amalgam_in(GROUP_SOURCES[name])
+    slow._next_layer = functools.partial(GroupContext._next_layer, slow)
+    for r in range(6):
+        assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
+        for x in fast.sphere(r):
+            assert fast.word_length(x) == slow._dist[x.word] == r
+    # a listed ball never fills the depth table; a searched one does
+    assert fast._length_adds == (len(fast._dist) == 1)
+
+
+@pytest.mark.parametrize("build", [amalgam_z4_z6, free_product_of_two_integers])
+def test_closed_form_amalgam_refuses_a_layer_past_the_cap_unbuilt(monkeypatch, build):
+    from translation_lab import groups
+
+    ctx, size = build(), len(build().ball(3))
+    ctx.ball(2)
+    for factor in ctx.factors:  # the listing reads the factors' spheres
+        factor.ball(3)
+
+    def refuse(*args):
+        raise AssertionError("the amalgam built an element of a refused layer")
+
+    monkeypatch.setenv(BALL_CAP_ENV, str(size - 1))
+    with monkeypatch.context() as m:
+        m.setattr(groups, "GroupElement", refuse)
+        with pytest.raises(BallCapExceeded, match=f"ball of radius 3 needs more than {size - 1} elements"):
+            ctx.ball(3)
+    assert len(ctx._layers) == len(ctx._runs) == 3 and len(ctx._dist) == 1
+    monkeypatch.setenv(BALL_CAP_ENV, str(size))
+    assert [x.word for x in ctx.ball(3)] == [x.word for x in build().ball(3)]
+
+
+@pytest.mark.parametrize("build,radius", [(amalgam_z4_z6, 18), (free_product_of_two_integers, 7)])
+def test_a_listed_amalgam_layer_stays_under_400_bytes_per_element(build, radius):
+    """Traced peak of one listed layer per new element: z4*z6 layer 18 peaked at
+    about 220 bytes listed and 2,600 searched; z*z layer 7 at 200 and 900."""
+    ctx = build()
+    ctx.ball(radius - 1)
+    for factor in ctx.factors:
+        factor.ball(radius)
+    tracemalloc.start()
+    try:
+        size = len(ctx.sphere(radius))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 2000 and peak / size < 400
 
 
 def test_group_element_equality_and_hashing():
@@ -178,7 +251,7 @@ def test_amalgam_word_length_by_breadth_first_search():
     z = {n: {"kind": "finite", "table": cyclic_group(n).table, "names": [str(i) for i in range(n)]} for n in (4, 6)}
     config = {"kind": "amalgam", "left": z[4], "right": {**z[6], "generators": [1]}, "pairs": [["2", "3"]]}
     layered, fresh = load_group(config), load_group(config)
-    assert not fresh._syllables_are_letters
+    assert not fresh._length_adds
     lengths = {}
     for r in range(5):
         for x in layered.sphere(r):
@@ -415,7 +488,8 @@ def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
     assert len(slow._dist) == 5
 
 
-# contexts that grow their balls by the generic breadth-first search, built fresh per example
+# contexts that grow their balls layer by layer, built fresh per example (the
+# amalgams z4*z6 and z*z list their layers; the others search them)
 BFS_CONTEXTS = {
     "z2": lambda: integer_lattice(2),
     "z4*z6": amalgam_z4_z6,
