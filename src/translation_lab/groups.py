@@ -23,14 +23,16 @@ call the hook.
 
 All contexts share the same metric machinery: the word metric of the stated
 generating set, enumerated layer by layer and ordered shortlex.  Free groups
-list each layer by prefix extension, and amalgams whose length adds over
-syllables list it from their factors' spheres, in the same order; the other
-contexts search it.  A breadth-first layer multiplies raw words, dedupes each
-product once against the depth table, sorts the new words by
-``structural_key`` and builds one element per member last.  The default
-``_length`` reads that depth table, grown on demand (a finite group builds it
-whole at construction); free, free-abelian and amalgam contexts give
-``_length`` in closed form where they can.  Contexts are immutable after
+list each layer by prefix extension, and amalgams and HNN extensions whose
+length adds over syllables (an HNN extension over trivial subgroups) list it
+from their factors' or base's spheres, in the same order; the other contexts
+(free-abelian and finite groups, the other amalgams and HNN extensions)
+search it.  A breadth-first layer multiplies raw words, dedupes each product
+once against the depth table, sorts the new words by ``structural_key`` and
+builds one element per member last.  The default ``_length`` reads that
+depth table, grown on demand (a finite group builds it whole at
+construction); free, free-abelian, amalgam and HNN contexts give ``_length``
+in closed form where they can.  Contexts are immutable after
 construction and all operations are pure.
 """
 
@@ -1043,6 +1045,14 @@ class HnnContext(GroupContext):
     other blocks are reps already, and the split of a rep is ``(e, rep)``.
     ``_inv`` reverses the blocks, inverts each base word, and runs that pass
     once (the inverse of a pinch-free word is pinch-free).
+
+    When both associated subgroups are trivial the extension is the free
+    product of the base and ``<t>``: word length adds over the blocks,
+    ``|g0| + sum(1 + |gi|)`` in the base's lengths, and ``_next_layer`` lists
+    each sphere in ball order from the base's spheres and the shorter
+    spheres' bodies.  Every other extension (Baumslag-Solitar groups, a
+    finite twist) takes its length from the depth table and searches its
+    layers.
     """
 
     kind = "hnn"
@@ -1053,6 +1063,12 @@ class HnnContext(GroupContext):
         self.data = data
         self.t_name = t_name
         self._e = base.identity().word
+        # over trivial subgroups the extension is the free product of the base and <t>
+        self._length_adds = not data.generators(1) and not data.generators(-1)
+        # for the listed spheres: _bodies[L][k, s] holds the k-block bodies of
+        # length L whose first block has sign s, in ball order, and [k, 0] both
+        # signs' (sphere 0's empty body under every key)
+        self._bodies: list[dict] = [{(0, 1): [()], (0, -1): [()], (0, 0): [()]}]
 
     # payload: (g0_word, ((sign, g_word), ...))
 
@@ -1161,6 +1177,54 @@ class HnnContext(GroupContext):
         out.reverse()
         head = self._transversal_pass(inv(g), out)
         return head, tuple(out)
+
+    def _length(self, w: tuple) -> int:
+        if not self._length_adds:
+            return super()._length(w)
+        length = self.base._length
+        head, blocks = w
+        return length(head) + sum(1 + length(g) for _, g in blocks)
+
+    def _next_layer(self, room: int) -> list[GroupElement] | None:
+        """Sphere n listed in ball order over trivial subgroups.
+
+        For each block count, each head from the base's spheres (shorter
+        first) is followed by every body of the remaining length, in
+        lexicographic order of the blocks: a block is a sign (1 before -1)
+        and a base word from the base's spheres, joined to a body of a
+        shorter sphere.  That is ``structural_key``'s order, so nothing is
+        multiplied, deduped or sorted, and a layer larger than ``room`` is
+        refused (None) before any of it is built.  Other extensions search.
+        """
+        if not self._length_adds:
+            return super()._next_layer(room)
+        n, bodies = len(self._layers), self._bodies
+        heads = [[x.word for x in self.base.sphere(m)] for m in range(n + 1)]
+        # (k, s, m, rest): k-block bodies of length n whose first block is t^s
+        # and a base word of length m, then a body keyed rest of length n-1-m.
+        # After t^s e only a block of sign s may follow (t^s e t^-s is a
+        # pinch); after a longer word either sign may.
+        splits = [(k, s, m, (k - 1, 0 if m else s)) for k in range(1, n + 1) for s in (1, -1) for m in range(n)]
+        # the bodies of length n under the head e, then each longer head
+        # under every body of the remaining length
+        size = sum(len(heads[m]) * len(bodies[n - 1 - m].get(rest, ())) for k, s, m, rest in splits)
+        size += sum(len(heads[m]) * len(v) for m in range(1, n + 1) for (k, s), v in bodies[n - m].items() if not s)
+        if size > room:
+            return None
+        row: dict = {}
+        for k, s, m, rest in splits:
+            rests = bodies[n - 1 - m].get(rest, ())
+            row.setdefault((k, s), []).extend([((s, g),) + r for g in heads[m] for r in rests])
+        for k in range(1, n + 1):
+            row[k, 0] = row[k, 1] + row[k, -1]
+        bodies.append(row)
+        return [
+            GroupElement(self, (h, body))
+            for k in range(n + 1)
+            for m in range(n + 1)
+            for h in heads[m]
+            for body in bodies[n - m].get((k, 0), ())
+        ]
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
         out = [self.from_base(g) for g in self.base.generator_elements()]

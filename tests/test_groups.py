@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_distances, rng
-from test_predicate_oracles import INPUT_GROUPS, INPUTS, LOADER_CONFIGS
+from test_predicate_oracles import INPUT_GROUPS, INPUTS, LOADER_CONFIGS, Z4, Z6
 
 from translation_lab import (
     BallCapExceeded,
@@ -72,66 +72,107 @@ def test_free_ball_by_prefix_extension_matches_generic_bfs(rank):
             assert fast.word_length(x) == GroupContext._length(slow, x.word) == r
 
 
-def _amalgam_in(source):
-    """The amalgam a group source loads, or the amalgam below its HNN extensions; else None."""
-    ctx = load_group(source)
-    while isinstance(ctx, HnnContext):
-        ctx = ctx.base
-    return ctx if isinstance(ctx, AmalgamContext) else None
+def _composites_in(source):
+    """The amalgams and HNN extensions a group source loads, outermost first,
+    with those below them as factors or bases."""
+    out, todo = [], [load_group(source)]
+    while todo:
+        ctx = todo.pop(0)
+        if isinstance(ctx, AmalgamContext):
+            todo.extend(ctx.factors)
+        elif isinstance(ctx, HnnContext):
+            todo.append(ctx.base)
+        else:
+            continue
+        out.append(ctx)
+    return out
 
 
 GROUP_SOURCES = {
     **{f"builtin:{name}": name for name in BUILTIN_GROUPS},
     **{f"config:{name}": config for name, config in LOADER_CONFIGS.items()},
     **{f"input:{name}": str(INPUTS / name) for name in INPUT_GROUPS},
+    # HNN extensions over trivial subgroups of a finite, a rank-2, a listed and a searched base
+    "trivial:z4": {"kind": "hnn", "base": Z4, "theta": []},
+    "trivial:z2": {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 2}, "theta": []},
+    "trivial:hnn": {"kind": "hnn", "base": {"kind": "hnn", "base": Z4, "theta": []}, "theta": [], "stable_letter": "u"},
+    "trivial:bs12": {
+        "kind": "hnn",
+        "base": {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"multiplier": 2}},
+        "theta": [],
+        "stable_letter": "u",
+    },
 }
-AMALGAM_SOURCES = sorted(name for name, source in GROUP_SOURCES.items() if _amalgam_in(source))
+COMPOSITE_SOURCES = sorted(name for name, source in GROUP_SOURCES.items() if _composites_in(source))
+# which HNN extensions of a source list their layers, outermost first: those
+# over trivial subgroups; every other HNN extension searches them
+LISTED_HNN = {
+    "builtin:f2-hnn": [True],
+    "config:hnn": [True],
+    "trivial:z4": [True],
+    "trivial:z2": [True],
+    "trivial:hnn": [True, True],
+    "trivial:bs12": [True, False],
+}
 
 
-@pytest.mark.parametrize("name", AMALGAM_SOURCES)
+@pytest.mark.parametrize("name", COMPOSITE_SOURCES)
 def test_amalgam_spheres_listed_in_closed_form_match_generic_bfs(name):
-    """Where length adds over syllables the spheres are listed, not searched:
-    word for word as the breadth-first search orders them, with its lengths."""
-    fast, slow = _amalgam_in(GROUP_SOURCES[name]), _amalgam_in(GROUP_SOURCES[name])
-    slow._next_layer = functools.partial(GroupContext._next_layer, slow)
-    for r in range(6):
-        assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
-        for x in fast.sphere(r):
-            assert fast.word_length(x) == slow._dist[x.word] == r
-    # a listed ball never fills the depth table; a searched one does
-    assert fast._length_adds == (len(fast._dist) == 1)
+    """Where length adds over syllables, of an amalgam or of an HNN extension
+    over trivial subgroups, the spheres are listed, not searched: word for
+    word as the breadth-first search orders them, with its lengths."""
+    listed = _composites_in(GROUP_SOURCES[name])
+    for fast, slow in zip(listed, _composites_in(GROUP_SOURCES[name])):
+        slow._next_layer = functools.partial(GroupContext._next_layer, slow)
+        for r in range(6):
+            assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
+            for x in fast.sphere(r):
+                assert fast.word_length(x) == slow._dist[x.word] == r
+        # a listed ball never fills the depth table; a searched one does
+        assert fast._length_adds == (len(fast._dist) == 1)
+    hnns = [ctx for ctx in listed if isinstance(ctx, HnnContext)]
+    assert [ctx._length_adds for ctx in hnns] == LISTED_HNN.get(name, [False] * len(hnns))
 
 
-@pytest.mark.parametrize("build", [amalgam_z4_z6, free_product_of_two_integers])
+def _below(ctx):
+    """The groups whose spheres a listed amalgam or HNN layer reads."""
+    return (ctx.base,) if isinstance(ctx, HnnContext) else ctx.factors
+
+
+@pytest.mark.parametrize("build", [amalgam_z4_z6, free_product_of_two_integers, free_group_as_hnn])
 def test_closed_form_amalgam_refuses_a_layer_past_the_cap_unbuilt(monkeypatch, build):
     from translation_lab import groups
 
     ctx, size = build(), len(build().ball(3))
     ctx.ball(2)
-    for factor in ctx.factors:  # the listing reads the factors' spheres
-        factor.ball(3)
+    for group in _below(ctx):
+        group.ball(3)
 
     def refuse(*args):
-        raise AssertionError("the amalgam built an element of a refused layer")
+        raise AssertionError("a listed layer built an element of a refused layer")
 
     monkeypatch.setenv(BALL_CAP_ENV, str(size - 1))
     with monkeypatch.context() as m:
         m.setattr(groups, "GroupElement", refuse)
         with pytest.raises(BallCapExceeded, match=f"ball of radius 3 needs more than {size - 1} elements"):
             ctx.ball(3)
-    assert len(ctx._layers) == len(ctx._runs) == 3 and len(ctx._dist) == 1
+    memo = ctx._bodies if isinstance(ctx, HnnContext) else ctx._runs
+    assert len(ctx._layers) == len(memo) == 3 and len(ctx._dist) == 1
     monkeypatch.setenv(BALL_CAP_ENV, str(size))
     assert [x.word for x in ctx.ball(3)] == [x.word for x in build().ball(3)]
 
 
-@pytest.mark.parametrize("build,radius", [(amalgam_z4_z6, 18), (free_product_of_two_integers, 7)])
+@pytest.mark.parametrize(
+    "build,radius", [(amalgam_z4_z6, 18), (free_product_of_two_integers, 7), (free_group_as_hnn, 8)]
+)
 def test_a_listed_amalgam_layer_stays_under_400_bytes_per_element(build, radius):
     """Traced peak of one listed layer per new element: z4*z6 layer 18 peaked at
-    about 220 bytes listed and 2,600 searched; z*z layer 7 at 200 and 900."""
+    about 220 bytes listed and 2,600 searched; z*z layer 7 at 200 and 900; F2
+    as an HNN extension, layer 8, at 200 and 920."""
     ctx = build()
     ctx.ball(radius - 1)
-    for factor in ctx.factors:
-        factor.ball(radius)
+    for group in _below(ctx):
+        group.ball(radius)
     tracemalloc.start()
     try:
         size = len(ctx.sphere(radius))
@@ -258,6 +299,18 @@ def test_amalgam_word_length_by_breadth_first_search():
             lengths[x.word] = fresh.word_length(GroupElement(fresh, x.word))
             assert lengths[x.word] == r
     assert lengths[fresh.parse("S:2").word] == 2
+
+
+def test_an_hnn_factor_over_trivial_subgroups_grows_no_ball():
+    """The coset split orders by the HNN factor's closed-form length, so the
+    amalgam's arithmetic builds none of the factor's layers."""
+    free_hnn = {"kind": "hnn", "base": Z4, "theta": []}
+    ctx = load_group({"kind": "amalgam", "left": free_hnn, "right": Z6, "pairs": [["2", "3"]]})
+    x = ctx.parse("G:t*1*t*1*t*1")
+    square = ctx.multiply(x, x)
+    assert ctx.format(square) == "G:t*1*t*1*t*1*t*1*t*1*t*1"
+    assert ctx.parse(ctx.format(square)) == square
+    assert ctx.factors[0]._layers == [] and ctx._layers == []
 
 
 def test_amalgam_cross_factor_absorption(amalgam):
@@ -489,7 +542,8 @@ def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
 
 
 # contexts that grow their balls layer by layer, built fresh per example (the
-# amalgams z4*z6 and z*z list their layers; the others search them)
+# amalgams z4*z6 and z*z and F2 as an HNN extension list their layers; z2 and
+# BS(1,2) search them)
 BFS_CONTEXTS = {
     "z2": lambda: integer_lattice(2),
     "z4*z6": amalgam_z4_z6,
@@ -521,7 +575,7 @@ def test_refused_layer_leaves_the_depth_table_and_a_larger_cap_grows_the_same_ba
         try:  # a closed-form length needs no ball; the breadth-first one is refused again
             assert ctx.word_length(outside) == radius + 1
         except BallCapExceeded:
-            assert isinstance(ctx, HnnContext)
+            assert isinstance(ctx, HnnContext) and not ctx._length_adds
         assert ctx._dist == dist and len(ctx._layers) == radius + 1
     with pytest.MonkeyPatch.context() as m:
         m.setenv(BALL_CAP_ENV, str(len(want)))
