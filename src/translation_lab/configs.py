@@ -86,6 +86,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _string(value, key: str) -> str:
+    """``value`` itself if it is a JSON string; a number, list or null is refused."""
+    if type(value) is not str:
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _as_dict(source) -> dict:
     if isinstance(source, dict):
         return source
@@ -128,16 +135,16 @@ def load_group(source) -> GroupContext:
 
 def _group_from_dict(data: dict) -> GroupContext:
     kind = _kind("group", data, GROUP_KEYS)
-    if kind == "free":
-        return FreeGroupContext(_integer(data["rank"], "rank"), data.get("generators"))
-    if kind == "free-abelian":
-        return FreeAbelianContext(_integer(data["rank"], "rank"), data.get("generators"))
+    if kind in ("free", "free-abelian"):
+        names = [_string(name, "generator name") for name in data.get("generators") or ()]
+        return (FreeGroupContext if kind == "free" else FreeAbelianContext)(_integer(data["rank"], "rank"), names)
     if kind == "finite":
         table = [[_integer(v, "table entry") for v in row] for row in data["table"]]
         generators = data.get("generators")
         if generators is not None:
             generators = [_integer(g, "generator") for g in generators]
-        return FiniteGroupContext(table, data.get("names"), generators)
+        names = [_string(name, "element name") for name in data.get("names") or ()]
+        return FiniteGroupContext(table, names, generators)
     if kind == "amalgam":
         left = _group_from_dict(data["left"])
         right = _group_from_dict(data["right"])
@@ -166,7 +173,7 @@ def _group_from_dict(data: dict) -> GroupContext:
     else:
         pairs = [(base.parse(str(a)), base.parse(str(b))) for a, b in theta]
         sub = FiniteHnnSubgroup(base, pairs)
-    return HnnContext(base, sub, data.get("stable_letter", "t"))
+    return HnnContext(base, sub, _string(data.get("stable_letter", "t"), "stable_letter"))
 
 
 def _holds_amalgam(ctx: GroupContext) -> bool:

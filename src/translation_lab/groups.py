@@ -22,10 +22,10 @@ and ``format`` check once that the operand belongs to the context and then
 call the hook.
 
 All contexts share the same metric machinery: the word metric of the stated
-generating set, enumerated layer by layer and ordered shortlex.  Free groups
-list each layer by prefix extension, and amalgams and HNN extensions whose
-length adds over syllables (an HNN extension over trivial subgroups) list it
-from their factors' or base's spheres, in the same order; the other contexts
+generating set, enumerated layer by layer and ordered shortlex.  Free groups,
+the amalgams whose length adds over syllables and the HNN extensions over
+trivial subgroups list each layer through one lister, ``_list_runs``, as
+runs of letters, syllables or blocks, in the same order; the other contexts
 (free-abelian and finite groups, the other amalgams and HNN extensions)
 search it.  A breadth-first layer multiplies raw words, dedupes each product
 once against the depth table, sorts the new words by ``structural_key`` and
@@ -117,6 +117,7 @@ class GroupContext:
         self._layers: list[list[GroupElement]] = []
         self._dist: dict[tuple, int] = {}
         self._generator_words: tuple[tuple, ...] = ()  # set with the identity layer
+        self._runs: list[dict] = [{(0, None): [()]}]  # the memo of a listed context (``_list_runs``)
 
     # -- checked entry points over the subclass's word hooks -----------------
 
@@ -260,6 +261,39 @@ class GroupContext:
             raise MalformedWord("element belongs to a different group context")
 
 
+def _list_runs(runs: list[dict], n: int, pieces: dict, room: int) -> dict | None:
+    """Append row ``n`` of the run memo ``runs`` and return it, or None past ``room``.
+
+    A run is a tuple of pieces, each of a class and a weight.  ``pieces[c, m]``
+    holds the one-piece runs of class ``c`` and weight ``m`` in ball order and
+    the classes that may follow them, keyed by class in order and each class's
+    weights ascending, none above ``n``.  ``runs[L][k, c]`` holds the
+    ``k``-piece runs of weight ``L`` whose first piece has class ``c``, keyed
+    in that order.  A run of row ``n`` is a first piece of weight ``m``
+    joined to a run of row ``n - m`` whose first class may follow it, or to
+    row 0's one empty run, whatever the piece.  So the row comes out keyed in
+    the same order, and each list in lexicographic order of the pieces, with
+    no multiply, dedupe or sort of runs.  It is counted before it is built: a
+    row of more than ``room`` runs is refused, and nothing of it is built.
+    """
+    plan, size = [], 0  # (k, c, first pieces, the rest lists they take), the rest lists not copied
+    for (c, m), (heads, follow) in pieces.items():
+        rests: dict = {}  # piece count: the rest lists
+        for (j, d), rest in runs[n - m].items():
+            if d in follow or not j:
+                rests.setdefault(j + 1, []).append(rest)
+                size += len(heads) * len(rest)
+        plan += [(k, c, heads, lists) for k, lists in rests.items()]
+    if size > room:
+        return None
+    plan.sort(key=lambda part: part[0])  # stable: each piece count keeps its classes in order
+    row: dict = {}
+    for k, c, heads, lists in plan:
+        row.setdefault((k, c), []).extend([head + run for head in heads for rest in lists for run in rest])
+    runs.append(row)
+    return row
+
+
 # ---------------------------------------------------------------------------
 # Free groups
 # ---------------------------------------------------------------------------
@@ -271,7 +305,8 @@ class FreeGroupContext(GroupContext):
     Canonical words are freely reduced.  ``_mul`` cancels only at the
     seam: the product of two reduced words is the first without its last
     ``k`` letters followed by the second without its first ``k``, where ``k``
-    counts the letters at the seam that are inverse to each other.
+    counts the letters at the seam that are inverse to each other.  Spheres
+    come from the one lister, a reduced word being a run of letters.
     """
 
     kind = "free"
@@ -292,6 +327,8 @@ class FreeGroupContext(GroupContext):
         # shortlex tie-break: a, A, b, B, ... (letter i ranks 2i-2, its inverse 2i-1)
         self._letters = tuple(l for i in range(1, rank + 1) for l in (i, -i))
         self._letter_ranks = {l: k for k, l in enumerate(self._letters)}
+        # the lister's pieces: each letter of weight 1, followed by any letter but its inverse
+        self._pieces = {(l, 1): ([(l,)], [x for x in self._letters if x != -l]) for l in self._letters}
 
     def identity(self) -> GroupElement:
         return GroupElement(self, ())
@@ -332,23 +369,9 @@ class FreeGroupContext(GroupContext):
         return tuple(map(self._letter_ranks.__getitem__, w))
 
     def _next_layer(self, room: int) -> list[GroupElement] | None:
-        """Each word of the last layer followed by each letter in rank order.
-
-        The letter that would cancel is skipped, so every word is reduced and
-        new, and the result is shortlex sorted because the last layer is:
-        no multiply, dedupe or sort is needed.  The layer's size is known in
-        closed form, so one larger than ``room`` is refused (None) unbuilt.
-        """
-        last = self._layers[-1]
-        size = 2 * self.rank if len(self._layers) == 1 else len(last) * (2 * self.rank - 1)
-        if size > room:
-            return None
-        out: list[GroupElement] = []
-        for x in last:
-            w = x.word
-            cancel = -w[-1] if w else 0
-            out.extend([GroupElement(self, w + (l,)) for l in self._letters if l != cancel])
-        return out
+        """Sphere n from the one lister: a reduced word is a run of letters."""
+        row = _list_runs(self._runs, len(self._layers), self._pieces, room)
+        return None if row is None else [GroupElement(self, w) for words in row.values() for w in words]
 
     def _format(self, w: tuple) -> str:
         if not w:
@@ -629,12 +652,11 @@ class AmalgamContext(GroupContext):
 
     Word length adds over syllables, each counted by its factor's length (1
     for a nontrivial glued element alone), with trivial gluing and when every
-    nontrivial element of both finite factors is a letter.  There
-    ``_next_layer`` lists each sphere in ball order from the factors' spheres
-    and the shorter spheres' runs of syllables.  Otherwise the length is the
-    depth table's and the layers are searched: a glued element has no rule of
-    its own, since it can be shorter over both factors' letters than in
-    either factor.
+    nontrivial element of both finite factors is a letter.  There the one
+    lister lists each sphere in ball order as runs of syllables from the
+    factors' spheres.  Otherwise the length is the depth table's and the
+    layers are searched: a glued element has no rule of its own, since it
+    can be shorter over both factors' letters than in either factor.
 
     With both tags non-empty a token with no tag continues the syllable
     before it (an HNN factor's ``S:t*1`` is one syllable), but it may start a
@@ -690,12 +712,6 @@ class AmalgamContext(GroupContext):
         self._length_adds = self._trivial_h or all(
             isinstance(f, FiniteGroupContext) and not f.sphere(2) for f in self.factors
         )
-        # for the listed spheres: _runs[n][k, side] holds the syllables of sphere
-        # n's k-syllable words whose first syllable lies in factor side, each
-        # once, in ball order (sphere 0's empty run under both sides), and
-        # _heads[side][m] factor side's syllables of length m as one-syllable runs
-        self._runs: list[dict] = [{(0, 0): [()], (0, 1): [()]}]
-        self._heads: tuple[list, list] = ([[]], [[]])
 
     def _validate_gluing(self):
         """The pairing must be a subgroup isomorphism on both sides."""
@@ -839,41 +855,27 @@ class AmalgamContext(GroupContext):
         return sum(self.factors[side]._length(v) for side, v in syllables) or (1 if h else 0)
 
     def _next_layer(self, room: int) -> list[GroupElement] | None:
-        """Sphere n listed in ball order where length adds over syllables.
+        """Sphere n from the one lister where length adds over syllables.
 
-        First the bare glued elements (n = 1), then for each syllable count
-        and first factor (0 before 1) the alternating runs whose syllables'
-        factor lengths sum to n: each is a first syllable of length m joined
-        to a run of sphere n - m, in lexicographic order of the syllables'
-        sort words, and each is followed by every trailing part in index
-        order.  That is ``structural_key``'s order, so nothing is multiplied,
-        deduped or sorted, and a layer larger than ``room`` is refused (None)
-        before any of it is built.  Other amalgams search.
+        A syllable is a piece of class its factor, weighted by its factor
+        length, and only the other factor follows it.  The bare glued
+        elements come first (n = 1), then each run followed by every trailing
+        part in index order: ``structural_key``'s order.  Other amalgams search.
         """
         if not self._length_adds:
             return super()._next_layer(room)
-        n, runs, heads = len(self._layers), self._runs, self._heads
+        n, parts = len(self._layers), len(self.pairs)
+        pieces = {}
         for side, f in enumerate(self.factors):
-            while len(heads[side]) <= n:
-                words = [x.word for x in f.sphere(len(heads[side]))]
-                if not self._trivial_h:  # the coset representatives outside H
-                    words = [w for w in words if self._split(side, w) == (w, 0)]
-                heads[side].append([((side, w),) for w in words])
-        parts = len(self.pairs)
-        # (k, side, m): k-syllable runs from factor side, the first syllable of length m
-        splits = [(k, side, m) for k in range(1, n + 1) for side in (0, 1) for m in range(1, n + 1)]
-        size = sum(len(heads[side][m]) * len(runs[n - m].get((k - 1, 1 - side), ())) for k, side, m in splits)
-        if parts * size + (parts - 1 if n == 1 else 0) > room:
+            for m in range(1, n + 1):  # the syllables: coset representatives outside H
+                words = [x.word for x in f.sphere(m) if self._trivial_h or self._split(side, x.word) == (x.word, 0)]
+                pieces[side, m] = ([((side, w),) for w in words], (1 - side,))
+        bare = parts - 1 if n == 1 else 0  # the glued elements but e, each of length 1
+        row = _list_runs(self._runs, n, pieces, (room - bare) // parts)
+        if row is None:
             return None
-        out = [GroupElement(self, ((), h)) for h in range(1, parts)] if n == 1 else []
-        table: dict = {}
-        for k, side, m in splits:
-            rests = runs[n - m].get((k - 1, 1 - side), ())
-            listed = [head + rest for head in heads[side][m] for rest in rests]
-            if listed:
-                table.setdefault((k, side), []).extend(listed)
-                out.extend([GroupElement(self, (run, h)) for run in listed for h in range(parts)])
-        runs.append(table)
+        out = [GroupElement(self, ((), h)) for h in range(1, bare + 1)]
+        out.extend([GroupElement(self, (run, h)) for runs in row.values() for run in runs for h in range(parts)])
         return out
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
@@ -958,7 +960,9 @@ class IntegerScaledSubgroup(HnnSubgroupData):
     """Subgroups m*Z and n*Z of Z with the twist m*j -> n*j.
 
     ``h_step = 0`` encodes the trivial subgroup (so ``(0, 0)`` builds a free
-    product of the base with the stable letter).
+    product of the base with the stable letter).  The subgroups are those of
+    the steps' absolute values; steps of opposite signs twist by a negative
+    factor, so ``(1, -2)`` is BS(1,-2).
     """
 
     def __init__(self, base: FreeAbelianContext, h_step: int, k_step: int):
@@ -967,6 +971,7 @@ class IntegerScaledSubgroup(HnnSubgroupData):
         if (h_step == 0) != (k_step == 0):
             raise ValueError("steps must be both zero or both nonzero")
         self.steps = {1: abs(int(h_step)), -1: abs(int(k_step))}
+        self.twist_sign = -1 if (h_step < 0) != (k_step < 0) else 1
 
     def member(self, sign: int, g: tuple) -> bool:
         step = self.steps[sign]
@@ -974,7 +979,7 @@ class IntegerScaledSubgroup(HnnSubgroupData):
 
     def image(self, sign: int, h: tuple) -> tuple:
         step = self.steps[sign]
-        return (h[0] // step * self.steps[-sign] if step else 0,)
+        return (h[0] // step * self.steps[-sign] * self.twist_sign if step else 0,)
 
     def generators(self, sign: int) -> list[tuple]:
         return [(self.steps[sign],)] if self.steps[sign] else []
@@ -1048,9 +1053,9 @@ class HnnContext(GroupContext):
 
     When both associated subgroups are trivial the extension is the free
     product of the base and ``<t>``: word length adds over the blocks,
-    ``|g0| + sum(1 + |gi|)`` in the base's lengths, and ``_next_layer`` lists
-    each sphere in ball order from the base's spheres and the shorter
-    spheres' bodies.  Every other extension (Baumslag-Solitar groups, a
+    ``|g0| + sum(1 + |gi|)`` in the base's lengths, and the one lister lists
+    each sphere in ball order as heads from the base's spheres before runs
+    of blocks.  Every other extension (Baumslag-Solitar groups, a
     finite twist) takes its length from the depth table and searches its
     layers.
     """
@@ -1065,10 +1070,6 @@ class HnnContext(GroupContext):
         self._e = base.identity().word
         # over trivial subgroups the extension is the free product of the base and <t>
         self._length_adds = not data.generators(1) and not data.generators(-1)
-        # for the listed spheres: _bodies[L][k, s] holds the k-block bodies of
-        # length L whose first block has sign s, in ball order, and [k, 0] both
-        # signs' (sphere 0's empty body under every key)
-        self._bodies: list[dict] = [{(0, 1): [()], (0, -1): [()], (0, 0): [()]}]
 
     # payload: (g0_word, ((sign, g_word), ...))
 
@@ -1186,45 +1187,35 @@ class HnnContext(GroupContext):
         return length(head) + sum(1 + length(g) for _, g in blocks)
 
     def _next_layer(self, room: int) -> list[GroupElement] | None:
-        """Sphere n listed in ball order over trivial subgroups.
+        """Sphere n from the one lister over trivial subgroups.
 
-        For each block count, each head from the base's spheres (shorter
-        first) is followed by every body of the remaining length, in
-        lexicographic order of the blocks: a block is a sign (1 before -1)
-        and a base word from the base's spheres, joined to a body of a
-        shorter sphere.  That is ``structural_key``'s order, so nothing is
-        multiplied, deduped or sorted, and a layer larger than ``room`` is
-        refused (None) before any of it is built.  Other extensions search.
+        A body is a run of blocks ``t^s g`` of class s (1 before -1) and
+        weight ``1 + |g|``; only sign s follows ``t^s e``, since ``t^s e
+        t^-s`` is a pinch.  For each block count, each head from the base's
+        spheres (shorter first) comes before every body of the remaining
+        weight: ``structural_key``'s order.  Other extensions search.
         """
         if not self._length_adds:
             return super()._next_layer(room)
-        n, bodies = len(self._layers), self._bodies
+        n, runs = len(self._layers), self._runs
         heads = [[x.word for x in self.base.sphere(m)] for m in range(n + 1)]
-        # (k, s, m, rest): k-block bodies of length n whose first block is t^s
-        # and a base word of length m, then a body keyed rest of length n-1-m.
-        # After t^s e only a block of sign s may follow (t^s e t^-s is a
-        # pinch); after a longer word either sign may.
-        splits = [(k, s, m, (k - 1, 0 if m else s)) for k in range(1, n + 1) for s in (1, -1) for m in range(n)]
-        # the bodies of length n under the head e, then each longer head
-        # under every body of the remaining length
-        size = sum(len(heads[m]) * len(bodies[n - 1 - m].get(rest, ())) for k, s, m, rest in splits)
-        size += sum(len(heads[m]) * len(v) for m in range(1, n + 1) for (k, s), v in bodies[n - m].items() if not s)
-        if size > room:
+        pieces = {
+            (s, m): ([((s, g),) for g in heads[m - 1]], (s,) if m == 1 else (1, -1))
+            for s in (1, -1)
+            for m in range(1, n + 1)
+        }
+        # the bodies of row n take the head e; each longer head takes every lighter body
+        longer = sum(len(heads[m]) * len(bodies) for m in range(1, n + 1) for bodies in runs[n - m].values())
+        if _list_runs(runs, n, pieces, room - longer) is None:
             return None
-        row: dict = {}
-        for k, s, m, rest in splits:
-            rests = bodies[n - 1 - m].get(rest, ())
-            row.setdefault((k, s), []).extend([((s, g),) + r for g in heads[m] for r in rests])
-        for k in range(1, n + 1):
-            row[k, 0] = row[k, 1] + row[k, -1]
-        bodies.append(row)
-        return [
-            GroupElement(self, (h, body))
-            for k in range(n + 1)
-            for m in range(n + 1)
-            for h in heads[m]
-            for body in bodies[n - m].get((k, 0), ())
-        ]
+        lists: dict = {}  # (k, m): the k-block bodies that follow a head of length m
+        for m in range(n + 1):
+            for (k, _), bodies in runs[n - m].items():
+                lists.setdefault((k, m), []).append(bodies)
+        out: list[GroupElement] = []
+        for (k, m), parts in sorted(lists.items()):
+            out.extend([GroupElement(self, (h, body)) for h in heads[m] for bodies in parts for body in bodies])
+        return out
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
         out = [self.from_base(g) for g in self.base.generator_elements()]

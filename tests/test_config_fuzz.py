@@ -63,9 +63,10 @@ FINITE = sometimes(
     ),
 )
 PLAIN_GROUP = mutated(st.one_of(FREE, FREE_ABELIAN, FINITE))
+STEPS = st.integers(-3, 3).filter(bool)  # a negative step twists by a negative factor
 THETA = st.one_of(
-    st.fixed_dictionaries({"multiplier": param(st.integers(1, 3))}),
-    st.fixed_dictionaries({"h_step": param(st.integers(1, 3)), "k_step": param(st.integers(1, 3))}),
+    st.fixed_dictionaries({"multiplier": param(STEPS)}),
+    st.fixed_dictionaries({"h_step": param(STEPS), "k_step": param(STEPS)}),
     NAME_PAIRS,
 )
 AMALGAM = st.fixed_dictionaries(

@@ -174,27 +174,34 @@ B_WORDS = {"kind": "universal", "variant": "b-words"}
 # Read through int(), each was truncated or coerced and the line ran: lo 1.5 as lo 1
 # (Z from 1.5 starts at 2), residue 0.5 as the even numbers (the set is empty),
 # multiplier 2.5 as BS(1,2), rank 2.9 as F2, rank true as Z, generator 1.7 as 1.
-NOT_INTEGERS = [
-    ("z", {"kind": "interval", "lo": 1.5}, "lo"),
-    ("z", {"kind": "interval", "coord": 0.0}, "coord"),
-    ("z", {"kind": "congruence", "modulus": 2, "residue": 0.5}, "residue"),
-    ("z", {"kind": "congruence", "modulus": "2"}, "modulus"),
-    ({"kind": "hnn", "base": Z_HNN, "theta": {"multiplier": 2.5}}, None, "multiplier"),
-    ({"kind": "hnn", "base": Z_HNN, "theta": {"h_step": 1.0, "k_step": 2}}, None, "h_step"),
-    ({"kind": "hnn", "base": Z_HNN, "theta": {"h_step": 1, "k_step": "2"}}, None, "k_step"),
-    ({"kind": "free", "rank": 2.9}, None, "rank"),
-    ({"kind": "free-abelian", "rank": True}, None, "rank"),
-    ({"kind": "finite", "table": [[0, 1], [1, 0]], "generators": [1.7]}, None, "generator"),
-    ({"kind": "finite", "table": [[0.0, 1], [1, 0]]}, None, "table entry"),
-    ("f2", {**B_WORDS, "max_radius": 1.0}, "max_radius"),
-    ("f2", {**B_WORDS, "start": 2.5}, "start"),
-    ("f2", {**B_WORDS, "min_step": True}, "min_step"),
+# Then one name per config that is not a JSON string where the loader reads a name:
+# each ended every command in a TypeError or AttributeError with exit 1.
+WRONG_JSON_TYPES = [
+    ("z", {"kind": "interval", "lo": 1.5}, "lo must be an integer"),
+    ("z", {"kind": "interval", "coord": 0.0}, "coord must be an integer"),
+    ("z", {"kind": "congruence", "modulus": 2, "residue": 0.5}, "residue must be an integer"),
+    ("z", {"kind": "congruence", "modulus": "2"}, "modulus must be an integer"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": {"multiplier": 2.5}}, None, "multiplier must be an integer"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": {"h_step": 1.0, "k_step": 2}}, None, "h_step must be an integer"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": {"h_step": 1, "k_step": "2"}}, None, "k_step must be an integer"),
+    ({"kind": "free", "rank": 2.9}, None, "rank must be an integer"),
+    ({"kind": "free-abelian", "rank": True}, None, "rank must be an integer"),
+    ({"kind": "finite", "table": [[0, 1], [1, 0]], "generators": [1.7]}, None, "generator must be an integer"),
+    ({"kind": "finite", "table": [[0.0, 1], [1, 0]]}, None, "table entry must be an integer"),
+    ("f2", {**B_WORDS, "max_radius": 1.0}, "max_radius must be an integer"),
+    ("f2", {**B_WORDS, "start": 2.5}, "start must be an integer"),
+    ("f2", {**B_WORDS, "min_step": True}, "min_step must be an integer"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": [], "stable_letter": 5}, None, "stable_letter must be a string"),
+    ({"kind": "hnn", "base": Z_HNN, "theta": [], "stable_letter": ["t"]}, None, "stable_letter must be a string"),
+    ({"kind": "finite", "table": [[0, 1], [1, 0]], "names": [0, 1]}, None, "element name must be a string"),
+    ({"kind": "free-abelian", "rank": 1, "generators": [1]}, None, "generator name must be a string"),
 ]
 
 
-@pytest.mark.parametrize("group,subset,key", NOT_INTEGERS, ids=[key for _, _, key in NOT_INTEGERS])
-def test_config_integers_must_be_json_integers(group, subset, key, tmp_path, capsys):
-    message = f"{key} must be an integer"
+@pytest.mark.parametrize(
+    "group,subset,message", WRONG_JSON_TYPES, ids=[message.split(" must ")[0] for _, _, message in WRONG_JSON_TYPES]
+)
+def test_config_integers_must_be_json_integers(group, subset, message, tmp_path, capsys):
     if subset is None:
         with pytest.raises(ConfigError, match=message):
             load_group(group)

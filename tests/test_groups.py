@@ -55,26 +55,9 @@ def test_free_ball_radius_one_order(f2):
     assert [f2.format(x) for x in f2.ball(1)] == ["e", "a", "A", "b", "B"]
 
 
-class _BfsFreeGroup(FreeGroupContext):
-    """A free group that grows its balls by the generic breadth-first search."""
-
-    _next_layer = GroupContext._next_layer
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_free_ball_by_prefix_extension_matches_generic_bfs(rank):
-    fast = FreeGroupContext(rank)
-    slow = _BfsFreeGroup(rank)
-    for r in range(6):
-        assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
-        # the closed form against the breadth-first search's depth table
-        for x in fast.sphere(r):
-            assert fast.word_length(x) == GroupContext._length(slow, x.word) == r
-
-
-def _composites_in(source):
-    """The amalgams and HNN extensions a group source loads, outermost first,
-    with those below them as factors or bases."""
+def _listers_in(source):
+    """The free groups, amalgams and HNN extensions a group source loads,
+    outermost first, with those below them as factors or bases."""
     out, todo = [], [load_group(source)]
     while todo:
         ctx = todo.pop(0)
@@ -82,10 +65,13 @@ def _composites_in(source):
             todo.extend(ctx.factors)
         elif isinstance(ctx, HnnContext):
             todo.append(ctx.base)
-        else:
+        elif not isinstance(ctx, FreeGroupContext):
             continue
         out.append(ctx)
     return out
+
+
+TRIVIAL = {"kind": "finite", "table": [[0]]}
 
 
 GROUP_SOURCES = {
@@ -102,8 +88,13 @@ GROUP_SOURCES = {
         "theta": [],
         "stable_letter": "u",
     },
+    # the trivial group as a base or a factor, and the free group of rank 1
+    "trivial:trivial": {"kind": "hnn", "base": TRIVIAL, "theta": []},
+    "trivial:z4*1": {"kind": "amalgam", "left": Z4, "right": TRIVIAL},
+    "trivial:1*1": {"kind": "amalgam", "left": TRIVIAL, "right": TRIVIAL},
+    "free:1": {"kind": "free", "rank": 1},
 }
-COMPOSITE_SOURCES = sorted(name for name, source in GROUP_SOURCES.items() if _composites_in(source))
+LISTER_SOURCES = sorted(name for name, source in GROUP_SOURCES.items() if _listers_in(source))
 # which HNN extensions of a source list their layers, outermost first: those
 # over trivial subgroups; every other HNN extension searches them
 LISTED_HNN = {
@@ -113,33 +104,42 @@ LISTED_HNN = {
     "trivial:z2": [True],
     "trivial:hnn": [True, True],
     "trivial:bs12": [True, False],
+    "trivial:trivial": [True],
 }
 
 
-@pytest.mark.parametrize("name", COMPOSITE_SOURCES)
+@pytest.mark.parametrize("name", LISTER_SOURCES)
 def test_amalgam_spheres_listed_in_closed_form_match_generic_bfs(name):
-    """Where length adds over syllables, of an amalgam or of an HNN extension
-    over trivial subgroups, the spheres are listed, not searched: word for
-    word as the breadth-first search orders them, with its lengths."""
-    listed = _composites_in(GROUP_SOURCES[name])
-    for fast, slow in zip(listed, _composites_in(GROUP_SOURCES[name])):
+    """Listed spheres match the search.  A free group, an amalgam whose
+    length adds over syllables and an HNN extension over trivial subgroups
+    list their spheres through one lister: word for word as the
+    breadth-first search orders them, with its lengths."""
+    listed = _listers_in(GROUP_SOURCES[name])
+    for fast, slow in zip(listed, _listers_in(GROUP_SOURCES[name])):
         slow._next_layer = functools.partial(GroupContext._next_layer, slow)
         for r in range(6):
             assert [x.word for x in fast.sphere(r)] == [x.word for x in slow.sphere(r)]
             for x in fast.sphere(r):
                 assert fast.word_length(x) == slow._dist[x.word] == r
-        # a listed ball never fills the depth table; a searched one does
-        assert fast._length_adds == (len(fast._dist) == 1)
+        # a listed ball fills the run memo and never the depth table; a searched one the reverse
+        lists = isinstance(fast, FreeGroupContext) or fast._length_adds
+        assert lists == (len(fast._dist) == 1) == (len(fast._runs) > 1)
     hnns = [ctx for ctx in listed if isinstance(ctx, HnnContext)]
     assert [ctx._length_adds for ctx in hnns] == LISTED_HNN.get(name, [False] * len(hnns))
 
 
 def _below(ctx):
-    """The groups whose spheres a listed amalgam or HNN layer reads."""
+    """The groups whose spheres a listed layer reads."""
+    if isinstance(ctx, FreeGroupContext):
+        return ()
     return (ctx.base,) if isinstance(ctx, HnnContext) else ctx.factors
 
 
-@pytest.mark.parametrize("build", [amalgam_z4_z6, free_product_of_two_integers, free_group_as_hnn])
+def _f2():
+    return FreeGroupContext(2)
+
+
+@pytest.mark.parametrize("build", [amalgam_z4_z6, free_product_of_two_integers, free_group_as_hnn, _f2])
 def test_closed_form_amalgam_refuses_a_layer_past_the_cap_unbuilt(monkeypatch, build):
     from translation_lab import groups
 
@@ -156,19 +156,18 @@ def test_closed_form_amalgam_refuses_a_layer_past_the_cap_unbuilt(monkeypatch, b
         m.setattr(groups, "GroupElement", refuse)
         with pytest.raises(BallCapExceeded, match=f"ball of radius 3 needs more than {size - 1} elements"):
             ctx.ball(3)
-    memo = ctx._bodies if isinstance(ctx, HnnContext) else ctx._runs
-    assert len(ctx._layers) == len(memo) == 3 and len(ctx._dist) == 1
+    assert len(ctx._layers) == len(ctx._runs) == 3 and len(ctx._dist) == 1
     monkeypatch.setenv(BALL_CAP_ENV, str(size))
     assert [x.word for x in ctx.ball(3)] == [x.word for x in build().ball(3)]
 
 
 @pytest.mark.parametrize(
-    "build,radius", [(amalgam_z4_z6, 18), (free_product_of_two_integers, 7), (free_group_as_hnn, 8)]
+    "build,radius", [(amalgam_z4_z6, 18), (free_product_of_two_integers, 7), (free_group_as_hnn, 8), (_f2, 8)]
 )
 def test_a_listed_amalgam_layer_stays_under_400_bytes_per_element(build, radius):
     """Traced peak of one listed layer per new element: z4*z6 layer 18 peaked at
     about 220 bytes listed and 2,600 searched; z*z layer 7 at 200 and 900; F2
-    as an HNN extension, layer 8, at 200 and 920."""
+    as an HNN extension, layer 8, at 200 and 920; F2 itself, layer 8, at 180."""
     ctx = build()
     ctx.ball(radius - 1)
     for group in _below(ctx):
@@ -518,7 +517,8 @@ def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
     from translation_lab import groups
 
     monkeypatch.setenv(BALL_CAP_ENV, "10")
-    fast, slow = FreeGroupContext(2), _BfsFreeGroup(2)
+    fast, slow = FreeGroupContext(2), FreeGroupContext(2)
+    slow._next_layer = functools.partial(GroupContext._next_layer, slow)
     for ctx in (fast, slow):
         ctx.ball(1)
     multiplies = []  # calls of the word kernel, which the breadth-first search uses

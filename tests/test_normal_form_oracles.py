@@ -1,16 +1,19 @@
 """Independent equality oracles for the hardest normal forms.
 
-The one-relator extension of the integers by a doubling letter acts
-faithfully on the rationals by affine maps (the base generator is x -> x+1,
-the stable letter is x -> 2x), so equality of canonical forms can be checked
-against exact affine composition.  The two free-product-of-integers models
-are free of rank two, so the plain free group serves as their oracle.
+The one-relator extension BS(1, q) of the integers by a letter that scales
+by q acts faithfully on the rationals by affine maps when |q| > 1 (the base
+generator is x -> x+1, the stable letter is x -> qx), so equality of
+canonical forms can be checked against exact affine composition.  The two
+free-product-of-integers models are free of rank two, so the plain free
+group serves as their oracle.
 """
 
 import itertools
 from fractions import Fraction
 
-from translation_lab import free_group
+import pytest
+
+from translation_lab import baumslag_solitar, free_group
 
 
 def affine_compose(f, g):
@@ -18,24 +21,26 @@ def affine_compose(f, g):
     return (f[0] * g[0], f[0] * g[1] + f[1])
 
 
-def test_doubling_extension_matches_affine_action(bs12):
+@pytest.mark.parametrize("q", [2, -2])
+def test_doubling_extension_matches_affine_action(q):
+    bs = baumslag_solitar(1, q)
     letters = {
-        "a": ("g", bs12.base.integer(1)),
-        "A": ("g", bs12.base.integer(-1)),
+        "a": ("g", bs.base.integer(1)),
+        "A": ("g", bs.base.integer(-1)),
         "t": ("t", 1),
         "T": ("t", -1),
     }
     affine = {
         "a": (Fraction(1), Fraction(1)),
         "A": (Fraction(1), Fraction(-1)),
-        "t": (Fraction(2), Fraction(0)),
-        "T": (Fraction(1, 2), Fraction(0)),
+        "t": (Fraction(q), Fraction(0)),
+        "T": (Fraction(1, q), Fraction(0)),
     }
     by_map = {}
     by_word = {}
     for length in range(6):
         for combo in itertools.product("aAtT", repeat=length):
-            canon = bs12.from_letters([letters[c] for c in combo]).word
+            canon = bs.from_letters([letters[c] for c in combo]).word
             value = (Fraction(1), Fraction(0))
             for c in combo:
                 # products act on the left, so the letter acts first
