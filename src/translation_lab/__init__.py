@@ -21,11 +21,9 @@ from .groups import (
     amalgam_z4_z6,
     baumslag_solitar,
     cyclic_group,
-    free_group,
     free_group_as_hnn,
     free_product_of_two_integers,
     integers,
-    integer_lattice,
 )
 from .operators import (
     MatchResult,

@@ -169,7 +169,8 @@ def _group_from_dict(data: dict) -> GroupContext:
     if isinstance(theta, dict) and "multiplier" in theta:
         sub = IntegerScaledSubgroup(base, 1, _integer(theta["multiplier"], "multiplier"))
     elif isinstance(theta, dict):
-        sub = IntegerScaledSubgroup(base, _integer(theta["h_step"], "h_step"), _integer(theta["k_step"], "k_step"))
+        steps = _integer(theta["h_step"], "h_step"), _integer(theta["k_step"], "k_step")
+        sub = IntegerScaledSubgroup(base, *steps) if any(steps) else FiniteHnnSubgroup(base, [])  # zero steps: trivial
     else:
         pairs = [(base.parse(str(a)), base.parse(str(b))) for a, b in theta]
         sub = FiniteHnnSubgroup(base, pairs)

@@ -15,10 +15,10 @@ from .geometry import boundary_check, deep_witness, factor_relation_words, own_l
 from .group_algebra import isolation_projection
 from .groups import (
     AmalgamContext,
+    FreeGroupContext,
     GroupElement,
     amalgam_z4_z6,
     baumslag_solitar,
-    free_group,
     free_group_as_hnn,
     free_product_of_two_integers,
     integers,
@@ -100,7 +100,7 @@ def run_toeplitz_check(radius: int) -> SuiteReport:
 
 
 def run_pv_check(n: int, radius: int) -> SuiteReport:
-    ctx = free_group(n)
+    ctx = FreeGroupContext(n)
     s1 = ctx.generator(1)
     b_spec = words_not_starting_with(ctx, ctx.invert(s1))
     w = make_window(b_spec, radius)
@@ -136,7 +136,7 @@ def run_pv_check(n: int, radius: int) -> SuiteReport:
 
 
 def run_cuntz_check(n: int, length: int) -> SuiteReport:
-    ctx = free_group(n)
+    ctx = FreeGroupContext(n)
     cone = positive_cone(ctx)
     w_cone = make_window(cone, length)
     suite = SuiteReport(name="cuntz", params={"n": n, "L": length})

@@ -336,7 +336,7 @@ class FreeGroupContext(GroupContext):
     def generator(self, i: int, power: int = 1) -> GroupElement:
         if not 1 <= i <= self.rank:
             raise MalformedWord(f"no generator {i}")
-        return self.from_letters([i if power >= 0 else -i] * abs(power))
+        return GroupElement(self, (i if power >= 0 else -i,) * abs(power))
 
     def from_letters(self, letters: Iterable[int]) -> GroupElement:
         stack: list[int] = []
@@ -407,6 +407,7 @@ class FreeAbelianContext(GroupContext):
     Lance's Z*Z and the Baumslag-Solitar groups, is the innermost kernel of
     most suites, so ``_mul``, ``_inv`` and ``_sort_word`` branch on rank 1
     and build its one-entry word directly; higher ranks map over the entries.
+    Only Z may name its generator (``a^2``); a higher rank prints vectors.
     """
 
     kind = "free-abelian"
@@ -417,10 +418,8 @@ class FreeAbelianContext(GroupContext):
             raise ValueError("rank must be positive")
         self.rank = rank
         self.names = tuple(names) if names else None
-        if self.names and len(self.names) != rank:
-            raise ValueError("need one name per generator")
-        if self.names and len(set(self.names)) != rank:
-            raise ValueError(f"generator names {list(self.names)} must be distinct")
+        if self.names and (rank, len(self.names)) != (1, 1):
+            raise ValueError(f"only Z takes a generator name, and one: got {list(self.names)} at rank {rank}")
 
     def identity(self) -> GroupElement:
         return GroupElement(self, (0,) * self.rank)
@@ -624,6 +623,22 @@ def cyclic_group(n: int) -> FiniteGroupContext:
 # ---------------------------------------------------------------------------
 
 
+def _check_isomorphism(left: GroupContext, right: GroupContext, pairs: Sequence[tuple], what: str) -> None:
+    """Raise ValueError unless the word pairs ``(a, b)`` (an amalgam's gluing data, an HNN
+    twist table) are a bijection whose ``a`` are closed under products and map products to products.
+    """
+    image = dict(pairs)
+    if len(image) != len(pairs) or len(set(image.values())) != len(pairs):
+        raise ValueError(f"{what} is not a bijection")
+    for a1, b1 in pairs:
+        for a2, b2 in pairs:
+            b = image.get(left._mul(a1, a2))
+            if b is None:
+                raise ValueError(f"{what} is not closed under products")
+            if b != right._mul(b1, b2):
+                raise ValueError(f"{what} is not multiplicative")
+
+
 class AmalgamContext(GroupContext):
     """Free product of two factors glued along a common finite subgroup.
 
@@ -682,18 +697,14 @@ class AmalgamContext(GroupContext):
         ids = (left.identity(), right.identity())
         if not any(p[0].word == ids[0].word and p[1].word == ids[1].word for p in pairs):
             pairs.append(ids)
-        pairs.sort(key=lambda p: (left.sort_key(p[0]), right.sort_key(p[1])))
-        if pairs[0][0].word != ids[0].word:
-            raise ValueError("identity pair must be shortlex-least in the gluing data")
+        pairs.sort(key=lambda p: (left.sort_key(p[0]), right.sort_key(p[1])))  # (e, e) first
         self.pairs = tuple((left._check(a), right._check(b)) for a, b in pairs)
         self._h_words = tuple((a.word, b.word) for a, b in self.pairs)  # H as factor words, by side
+        _check_isomorphism(left, right, self._h_words, "gluing data")
         self._h_index = (
             {a: i for i, (a, _) in enumerate(self._h_words)},
             {b: i for i, (_, b) in enumerate(self._h_words)},
         )
-        if len(self._h_index[0]) != len(self.pairs) or len(self._h_index[1]) != len(self.pairs):
-            raise ValueError("gluing data is not a bijection")
-        self._validate_gluing()
         self._h_inverse = tuple(self._h_index[0][left._inv(a)] for a, _ in self._h_words)
         self._trivial_h = len(self.pairs) == 1
         if self._trivial_h:
@@ -712,19 +723,6 @@ class AmalgamContext(GroupContext):
         self._length_adds = self._trivial_h or all(
             isinstance(f, FiniteGroupContext) and not f.sphere(2) for f in self.factors
         )
-
-    def _validate_gluing(self):
-        """The pairing must be a subgroup isomorphism on both sides."""
-        left, right = self.factors
-        for a_i, b_i in self._h_words:
-            if left._inv(a_i) not in self._h_index[0]:
-                raise ValueError("gluing subgroup not closed under inverses (left)")
-            for a_j, b_j in self._h_words:
-                k = self._h_index[0].get(left._mul(a_i, a_j))
-                if k is None:
-                    raise ValueError("gluing subgroup not closed under products")
-                if self._h_words[k][1] != right._mul(b_i, b_j):
-                    raise ValueError("gluing pairing is not a homomorphism")
 
     # -- subgroup helpers ---------------------------------------------------
 
@@ -746,14 +744,11 @@ class AmalgamContext(GroupContext):
         return self._split_search(side, w)
 
     def _split_search(self, side: int, w: tuple) -> tuple[tuple, int]:
-        """The candidate loop defining the transversal: least ``w * h`` over H."""
+        """The candidate loop defining the transversal: least ``w * h_i`` over H, and ``w = (w * h_i) * h_i^-1``."""
         f = self.factors[side]
         cands = [f._mul(w, pair[side]) for pair in self._h_words]
-        best = min(cands, key=f._sort_word)
-        h = self._h_index[side].get(f._mul(f._inv(best), w))
-        if h is None:  # pragma: no cover - guarded by gluing validation
-            raise MalformedWord("transversal split left the subgroup")
-        return best, h
+        i = min(range(len(cands)), key=lambda i: f._sort_word(cands[i]))
+        return cands[i], self._h_inverse[i]
 
     # -- canonical-form construction -----------------------------------------
 
@@ -932,84 +927,49 @@ class AmalgamContext(GroupContext):
 # ---------------------------------------------------------------------------
 
 
-class HnnSubgroupData:
-    """Associated-subgroup data indexed by the stable letter's sign.
+class IntegerScaledSubgroup:
+    """Subgroups m*Z and n*Z of Z, m and n nonzero, with the twist m*j -> n*j.
 
-    Sign 1 is the subgroup H and sign -1 is K: ``t h t^-1 = image(1, h)`` lies
-    in K, and ``image(-1, .)`` is its inverse map.  Every method takes and
-    returns canonical words of the base group.
-    """
-
-    def member(self, sign: int, g: tuple) -> bool:
-        raise NotImplementedError
-
-    def image(self, sign: int, h: tuple) -> tuple:
-        """``t^sign h t^-sign`` for a member h of the sign's subgroup."""
-        raise NotImplementedError
-
-    def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
-        """g = h * rep with h in the sign's subgroup, rep shortlex-least in its coset."""
-        raise NotImplementedError
-
-    def generators(self, sign: int) -> list[tuple]:
-        """Words that generate the sign's subgroup, none for the trivial one."""
-        raise NotImplementedError
-
-
-class IntegerScaledSubgroup(HnnSubgroupData):
-    """Subgroups m*Z and n*Z of Z with the twist m*j -> n*j.
-
-    ``h_step = 0`` encodes the trivial subgroup (so ``(0, 0)`` builds a free
-    product of the base with the stable letter).  The subgroups are those of
-    the steps' absolute values; steps of opposite signs twist by a negative
-    factor, so ``(1, -2)`` is BS(1,-2).
+    The subgroups are those of the steps' absolute values; steps of opposite
+    signs twist by a negative factor, so ``(1, -2)`` is BS(1,-2).  The
+    trivial subgroup is ``FiniteHnnSubgroup(base, [])``.
     """
 
     def __init__(self, base: FreeAbelianContext, h_step: int, k_step: int):
         if not isinstance(base, FreeAbelianContext) or base.rank != 1:
             raise ValueError("integer subgroup data needs the base Z (free abelian of rank 1)")
-        if (h_step == 0) != (k_step == 0):
-            raise ValueError("steps must be both zero or both nonzero")
+        if not h_step or not k_step:
+            raise ValueError("integer subgroup steps must be nonzero (the trivial subgroup is \"theta\": [])")
         self.steps = {1: abs(int(h_step)), -1: abs(int(k_step))}
         self.twist_sign = -1 if (h_step < 0) != (k_step < 0) else 1
 
     def member(self, sign: int, g: tuple) -> bool:
-        step = self.steps[sign]
-        return g[0] % step == 0 if step else g[0] == 0
+        return g[0] % self.steps[sign] == 0
 
     def image(self, sign: int, h: tuple) -> tuple:
-        step = self.steps[sign]
-        return (h[0] // step * self.steps[-sign] * self.twist_sign if step else 0,)
+        return (h[0] // self.steps[sign] * self.steps[-sign] * self.twist_sign,)
 
     def generators(self, sign: int) -> list[tuple]:
-        return [(self.steps[sign],)] if self.steps[sign] else []
+        return [(self.steps[sign],)]
 
     def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
-        step = self.steps[sign]
-        if step == 0:
-            return (0,), g
-        v = g[0]
+        v, step = g[0], self.steps[sign]
         r = v % step
         rep = r if 2 * r < step else r - step  # least |rep|, the negative one on a tie
         return (v - rep,), (rep,)
 
 
-class FiniteHnnSubgroup(HnnSubgroupData):
-    """Explicit finite subgroup lists with the twist given as a table."""
+class FiniteHnnSubgroup:
+    """Finite subgroups with the twist given as a table of pairs ``(h, t h t^-1)``; no pairs: trivial ones."""
 
     def __init__(self, base: GroupContext, twist_pairs: Sequence[tuple[GroupElement, GroupElement]]):
         self.base = base
         pairs = [(base._check(a).word, base._check(b).word) for a, b in twist_pairs]
-        e = base.identity().word
+        e = self._e = base.identity().word
         if e not in (a for a, _ in pairs):
             pairs.append((e, e))
+        _check_isomorphism(base, base, pairs, "twist table")
         self._images = {1: dict(pairs), -1: {b: a for a, b in pairs}}
-        if any(len(table) != len(pairs) for table in self._images.values()):
-            raise ValueError("twist table must be a bijection")
-        for a1, b1 in pairs:  # homomorphism check
-            for a2, b2 in pairs:
-                if self._images[1].get(base._mul(a1, a2)) != base._mul(b1, b2):
-                    raise ValueError("twist table is not an injective homomorphism")
 
     def member(self, sign: int, g: tuple) -> bool:
         return g in self._images[sign]
@@ -1018,12 +978,13 @@ class FiniteHnnSubgroup(HnnSubgroupData):
         return self._images[sign][h]
 
     def generators(self, sign: int) -> list[tuple]:
-        return [h for h in self._images[sign] if h != self.base.identity().word]
+        return [h for h in self._images[sign] if h != self._e]
 
     def split(self, sign: int, g: tuple) -> tuple[tuple, tuple]:
         base = self.base
         cands = {h: base._mul(base._inv(h), g) for h in self._images[sign]}
-        h = min(cands, key=lambda h: base._sort_word(cands[h]))
+        # a coset of the trivial subgroup is one word: no base length is needed
+        h = min(cands, key=lambda h: base._sort_word(cands[h])) if len(cands) > 1 else self._e
         return h, cands[h]
 
 
@@ -1051,6 +1012,12 @@ class HnnContext(GroupContext):
     ``_inv`` reverses the blocks, inverts each base word, and runs that pass
     once (the inverse of a pinch-free word is pinch-free).
 
+    The subgroup ``data`` (``IntegerScaledSubgroup`` or ``FiniteHnnSubgroup``)
+    is indexed by the stable letter's sign s, 1 for H and -1 for K, over base
+    words: ``member(s, g)``, ``image(s, h) = t^s h t^-s``, ``split(s, g) =
+    (h, rep)`` with ``g = h * rep`` and rep shortlex-least in its coset, and
+    ``generators(s)``, none for a trivial subgroup.
+
     When both associated subgroups are trivial the extension is the free
     product of the base and ``<t>``: word length adds over the blocks,
     ``|g0| + sum(1 + |gi|)`` in the base's lengths, and the one lister lists
@@ -1062,7 +1029,7 @@ class HnnContext(GroupContext):
 
     kind = "hnn"
 
-    def __init__(self, base: GroupContext, data: HnnSubgroupData, t_name: str = "t"):
+    def __init__(self, base: GroupContext, data: IntegerScaledSubgroup | FiniteHnnSubgroup, t_name: str = "t"):
         super().__init__()
         self.base = base
         self.data = data
@@ -1080,8 +1047,7 @@ class HnnContext(GroupContext):
         return GroupElement(self, (self.base._check(g).word, ()))
 
     def stable_letter(self, power: int = 1) -> GroupElement:
-        letters = [("t", 1 if power > 0 else -1)] * abs(power)
-        return self.from_letters(letters)
+        return GroupElement(self, (self._e, ((1 if power > 0 else -1, self._e),) * abs(power)))
 
     def from_letters(self, letters: Iterable[tuple[str, object]]) -> GroupElement:
         """Build from ("g", base_element) and ("t", +1/-1) letters."""
@@ -1266,14 +1232,6 @@ def integers() -> FreeAbelianContext:
     return FreeAbelianContext(1)
 
 
-def integer_lattice(rank: int) -> FreeAbelianContext:
-    return FreeAbelianContext(rank)
-
-
-def free_group(rank: int, names: Sequence[str] | None = None) -> FreeGroupContext:
-    return FreeGroupContext(rank, names)
-
-
 def amalgam_z4_z6() -> AmalgamContext:
     """Z/4 glued to Z/6 along the common order-2 subgroup {0,2} ~ {0,3}."""
     g = cyclic_group(4)
@@ -1297,4 +1255,4 @@ def baumslag_solitar(m: int, n: int) -> HnnContext:
 def free_group_as_hnn() -> HnnContext:
     """Z * <t>: HNN extension of Z over the trivial subgroup."""
     base = FreeAbelianContext(1, names=("a",))
-    return HnnContext(base, IntegerScaledSubgroup(base, 0, 0))
+    return HnnContext(base, FiniteHnnSubgroup(base, []))

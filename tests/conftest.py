@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 
 from translation_lab import (
+    FreeAbelianContext,
+    FreeGroupContext,
     amalgam_z4_z6,
     baumslag_solitar,
-    free_group,
     free_group_as_hnn,
     free_product_of_two_integers,
-    integer_lattice,
     integers,
 )
 from translation_lab.configs import load_group
@@ -23,12 +23,12 @@ def z():
 
 @pytest.fixture(scope="session")
 def z2():
-    return integer_lattice(2)
+    return FreeAbelianContext(2)
 
 
 @pytest.fixture(scope="session")
 def f2():
-    return free_group(2)
+    return FreeGroupContext(2)
 
 
 @pytest.fixture(scope="session")

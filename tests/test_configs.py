@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from test_predicate_oracles import LOADER_CONFIGS
+from test_predicate_oracles import LOADER_CONFIGS, Z4, Z6
 
 from translation_lab import cli
 from translation_lab.configs import ConfigError, load_group, load_subset
@@ -250,11 +250,15 @@ NAME_CLASHES = [
         },
         "generator 'a\\^2' does not parse back as itself",
     ),
+    # Z^2 prints vectors, so its names were ignored: check deep printed (0,0) and exited 0
+    ({"kind": "free-abelian", "rank": 2, "generators": ["x", "y"]}, "only Z takes a generator name"),
 ]
 
 
 @pytest.mark.parametrize(
-    "group,message", NAME_CLASHES, ids=["free", "finite", "hnn", "amalgam", "finite-e", "amalgam-power"]
+    "group,message",
+    NAME_CLASHES,
+    ids=["free", "finite", "hnn", "amalgam", "finite-e", "amalgam-power", "free-abelian-rank-2"],
 )
 def test_names_that_cannot_be_told_apart_are_refused(group, message, tmp_path, capsys):
     with pytest.raises(ConfigError, match=message):
@@ -337,6 +341,66 @@ def test_amalgams_and_hnn_extensions_still_nest_in_each_other():
     assert load_group({"kind": "hnn", "base": INNER, "theta": []}).kind == "hnn"
     z_hnn = {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1}, "theta": {"multiplier": 2}}
     assert load_group({**NESTED_AMALGAM, "left": z_hnn}).kind == "amalgam"
+
+
+# The trivial HNN subgroup has three spellings, which build one group.
+A_NAMED = {"kind": "free-abelian", "rank": 1, "generators": ["a"]}
+TRIVIAL_HNN = {
+    "f2-hnn": "f2-hnn",
+    "theta-empty": {"kind": "hnn", "base": A_NAMED, "theta": []},
+    "zero-steps": {"kind": "hnn", "base": A_NAMED, "theta": {"h_step": 0, "k_step": 0}},
+}
+
+
+def test_the_trivial_hnn_subgroup_is_one_group_however_it_is_spelled(tmp_path, capsys):
+    balls = [[ctx.format(x) for x in ctx.ball(6)] for ctx in map(load_group, TRIVIAL_HNN.values())]
+    assert balls[0] == balls[1] == balls[2]
+    (tmp_path / "all.json").write_text('{"kind": "universal-all"}')
+    reports = []
+    for name, group in TRIVIAL_HNN.items():
+        if not isinstance(group, str):
+            (tmp_path / f"{name}.json").write_text(json.dumps(group))
+            group = str(tmp_path / f"{name}.json")
+        common = ["--group", group, "--subset", str(tmp_path / "all.json")]
+        assert cli.dispatch(["check", "deep", *common, "--r", "1", "--R", "3"]) == 0
+        assert cli.dispatch(["check", "convexity", *common, "--L", "2"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_zero_steps_load_on_any_base_as_an_empty_twist_table():
+    """Zero steps over Z^2 were refused (exit 3); they spell the trivial subgroup there too."""
+    z2 = {"kind": "free-abelian", "rank": 2}
+    steps = load_group({"kind": "hnn", "base": z2, "theta": {"h_step": 0, "k_step": 0}})
+    table = load_group({"kind": "hnn", "base": z2, "theta": []})
+    assert [steps.format(x) for x in steps.ball(4)] == [table.format(x) for x in table.ball(4)]
+
+
+# Subgroup data that is no isomorphism of subgroups: the amalgam's gluing data
+# and the HNN twist table go through the one pairing check, and one zero step
+# would pair the trivial subgroup with an infinite one.
+HNN_Z4 = {"kind": "hnn", "base": Z4}
+Z4_Z6 = {"kind": "amalgam", "left": Z4, "right": Z6}
+BAD_SUBGROUP_DATA = {
+    "gluing-not-bijective": ({**Z4_Z6, "pairs": [["2", "3"], ["2", "0"]]}, "gluing data is not a bijection"),
+    "gluing-not-closed": ({**Z4_Z6, "pairs": [["1", "3"]]}, "gluing data is not closed under products"),
+    "gluing-not-multiplicative": ({**Z4_Z6, "pairs": [["2", "1"]]}, "gluing data is not multiplicative"),
+    "twist-not-bijective": ({**HNN_Z4, "theta": [["1", "1"], ["2", "1"]]}, "twist table is not a bijection"),
+    "twist-not-closed": ({**HNN_Z4, "theta": [["1", "1"]]}, "twist table is not closed under products"),
+    "twist-not-multiplicative": ({**HNN_Z4, "theta": [["2", "1"]]}, "twist table is not multiplicative"),
+    "one-zero-step": ({"kind": "hnn", "base": Z_HNN, "theta": {"h_step": 0, "k_step": 2}}, "steps must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("group,message", BAD_SUBGROUP_DATA.values(), ids=BAD_SUBGROUP_DATA)
+def test_subgroup_data_that_is_no_isomorphism_is_refused(group, message, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=message):
+        load_group(group)
+    (tmp_path / "group.json").write_text(json.dumps(group))
+    (tmp_path / "all.json").write_text('{"kind": "universal-all"}')
+    argv = ["check", "deep", "--group", str(tmp_path / "group.json"), "--subset", str(tmp_path / "all.json")]
+    assert cli.dispatch(argv) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_universal_variants():

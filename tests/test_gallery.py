@@ -52,9 +52,9 @@ def test_cuntz_suite():
 
 
 def test_cuntz_window_is_fifteen_points_at_length_three():
-    from translation_lab import free_group, make_window, positive_cone
+    from translation_lab import FreeGroupContext, make_window, positive_cone
 
-    f2 = free_group(2)
+    f2 = FreeGroupContext(2)
     assert len(make_window(positive_cone(f2), 3)) == 15
 
 

@@ -14,13 +14,13 @@ from translation_lab import (
     FreeAbelianContext,
     FreeGroupContext,
     GroupContext,
+    IntegerScaledSubgroup,
     MalformedWord,
     amalgam_z4_z6,
     baumslag_solitar,
     cyclic_group,
     free_group_as_hnn,
     free_product_of_two_integers,
-    integer_lattice,
 )
 from translation_lab.configs import BUILTIN_GROUPS, load_group
 from translation_lab.groups import BALL_CAP_ENV, AmalgamContext, GroupElement, HnnContext
@@ -236,9 +236,16 @@ def test_duplicate_names_rejected():
     with pytest.raises(ValueError, match="must be distinct"):
         FreeGroupContext(2, ["a", "a"])
     with pytest.raises(ValueError, match="must be distinct"):
-        FreeAbelianContext(2, ["x", "x"])
-    with pytest.raises(ValueError, match="must be distinct"):
         FiniteGroupContext(cyclic_group(2).table, ["e", "e"])
+
+
+def test_only_z_names_its_generator():
+    """A higher rank prints vectors, so it refuses the names it would not print."""
+    for rank, names in ((2, ["x", "x"]), (2, ["x", "y"]), (1, ["x", "y"])):
+        with pytest.raises(ValueError, match="only Z takes a generator name"):
+            FreeAbelianContext(rank, names)
+    z = FreeAbelianContext(1, ["x"])
+    assert [z.format(x) for x in z.ball(2)] == ["e", "x^-1", "x", "x^-2", "x^2"]
 
 
 # -- amalgams ---------------------------------------------------------------
@@ -254,8 +261,11 @@ def test_amalgam_shared_letter_cancellation(amalgam):
 
 def test_amalgam_transversal_splits_exactly(amalgam, s3_z4):
     # every factor element factors as representative times subgroup part; the
-    # split and its tables work on factor words
-    for ctx in (amalgam, s3_z4):
+    # split and its tables work on factor words (Z/6 and Z/9 glued along Z/3,
+    # where a subgroup part is not its own inverse)
+    z6, z9 = cyclic_group(6), cyclic_group(9)
+    z6_z9 = AmalgamContext(z6, z9, [(z6.element(2), z9.element(3)), (z6.element(4), z9.element(6))])
+    for ctx in (amalgam, s3_z4, z6_z9):
         for side in (0, 1):
             factor = ctx.factors[side]
             table = ctx._split_tables[side]
@@ -310,6 +320,17 @@ def test_an_hnn_factor_over_trivial_subgroups_grows_no_ball():
     assert ctx.format(square) == "G:t*1*t*1*t*1*t*1*t*1*t*1"
     assert ctx.parse(ctx.format(square)) == square
     assert ctx.factors[0]._layers == [] and ctx._layers == []
+
+
+def test_a_coset_of_the_trivial_hnn_subgroup_grows_no_ball_of_the_base(monkeypatch):
+    """A coset of the trivial subgroup is one word, so its split needs no length in the base:
+    over BS(1,2), squaring ``u*a^1024*t`` grew the base's ball past a cap of 100,000 elements."""
+    bs12 = {"kind": "hnn", "base": {"kind": "free-abelian", "rank": 1, "generators": ["a"]}, "theta": {"multiplier": 2}}
+    ctx = load_group({"kind": "hnn", "base": bs12, "theta": [], "stable_letter": "u"})
+    monkeypatch.setenv(BALL_CAP_ENV, "100000")
+    x = ctx.parse("u*a^1024*t")
+    assert ctx.format(ctx.multiply(x, x)) == "u*a^1024*t*u*a^1024*t"
+    assert ctx.base._layers == []
 
 
 def test_amalgam_cross_factor_absorption(amalgam):
@@ -403,6 +424,22 @@ def test_amalgam_syllable_count_matches_reduction(amalgam):
 def test_hnn_stable_letter_cancellation(bs12):
     t = bs12.stable_letter(1)
     assert bs12.multiply(t, bs12.stable_letter(-1)).word == bs12.identity().word
+
+
+def test_canonical_powers_are_built_directly(f2, bs12):
+    """``generator`` and ``stable_letter`` build a power's word at once; ``from_letters`` reduces it."""
+    f2_hnn = free_group_as_hnn()
+    for p in range(-3, 4):
+        assert f2.generator(2, p) == f2.from_letters([2 if p > 0 else -2] * abs(p))
+        for hnn in (bs12, f2_hnn):
+            assert hnn.stable_letter(p) == hnn.from_letters([("t", 1 if p > 0 else -1)] * abs(p))
+
+
+def test_integer_subgroup_steps_are_nonzero(z):
+    """The trivial subgroup is ``FiniteHnnSubgroup(base, [])``; no zero step spells it."""
+    for steps in ((0, 2), (2, 0), (0, 0)):
+        with pytest.raises(ValueError, match="steps must be nonzero"):
+            IntegerScaledSubgroup(z, *steps)
 
 
 def test_hnn_twist_relation(bs12):
@@ -504,10 +541,8 @@ def test_inversion_preserves_length(f2, bs12):
 
 
 def test_ball_cap(monkeypatch):
-    from translation_lab import free_group
-
     monkeypatch.setenv(BALL_CAP_ENV, "10")
-    ctx = free_group(2)
+    ctx = FreeGroupContext(2)
     with pytest.raises(BallCapExceeded, match="ball of radius 2 needs more than 10 elements"):
         ctx.ball(3)
     assert len(ctx.ball(1)) == 5
@@ -545,7 +580,7 @@ def test_ball_cap_raises_before_the_layer_is_built(monkeypatch):
 # amalgams z4*z6 and z*z and F2 as an HNN extension list their layers; z2 and
 # BS(1,2) search them)
 BFS_CONTEXTS = {
-    "z2": lambda: integer_lattice(2),
+    "z2": lambda: FreeAbelianContext(2),
     "z4*z6": amalgam_z4_z6,
     "z*z": free_product_of_two_integers,
     "bs12": lambda: baumslag_solitar(1, 2),
@@ -585,12 +620,11 @@ def test_refused_layer_leaves_the_depth_table_and_a_larger_cap_grows_the_same_ba
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
 def test_bad_ball_cap_is_an_error(monkeypatch, raw):
-    from translation_lab import free_group
     from translation_lab.groups import BallCapInvalid
 
     monkeypatch.setenv(BALL_CAP_ENV, raw)
     with pytest.raises(BallCapInvalid):
-        free_group(2).ball(1)
+        FreeGroupContext(2).ball(1)
 
 
 def test_malformed_letters(f2, z):

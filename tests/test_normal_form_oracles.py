@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from translation_lab import baumslag_solitar, free_group
+from translation_lab import FreeGroupContext, baumslag_solitar
 
 
 def affine_compose(f, g):
@@ -66,7 +66,7 @@ def _grouping_agrees(words, canon_a, canon_b):
 
 
 def test_free_product_of_integers_matches_free_group(zz):
-    f2 = free_group(2)
+    f2 = FreeGroupContext(2)
     to_zz = {
         1: (0, zz.factors[0].integer(1)),
         -1: (0, zz.factors[0].integer(-1)),
@@ -84,7 +84,7 @@ def test_free_product_of_integers_matches_free_group(zz):
 
 
 def test_trivially_twisted_extension_matches_free_group(f2_hnn):
-    f2 = free_group(2)
+    f2 = FreeGroupContext(2)
     to_hnn = {
         1: ("g", f2_hnn.base.integer(1)),
         -1: ("g", f2_hnn.base.integer(-1)),

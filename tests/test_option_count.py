@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "translation_lab"
-MOST_OPTIONAL_PARAMETERS = 54
+MOST_OPTIONAL_PARAMETERS = 53
 
 
 def optional_parameters(source: str) -> int:

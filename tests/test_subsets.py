@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from translation_lab import (
+    FreeGroupContext,
     SubsetSpec,
     amalgam_subgroup,
     congruence_class,
     coordinate_halfspace,
     cyclic_translates,
     finite_subgroup,
-    free_group,
     make_tree_halfspace,
     natural_numbers,
     positive_cone,
@@ -156,7 +156,7 @@ def _in_some_translate(base, g, x):
 def test_coset_union_matches_closed_form(rank, radius):
     # x lies in the union of a^k P over all k iff x with its leading a^±1
     # run stripped is a positive word; the translate scan is the oracle
-    ctx = free_group(rank)
+    ctx = FreeGroupContext(rank)
     cone = positive_cone(ctx)
     for translator in ctx.generator_elements():
         union = cyclic_translates(cone, translator)

@@ -5,8 +5,8 @@ import pytest
 
 from translation_lab import (
     BallCapExceeded,
+    FreeGroupContext,
     congruence_class,
-    free_group,
     make_track,
     positive_cone,
     track_of_sequence,
@@ -249,7 +249,7 @@ def test_independence_witnesses_of_mixed_class_radii_match_a_per_track_scan(z):
 
 def test_centres_stop_growing_layers_once_every_goal_is_found(monkeypatch):
     monkeypatch.setenv(BALL_CAP_ENV, "20")  # ball(2) of F2 has 17 elements, ball(3) 53
-    f2 = free_group(2)
+    f2 = FreeGroupContext(2)
     cone = positive_cone(f2)
     ball = f2.ball(1)
     goals = [
@@ -383,7 +383,7 @@ def test_a_shift_matches_stripping_the_run_and_multiplying(f2, max_radius, start
 @pytest.mark.parametrize("max_radius,start,min_step", [(0, 2, 4), (1, 2, 4), (1, 3, 5)])
 def test_listed_spheres_match_the_filtered_ball(max_radius, start, min_step):
     """U, B and X list their members by sphere: the windows equal the filtered ball, unbuilt."""
-    f2 = free_group(2)  # a fresh context, so the layers it grows can be counted
+    f2 = FreeGroupContext(2)  # a fresh context, so the layers it grows can be counted
     u_spec = universal_b_words_spec(f2, max_radius, start, min_step)
     b_spec, x_spec = cone_and_union(u_spec.placed)
     rng = random.Random(f"{max_radius},{start},{min_step}")
