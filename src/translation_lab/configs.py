@@ -174,7 +174,15 @@ def _group_from_dict(data: dict) -> GroupContext:
     else:
         pairs = [(base.parse(str(a)), base.parse(str(b))) for a, b in theta]
         sub = FiniteHnnSubgroup(base, pairs)
-    return HnnContext(base, sub, _string(data.get("stable_letter", "t"), "stable_letter"))
+    t_name = _string(data.get("stable_letter", "t"), "stable_letter")
+    for name in (t_name, f"{t_name}^-1"):
+        try:
+            base.parse(name)
+        except ValueError:
+            continue
+        # it would print like t^±1, and parse would read it as t^±1
+        raise ConfigError(f"the base reads {name!r}, which names the stable letter {t_name!r} or its inverse")
+    return HnnContext(base, sub, t_name)
 
 
 def _holds_amalgam(ctx: GroupContext) -> bool:

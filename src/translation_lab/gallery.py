@@ -412,7 +412,7 @@ def run_hnn_partition_check(which: str, radius: int) -> SuiteReport:
     ball = ctx.ball(radius)
     # each base element g of the ball, and g^-1, as HNN words
     base_pairs = [((g.word, ()), (ctx.base._inv(g.word), ())) for g in ctx.base.ball(radius)]
-    bc_spec = SubsetSpec(ctx, "complement", lambda w: not b_spec.predicate(w))
+    bc_spec = difference(whole_group(ctx), b_spec)
     counts = {"G": 0, "L": 0, "R": 0}
     mismatches = []
     for gamma in ball:

@@ -24,20 +24,20 @@ from .groups import (
     ball_cap,
 )
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, ConfigError
-from .subsets import SubsetSpec, coset_cover
+from .subsets import SubsetSpec, coset_cover, difference, whole_group
+from .tracks import support
 
 
 def deep_witness(spec: SubsetSpec, r: int, search_radius: int) -> CheckReport:
     """Find x with the whole ball of radius r around x inside the subset."""
     if r > search_radius:
         raise ValueError("need r <= search radius")
-    ctx = spec.ctx
-    probes = ctx.ball(r)
+    deep = support(spec, spec.ctx.ball(r))  # the ball is closed under inverses
     params = {"subset": spec.name, "r": r, "R": search_radius}
     scanned = 0
     for x in spec.elements_in_ball(search_radius):
         scanned += 1
-        if all(spec.contains(ctx.multiply(x, u)) for u in probes):
+        if deep(x.word):
             return CheckReport(
                 name="deep-witness",
                 params=params,
@@ -86,14 +86,8 @@ def relatively_deep_check(
                 witnesses=[x],
                 details={"error": "subset is not contained in the ambient set"},
             )
-    probes = ctx.ball(r)
-
-    def far_inside(p: GroupElement) -> bool:
-        for u in probes:
-            q = ctx.multiply(p, u)
-            if x_spec.contains(q) and not b_spec.contains(q):
-                return False
-        return True
+    # p u stays off X \ B for every u of the ball, which is closed under inverses
+    far_inside = support(difference(whole_group(ctx), difference(x_spec, b_spec)), ctx.ball(r))
 
     coset_reps = coset_cover(k_sub, x_spec.elements_in_ball(max(0, search_radius - r)))
 
@@ -104,7 +98,7 @@ def relatively_deep_check(
         for p in b_points:
             if not k_sub.contains(ctx.multiply(p, rep_inv)):
                 continue
-            if far_inside(p):
+            if far_inside(p.word):
                 witness = p
                 break
         if witness is None:
@@ -234,7 +228,6 @@ def coseparability_search(
         "max_size": max_size,
     }
     pool = ctx.ball(f_radius)
-    pool_index = {x.word: i for i, x in enumerate(pool)}
 
     def trace(g: GroupElement) -> frozenset[int]:
         g_inv = ctx.invert(g)
@@ -349,14 +342,12 @@ def verify_h_isolation(
     }
     if not f1 or not f2:
         raise ValueError("isolation families must be nonempty")
-    inv1 = [ctx.invert(g) for g in f1]
-    inv2 = [ctx.invert(g) for g in f2]
+    in_all = support(b_spec, f1)
+    in_none = support(difference(whole_group(ctx), b_spec), f2)
     compared = 0
     for x in ctx.ball(radius):
         compared += 1
-        rhs = all(b_spec.contains(ctx.multiply(x, gi)) for gi in inv1) and not any(
-            b_spec.contains(ctx.multiply(x, gi)) for gi in inv2
-        )
+        rhs = in_all(x.word) and in_none(x.word)
         lhs = h_sub.contains(x)
         if lhs != rhs:
             return CheckReport(
@@ -377,13 +368,8 @@ def verify_h_isolation(
 
 def boundary_set(b_spec: SubsetSpec, radius: int) -> list[GroupElement]:
     """Subset points with a generator stepping right out of the subset."""
-    ctx = b_spec.ctx
-    gens = ctx.generator_elements()
-    out = []
-    for x in b_spec.elements_in_ball(radius):
-        if any(not b_spec.contains(ctx.multiply(x, a)) for a in gens):
-            out.append(x)
-    return out
+    stays = support(b_spec, b_spec.ctx.generator_elements())  # the generators are closed under inverses
+    return [x for x in b_spec.elements_in_ball(radius) if not stays(x.word)]
 
 
 def boundary_check(b_spec: SubsetSpec, expected: SubsetSpec, radius: int) -> CheckReport:

@@ -38,7 +38,8 @@ from .operators import (
     subtract,
 )
 from .reports import CheckReport, ConfigError
-from .subsets import SubsetSpec
+from .subsets import SubsetSpec, difference
+from .tracks import support
 
 ZERO = Fraction(0)
 
@@ -46,12 +47,12 @@ ZERO = Fraction(0)
 class HAlgebraElement:
     """Finite formal rational combination of subgroup translations."""
 
-    def __init__(self, subgroup: SubsetSpec, coeffs: dict | None = None):
+    def __init__(self, subgroup: SubsetSpec, coeffs: dict):
         if subgroup.elements is None:
             raise ConfigError("group-algebra elements need a finite subgroup")
         self.subgroup = subgroup
         self.coeffs: dict[tuple, Fraction] = {}
-        for word, value in (coeffs or {}).items():
+        for word, value in coeffs.items():
             value = Fraction(value)
             if value != 0:
                 self.coeffs[word] = value
@@ -91,10 +92,10 @@ class HAlgebraElement:
 class SigmaVector:
     """Formal rational combination of sigma symbols over subset points."""
 
-    def __init__(self, spec: SubsetSpec, coeffs: dict | None = None):
+    def __init__(self, spec: SubsetSpec, coeffs: dict):
         self.spec = spec
         self.coeffs: dict[tuple, Fraction] = {}
-        for word, value in (coeffs or {}).items():
+        for word, value in coeffs.items():
             value = Fraction(value)
             if value == 0:
                 continue
@@ -184,19 +185,8 @@ def coset_decomposition_check(
     The support is computed on windows of radius R and R + GROWTH; the verdict
     is verified-at-scale exactly when the number of cosets agrees.
     """
-    ctx = b_spec.ctx
-    g_inv = ctx.invert(g)
-
-    def support(r: int) -> list[GroupElement]:
-        out = []
-        for x in b_spec.elements_in_ball(r):
-            shifted = ctx.multiply(x, g_inv)
-            if not b_spec.contains(shifted) and x_spec.contains(shifted):
-                out.append(x)
-        return out
-
-    small = support(radius)
-    large = support(radius + GROWTH)
+    moved_out = support(difference(x_spec, b_spec), [g])  # x g^-1 lies in X \ B
+    small, large = ([x for x in b_spec.elements_in_ball(r) if moved_out(x.word)] for r in (radius, radius + GROWTH))
     report = coset_count_check("coset-decomposition", b_spec, x_spec, h_sub, g, radius, small, large)
     report.details.update(support_size_at_R=len(small), support_size_at_R_plus=len(large))
     return report

@@ -1046,7 +1046,7 @@ class HnnContext(GroupContext):
     def from_base(self, g: GroupElement) -> GroupElement:
         return GroupElement(self, (self.base._check(g).word, ()))
 
-    def stable_letter(self, power: int = 1) -> GroupElement:
+    def stable_letter(self, power: int) -> GroupElement:
         return GroupElement(self, (self._e, ((1 if power > 0 else -1, self._e),) * abs(power)))
 
     def from_letters(self, letters: Iterable[tuple[str, object]]) -> GroupElement:

@@ -179,8 +179,7 @@ def _partial_translation(
         return TranslationOperator(w, entries, clipped_rows, clipped_cols)
     # window points lie in the window's subset by construction
     test_source = domain is not spec
-    # the rule of tracks.support, on the middle points alone
-    stays = support(Track(total, tuple(middle)), domain)
+    stays = support(domain, middle)
     entries = {}
     reached = set()
     clipped_rows = set()

@@ -96,16 +96,16 @@ class CheckReport:
 class SuiteReport:
     """A named list of check reports; its verdict is the worst of theirs.
 
-    ``params`` and ``checks`` start empty, a new dict or list for each suite,
-    when not given.  The clock that times each ``add`` starts at construction.
+    ``params`` starts as a new empty dict when not given, and ``checks`` as a
+    new empty list.  The clock that times each ``add`` starts at construction.
     """
 
     __slots__ = ("name", "params", "checks", "_last_add")
 
-    def __init__(self, name: str, params: dict | None = None, checks: list | None = None):
+    def __init__(self, name: str, params: dict | None = None):
         self.name = name
         self.params = {} if params is None else params
-        self.checks = [] if checks is None else checks
+        self.checks = []
         self._last_add = time.perf_counter()
 
     @property

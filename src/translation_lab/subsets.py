@@ -11,8 +11,9 @@ work on it with no group multiply: membership is read off the normal form.
 the subset's context, then asks the predicate about ``x.word``.  A loop that
 multiplies raw words with the context's ``_mul`` checks its operands' context
 once at its entry and then asks ``predicate`` directly: the window and track
-operators, coset projections, the HNN partition suite and the universal
-pattern-centre scan run so.  Membership keeps no memo and asks the predicate
+operators, coset projections, ``tracks.support`` (behind the deepness,
+boundary, isolation and coset checks), the HNN partition suite and the
+universal pattern-centre scan run so.  Membership keeps no memo and asks the predicate
 on every call; the one reuse kept is ``elements_in_ball``, which lists the
 members of each ball layer once, asking the predicate about each word of
 the layer.  A subset that can list its members of each word length in closed
@@ -35,6 +36,7 @@ from .groups import (
     GroupElement,
     HnnContext,
     MalformedWord,
+    _check_isomorphism,
 )
 from .reports import FALSIFIED, VERIFIED, CheckReport
 
@@ -109,17 +111,14 @@ class SubsetSpec:
 def finite_subgroup(ctx: GroupContext, elements: Iterable[GroupElement], name: str) -> SubsetSpec:
     """The subgroup listing these elements and the identity; raises if they are not closed."""
     elems = list(elements)
+    ctx._check_all(*elems)
     words = {x.word for x in elems}
     e = ctx.identity()
     if e.word not in words:
         elems.append(e)
         words.add(e.word)
-    for x in elems:
-        if ctx.invert(x).word not in words:
-            raise ValueError(f"subgroup {name} not closed under inverses")
-        for y in elems:
-            if ctx.multiply(x, y).word not in words:
-                raise ValueError(f"subgroup {name} not closed under products")
+    # a finite set closed under products holds the inverse of each member, a power of it
+    _check_isomorphism(ctx, ctx, [(w, w) for w in words], f"subgroup {name}")
     elems.sort(key=ctx.sort_key)
     return SubsetSpec(ctx, name, words.__contains__, elements=tuple(elems))
 
@@ -171,9 +170,7 @@ def coordinate_halfspace(ctx: FreeAbelianContext, coord: int = 0, lower: int = 0
     if ctx.rank == 1:
         axis = trivial_subgroup(ctx)
     else:
-        axis = SubsetSpec(
-            ctx, f"axis[{coord}=0]", lambda w, c=coord: w[c] == 0
-        )
+        axis = SubsetSpec(ctx, f"axis[{coord}=0]", lambda w: w[coord] == 0)
     return SubsetSpec(
         ctx,
         f"halfspace[{coord}>={lower}]",
@@ -199,9 +196,7 @@ def congruence_class(ctx: FreeAbelianContext, modulus: int, residue: int = 0, co
         raise ValueError("coordinate out of range")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    stab = SubsetSpec(
-        ctx, f"{modulus}Z[{coord}]", lambda w, c=coord, m=modulus: w[c] % m == 0
-    )
+    stab = SubsetSpec(ctx, f"{modulus}Z[{coord}]", lambda w: w[coord] % modulus == 0)
     return SubsetSpec(
         ctx,
         f"congruence[{coord}%{modulus}={residue}]",
@@ -252,31 +247,35 @@ def cyclic_translates(base: SubsetSpec, g: GroupElement, name: str | None = None
 
     Membership is decided in closed form only for a positive-cone base P with
     a one-letter translator a^±1: x lies in the union iff x with its leading
-    run of a^±1 letters stripped is positive.  The caller vouches that the
+    run of a^±1 letters stripped lies in P.  The caller vouches that the
     base is a positive cone; any other context or translator raises
     ValueError.
     """
     ctx = base.ctx
     if not (isinstance(ctx, FreeGroupContext) and len(g.word) == 1):
         raise ValueError(COSET_UNION_DECIDABLE)
-    letter = abs(g.word[0])
+    letter, in_base = abs(g.word[0]), base.predicate
 
     def member(word: tuple) -> bool:
         k = 0
         while k < len(word) and abs(word[k]) == letter:
             k += 1
-        return all(l > 0 for l in word[k:])
+        return in_base(word[k:])  # a suffix of a reduced word is reduced
 
-    # a reduced word lies in <a> iff every letter is a or a^-1
-    stab = SubsetSpec(
-        ctx, f"<{ctx.format(g)}>", lambda w: all(abs(l) == letter for l in w)
-    )
     return SubsetSpec(
         ctx,
         name or f"translates[{ctx.format(g)}]({base.name})",
         member,
-        left_stabiliser=stab,
+        left_stabiliser=letter_subgroup(ctx, g),
     )
+
+
+def letter_subgroup(ctx: FreeGroupContext, g: GroupElement) -> SubsetSpec:
+    """The cyclic subgroup <g> of a letter g: the reduced words whose every letter is g or g^-1."""
+    if len(ctx._check(g).word) != 1:
+        raise ValueError("need a single-letter element")
+    letter = abs(g.word[0])
+    return SubsetSpec(ctx, f"<{ctx.format(g)}>", lambda w: all(abs(l) == letter for l in w))
 
 
 # ---------------------------------------------------------------------------

@@ -84,18 +84,20 @@ def nonzero_witness(track: Track, spec: SubsetSpec, radius: int) -> GroupElement
     exactly when x h^-1 lies in the subset for every visited h; absence of a
     witness is only meaningful within the scanned window.
     """
-    fires = support(track, spec)
+    fires = support(spec, track.visited)
     return next((x for x in spec.elements_in_ball(radius) if fires(x.word)), None)
 
 
-def support(track: Track, spec: SubsetSpec) -> Callable[[tuple], bool]:
-    """The test "the track's operator is nonzero at x": x h^-1 in the subset for every visited h.
+def support(spec: SubsetSpec, points: Sequence[GroupElement]) -> Callable[[tuple], bool]:
+    """The test "x h^-1 lies in the subset for every h in ``points``".
 
-    The test takes the canonical word of x, a word of the subset's context;
-    the visited points are checked to lie in that context here, once.
+    On a track's visited points this is "the track's operator is nonzero at
+    x"; every check of the form "x h^-1 in a subset for all h of a finite
+    set" asks it.  The test takes the canonical word of x, a word of the
+    subset's context; the points are checked to lie in that context here, once.
     """
     ctx = spec.ctx
-    ctx._check_all(*track.visited)
+    ctx._check_all(*points)
     mul, inside = ctx._mul, spec.predicate
-    inverses = [ctx._inv(h.word) for h in track.visited]
+    inverses = [ctx._inv(h.word) for h in points]
     return lambda x: all(inside(mul(x, h_inv)) for h_inv in inverses)

@@ -25,7 +25,7 @@ from .geometry import (
 from .groups import FreeAbelianContext, FreeGroupContext, GroupElement
 from .operators import rank_of_vectors
 from .reports import FALSIFIED, INCONCLUSIVE, VERIFIED, CheckReport, ConfigError, SuiteReport
-from .subsets import SubsetSpec, trivial_subgroup
+from .subsets import SubsetSpec, letter_subgroup, trivial_subgroup
 from .tracks import Track, support
 
 
@@ -34,7 +34,7 @@ _BLOCK_STARTS = [0]
 
 
 def bit_at(n: int) -> int:
-    """Digit n of the infinite concatenation 0 1 00 01 10 11 000 ...
+    """Digit n of the infinite concatenation 0 1 00 01 10 11 000 ..., and 0 for n < 0.
 
     Length-L strings occupy a block of L * 2^L digits; within the block the
     strings are the binary numerals of 0 .. 2^L - 1, zero-padded to L digits.
@@ -61,7 +61,7 @@ def universal_z_spec(ctx: FreeAbelianContext) -> SubsetSpec:
     return SubsetSpec(
         ctx,
         "universal-z",
-        lambda w: w[0] >= 0 and bit_at(w[0]) == 1,
+        lambda w: bit_at(w[0]) == 1,
         left_stabiliser=trivial_subgroup(ctx),
     )
 
@@ -307,11 +307,7 @@ def universality_check(spec: SubsetSpec, r: int, scan_bound: int = 5000) -> Chec
 # ---------------------------------------------------------------------------
 
 
-def track_independence_check(
-    spec: SubsetSpec,
-    tracks: Sequence[Track],
-    scan_bound: int = 5000,
-) -> CheckReport:
+def track_independence_check(spec: SubsetSpec, tracks: Sequence[Track], scan_bound: int) -> CheckReport:
     """Prove the given tracks' operators linearly independent on the subset.
 
     For each track a witness center realizes exactly the inverse visited set
@@ -357,7 +353,7 @@ def track_independence_check(
             )
         witnesses[i] = first[goal]
 
-    fires = [support(t, spec) for t in tracks]
+    fires = [support(spec, t.visited) for t in tracks]
     # triangularity: at witness i, track j is nonzero iff visited(j) <= visited(i)
     for members in by_total.values():
         for i in members:
@@ -424,12 +420,11 @@ def cone_and_union(placed: PlacedUniversalWords) -> tuple[SubsetSpec, SubsetSpec
         left_stabiliser=trivial_subgroup(ctx),
         sphere_members=lambda k: placed.sphere(k, 0, None),
     )
-    powers_of_a = SubsetSpec(ctx, "<a>", lambda w: all(l in (1, -1) for l in w))
     x_spec = SubsetSpec(
         ctx,
         "a-translates-of-universal",
         in_x,
-        left_stabiliser=powers_of_a,
+        left_stabiliser=letter_subgroup(ctx, ctx.generator(1)),
         sphere_members=lambda k: placed.sphere(k, None, None),
     )
     x_spec.placed = placed  # the ambient set realizes the same local patterns

@@ -227,7 +227,7 @@ NAME_CLASHES = [
     ({"kind": "free", "rank": 2, "generators": ["a", "a"]}, "generator names \\['a', 'a'\\] must be distinct"),
     ({"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["e", "e"]}, "element names \\['e', 'e'\\] must be distinct"),
     # the base's generator formats as the stable letter t
-    ({"kind": "hnn", "base": {**Z_NAMED, "generators": ["t"]}, "theta": {"multiplier": 2}}, "generator 't' formats like"),
+    ({"kind": "hnn", "base": {**Z_NAMED, "generators": ["t"]}, "theta": {"multiplier": 2}}, "the base reads 't'"),
     # with empty tags the two factors' generators both format as a
     (
         {
@@ -252,13 +252,41 @@ NAME_CLASHES = [
     ),
     # Z^2 prints vectors, so its names were ignored: check deep printed (0,0) and exited 0
     ({"kind": "free-abelian", "rank": 2, "generators": ["x", "y"]}, "only Z takes a generator name"),
+    # the base reads the stable letter's name: a*a and t both printed a^2, and
+    # 5 of the 53 elements of the radius-3 ball did not read back
+    ({"kind": "hnn", "base": {**Z_NAMED, "generators": ["a"]}, "theta": [], "stable_letter": "a^2"}, "the base reads 'a\\^2'"),
+    ({"kind": "hnn", "base": {"kind": "free", "rank": 2}, "theta": [], "stable_letter": "aB"}, "the base reads 'aB'"),
+    ({"kind": "hnn", "base": {**Z4, "generators": [1], "names": ["0", "1", "t", "3"]}, "theta": []}, "the base reads 't'"),
+    ({"kind": "hnn", "base": {**Z4, "generators": [1], "names": ["0", "1", "q^-1", "3"]}, "theta": [], "stable_letter": "q"}, "the base reads 'q\\^-1'"),
+    # the same clash one extension down
+    (
+        {
+            "kind": "hnn",
+            "base": {"kind": "hnn", "base": {**Z_NAMED, "generators": ["a"]}, "theta": [], "stable_letter": "a^2"},
+            "theta": [],
+        },
+        "the base reads 'a\\^2'",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "group,message",
     NAME_CLASHES,
-    ids=["free", "finite", "hnn", "amalgam", "finite-e", "amalgam-power", "free-abelian-rank-2"],
+    ids=[
+        "free",
+        "finite",
+        "hnn",
+        "amalgam",
+        "finite-e",
+        "amalgam-power",
+        "free-abelian-rank-2",
+        "stable-letter-power",
+        "stable-letter-word",
+        "stable-letter-element",
+        "stable-letter-inverse",
+        "stable-letter-nested",
+    ],
 )
 def test_names_that_cannot_be_told_apart_are_refused(group, message, tmp_path, capsys):
     with pytest.raises(ConfigError, match=message):

@@ -48,7 +48,7 @@ from translation_lab.operators import (
     mask_clipped_rows,
     rank_of_vectors,
 )
-from translation_lab.tracks import Track, compose_tracks, support
+from translation_lab.tracks import compose_tracks, support
 
 
 def is_partial_permutation(a) -> bool:
@@ -397,7 +397,7 @@ def test_word_loops_check_the_context_at_their_entry(z):
     with pytest.raises(MalformedWord):
         track_operator(w, foreign_track)
     with pytest.raises(MalformedWord):
-        support(foreign_track, nat)
+        support(nat, foreign_track.visited)
     with pytest.raises(MalformedWord):
         coset_projection(w, trivial_subgroup(other), z.integer(1))
     with pytest.raises(MalformedWord):
@@ -647,7 +647,7 @@ def generic_translation(w, total, middle, domain):
     column pass multiplying each unreached window point by ``total``."""
     ctx = w.spec.ctx
     test_source = domain is not w.spec
-    stays = support(Track(total, tuple(middle)), domain)
+    stays = support(domain, middle)
     mul, inside, index = ctx._mul, domain.predicate, w.index
     t = total.word
     moves = t != ctx.identity().word

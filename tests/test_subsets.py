@@ -19,6 +19,7 @@ from translation_lab import (
 from translation_lab.configs import load_subset
 from translation_lab.groups import cyclic_group
 from translation_lab.reports import FALSIFIED, VERIFIED, ConfigError
+from translation_lab.subsets import letter_subgroup
 
 
 def test_naturals_membership_and_window(z):
@@ -219,8 +220,25 @@ def test_verify_stabilisers_finds_violation(f2):
 
 
 def test_subgroup_closure_validation(z):
-    with pytest.raises(ValueError):
+    # the one closure check: a finite set closed under products is a subgroup
+    with pytest.raises(ValueError, match="subgroup broken is not closed under products"):
         finite_subgroup(z, [z.integer(1)], "broken")
+    c6 = cyclic_group(6)
+    with pytest.raises(ValueError, match="subgroup 2Z/6 is not closed under products"):
+        finite_subgroup(c6, [c6.element(2)], "2Z/6")
+    assert [x.word for x in finite_subgroup(c6, [c6.element(2), c6.element(4)], "2Z/6").elements] == [(0,), (2,), (4,)]
+
+
+def test_letter_subgroup_is_the_words_in_one_letter(f2):
+    a = f2.generator(1)
+    a_inv = f2.invert(a)
+    for g, name in ((a, "<a>"), (a_inv, "<A>")):
+        sub = letter_subgroup(f2, g)
+        assert sub.name == name
+        for x in f2.ball(4):
+            assert sub.contains(x) == all(l in (a.word[0], a_inv.word[0]) for l in x.word)
+    with pytest.raises(ValueError):
+        letter_subgroup(f2, f2.parse("ab"))
 
 
 def test_pv_subset(f2):

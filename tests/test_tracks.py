@@ -1,3 +1,4 @@
+import pytest
 from conftest import rng
 
 from translation_lab import (
@@ -5,11 +6,15 @@ from translation_lab import (
     congruence_class,
     identity_track,
     make_track,
+    difference,
+    make_tree_halfspace,
     natural_numbers,
     nonzero_witness,
     positive_cone,
     track_of_sequence,
+    whole_group,
 )
+from translation_lab.tracks import support
 
 
 def is_valid(ctx, track) -> bool:
@@ -103,3 +108,32 @@ def test_witness_on_cone(f2):
     t = track_of_sequence(f2, [f2.invert(f2.generator(1)), f2.generator(1)])
     witness = nonzero_witness(t, cone, 4)
     assert witness is not None and f2.format(witness) == "a"
+
+
+SUBSETS = {
+    "z": natural_numbers,
+    "f2": positive_cone,
+    "amalgam": lambda ctx: make_tree_halfspace(ctx, "G"),
+    "bs12": lambda ctx: make_tree_halfspace(ctx, "B"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(SUBSETS))
+def test_support_is_the_translate_test(group, request):
+    """support(spec, points)(x) says x h^-1 lies in the subset for every h of
+    the points, for point sets that are no track's visited set too."""
+    ctx = request.getfixturevalue(group)
+    b = SUBSETS[group](ctx)
+    ball = ctx.ball(4)
+    gens = ctx.generator_elements()
+    point_sets = [
+        ctx.ball(1),
+        gens,
+        [ball[-1]],
+        track_of_sequence(ctx, [gens[0], gens[-1], gens[0]]).visited,
+    ]
+    for spec in (b, difference(whole_group(ctx), b)):
+        for points in point_sets:
+            test = support(spec, points)
+            for x in ball:
+                assert test(x.word) == all(spec.contains(ctx.multiply(x, ctx.invert(h))) for h in points)

@@ -269,7 +269,7 @@ def dependent_tracks_demo(ctx, tracks, radius: int) -> CheckReport:
     vectors = []
     points = ctx.ball(radius)
     for t in tracks:
-        fires = support(t, whole)
+        fires = support(whole, t.visited)
         total_inv = ctx.invert(t.total)
         vectors.append({(ctx.multiply(x, total_inv).word, x.word): 1 for x in points if fires(x.word)})
     rank = rank_of_vectors(vectors)
