@@ -157,6 +157,15 @@ def _group_from_dict(data: dict) -> GroupContext:
         if any(not tags[side] and isinstance(factor, HnnContext) for side, factor in ((0, right), (1, left))):
             # an untagged token after an HNN syllable's "*" could also start a syllable of the other factor
             raise ConfigError("an empty amalgam tag cannot stand beside an HNN factor, whose syllables print with '*'")
+        if not any(tags):
+            # an untagged token is read in either factor, so no factor may read a name the other prints
+            for side, (reader, printer) in enumerate(((left, right), (right, left))):
+                for name in _printed_names(printer):
+                    if _reads(reader, name):
+                        raise ConfigError(
+                            f"with empty amalgam tags the {('left', 'right')[side]} factor reads {name!r}, "
+                            "which the other factor prints"
+                        )
         pairs = [
             (left.parse(str(a)), right.parse(str(b))) for a, b in data.get("pairs", [])
         ]
@@ -176,13 +185,24 @@ def _group_from_dict(data: dict) -> GroupContext:
         sub = FiniteHnnSubgroup(base, pairs)
     t_name = _string(data.get("stable_letter", "t"), "stable_letter")
     for name in (t_name, f"{t_name}^-1"):
-        try:
-            base.parse(name)
-        except ValueError:
-            continue
-        # it would print like t^±1, and parse would read it as t^±1
-        raise ConfigError(f"the base reads {name!r}, which names the stable letter {t_name!r} or its inverse")
+        if _reads(base, name):  # it would print like t^±1, and parse would read it as t^±1
+            raise ConfigError(f"the base reads {name!r}, which names the stable letter {t_name!r} or its inverse")
     return HnnContext(base, sub, t_name)
+
+
+def _printed_names(ctx: GroupContext) -> list[str]:
+    """The names ``ctx`` prints for its generators, or for every element but e of a finite group."""
+    elements = ctx.all_elements() if isinstance(ctx, FiniteGroupContext) else ctx.generator_elements()
+    e = ctx.identity()
+    return [ctx.format(x) for x in elements if x != e]
+
+
+def _reads(ctx: GroupContext, name: str) -> bool:
+    try:
+        ctx.parse(name)
+    except ValueError:
+        return False
+    return True
 
 
 def _holds_amalgam(ctx: GroupContext) -> bool:

@@ -28,12 +28,19 @@ trivial subgroups list each layer through one lister, ``_list_runs``, as
 runs of letters, syllables or blocks, in the same order; the other contexts
 (free-abelian and finite groups, the other amalgams and HNN extensions)
 search it.  A breadth-first layer multiplies raw words, dedupes each product
-once against the depth table, sorts the new words by ``structural_key`` and
-builds one element per member last.  The default ``_length`` reads that
-depth table, grown on demand (a finite group builds it whole at
-construction); free, free-abelian, amalgam and HNN contexts give ``_length``
-in closed form where they can.  Contexts are immutable after
-construction and all operations are pure.
+once against the depth table and sorts the new words by ``structural_key``.
+The layers hold canonical words, never elements: ``_sphere`` gives a layer's
+words, and ``ball`` and ``sphere`` build elements only when a caller asks for
+them.  The default ``_length`` reads that depth table, grown on demand (a
+finite group builds it whole at construction); free, free-abelian, amalgam
+and HNN contexts give ``_length`` in closed form where they can.  Contexts
+are immutable after construction and all operations are pure.
+
+No context is in a reference cycle.  An element points at its context, so a
+context keeps words, not elements, and a free product's hooks close over its
+factors, not over the context.  Reference counting frees a context and all it
+built as soon as the last reference goes, which is what lets ``cli.dispatch``
+pause the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -109,12 +116,16 @@ class GroupContext:
     ``_mul``, ``_inv``, ``_length`` (the breadth-first default below serves a
     context with no closed form), ``structural_key``, ``_format``,
     ``identity``, ``generator_elements`` and ``parse``.
+
+    ``_layers[r]`` holds the canonical words of length r in ball order, and
+    ``_next_layer`` returns words; ``ball`` and ``sphere`` build elements
+    from them on each call, and ``_sphere`` gives the words themselves.
     """
 
     kind = "abstract"
 
     def __init__(self):
-        self._layers: list[list[GroupElement]] = []
+        self._layers: list[list[tuple]] = []  # canonical words, one list per word length
         self._dist: dict[tuple, int] = {}
         self._generator_words: tuple[tuple, ...] = ()  # set with the identity layer
         self._runs: list[dict] = [{(0, None): [()]}]  # the memo of a listed context (``_list_runs``)
@@ -186,15 +197,16 @@ class GroupContext:
     def ball(self, r: int) -> list[GroupElement]:
         """All elements of word length <= r, shortlex ordered, no duplicates."""
         self._grow_to(r)
-        out: list[GroupElement] = []
-        for layer in self._layers[: r + 1]:
-            out.extend(layer)
-        return out
+        return [GroupElement(self, w) for layer in self._layers[: r + 1] for w in layer]
 
     def sphere(self, r: int) -> list[GroupElement]:
         """The elements of word length exactly r, in ball order."""
+        return [GroupElement(self, w) for w in self._sphere(r)]
+
+    def _sphere(self, r: int) -> list[tuple]:
+        """The canonical words of word length exactly r, in ball order; the caller does not mutate them."""
         self._grow_to(r)
-        return list(self._layers[r]) if r < len(self._layers) else []
+        return self._layers[r] if r < len(self._layers) else []
 
     def _grow_to(self, r: int) -> None:
         if r < 0:
@@ -205,8 +217,8 @@ class GroupContext:
 
     def _grow_layer(self) -> bool:
         if not self._layers:
-            e = self.identity()
-            self._dist[e.word] = 0
+            e = self.identity().word
+            self._dist[e] = 0
             self._layers.append([e])
             self._generator_words = tuple(g.word for g in self.generator_elements())
             return True
@@ -220,20 +232,18 @@ class GroupContext:
         self._layers.append(layer)
         return bool(layer)
 
-    def _next_layer(self, room: int) -> list[GroupElement] | None:
-        """The unseen neighbours of the last layer, sorted by ``structural_key``.
+    def _next_layer(self, room: int) -> list[tuple] | None:
+        """The unseen neighbours' words of the last layer, sorted by ``structural_key``.
 
         Each product word is looked up once in the depth table ``_dist``,
         which this dedupe and the default ``_length`` read, and a new one
-        enters it at once; elements are built only for the sorted words.
-        None once more than ``room`` new words are found: the search stops
-        there and takes them out of ``_dist`` again.
+        enters it at once.  None once more than ``room`` new words are
+        found: the search stops there and takes them out of ``_dist`` again.
         """
         gens, mul, dist = self._generator_words, self._mul, self._dist
         depth = len(self._layers)
         fresh: list[tuple] = []
-        for x in self._layers[-1]:
-            a = x.word
+        for a in self._layers[-1]:
             for g in gens:
                 w = mul(a, g)
                 if w not in dist:
@@ -244,7 +254,7 @@ class GroupContext:
                     del dist[w]
                 return None
         fresh.sort(key=self.structural_key)
-        return [GroupElement(self, w) for w in fresh]
+        return fresh
 
     def _check(self, x: GroupElement) -> GroupElement:
         if x.ctx is not self:
@@ -368,10 +378,10 @@ class FreeGroupContext(GroupContext):
     def structural_key(self, w: tuple):
         return tuple(map(self._letter_ranks.__getitem__, w))
 
-    def _next_layer(self, room: int) -> list[GroupElement] | None:
+    def _next_layer(self, room: int) -> list[tuple] | None:
         """Sphere n from the one lister: a reduced word is a run of letters."""
         row = _list_runs(self._runs, len(self._layers), self._pieces, room)
-        return None if row is None else [GroupElement(self, w) for words in row.values() for w in words]
+        return None if row is None else [w for words in row.values() for w in words]
 
     def _format(self, w: tuple) -> str:
         if not w:
@@ -639,6 +649,48 @@ def _check_isomorphism(left: GroupContext, right: GroupContext, pairs: Sequence[
                 raise ValueError(f"{what} is not multiplicative")
 
 
+def _free_product_hooks(factors: tuple) -> tuple:
+    """The hooks ``(_mul, _inv, _append_letter)`` of a free product of ``factors``.
+
+    They close over the factors and their identity words, not over the
+    context that stores them, so that context is in no reference cycle.  A
+    merge at the seam is one factor product and one test against the factor's
+    identity word, an identity drops the syllable, and the trailing part
+    stays 0.
+    """
+    ids = tuple(f.identity().word for f in factors)
+
+    def append(state: tuple, side: int, w: tuple) -> tuple:
+        syllables = state[0]
+        if syllables and syllables[-1][0] == side:
+            w = factors[side]._mul(syllables[-1][1], w)
+            syllables = syllables[:-1]
+        if w == ids[side]:
+            return syllables, 0
+        return syllables + ((side, w),), 0
+
+    def mul(a: tuple, b: tuple) -> tuple:
+        left, right = a[0], b[0]
+        if not left or not right or left[-1][0] != right[0][0]:
+            return left + right, 0
+        i, j = len(left), 0
+        # Merge across the seam; a merge that gives the identity exposes the
+        # next pair, which lies in one factor again since both sides alternate.
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            side = right[j][0]
+            z = factors[side]._mul(left[i - 1][1], right[j][1])
+            if z != ids[side]:
+                return left[: i - 1] + ((side, z),) + right[j + 1 :], 0
+            i -= 1
+            j += 1
+        return left[:i] + right[j:], 0
+
+    def inv(a: tuple) -> tuple:
+        return tuple([(side, factors[side]._inv(w)) for side, w in reversed(a[0])]), 0
+
+    return mul, inv, append
+
+
 class AmalgamContext(GroupContext):
     """Free product of two factors glued along a common finite subgroup.
 
@@ -659,11 +711,9 @@ class AmalgamContext(GroupContext):
     a search over the subgroup.
 
     With trivial gluing (H = {e}) the context is a free product, and
-    ``__init__`` binds ``_mul``, ``_inv`` and ``_append_letter`` to the
-    free-product hooks once: a merge at the seam is one factor product and one
-    test against the factor's identity word, an identity drops the syllable,
-    and the trailing part stays 0.  They never split a syllable or look up
-    the subgroup, and the nontrivial kernel pays no test for them.
+    ``__init__`` stores the hooks of ``_free_product_hooks`` as ``_mul``,
+    ``_inv`` and ``_append_letter`` once.  They never split a syllable or look
+    up the subgroup, and the nontrivial kernel pays no test for them.
 
     Word length adds over syllables, each counted by its factor's length (1
     for a nontrivial glued element alone), with trivial gluing and when every
@@ -708,9 +758,7 @@ class AmalgamContext(GroupContext):
         self._h_inverse = tuple(self._h_index[0][left._inv(a)] for a, _ in self._h_words)
         self._trivial_h = len(self.pairs) == 1
         if self._trivial_h:
-            self._factor_ids = tuple(f.identity().word for f in self.factors)
-            self._mul, self._inv = self._free_mul, self._free_inv
-            self._append_letter = self._free_append
+            self._mul, self._inv, self._append_letter = _free_product_hooks(self.factors)
         else:
             self._split_tables = tuple(
                 {x.word: self._split_search(side, x.word) for x in f.all_elements()}
@@ -721,7 +769,7 @@ class AmalgamContext(GroupContext):
         # length adds over syllables with trivial gluing, or when every nontrivial
         # element of both finite factors is a letter (an empty sphere of radius 2)
         self._length_adds = self._trivial_h or all(
-            isinstance(f, FiniteGroupContext) and not f.sphere(2) for f in self.factors
+            isinstance(f, FiniteGroupContext) and not f._sphere(2) for f in self.factors
         )
 
     # -- subgroup helpers ---------------------------------------------------
@@ -810,37 +858,6 @@ class AmalgamContext(GroupContext):
             out.append((side, rep))
         return tuple(out), h
 
-    # -- the free-product hooks, bound in __init__ when H = {e} ----------------
-
-    def _free_append(self, state: tuple, side: int, w: tuple) -> tuple:
-        syllables = state[0]
-        if syllables and syllables[-1][0] == side:
-            w = self.factors[side]._mul(syllables[-1][1], w)
-            syllables = syllables[:-1]
-        if w == self._factor_ids[side]:
-            return syllables, 0
-        return syllables + ((side, w),), 0
-
-    def _free_mul(self, a: tuple, b: tuple) -> tuple:
-        left, right = a[0], b[0]
-        if not left or not right or left[-1][0] != right[0][0]:
-            return left + right, 0
-        i, j = len(left), 0
-        # Merge across the seam; a merge that gives the identity exposes the
-        # next pair, which lies in one factor again since both sides alternate.
-        while i and j < len(right) and left[i - 1][0] == right[j][0]:
-            side = right[j][0]
-            z = self.factors[side]._mul(left[i - 1][1], right[j][1])
-            if z != self._factor_ids[side]:
-                return left[: i - 1] + ((side, z),) + right[j + 1 :], 0
-            i -= 1
-            j += 1
-        return left[:i] + right[j:], 0
-
-    def _free_inv(self, a: tuple) -> tuple:
-        factors = self.factors
-        return tuple([(side, factors[side]._inv(w)) for side, w in reversed(a[0])]), 0
-
     # -- metric and order ----------------------------------------------------
 
     def _length(self, w: tuple) -> int:
@@ -849,7 +866,7 @@ class AmalgamContext(GroupContext):
         syllables, h = w
         return sum(self.factors[side]._length(v) for side, v in syllables) or (1 if h else 0)
 
-    def _next_layer(self, room: int) -> list[GroupElement] | None:
+    def _next_layer(self, room: int) -> list[tuple] | None:
         """Sphere n from the one lister where length adds over syllables.
 
         A syllable is a piece of class its factor, weighted by its factor
@@ -863,14 +880,14 @@ class AmalgamContext(GroupContext):
         pieces = {}
         for side, f in enumerate(self.factors):
             for m in range(1, n + 1):  # the syllables: coset representatives outside H
-                words = [x.word for x in f.sphere(m) if self._trivial_h or self._split(side, x.word) == (x.word, 0)]
+                words = [w for w in f._sphere(m) if self._trivial_h or self._split(side, w) == (w, 0)]
                 pieces[side, m] = ([((side, w),) for w in words], (1 - side,))
         bare = parts - 1 if n == 1 else 0  # the glued elements but e, each of length 1
         row = _list_runs(self._runs, n, pieces, (room - bare) // parts)
         if row is None:
             return None
-        out = [GroupElement(self, ((), h)) for h in range(1, bare + 1)]
-        out.extend([GroupElement(self, (run, h)) for runs in row.values() for run in runs for h in range(parts)])
+        out = [((), h) for h in range(1, bare + 1)]
+        out.extend([(run, h) for runs in row.values() for run in runs for h in range(parts)])
         return out
 
     def generator_elements(self) -> tuple[GroupElement, ...]:
@@ -1152,7 +1169,7 @@ class HnnContext(GroupContext):
         head, blocks = w
         return length(head) + sum(1 + length(g) for _, g in blocks)
 
-    def _next_layer(self, room: int) -> list[GroupElement] | None:
+    def _next_layer(self, room: int) -> list[tuple] | None:
         """Sphere n from the one lister over trivial subgroups.
 
         A body is a run of blocks ``t^s g`` of class s (1 before -1) and
@@ -1164,7 +1181,7 @@ class HnnContext(GroupContext):
         if not self._length_adds:
             return super()._next_layer(room)
         n, runs = len(self._layers), self._runs
-        heads = [[x.word for x in self.base.sphere(m)] for m in range(n + 1)]
+        heads = [self.base._sphere(m) for m in range(n + 1)]
         pieces = {
             (s, m): ([((s, g),) for g in heads[m - 1]], (s,) if m == 1 else (1, -1))
             for s in (1, -1)
@@ -1178,9 +1195,9 @@ class HnnContext(GroupContext):
         for m in range(n + 1):
             for (k, _), bodies in runs[n - m].items():
                 lists.setdefault((k, m), []).append(bodies)
-        out: list[GroupElement] = []
+        out: list[tuple] = []
         for (k, m), parts in sorted(lists.items()):
-            out.extend([GroupElement(self, (h, body)) for h in heads[m] for bodies in parts for body in bodies])
+            out.extend([(h, body) for h in heads[m] for bodies in parts for body in bodies])
         return out
 
     def generator_elements(self) -> tuple[GroupElement, ...]:

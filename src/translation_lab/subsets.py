@@ -16,7 +16,8 @@ boundary, isolation and coset checks), the HNN partition suite and the
 universal pattern-centre scan run so.  Membership keeps no memo and asks the predicate
 on every call; the one reuse kept is ``elements_in_ball``, which lists the
 members of each ball layer once, asking the predicate about each word of
-the layer.  A subset that can list its members of each word length in closed
+the layer (the context's ``_sphere``) and building elements for the members
+only.  A subset that can list its members of each word length in closed
 form offers their words as ``sphere_members``, so a sparse subset's window
 grows no ball; the listed words are sorted by ``structural_key``, read
 through the predicate, and only the members become elements.  Subgroups,
@@ -98,10 +99,10 @@ class SubsetSpec:
         while len(layers) <= r:
             k = len(layers)
             if self.sphere_members is None:
-                layers.append([x for x in ctx.sphere(k) if inside(x.word)])
+                words = ctx._sphere(k)
             else:
                 words = sorted(self.sphere_members(k), key=ctx.structural_key)
-                layers.append([GroupElement(ctx, w) for w in words if inside(w)])
+            layers.append([GroupElement(ctx, w) for w in words if inside(w)])
         out: list[GroupElement] = []
         for layer in layers[: r + 1]:
             out.extend(layer)

@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -749,3 +750,39 @@ def test_a_check_refuses_an_input_it_cannot_take(tmp_path, capsys):
     for argv, message in refusals:
         assert cli.dispatch(argv) == cli.EXIT_CONFIG, argv
         assert capsys.readouterr() == ("", f"config error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_dispatch_leaves_the_cyclic_collector_as_it_found_it(enabled, tmp_path, capsys, monkeypatch):
+    """``dispatch`` pauses the collector for the call and restores the caller's
+    setting on every exit code, on --help, and when a runner raises."""
+    subsets = _subset_files(tmp_path, nat='{"kind": "interval", "lo": 0}', all='{"kind": "universal-all"}')
+    lines = {
+        cli.EXIT_OK: ["check", "isolation", "--group", "z", "--subset", subsets["all"], "--r", "0", "--R", "0"],
+        cli.EXIT_FALSIFIED: ["check", "isolation", "--group", "z", "--subset", subsets["nat"], "--r", "0"],
+        cli.EXIT_USAGE: ["check", "deep", "--group", "z", "--subset", subsets["nat"], "--r", "5", "--R", "3"],
+        cli.EXIT_CONFIG: ["check", "deep", "--group", "nope", "--subset", subsets["nat"]],
+        cli.EXIT_RESOURCE: ["check", "deep", "--group", "z", "--subset", subsets["nat"], "--r", "3", "--R", "10"],
+    }
+
+    def broken(args):
+        raise RuntimeError("runner failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for code, argv in lines.items():
+            if code == cli.EXIT_RESOURCE:
+                monkeypatch.setenv(BALL_CAP_ENV, "5")
+            assert cli.dispatch(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        assert cli.dispatch(["check", "--help"]) == cli.EXIT_OK
+        assert gc.isenabled() is enabled
+        monkeypatch.delenv(BALL_CAP_ENV)
+        monkeypatch.setattr(cli.COMMANDS["check"].whats["deep"], "run", broken)
+        with pytest.raises(RuntimeError, match="runner failed"):
+            cli.dispatch(["check", "deep", "--group", "z", "--subset", subsets["all"]])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()

@@ -236,7 +236,7 @@ NAME_CLASHES = [
             "right": {"kind": "free", "rank": 1, "generators": ["a"]},
             "tags": ["", ""],
         },
-        "generator 'a' formats like",
+        "with empty amalgam tags the left factor reads 'a', which the other factor prints",
     ),
     # a generator named e formats as the identity
     ({"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["x", "e"]}, "generator 'e' formats like"),
@@ -248,7 +248,33 @@ NAME_CLASHES = [
             "right": {"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["0", "a^2"]},
             "tags": ["", ""],
         },
-        "generator 'a\\^2' does not parse back as itself",
+        "with empty amalgam tags the left factor reads 'a\\^2', which the other factor prints",
+    ),
+    # with empty tags F2's ab reads as Z's generator: 5 of the 37 radius-2
+    # elements and 44 of the 187 radius-3 elements did not read back as themselves
+    (
+        {"kind": "amalgam", "left": {**Z_NAMED, "generators": ["ab"]}, "right": {"kind": "free", "rank": 2}, "tags": ["", ""]},
+        "with empty amalgam tags the right factor reads 'ab'",
+    ),
+    # Z/4's element 2, not a generator, prints a^2 and reads as Z's a^2: 7 of the 46 radius-3 elements did not read back
+    (
+        {
+            "kind": "amalgam",
+            "left": {**Z_NAMED, "generators": ["a"]},
+            "right": {**Z4, "generators": [1], "names": ["0", "x", "a^2", "y"]},
+            "tags": ["", ""],
+        },
+        "with empty amalgam tags the left factor reads 'a\\^2'",
+    ),
+    # the same with Z/4 on the left, whose names 1 and 3 Z reads too: 29 of the 46 did not read back
+    (
+        {
+            "kind": "amalgam",
+            "left": {**Z4, "generators": [1], "names": ["0", "1", "a^2", "3"]},
+            "right": {**Z_NAMED, "generators": ["a"]},
+            "tags": ["", ""],
+        },
+        "with empty amalgam tags the right factor reads '1'",
     ),
     # Z^2 prints vectors, so its names were ignored: check deep printed (0,0) and exited 0
     ({"kind": "free-abelian", "rank": 2, "generators": ["x", "y"]}, "only Z takes a generator name"),
@@ -280,6 +306,9 @@ NAME_CLASHES = [
         "amalgam",
         "finite-e",
         "amalgam-power",
+        "amalgam-factor-word",
+        "amalgam-finite-element",
+        "amalgam-finite-element-left",
         "free-abelian-rank-2",
         "stable-letter-power",
         "stable-letter-word",

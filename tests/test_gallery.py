@@ -2,7 +2,7 @@ import collections
 
 import pytest
 
-from translation_lab import AmalgamContext, HnnContext, gallery
+from translation_lab import AmalgamContext, HnnContext, gallery, groups
 from translation_lab.gallery import (
     run_all,
     run_cuntz_check,
@@ -78,6 +78,30 @@ def test_lance_suite():
     assert checks["product-map-bijective-on-grid"].verdict == VERIFIED
 
 
+def _count_free_product_hooks(monkeypatch, multiplied: list, inverted: list) -> None:
+    """Record the left operand of each free-product multiply and each inverted word.
+
+    The hooks are wrapped as ``_free_product_hooks`` makes them, so a
+    trivial-gluing context built afterwards stores the counting ones.
+    """
+    make = groups._free_product_hooks
+
+    def counting_hooks(factors):
+        mul, inv, append = make(factors)
+
+        def counting_mul(a, b):
+            multiplied.append(a)
+            return mul(a, b)
+
+        def counting_inv(a):
+            inverted.append(a)
+            return inv(a)
+
+        return counting_mul, counting_inv, append
+
+    monkeypatch.setattr(groups, "_free_product_hooks", counting_hooks)
+
+
 def test_lance_grid_translations_ask_g_nothing(monkeypatch):
     """The grid S x B is a window of the whole group, so its partial
     translations ask no membership question and multiply each grid point once:
@@ -86,17 +110,12 @@ def test_lance_grid_translations_ask_g_nothing(monkeypatch):
     from translation_lab import operators, subsets
 
     multiplied, asked = [], []
-    free_mul = AmalgamContext._free_mul
-
-    def counting_mul(self, a, b):
-        multiplied.append(a)
-        return free_mul(self, a, b)
 
     def everything(word):
         asked.append(word)
         return True
 
-    monkeypatch.setattr(AmalgamContext, "_free_mul", counting_mul)  # bound as _mul when the context is built
+    _count_free_product_hooks(monkeypatch, multiplied, [])
     for module in (subsets, operators):
         monkeypatch.setattr(module, "everything", everything)
     assert run_lance_difference_check(4).verdict == VERIFIED
@@ -107,27 +126,24 @@ def test_lance_grid_translations_ask_g_nothing(monkeypatch):
 def test_lance_roundtrip_inverts_each_syllable_once(monkeypatch):
     """The grid roundtrip inverts the letter of each s in S once, not once per grid point.
 
-    Both ``invert`` and the raw-word hooks ``_inv`` and ``_free_inv`` (which
-    trivial gluing binds as ``_inv``) are counted, so an inverse taken either
-    way shows.
+    Both ``invert`` and the raw-word hook ``_inv`` (the free-product hook
+    that trivial gluing stores, or the class's own) are counted, so an
+    inverse taken either way shows.
     """
     inverted = []
-    invert = AmalgamContext.invert
+    invert, inv = AmalgamContext.invert, AmalgamContext._inv
 
     def counting(self, x):
         inverted.append(x.word)
         return invert(self, x)
 
-    def counting_raw(inv):
-        def count(self, a):
-            inverted.append(a)
-            return inv(self, a)
-
-        return count
+    def counting_raw(self, a):
+        inverted.append(a)
+        return inv(self, a)
 
     monkeypatch.setattr(AmalgamContext, "invert", counting)
-    for hook in ("_inv", "_free_inv"):
-        monkeypatch.setattr(AmalgamContext, hook, counting_raw(getattr(AmalgamContext, hook)))
+    monkeypatch.setattr(AmalgamContext, "_inv", counting_raw)
+    _count_free_product_hooks(monkeypatch, [], inverted)
     assert run_lance_difference_check(4).verdict == VERIFIED
     # 9 syllables of S at radius 4 and a few inverses outside the grid; the grid has 729 points
     assert len(inverted) < 2 * 9

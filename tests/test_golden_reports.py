@@ -4,6 +4,8 @@ The table is written by ``tests/record_golden.py``, run by hand; see there for
 what it holds and when to re-record it.
 """
 
+import collections
+import gc
 import json
 
 import pytest
@@ -16,8 +18,24 @@ GOLDEN = json.loads(TABLE.read_text())
 
 
 def test_every_line_reproduces_its_recorded_report():
-    changed = [line for line, recorded in GOLDEN.items() if run_line(line) != recorded]
+    """The replay also runs with the cyclic collector off, as ``cli.dispatch``
+    runs every command: reference counting must free all that the lines
+    built, so a collection afterwards finds no cycle."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        changed = [line for line, recorded in GOLDEN.items() if run_line(line) != recorded]
+        found = gc.collect()
+        kinds = collections.Counter(type(x).__name__ for x in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
     assert changed == []
+    assert found == 0, f"cyclic garbage left by the table's lines: {kinds.most_common()}"
 
 
 def test_the_table_holds_the_lines_the_recorder_writes():

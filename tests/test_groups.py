@@ -1,5 +1,7 @@
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -668,3 +670,26 @@ def test_multiply_and_invert_are_written_once():
         assert not {"multiply", "invert", "word_length", "sort_key", "format"} & set(vars(cls)), cls.__name__
         for hook in ("_mul", "_inv", "_format", "structural_key"):
             assert getattr(cls, hook) is not getattr(GroupContext, hook), (cls.__name__, hook)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [*BUILTIN_GROUPS, *LOADER_CONFIGS.values(), *(str(INPUTS / name) for name in INPUT_GROUPS)],
+    ids=[*BUILTIN_GROUPS, *(f"config:{kind}" for kind in LOADER_CONFIGS), *INPUT_GROUPS],
+)
+def test_a_context_is_freed_as_soon_as_it_is_dropped(source):
+    """No context is in a reference cycle: its layers hold words, not elements
+    that point back at it, and a free product's hooks close over its factors.
+    So with the collector off, as ``cli.dispatch`` runs, the last reference
+    going frees it at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = load_group(source)
+        assert len(ctx.ball(3)) > 1
+        alive = weakref.ref(ctx)
+        del ctx
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
